@@ -3,8 +3,9 @@
 The combinatorial shadow of a pointed fusion category is a finite group with
 a normalized 3-cocycle valued in Q/Z.  This package enumerates the algebra
 pairs (H, psi) labeling its indecomposable module categories and decides
-which pairs are equivalent, by exact integer and Q/Z arithmetic (Smith normal
-form of coboundary matrices; no floating point anywhere).
+which pairs are equivalent, by exact integer and Q/Z arithmetic (sparse
+echelon and Smith normal forms of coboundary matrices; no floating point
+anywhere).
 """
 
 from .qz import QZ, ZERO, qz, root_of_unity_str
@@ -19,9 +20,10 @@ from .groups import (Group, Subgroup, builtin_group, conjugate_subgroup,
 from .cochains import (Cochain, coboundary, cochain_from_json, cochain_to_json,
                        combine, conjugate_cochain, cyclic_3cocycle, is_cocycle,
                        nonidentity_tuples, restrict, zero_cochain)
-from .cohomology import (CoboundaryMatrix, SNF, coboundary_matrix, h2_order,
-                         h2_representatives, image_obstruction,
-                         is_cohomologous, smith_normal_form, solve_coboundary)
+from .cohomology import (CoboundaryMatrix, Echelon, SNF, coboundary_matrix,
+                         echelon_form, h2_order, h2_representatives,
+                         image_obstruction, is_cohomologous, smith_normal_form,
+                         solve_coboundary)
 from .pointed import (AlgebraPair, PointedCategory, alpha_g, big_omega,
                       conjugate_pair, gamma_cochain, validate_pair)
 from .kac_paljutkin import KPData, kp_category, kp_group, kp_omega, kp_sigma, kp_tau

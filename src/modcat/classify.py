@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 from .cochains import (Cochain, cochain_from_json, coboundary, combine,
                        conjugate_cochain, restrict)
 from .cohomology import h2_representatives, solve_coboundary, warm_degree2_solver
-from .errors import CategoryMismatch, InternalInvariantBroken, SizeLimitExceeded
+from .errors import (CategoryMismatch, InternalInvariantBroken, ParseError,
+                     SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
                      group_to_json, subgroup_conjugacy_classes, subgroups)
 from .pointed import AlgebraPair, PointedCategory, big_omega, validate_pair
@@ -286,35 +287,68 @@ def report_to_json(report: ClassificationReport) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], required to be a JSON value of the given kind."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"report JSON: {where} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"report JSON: {where} field {key!r} must be "
+                         f"{kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _index(value, bound: int, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise ParseError(f"report JSON: {where} {value!r} is not an index "
+                         f"below {bound}")
+    return value
+
+
 def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
-    """Rebuild a report against a category and re-verify it completely."""
-    G = group_from_json(data["group"])
+    """Rebuild a report against a category and re-verify it completely.
+
+    A missing or mistyped field, or an index out of range, is a ParseError.
+    """
+    G = group_from_json(_field(data, "group", dict, "report"))
     if G != cat.group:
         raise InternalInvariantBroken("report group does not match the category")
-    if data["omega"]["hash"] != omega_fingerprint(cat.omega):
+    omega = _field(data, "omega", dict, "report")
+    if _field(omega, "hash", str, "omega") != omega_fingerprint(cat.omega):
         raise InternalInvariantBroken("report omega hash does not match")
+    source = omega.get("source", "inline")
+    if not isinstance(source, str):
+        raise ParseError("report JSON: omega field 'source' must be str")
     pairs = []
-    for entry in data["pairs"]:
-        H = Subgroup(cat.group, entry["H"])
-        psi = cochain_from_json({"degree": 2, "values": entry["psi"]},
+    for entry in _field(data, "pairs", list, "report"):
+        members = [_index(m, G.order, "subgroup member")
+                   for m in _field(entry, "H", list, "pair")]
+        H = Subgroup(cat.group, members)
+        psi = cochain_from_json({"degree": 2,
+                                 "values": _field(entry, "psi", list, "pair")},
                                 group=H.as_group())
         pairs.append(validate_pair(cat, H, psi))
     blocks = []
-    for blk in data["classes"]:
+    for blk in _field(data, "classes", list, "report"):
+        rep = _index(_field(blk, "representative", int, "class"), len(pairs),
+                     "representative")
+        members = [_index(m, len(pairs), "class member")
+                   for m in _field(blk, "members", list, "class")]
         witnesses = []
-        for w in blk["witnesses"]:
-            member = int(w["from"])
-            L = pairs[blk["representative"]].H
-            f = cochain_from_json({"degree": 1, "values": w["f"]},
-                                  group=L.as_group())
-            witnesses.append((member, EquivalenceWitness(int(w["g"]), f)))
+        for w in _field(blk, "witnesses", list, "class"):
+            member = _index(_field(w, "from", int, "witness"), len(pairs),
+                            "witness source")
+            g = _index(_field(w, "g", int, "witness"), G.order, "witness element")
+            f = cochain_from_json({"degree": 1,
+                                   "values": _field(w, "f", list, "witness")},
+                                  group=pairs[rep].H.as_group())
+            witnesses.append((member, EquivalenceWitness(g, f)))
         blocks.append({
-            "representative": int(blk["representative"]),
-            "members": [int(m) for m in blk["members"]],
-            "rank": int(blk["rank"]),
+            "representative": rep,
+            "members": members,
+            "rank": _field(blk, "rank", int, "class"),
             "witnesses": witnesses,
         })
-    report = ClassificationReport(cat, pairs, blocks,
-                                  data["omega"].get("source", "inline"))
+    report = ClassificationReport(cat, pairs, blocks, source)
     report.verify()
     return report

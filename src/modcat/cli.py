@@ -120,6 +120,7 @@ def _cochain_lines(c: Cochain):
 
 def cmd_group_info(args) -> int:
     G = load_group(args.group)
+    _check_limit(G, args.size_limit)
     subs = subgroups(G)
     classes = subgroup_conjugacy_classes(G)
     index_of = {S.members: i for i, S in enumerate(subs)}
@@ -147,6 +148,7 @@ def cmd_group_info(args) -> int:
 
 def cmd_cocycle_check(args) -> int:
     G = load_group(args.group)
+    _check_limit(G, args.size_limit)
     if args.cocycle.startswith("@"):
         c = cochain_from_json(_read_json_file(args.cocycle[1:]), group=G,
                               expect_degree=args.degree)
@@ -210,6 +212,7 @@ def cmd_h2(args) -> int:
 
 def cmd_omega_g(args) -> int:
     G = load_group(args.group)
+    _check_limit(G, args.size_limit)
     omega = load_omega(args.omega, G)
     cat = PointedCategory(G, omega)
     g = _element(G, args.g)

@@ -1,34 +1,47 @@
 """Coboundary solving and H^2 enumeration by exact integer linear algebra.
 
-The coboundary operator on normalized cochains is an integer matrix once
-tuples are flattened in a fixed order.  Smith normal form of that matrix
-decides, over the divisible coefficients Q/Z, whether a target cochain is a
-coboundary: writing U*A*V = D, a target b lies in the image exactly when
-(U*b) vanishes in Q/Z on every row whose invariant factor is zero, and then
-x = V*y with y_i = (U*b)_i / d_i is a witness (the division is exact in Q/Z
-because Q/Z is divisible).
+The coboundary operator on normalized cochains is an integer matrix A once
+tuples are flattened in a fixed order.  Solving A x = b over the divisible
+coefficients Q/Z goes through one sparse echelon form per (group, degree):
+unimodular row operations T with T A = E, where E is in row echelon form.
+The rows of T whose E row is zero form an integer basis of the kernel
+functionals {z : z A = 0}, and because Q/Z is divisible, b is a coboundary
+exactly when z . b = 0 in Q/Z for every one of them.  A witness then comes
+from back-substitution on the nonzero rows of E, dividing by each pivot in
+Q/Z.  Every answer is re-checked without trusting the factorization: a
+witness x must satisfy d(x) = b, and the functional z behind a "no" must
+satisfy z A = 0 by one sparse product.
 
-Everything is cached per (group, degree) since the classifier reuses the
-same factorizations across many solves.
+Smith normal form (V only) is used for H^2: its invariant factors give the
+order of H^2(G, Q/Z) and its V columns span the 2-cocycles.  The same kernel
+functionals of the degree-1 matrix tell the H^2 classes apart.
+
+Factorizations are cached per (group, degree) in memory, and on disk when
+``MODCAT_SNF_CACHE`` names a directory; each disk entry records the shape
+and a hash of the matrix it factors and is checked against both on load.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from math import gcd
-from typing import List, Optional, Tuple
+import tempfile
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .cochains import Cochain, coboundary, combine, nonidentity_tuples, zero_cochain
-from .errors import DegreeMismatch, InternalInvariantBroken
+from .errors import DegreeMismatch, InternalInvariantBroken, ParseError
 from .groups import Group
 from .qz import QZ, ZERO
 
 __all__ = [
     "CoboundaryMatrix",
     "SNF",
+    "Echelon",
     "smith_normal_form",
+    "echelon_form",
     "coboundary_matrix",
     "solve_coboundary",
     "image_obstruction",
@@ -39,16 +52,20 @@ __all__ = [
 
 CACHE_ENV = "MODCAT_SNF_CACHE"
 
+# a sparse integer vector: (index, nonzero coefficient) pairs in index order
+Sparse = Tuple[Tuple[int, int], ...]
+
 
 class CoboundaryMatrix:
     """Integer matrix of d^n: rows are (n+1)-tuples, columns are n-tuples.
 
     Tuples run over non-identity elements in lexicographic order; entries are
     the signed incidence coefficients, with terms that hit the identity
-    dropped (normalization).
+    dropped (normalization).  ``sparse`` holds each row as a sparse vector;
+    ``entries`` is the dense form, built on first use.
     """
 
-    __slots__ = ("group", "degree", "rows", "cols", "entries")
+    __slots__ = ("group", "degree", "rows", "cols", "sparse", "_entries")
 
     def __init__(self, group: Group, degree: int):
         self.group = group
@@ -58,31 +75,59 @@ class CoboundaryMatrix:
         col_index = {t: i for i, t in enumerate(self.cols)}
         e, table = group.identity, group.table
         n = degree
-        entries = []
+        sparse = []
         for args in self.rows:
-            row = [0] * len(self.cols)
-            row[col_index[args[1:]]] += 1
+            row = {}
+            terms = [(args[1:], 1)]
             sign = 1
             for i in range(n):
                 sign = -sign
                 merged = args[:i] + (table[args[i]][args[i + 1]],) + args[i + 2:]
                 if e not in merged:
-                    row[col_index[merged]] += sign
-            row[col_index[args[:n]]] += -sign  # (-1)^{n+1}
-            entries.append(row)
-        self.entries = entries
+                    terms.append((merged, sign))
+            terms.append((args[:n], -sign))  # (-1)^{n+1}
+            for t, c in terms:
+                j = col_index[t]
+                row[j] = row.get(j, 0) + c
+            sparse.append(tuple(sorted((j, c) for j, c in row.items() if c)))
+        self.sparse = sparse
+        self._entries = None
+
+    @property
+    def entries(self) -> List[List[int]]:
+        if self._entries is None:
+            self._entries = list(self.dense_rows())
+        return self._entries
+
+    def dense_rows(self):
+        """The dense rows one at a time, without keeping them."""
+        for row in self.sparse:
+            out = [0] * len(self.cols)
+            for j, c in row:
+                out[j] = c
+            yield out
+
+    def row_of(self, args: tuple) -> int:
+        """Index of a row tuple (lexicographic over non-identity elements)."""
+        e, base, i = self.group.identity, self.group.order - 1, 0
+        for a in args:
+            i = i * base + a - (a > e)
+        return i
+
+    def sha256(self) -> str:
+        """Hash of the shape and entries, stored with disk-cache entries."""
+        return hashlib.sha256(
+            repr((len(self.rows), len(self.cols), self.sparse)).encode()).hexdigest()
 
     def apply(self, f: Cochain) -> List[QZ]:
         """Matrix times the flattened cochain; must agree with coboundary()."""
         vec = [f.value(t) for t in self.cols]
-        nz = [(j, v) for j, v in enumerate(vec) if v]
         out = []
-        for row in self.entries:
+        for row in self.sparse:
             acc = ZERO
-            for j, v in nz:
-                c = row[j]
-                if c:
-                    acc = acc + c * v
+            for j, c in row:
+                if vec[j]:
+                    acc = acc + c * vec[j]
             out.append(acc)
         return out
 
@@ -278,18 +323,176 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
     return SNF(nrows, ncols, diag, U, V)
 
 
+class Echelon:
+    """T * A = E for a unimodular T, kept sparse; T is never built densely.
+
+    ``pivots`` lists the nonzero rows of E in elimination order as tuples
+    (col, pivot, rest, u): the row is ``pivot`` at column ``col`` plus the
+    sparse entries ``rest``, and ``u`` is the row of T that produced it.
+    Column ``col`` is zero in every later pivot row, so back-substitution in
+    reverse order solves E x = T b.  ``kernel`` holds the rows of T whose E row
+    is zero, in original row order: an integer basis of {z : z A = 0}.
+    """
+
+    __slots__ = ("nrows", "ncols", "pivots", "kernel")
+
+    def __init__(self, nrows: int, ncols: int, pivots, kernel):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.pivots = pivots
+        self.kernel = kernel
+
+
+# columns with a unit entry examined per pivot choice (a Markowitz search
+# limited to the sparsest columns, as in Zlatev's strategy)
+_SEARCH_COLUMNS = 3
+
+
+def _axpy(dst: dict, src: dict, q: int, colrows=None, rid=None) -> None:
+    """dst += q * src on sparse dict rows, keeping column occupancy current."""
+    for j, v in src.items():
+        nv = dst.get(j, 0) + q * v
+        if nv:
+            if colrows is not None and j not in dst:
+                colrows[j].add(rid)
+            dst[j] = nv
+        elif j in dst:
+            del dst[j]
+            if colrows is not None:
+                colrows[j].discard(rid)
+
+
+def _mix(d1: dict, d2: dict, x: int, y: int, s: int, t: int,
+         colrows=None, r1=None, r2=None) -> None:
+    """(d1, d2) <- (x d1 + y d2, s d1 + t d2) on sparse dict rows."""
+    for j in sorted(set(d1) | set(d2)):
+        a, b = d1.get(j, 0), d2.get(j, 0)
+        for d, v, rid in ((d1, x * a + y * b, r1), (d2, s * a + t * b, r2)):
+            if v:
+                if colrows is not None and j not in d:
+                    colrows[j].add(rid)
+                d[j] = v
+            elif j in d:
+                del d[j]
+                if colrows is not None:
+                    colrows[j].discard(rid)
+
+
+def _choose_pivot(work, urow, colrows):
+    """(row, col, unit) for the next pivot.
+
+    Unit entries come first, chosen by the Markowitz cost (row length - 1) *
+    (column count - 1), then the length of the row's T row, then row index,
+    among the sparsest columns (count, then column index).  Without any unit
+    entry, the sparsest column is taken with its entry of least magnitude.
+    """
+    cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
+    best, seen = None, 0
+    for count, c in cands:
+        found = False
+        for r in colrows[c]:
+            row = work[r]
+            if row[c] == 1 or row[c] == -1:
+                key = ((len(row) - 1) * (count - 1), len(urow[r]), r)
+                if best is None or key < best[0]:
+                    best = (key, r, c)
+                found = True
+        if found:
+            seen += 1
+            if seen == _SEARCH_COLUMNS or best[0][0] == 0:
+                break
+    if best is not None:
+        return best[1], best[2], True
+    c = cands[0][1]
+    r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]), len(urow[r]), r))
+    return r, c, False
+
+
+def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
+    """Sparse unimodular row echelon form of the matrix with these sparse rows.
+
+    Pivots are unit entries where any exist, chosen Markowitz-style as in
+    Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+    normal form computations" (J. Symbolic Comput. 32, 2001); a column
+    without one is reduced to a single entry, its gcd, by 2x2 extended-gcd
+    combines of its rows.  Every tie is broken by index, so the result is
+    deterministic.
+    """
+    nrows = len(rows)
+    work, urow = {}, {}
+    colrows = [set() for _ in range(ncols)]
+    zero = []
+    for i, row in enumerate(rows):
+        urow[i] = {i: 1}
+        entries = {j: v for j, v in row if v}
+        if entries:
+            work[i] = entries
+            for j in entries:
+                colrows[j].add(i)
+        else:
+            zero.append(i)
+    pivots = []
+    while work:
+        r, c, unit = _choose_pivot(work, urow, colrows)
+        if not unit:
+            for r2 in sorted(colrows[c] - {r}):
+                a, b = work[r][c], work[r2][c]
+                if b % a == 0:
+                    _axpy(work[r2], work[r], -(b // a), colrows, r2)
+                    _axpy(urow[r2], urow[r], -(b // a))
+                else:
+                    x, y, g = _xgcd(a, b)
+                    _mix(work[r], work[r2], x, y, -b // g, a // g, colrows, r, r2)
+                    _mix(urow[r], urow[r2], x, y, -b // g, a // g)
+                if not work[r2]:
+                    del work[r2]
+                    zero.append(r2)
+        prow, pu = work.pop(r), urow.pop(r)
+        p = prow[c]
+        for j in prow:
+            colrows[j].discard(r)
+        for r2 in sorted(colrows[c]):  # none left after the gcd combines
+            q = work[r2][c] * p
+            _axpy(work[r2], prow, -q, colrows, r2)
+            _axpy(urow[r2], pu, -q)
+            if not work[r2]:
+                del work[r2]
+                zero.append(r2)
+        rest = tuple(sorted((j, v) for j, v in prow.items() if j != c))
+        pivots.append((c, p, rest, tuple(sorted(pu.items()))))
+    kernel = [tuple(sorted(urow[i].items())) for i in sorted(zero)]
+    return Echelon(nrows, ncols, pivots, kernel)
+
+
+def _dot(z: Sparse, vec: Sequence[int]) -> int:
+    """Integer dot product of a sparse vector with a dense one."""
+    return sum(c * vec[k] for k, c in z)
+
+
+def _in_left_kernel(z: Sparse, mat: CoboundaryMatrix) -> bool:
+    """z A = 0, by one sparse vector-matrix product."""
+    acc = {}
+    for k, c in z:
+        for j, v in mat.sparse[k]:
+            acc[j] = acc.get(j, 0) + c * v
+    return not any(acc.values())
+
+
+# ----------------------------------------------------------------------------
+# factorization caches
+
 def _group_key(group: Group) -> str:
     h = hashlib.sha256()
     h.update(repr((group.table, group.names)).encode())
     return h.hexdigest()
 
 
-def _disk_cache_path(group: Group, degree: int) -> Optional[str]:
+def _disk_cache_path(group: Group, degree: int, kind: str) -> Optional[str]:
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"snf-{_group_key(group)}-d{degree}.json")
+    return os.path.join(root, f"{kind}-{_group_key(group)}-d{degree}.json")
 
 
 def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
@@ -302,40 +505,124 @@ def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
     return mat
 
 
-def _snf_for(group: Group, degree: int, need_U: bool, need_V: bool) -> SNF:
-    key = ("snf", degree)
-    got = group._cache.get(key)
-    if got is not None and (got.U is not None or not need_U) \
-            and (got.V is not None or not need_V):
-        return got
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    path = _disk_cache_path(group, degree)
-    if got is None and path and os.path.exists(path):
+
+def _sparse_from_json(flat, bound: int, path: str) -> Sparse:
+    """A sparse vector from its flat [index, coeff, index, coeff, ...] form."""
+    if not isinstance(flat, list) or len(flat) % 2:
+        raise ParseError(f"{path}: malformed sparse vector")
+    out = tuple(zip(flat[::2], flat[1::2]))
+    for k, c in out:
+        if not (_is_int(k) and _is_int(c) and 0 <= k < bound and c):
+            raise ParseError(f"{path}: bad sparse vector entry ({k!r}, {c!r})")
+    return out
+
+
+def _flat(z: Sparse) -> List[int]:
+    return [v for pair in z for v in pair]
+
+
+def _encode(kind: str, fac) -> dict:
+    if kind == "echelon":
+        return {"pivots": [[c, p, _flat(rest), _flat(u)] for c, p, rest, u in fac.pivots],
+                "kernel": [_flat(z) for z in fac.kernel]}
+    return {"diag": fac.diag, "V": fac.V}
+
+
+def _decode(kind: str, data: dict, nrows: int, ncols: int, path: str):
+    try:
+        if kind == "echelon":
+            pivots = []
+            for c, p, rest, u in data["pivots"]:
+                if not (_is_int(c) and 0 <= c < ncols and _is_int(p) and p):
+                    raise ParseError(f"{path}: bad pivot ({c!r}, {p!r})")
+                pivots.append((c, p, _sparse_from_json(rest, ncols, path),
+                               _sparse_from_json(u, nrows, path)))
+            kernel = [_sparse_from_json(z, nrows, path) for z in data["kernel"]]
+            return Echelon(nrows, ncols, pivots, kernel)
+        diag, V = data["diag"], data["V"]
+        if not (isinstance(diag, list) and len(diag) == min(nrows, ncols)
+                and all(_is_int(d) for d in diag)
+                and isinstance(V, list) and len(V) == ncols
+                and all(isinstance(row, list) and len(row) == ncols
+                        and all(_is_int(v) for v in row) for row in V)):
+            raise ParseError(f"{path}: malformed Smith form entry")
+        return SNF(nrows, ncols, diag, None, V)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed {kind} entry: {exc!r}") from exc
+
+
+def _cache_read(path: str, kind: str, mat: CoboundaryMatrix):
+    """The factorization stored at path, None if absent; ParseError if it
+    is unreadable or was made for a different matrix."""
+    try:
         with open(path) as fh:
             data = json.load(fh)
-        got = SNF(data["nrows"], data["ncols"], data["diag"],
-                  data.get("U"), data.get("V"))
-        if (got.U is not None or not need_U) and (got.V is not None or not need_V):
-            group._cache[key] = got
-            return got
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read cache entry {path}: {exc}") from exc
+    nrows, ncols = len(mat.rows), len(mat.cols)
+    if not isinstance(data, dict) or data.get("kind") != kind:
+        raise ParseError(f"{path}: not a {kind} cache entry")
+    if data.get("shape") != [nrows, ncols]:
+        raise ParseError(f"{path}: matrix shape {data.get('shape')!r} does not "
+                         f"match {nrows}x{ncols}")
+    if data.get("matrix_sha256") != mat.sha256():
+        raise ParseError(f"{path}: matrix hash does not match")
+    return _decode(kind, data, nrows, ncols, path)
 
-    mat = coboundary_matrix(group, degree)
-    snf = smith_normal_form(mat.entries, len(mat.rows), len(mat.cols),
-                            need_U=need_U or (got is not None and got.U is not None),
-                            need_V=need_V or (got is not None and got.V is not None))
-    group._cache[key] = snf
-    if path:
-        payload = {"nrows": snf.nrows, "ncols": snf.ncols, "diag": snf.diag,
-                   "U": snf.U, "V": snf.V}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
+
+def _cache_write(path: str, kind: str, mat: CoboundaryMatrix, fac) -> None:
+    """Write through a unique temp file, so concurrent writers never mix."""
+    payload = {"kind": kind, "shape": [len(mat.rows), len(mat.cols)],
+               "matrix_sha256": mat.sha256(), **_encode(kind, fac)}
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, separators=(",", ":"))
         os.replace(tmp, path)
-    return snf
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
+
+def _factor(group: Group, degree: int, kind: str):
+    """The cached factorization of d^degree: "echelon" (an Echelon) or
+    "smith" (an SNF with V only)."""
+    key = (kind, degree)
+    got = group._cache.get(key)
+    if got is None:
+        mat = coboundary_matrix(group, degree)
+        path = _disk_cache_path(group, degree, kind)
+        if path:
+            got = _cache_read(path, kind, mat)
+        if got is None:
+            if kind == "echelon":
+                got = echelon_form(mat.sparse, len(mat.cols))
+            else:
+                # smith_normal_form copies its input row by row, so the
+                # dense rows are streamed into it rather than kept
+                got = smith_normal_form(mat.dense_rows(), len(mat.rows),
+                                        len(mat.cols), need_U=False, need_V=True)
+            if path:
+                _cache_write(path, kind, mat, got)
+        group._cache[key] = got
+    return got
+
+
+# ----------------------------------------------------------------------------
+# solving
 
 def _solve(target: Cochain):
-    """Shared solver core: (witness or None, violating row index or None)."""
+    """Shared solver core: (witness or None, obstruction index or None).
+
+    A witness is returned only after d(witness) == target is checked; None
+    only after the obstruction functional z is checked to satisfy z A = 0.
+    """
     n = target.degree
     if n not in (2, 3):
         raise DegreeMismatch("coboundary solving supports target degrees 2 and 3")
@@ -344,45 +631,33 @@ def _solve(target: Cochain):
         return zero_cochain(group, n - 1), None
 
     mat = coboundary_matrix(group, n - 1)
-    snf = _snf_for(group, n - 1, need_U=True, need_V=True)
-    nz = [(k, target.value(t)) for k, t in enumerate(mat.rows) if target.value(t)]
-    U, V, diag = snf.U, snf.V, snf.diag
+    ech = _factor(group, n - 1, "echelon")
+    # the target as integers over the common denominator D
+    D = lcm(*(v.den for v in target.values.values()))
+    b = [0] * len(mat.rows)
+    for t, v in target.values.items():
+        b[mat.row_of(t)] = v.num * (D // v.den)
 
-    def ub(i):
-        acc = ZERO
-        row = U[i]
-        for k, v in nz:
-            c = row[k]
-            if c:
-                acc = acc + c * v
-        return acc
-
-    # obstruction rows first: any row past the nonzero invariant factors
-    for i in range(snf.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0 and ub(i):
+    for i, z in enumerate(ech.kernel):
+        if _dot(z, b) % D:
+            if not _in_left_kernel(z, mat):
+                raise InternalInvariantBroken(
+                    "obstruction functional failed verification")
             return None, i
 
-    y = []
-    for i in range(len(diag)):
-        if diag[i] == 0:
-            y.append(ZERO)
-            continue
-        u = ub(i)
-        y.append(QZ(u.num, u.den * diag[i]))
-
-    vals = {}
-    ynz = [(i, v) for i, v in enumerate(y) if v]
-    for j, col_tuple in enumerate(mat.cols):
-        acc = ZERO
-        row = V[j]
-        for i, v in ynz:
-            c = row[i]
-            if c:
-                acc = acc + c * v
-        if acc:
-            vals[col_tuple] = acc
-    witness = Cochain(group, n - 1, vals)
+    # back-substitution; x holds numerators over den, a multiple of D
+    den = D
+    x = [0] * len(mat.cols)
+    for c, p, rest, u in reversed(ech.pivots):
+        s = (_dot(u, b) * (den // D) - _dot(rest, x)) % den
+        m = abs(p) // gcd(s, p)
+        if m > 1:
+            den *= m
+            x = [v * m for v in x]
+            s *= m
+        x[c] = (s // p) % den
+    witness = Cochain(group, n - 1, {mat.cols[j]: QZ(v, den)
+                                     for j, v in enumerate(x) if v})
     if coboundary(witness) != target:
         raise InternalInvariantBroken("coboundary witness failed verification")
     return witness, None
@@ -391,7 +666,8 @@ def _solve(target: Cochain):
 def solve_coboundary(target: Cochain) -> Optional[Cochain]:
     """A cochain f with df = target, or None when the class is nontrivial.
 
-    Witnesses are re-verified through coboundary() before being returned.
+    Witnesses are re-verified through coboundary() before being returned,
+    and obstructions are checked against the coboundary matrix.
     """
     witness, _ = _solve(target)
     return witness
@@ -404,11 +680,12 @@ def warm_degree2_solver(group: Group) -> None:
     this before handing the group to concurrent readers.
     """
     if group.order > 1:
-        _snf_for(group, 1, need_U=True, need_V=True)
+        _factor(group, 1, "echelon")
 
 
 def image_obstruction(target: Cochain) -> Optional[int]:
-    """Index of a row certifying target is not a coboundary (None if it is)."""
+    """Index of the kernel functional certifying target is not a coboundary
+    (None if it is one)."""
     _, row = _solve(target)
     return row
 
@@ -426,9 +703,8 @@ def h2_order(group: Group) -> int:
     """
     if group.order == 1:
         return 1
-    snf2 = _snf_for(group, 2, need_U=False, need_V=True)
     out = 1
-    for d in snf2.diag:
+    for d in _factor(group, 2, "smith").diag:
         if d > 1:
             out *= d
     return out
@@ -443,34 +719,20 @@ def h2_representatives(group: Group) -> List[Cochain]:
 
     Every class has a representative with values in (1/M)Z/Z for M = |group|,
     so candidates are drawn from the solution lattice of the degree-2
-    coboundary matrix mod M.  Candidates are separated by their pairing with
-    the zero-invariant-factor rows of the degree-1 factorization, which
-    detects cohomology over Q/Z exactly.
+    coboundary matrix mod M, held as integer numerators over M.  Candidates
+    are separated by their pairing with the kernel functionals of the
+    degree-1 matrix, which detects cohomology over Q/Z exactly.
     """
     if group.order == 1:
         return [zero_cochain(group, 2)]
     M = group.order
-    mat1 = coboundary_matrix(group, 1)
-    pairs = mat1.rows  # == coboundary_matrix(group, 2).cols
+    pairs = coboundary_matrix(group, 1).rows  # == coboundary_matrix(group, 2).cols
     P = len(pairs)
-    snf1 = _snf_for(group, 1, need_U=True, need_V=False)
-    snf2 = _snf_for(group, 2, need_U=False, need_V=True)
-    zero_rows = [i for i in range(P)
-                 if i >= len(snf1.diag) or snf1.diag[i] == 0]
-    U1 = snf1.U
+    kernel = _factor(group, 1, "echelon").kernel
+    snf2 = _factor(group, 2, "smith")
 
     def signature(vec):
-        out = []
-        nz = [(k, v) for k, v in enumerate(vec) if v]
-        for i in zero_rows:
-            row = U1[i]
-            acc = ZERO
-            for k, v in nz:
-                c = row[k]
-                if c:
-                    acc = acc + c * v
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(z, vec) % M for z in kernel)
 
     # generators of the lattice of 2-cocycles with denominator dividing M
     generators = []
@@ -480,10 +742,9 @@ def h2_representatives(group: Group) -> List[Cochain]:
         g = gcd(d, M)
         if g == 1:
             continue
-        vec = tuple(QZ(V2[p][j], g) for p in range(P))
-        generators.append(vec)
+        generators.append(tuple(V2[p][j] * (M // g) % M for p in range(P)))
 
-    zero_vec = tuple(ZERO for _ in range(P))
+    zero_vec = (0,) * P
     seen = {signature(zero_vec): zero_vec}
     frontier = [zero_vec]
     gen_sigs = [signature(g) for g in generators]
@@ -493,9 +754,9 @@ def h2_representatives(group: Group) -> List[Cochain]:
         for vec in frontier:
             vsig = sig_of[vec]
             for gvec, gsig in zip(generators, gen_sigs):
-                nsig = tuple(a + b for a, b in zip(vsig, gsig))
+                nsig = tuple((a + b) % M for a, b in zip(vsig, gsig))
                 if nsig not in seen:
-                    nvec = tuple(a + b for a, b in zip(vec, gvec))
+                    nvec = tuple((a + b) % M for a, b in zip(vec, gvec))
                     seen[nsig] = nvec
                     sig_of[nvec] = nsig
                     new.append(nvec)
@@ -508,7 +769,7 @@ def h2_representatives(group: Group) -> List[Cochain]:
 
     reps = []
     for vec in seen.values():
-        vals = {pairs[p]: v for p, v in enumerate(vec) if v}
+        vals = {pairs[p]: QZ(v, M) for p, v in enumerate(vec) if v}
         c = Cochain(group, 2, vals)
         if not coboundary(c).is_zero():
             raise InternalInvariantBroken("candidate representative is not a cocycle")

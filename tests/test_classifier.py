@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -261,3 +262,42 @@ def test_report_verify_catches_tampering():
     assert tampered
     with pytest.raises(InternalInvariantBroken):
         report_from_json(data, kp.category)
+
+
+@pytest.mark.parametrize("key", ["group", "omega", "pairs", "classes"])
+def test_report_from_json_missing_or_mistyped_key_is_parse_error(key):
+    from modcat import ParseError
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    missing = {k: v for k, v in data.items() if k != key}
+    with pytest.raises(ParseError, match=key):
+        report_from_json(missing, kp.category)
+    with pytest.raises(ParseError, match=key):
+        report_from_json(dict(data, **{key: 7}), kp.category)
+
+
+def test_report_from_json_malformed_nested_fields_are_parse_errors():
+    from modcat import ParseError
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    cases = [
+        lambda d: d["omega"].pop("hash"),
+        lambda d: d["pairs"][0].pop("psi"),
+        lambda d: d["pairs"][0].update(H="0,1"),
+        lambda d: d["classes"][0].update(representative="0"),
+        lambda d: d["classes"][0].update(representative=len(d["pairs"])),
+        lambda d: d["classes"][0].update(members=[0, -1]),
+        lambda d: d["classes"][0].pop("rank"),
+        lambda d: d["classes"][0].update(witnesses=None),
+    ]
+    for tamper in cases:
+        bad = json.loads(json.dumps(data))
+        tamper(bad)
+        with pytest.raises(ParseError):
+            report_from_json(bad, kp.category)
+    blk = next(b for b in data["classes"] if b["witnesses"])
+    for field, value in (("from", None), ("g", 99), ("f", {})):
+        bad = json.loads(json.dumps(data))
+        bad["classes"][data["classes"].index(blk)]["witnesses"][0][field] = value
+        with pytest.raises(ParseError):
+            report_from_json(bad, kp.category)

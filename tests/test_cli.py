@@ -246,3 +246,31 @@ def test_cyclic_omega_spec(capsys):
                        "--omega", "cyclic:4:1", "--format", "json")
     assert code == 0
     assert json.loads(out)["class_count"] == 1
+
+
+def test_group_info_size_limit(capsys):
+    code, _, err = run(capsys, "group-info", "--group", "cyclic:20",
+                       "--size-limit", "4")
+    assert code == 2 and "exceeds --size-limit 4" in err
+    code, out, _ = run(capsys, "group-info", "--group", "cyclic:20",
+                       "--size-limit", "20", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["subgroups"]) == 6
+
+
+def test_cocycle_check_size_limit(capsys):
+    code, _, err = run(capsys, "cocycle-check", "--group", "cyclic:8",
+                       "--cocycle", "cyclic:8:1", "--size-limit", "4")
+    assert code == 2 and "exceeds --size-limit 4" in err
+    code, _, _ = run(capsys, "cocycle-check", "--group", "cyclic:8",
+                     "--cocycle", "cyclic:8:1", "--size-limit", "8")
+    assert code == 0
+
+
+def test_omega_g_size_limit(capsys):
+    code, _, err = run(capsys, "omega-g", "--group", "kp", "--omega", "kp",
+                       "--g", "x", "--size-limit", "4")
+    assert code == 2 and "exceeds --size-limit 4" in err
+    code, _, _ = run(capsys, "omega-g", "--group", "kp", "--omega", "kp",
+                     "--g", "x", "--size-limit", "8")
+    assert code == 0

@@ -1,0 +1,294 @@
+"""The sparse echelon solver, its certified answers and its disk cache."""
+
+import json
+import os
+import random
+import tempfile
+
+import pytest
+
+import modcat.cohomology as cohomology
+from modcat import (Cochain, InternalInvariantBroken, ModcatError, ParseError,
+                    PointedCategory, QZ, big_omega, classify, coboundary, combine,
+                    conjugate_subgroup, cyclic_3cocycle, cyclic_group,
+                    dihedral_group, direct_product, echelon_form,
+                    h2_representatives, image_obstruction, kp_category,
+                    kp_group, restrict, smith_normal_form, solve_coboundary,
+                    zero_cochain)
+from modcat.cohomology import coboundary_matrix
+from oracles import bareiss_det, brute_coboundary_witness, random_cochain
+
+
+def left_product(z, A, ncols):
+    """z A for a sparse z and a dense A."""
+    out = [0] * ncols
+    for k, c in z:
+        for j in range(ncols):
+            out[j] += c * A[k][j]
+    return out
+
+
+def obstruction_holds(target, index):
+    """The kernel functional behind a "no": z A = 0 and z . target != 0."""
+    mat = coboundary_matrix(target.group, target.degree - 1)
+    z = cohomology._factor(target.group, target.degree - 1, "echelon").kernel[index]
+    assert not any(left_product(z, mat.entries, len(mat.cols)))
+    acc = QZ(0)
+    for k, c in z:
+        acc = acc + c * target.value(mat.rows[k])
+    return bool(acc)
+
+
+# --- solver verdicts against independent facts -------------------------------
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cyclic_3cocycle_is_coboundary_exactly_when_q_divisible(n):
+    # H^3(Z_n, Q/Z) is cyclic of order n, generated by the standard cocycle
+    G = cyclic_group(n)
+    for q in range(n):
+        omega = cyclic_3cocycle(G, q)
+        w = solve_coboundary(omega)
+        assert (w is None) == (q % n != 0)
+        if w is None:
+            assert obstruction_holds(omega, image_obstruction(omega))
+        else:
+            assert coboundary(w) == omega
+
+
+def random_sparse_matrix(rng, units):
+    nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+    values = [0, 0, 0, 1, -1, 2, -3, 4, 5] if units else [0, 0, 0, 2, -2, 3, 4, -6, 9]
+    return [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)], nrows, ncols
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_echelon_form_of_random_matrices(seed):
+    rng = random.Random(seed)
+    A, nrows, ncols = random_sparse_matrix(rng, units=seed % 2 == 0)
+    rows = [tuple((j, v) for j, v in enumerate(row) if v) for row in A]
+    ech = echelon_form(rows, ncols)
+    # every kernel functional annihilates A, and there are nrows - rank of them
+    rank = sum(1 for d in smith_normal_form(A, nrows, ncols, need_U=False,
+                                            need_V=False).diag if d)
+    assert len(ech.kernel) == nrows - rank == nrows - len(ech.pivots)
+    for z in ech.kernel:
+        assert z and not any(left_product(z, A, ncols))
+    # each pivot row is u A, and its pivot column is cleared in every later one
+    done = set()
+    for c, p, rest, u in ech.pivots:
+        row = [0] * ncols
+        row[c] = p
+        for j, v in rest:
+            row[j] = v
+        assert left_product(u, A, ncols) == row
+        assert p != 0 and c not in done and not done & {j for j, _ in rest}
+        done.add(c)
+    # the pivot and kernel rows together form a unimodular T
+    T = []
+    for z in [u for _, _, _, u in ech.pivots] + ech.kernel:
+        dense = [0] * nrows
+        for k, v in z:
+            dense[k] = v
+        T.append(dense)
+    assert abs(bareiss_det(T)) == 1
+
+
+@pytest.mark.parametrize("G", [dihedral_group(6), kp_group(), cyclic_group(12)],
+                         ids=["D6", "kp", "Z12"])
+def test_random_coboundaries_are_always_solved(G):
+    rng = random.Random(G.order)
+    for degree in (1, 2):
+        for _ in range(3):
+            target = coboundary(random_cochain(G, degree, rng))
+            w = solve_coboundary(target)
+            assert w is not None and coboundary(w) == target
+            assert image_obstruction(target) is None
+
+
+def test_solver_agrees_with_brute_force_on_the_klein_view():
+    kp = kp_category()
+    G, L = kp.category.group, kp.L
+    view = L.as_group()
+    rng = random.Random(29)
+    twists = [restrict(big_omega(kp.category, g), L) for g in G.elements()
+              if conjugate_subgroup(G, L, g) == L]
+    cases = twists + [kp.xi_nontrivial, zero_cochain(view, 2)]
+    cases += [combine(c, coboundary(random_cochain(view, 1, rng, den=4)), (1, 1))
+              for c in list(cases)]
+    assert any(solve_coboundary(c) is None for c in cases)
+    assert any(solve_coboundary(c) is not None for c in cases)
+    for c in cases:
+        fast = solve_coboundary(c)
+        slow = brute_coboundary_witness(c, 16)
+        assert (fast is None) == (slow is None)
+        if fast is None:
+            assert obstruction_holds(c, image_obstruction(c))
+
+
+# --- one factorization per (view, degree) ------------------------------------
+
+def test_classify_factors_each_view_and_degree_at_most_once(monkeypatch):
+    computed, calls = [], []
+    real_factor = cohomology._factor
+    real_snf, real_ech = cohomology.smith_normal_form, cohomology.echelon_form
+
+    def factor(group, degree, kind):
+        if (kind, degree) not in group._cache:
+            computed.append((id(group), degree))
+        return real_factor(group, degree, kind)
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cohomology, "_factor", factor)
+    monkeypatch.setattr(cohomology, "smith_normal_form", counted(real_snf))
+    monkeypatch.setattr(cohomology, "echelon_form", counted(real_ech))
+    G = direct_product(dihedral_group(8), cyclic_group(2))
+    classify(PointedCategory(G, zero_cochain(G, 3)))
+    # every factorization computed went through a cache miss, and no
+    # (view, degree) missed twice, whatever the kind of factorization
+    assert len(calls) == len(computed) > 0
+    assert len(computed) == len(set(computed))
+    assert real_ech in calls and real_snf in calls
+
+
+# --- certified answers from a tampered disk cache ----------------------------
+
+def cache_entry(tmp_path, kind, degree):
+    [path] = [p for p in tmp_path.iterdir()
+              if p.name.startswith(kind + "-") and p.name.endswith(f"-d{degree}.json")]
+    return path
+
+
+def filled_cache(tmp_path, monkeypatch):
+    """A cache holding the degree-1 echelon entry of D6, and a real coboundary."""
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    target = coboundary(random_cochain(dihedral_group(6), 1, random.Random(31)))
+    assert solve_coboundary(target) is not None
+    return cache_entry(tmp_path, "echelon", 1), target
+
+
+def rewrite(path, change):
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+def fresh(target):
+    """The same cochain on a new group object, so no in-memory cache applies."""
+    return Cochain(dihedral_group(6), target.degree, target.values)
+
+
+def test_altered_kernel_row_raises_instead_of_answering_no(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    mat = coboundary_matrix(target.group, 1)
+    k = next(i for i, t in enumerate(mat.rows) if target.value(t))
+    # the unit functional at a row where the target is nonzero is not in the kernel
+    rewrite(path, lambda d: d["kernel"].__setitem__(0, [k, 1]))
+    with pytest.raises(InternalInvariantBroken, match="obstruction"):
+        solve_coboundary(fresh(target))
+
+
+def test_zeroed_pivot_is_refused(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    rewrite(path, lambda d: d["pivots"][0].__setitem__(1, 0))
+    with pytest.raises(ParseError, match=path.name):
+        solve_coboundary(fresh(target))
+
+
+def test_dropped_kernel_rows_never_give_a_wrong_answer(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    rewrite(path, lambda d: d.__setitem__("kernel", []))
+    w = solve_coboundary(fresh(target))  # a real coboundary still solves
+    assert w is not None and coboundary(w) == target
+    # a nonzero class now passes every remaining functional, and its
+    # back-substituted witness fails verification
+    G = dihedral_group(6)
+    bad = Cochain(G, 2, {(1, 1): QZ(1, 3)})
+    with pytest.raises(InternalInvariantBroken, match="witness"):
+        solve_coboundary(bad)
+
+
+def test_any_tampered_pivot_row_raises_or_solves(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    original = path.read_text()
+    npivots = len(json.loads(original)["pivots"])
+    tampers = [lambda piv: piv.__setitem__(1, 2 * piv[1]),  # scale the pivot
+               lambda piv: piv.__setitem__(3, [0, 1])]        # replace its T row
+    raised = 0
+    for i in range(npivots):
+        for tamper in tampers:
+            path.write_text(original)
+            rewrite(path, lambda d: tamper(d["pivots"][i]))
+            try:
+                w = solve_coboundary(fresh(target))
+            except ModcatError:
+                raised += 1
+                continue
+            assert w is not None and coboundary(w) == target
+    assert raised
+
+
+# --- disk-cache entries --------------------------------------------------------
+
+def test_cache_entry_for_another_matrix_is_refused(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    rewrite(path, lambda d: d.__setitem__("shape", [1, 1]))
+    with pytest.raises(ParseError, match=path.name):
+        solve_coboundary(fresh(target))
+    path.unlink()
+    solve_coboundary(fresh(target))  # rewritten
+    rewrite(path, lambda d: d.__setitem__("matrix_sha256", "0" * 64))
+    with pytest.raises(ParseError, match=path.name):
+        solve_coboundary(fresh(target))
+    # a well-formed entry of another group of the same shape
+    path.unlink()
+    other = coboundary(random_cochain(cyclic_group(6), 1, random.Random(5)))
+    solve_coboundary(other)
+    os.replace(cache_entry(tmp_path, "echelon", 1), path)
+    with pytest.raises(ParseError, match="hash"):
+        solve_coboundary(fresh(target))
+
+
+def test_unreadable_cache_entry_is_a_parse_error(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    path.write_text("{not json")
+    with pytest.raises(ParseError, match=path.name):
+        solve_coboundary(fresh(target))
+
+
+def listing(path):
+    return sorted((p.name, p.stat().st_size, p.stat().st_mtime_ns)
+                  for p in path.iterdir())
+
+
+def test_warm_cache_read_never_writes(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    kp = kp_category()
+    first = classify(kp.category)
+    before = listing(tmp_path)
+    assert {name.split("-")[0] for name, _, _ in before} == {"echelon", "smith"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm read tried to write the cache")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    again = classify(kp_category().category)
+    assert listing(tmp_path) == before
+    assert [b["members"] for b in again.classes] == [b["members"] for b in first.classes]
+
+
+def test_cache_writes_do_not_use_a_fixed_temp_name(tmp_path, monkeypatch):
+    path, target = filled_cache(tmp_path, monkeypatch)
+    path.unlink()
+    # a stale object at the old fixed temp name no longer blocks the write
+    os.mkdir(str(path) + ".tmp")
+    assert solve_coboundary(fresh(target)) is not None
+    assert path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, path.name + ".tmp"])
+    h2_representatives(dihedral_group(6))  # no temp file is left behind
+    assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp" and p.is_file()]
