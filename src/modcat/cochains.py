@@ -239,8 +239,9 @@ def cochain_from_json(data, group: Optional[Group] = None,
     """Parse the cochain JSON format.
 
     Omitted tuples are zero; identity-containing tuples must be absent or
-    have value zero; values must be exact "p/q" strings (floats rejected).
-    ``group`` overrides the embedded group reference when supplied.
+    have value zero; values must be exact "p/q" strings (floats rejected) and
+    arguments lists of integer indices.  ``group`` overrides the embedded
+    group reference when supplied.  Malformed input is a ParseError.
     """
     if not isinstance(data, dict):
         raise ParseError("cochain JSON must be an object")
@@ -251,19 +252,31 @@ def cochain_from_json(data, group: Optional[Group] = None,
         group = builtin_group(ref) if isinstance(ref, str) else group_from_json(ref)
     else:
         ref = data.get("group")
-        if isinstance(ref, dict) and int(ref.get("order", group.order)) != group.order:
-            raise ParseError("cochain JSON group order does not match")
+        if isinstance(ref, dict):
+            try:
+                order = int(ref.get("order", group.order))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"cochain JSON group order malformed: {exc}") from exc
+            if order != group.order:
+                raise ParseError("cochain JSON group order does not match")
     try:
         degree = int(data["degree"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"cochain JSON degree missing or malformed: {exc}") from exc
     if expect_degree is not None and degree != expect_degree:
         raise DegreeMismatch(f"expected degree {expect_degree}, file has {degree}")
+    entries = data.get("values", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"cochain JSON values must be a list, got {entries!r}")
     vals = {}
-    for entry in data.get("values", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "args" not in entry or "val" not in entry:
             raise ParseError(f"malformed value entry {entry!r}")
-        args = tuple(int(a) for a in entry["args"])
+        args = entry["args"]
+        if not (isinstance(args, list)
+                and all(isinstance(a, int) and not isinstance(a, bool) for a in args)):
+            raise ParseError(f"value entry args must be a list of indices, got {args!r}")
+        args = tuple(args)
         if args in vals:
             raise ParseError(f"duplicate value entry for {args}")
         vals[args] = qz(entry["val"])

@@ -12,13 +12,17 @@ Q/Z.  Every answer is re-checked without trusting the factorization: a
 witness x must satisfy d(x) = b, and the functional z behind a "no" must
 satisfy z A = 0 by one sparse product.
 
-Smith normal form (V only) is used for H^2: its invariant factors give the
-order of H^2(G, Q/Z) and its V columns span the 2-cocycles.  The same kernel
+H^2 comes from the degree-2 matrix by sparse elimination on unit pivots,
+which splits a 1 off the Smith form per pivot, followed by a dense Smith
+normal form (V only) of the few rows and columns that are left.  Its
+invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
+through the unit pivots, give one 2-cocycle per cyclic factor.  The kernel
 functionals of the degree-1 matrix tell the H^2 classes apart.
 
 Factorizations are cached per (group, degree) in memory, and on disk when
-``MODCAT_SNF_CACHE`` names a directory; each disk entry records the shape
-and a hash of the matrix it factors and is checked against both on load.
+``MODCAT_SNF_CACHE`` names a directory, keyed by the multiplication table
+alone; each disk entry records the shape and a hash of the matrix it
+factors and is checked against both on load.
 """
 
 from __future__ import annotations
@@ -96,16 +100,8 @@ class CoboundaryMatrix:
     @property
     def entries(self) -> List[List[int]]:
         if self._entries is None:
-            self._entries = list(self.dense_rows())
+            self._entries = [_dense(row, len(self.cols)) for row in self.sparse]
         return self._entries
-
-    def dense_rows(self):
-        """The dense rows one at a time, without keeping them."""
-        for row in self.sparse:
-            out = [0] * len(self.cols)
-            for j, c in row:
-                out[j] = c
-            yield out
 
     def row_of(self, args: tuple) -> int:
         """Index of a row tuple (lexicographic over non-identity elements)."""
@@ -378,13 +374,14 @@ def _mix(d1: dict, d2: dict, x: int, y: int, s: int, t: int,
                     colrows[j].discard(rid)
 
 
-def _choose_pivot(work, urow, colrows):
+def _choose_pivot(work, colrows, urow=None):
     """(row, col, unit) for the next pivot.
 
     Unit entries come first, chosen by the Markowitz cost (row length - 1) *
-    (column count - 1), then the length of the row's T row, then row index,
-    among the sparsest columns (count, then column index).  Without any unit
-    entry, the sparsest column is taken with its entry of least magnitude.
+    (column count - 1), then the length of the row's T row (when T is
+    tracked), then row index, among the sparsest columns (count, then column
+    index).  Without any unit entry, the sparsest column is taken with its
+    entry of least magnitude.
     """
     cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
     best, seen = None, 0
@@ -393,7 +390,8 @@ def _choose_pivot(work, urow, colrows):
         for r in colrows[c]:
             row = work[r]
             if row[c] == 1 or row[c] == -1:
-                key = ((len(row) - 1) * (count - 1), len(urow[r]), r)
+                tlen = 0 if urow is None else len(urow[r])
+                key = ((len(row) - 1) * (count - 1), tlen, r)
                 if best is None or key < best[0]:
                     best = (key, r, c)
                 found = True
@@ -404,7 +402,8 @@ def _choose_pivot(work, urow, colrows):
     if best is not None:
         return best[1], best[2], True
     c = cands[0][1]
-    r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]), len(urow[r]), r))
+    r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]),
+                                       0 if urow is None else len(urow[r]), r))
     return r, c, False
 
 
@@ -433,7 +432,7 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
             zero.append(i)
     pivots = []
     while work:
-        r, c, unit = _choose_pivot(work, urow, colrows)
+        r, c, unit = _choose_pivot(work, colrows, urow)
         if not unit:
             for r2 in sorted(colrows[c] - {r}):
                 a, b = work[r][c], work[r2][c]
@@ -464,6 +463,92 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
     return Echelon(nrows, ncols, pivots, kernel)
 
 
+class H2Basis:
+    """H^2(G, Q/Z) of a group of order M, from its degree-2 coboundary matrix.
+
+    ``torsion`` lists the invariant factors d_k > 1 of the matrix, each
+    dividing M, and ``generators[k]`` is a sparse 2-cocycle, numerators over M
+    reduced mod M and all multiples of M / d_k, whose class has order d_k:
+    H^2 is the direct sum of the cyclic groups they generate.
+    """
+
+    __slots__ = ("torsion", "generators")
+
+    def __init__(self, torsion, generators):
+        self.torsion = torsion
+        self.generators = generators
+
+
+def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
+    """Invariant factors and class generators of H^2 from d^2, kept sparse.
+
+    Sparse elimination on unit pivots, Markowitz-style as in echelon_form but
+    without a transform, splits a 1 off the Smith form per pivot, so
+    Smith(A) = 1^u + Smith(S) for the rows S left when no unit entry remains
+    (Dumas, Saunders and Villard, 2001).  S is nonzero only on a few columns,
+    and only it goes through the dense smith_normal_form, with V.  For each
+    invariant factor d_j > 1 of S, the column V_S[:, j] * (M / d_j) solves
+    S x = 0 mod M and is lifted to the pivot columns by back-substitution in
+    reverse pivot order.  Columns with d_j = 0, and columns left free by the
+    elimination, give integer cocycles, which are coboundaries over Q/Z since
+    H^2(G, Q) = 0; they add no class and are not kept.
+    """
+    M, ncols = mat.group.order, len(mat.cols)
+    work = {}
+    colrows = [set() for _ in range(ncols)]
+    for i, row in enumerate(mat.sparse):
+        if row:
+            work[i] = dict(row)
+            for j, _ in row:
+                colrows[j].add(i)
+    pivots = []
+    while work:
+        r, c, unit = _choose_pivot(work, colrows)
+        if not unit:
+            break
+        prow = work.pop(r)
+        p = prow[c]
+        for j in prow:
+            colrows[j].discard(r)
+        for r2 in sorted(colrows[c]):
+            _axpy(work[r2], prow, -work[r2][c] * p, colrows, r2)
+            if not work[r2]:
+                del work[r2]
+        pivots.append((c, p, tuple((j, v) for j, v in prow.items() if j != c)))
+
+    # the residual, on its own columns, with repeated rows (up to sign) dropped
+    cols = sorted(c for c, rs in enumerate(colrows) if rs)
+    residual = set()
+    for row in work.values():
+        dense = [row.get(c, 0) for c in cols]
+        if next(v for v in dense if v) < 0:
+            dense = [-v for v in dense]
+        residual.add(tuple(dense))
+    residual = sorted(residual)
+    snf = smith_normal_form(residual, len(residual), len(cols),
+                            need_U=False, need_V=True)
+
+    torsion, generators = [], []
+    for k, d in enumerate(snf.diag):
+        if d <= 1:
+            continue
+        if M % d:
+            raise InternalInvariantBroken(f"invariant factor {d} does not divide {M}")
+        x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(cols)}
+        for c, p, rest in reversed(pivots):
+            x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
+        torsion.append(d)
+        generators.append(tuple((j, v) for j, v in sorted(x.items()) if v))
+    return H2Basis(torsion, generators)
+
+
+def _dense(z: Sparse, n: int) -> List[int]:
+    out = [0] * n
+    for k, c in z:
+        out[k] = c
+    return out
+
+
 def _dot(z: Sparse, vec: Sequence[int]) -> int:
     """Integer dot product of a sparse vector with a dense one."""
     return sum(c * vec[k] for k, c in z)
@@ -481,10 +566,9 @@ def _in_left_kernel(z: Sparse, mat: CoboundaryMatrix) -> bool:
 # ----------------------------------------------------------------------------
 # factorization caches
 
-def _group_key(group: Group) -> str:
-    h = hashlib.sha256()
-    h.update(repr((group.table, group.names)).encode())
-    return h.hexdigest()
+def _table_key(group: Group) -> str:
+    """Every factorization depends on the multiplication table alone."""
+    return hashlib.sha256(repr(group.table).encode()).hexdigest()
 
 
 def _disk_cache_path(group: Group, degree: int, kind: str) -> Optional[str]:
@@ -492,7 +576,7 @@ def _disk_cache_path(group: Group, degree: int, kind: str) -> Optional[str]:
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"{kind}-{_group_key(group)}-d{degree}.json")
+    return os.path.join(root, f"{kind}-{_table_key(group)}-d{degree}.json")
 
 
 def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
@@ -514,9 +598,11 @@ def _sparse_from_json(flat, bound: int, path: str) -> Sparse:
     if not isinstance(flat, list) or len(flat) % 2:
         raise ParseError(f"{path}: malformed sparse vector")
     out = tuple(zip(flat[::2], flat[1::2]))
+    last = -1
     for k, c in out:
-        if not (_is_int(k) and _is_int(c) and 0 <= k < bound and c):
+        if not (_is_int(k) and _is_int(c) and last < k < bound and c):
             raise ParseError(f"{path}: bad sparse vector entry ({k!r}, {c!r})")
+        last = k
     return out
 
 
@@ -528,10 +614,11 @@ def _encode(kind: str, fac) -> dict:
     if kind == "echelon":
         return {"pivots": [[c, p, _flat(rest), _flat(u)] for c, p, rest, u in fac.pivots],
                 "kernel": [_flat(z) for z in fac.kernel]}
-    return {"diag": fac.diag, "V": fac.V}
+    return {"torsion": fac.torsion, "generators": [_flat(g) for g in fac.generators]}
 
 
-def _decode(kind: str, data: dict, nrows: int, ncols: int, path: str):
+def _decode(kind: str, data: dict, mat: CoboundaryMatrix, path: str):
+    nrows, ncols = len(mat.rows), len(mat.cols)
     try:
         if kind == "echelon":
             pivots = []
@@ -542,14 +629,18 @@ def _decode(kind: str, data: dict, nrows: int, ncols: int, path: str):
                                _sparse_from_json(u, nrows, path)))
             kernel = [_sparse_from_json(z, nrows, path) for z in data["kernel"]]
             return Echelon(nrows, ncols, pivots, kernel)
-        diag, V = data["diag"], data["V"]
-        if not (isinstance(diag, list) and len(diag) == min(nrows, ncols)
-                and all(_is_int(d) for d in diag)
-                and isinstance(V, list) and len(V) == ncols
-                and all(isinstance(row, list) and len(row) == ncols
-                        and all(_is_int(v) for v in row) for row in V)):
-            raise ParseError(f"{path}: malformed Smith form entry")
-        return SNF(nrows, ncols, diag, None, V)
+        # the torsion of coker(d^2) is H^3(G, Z), which |G| annihilates
+        M, torsion = mat.group.order, data["torsion"]
+        if not (isinstance(torsion, list)
+                and all(_is_int(d) and d > 1 and M % d == 0 for d in torsion)
+                and all(b % a == 0 for a, b in zip(torsion, torsion[1:]))):
+            raise ParseError(f"{path}: bad invariant factors {torsion!r}")
+        generators = [_sparse_from_json(g, ncols, path) for g in data["generators"]]
+        if len(generators) != len(torsion) or any(
+                not 0 < c < M or c % (M // d) for g, d in zip(generators, torsion)
+                for _, c in g):
+            raise ParseError(f"{path}: generators do not match the invariant factors")
+        return H2Basis(torsion, generators)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed {kind} entry: {exc!r}") from exc
 
@@ -572,7 +663,7 @@ def _cache_read(path: str, kind: str, mat: CoboundaryMatrix):
                          f"match {nrows}x{ncols}")
     if data.get("matrix_sha256") != mat.sha256():
         raise ParseError(f"{path}: matrix hash does not match")
-    return _decode(kind, data, nrows, ncols, path)
+    return _decode(kind, data, mat, path)
 
 
 def _cache_write(path: str, kind: str, mat: CoboundaryMatrix, fac) -> None:
@@ -592,7 +683,7 @@ def _cache_write(path: str, kind: str, mat: CoboundaryMatrix, fac) -> None:
 
 def _factor(group: Group, degree: int, kind: str):
     """The cached factorization of d^degree: "echelon" (an Echelon) or
-    "smith" (an SNF with V only)."""
+    "smith" (an H2Basis, for degree 2)."""
     key = (kind, degree)
     got = group._cache.get(key)
     if got is None:
@@ -604,10 +695,7 @@ def _factor(group: Group, degree: int, kind: str):
             if kind == "echelon":
                 got = echelon_form(mat.sparse, len(mat.cols))
             else:
-                # smith_normal_form copies its input row by row, so the
-                # dense rows are streamed into it rather than kept
-                got = smith_normal_form(mat.dense_rows(), len(mat.rows),
-                                        len(mat.cols), need_U=False, need_V=True)
+                got = _h2_basis(mat)
             if path:
                 _cache_write(path, kind, mat, got)
         group._cache[key] = got
@@ -704,9 +792,8 @@ def h2_order(group: Group) -> int:
     if group.order == 1:
         return 1
     out = 1
-    for d in _factor(group, 2, "smith").diag:
-        if d > 1:
-            out *= d
+    for d in _factor(group, 2, "smith").torsion:
+        out *= d
     return out
 
 
@@ -718,10 +805,10 @@ def h2_representatives(group: Group) -> List[Cochain]:
     with solve_coboundary on differences).
 
     Every class has a representative with values in (1/M)Z/Z for M = |group|,
-    so candidates are drawn from the solution lattice of the degree-2
-    coboundary matrix mod M, held as integer numerators over M.  Candidates
-    are separated by their pairing with the kernel functionals of the
-    degree-1 matrix, which detects cohomology over Q/Z exactly.
+    so candidates are sums of the class generators of the degree-2 "smith"
+    factorization, held as integer numerators over M.  Candidates are
+    separated by their pairing with the kernel functionals of the degree-1
+    matrix, which detects cohomology over Q/Z exactly.
     """
     if group.order == 1:
         return [zero_cochain(group, 2)]
@@ -729,34 +816,30 @@ def h2_representatives(group: Group) -> List[Cochain]:
     pairs = coboundary_matrix(group, 1).rows  # == coboundary_matrix(group, 2).cols
     P = len(pairs)
     kernel = _factor(group, 1, "echelon").kernel
-    snf2 = _factor(group, 2, "smith")
+    generators = _factor(group, 2, "smith").generators
 
     def signature(vec):
         return tuple(_dot(z, vec) % M for z in kernel)
 
-    # generators of the lattice of 2-cocycles with denominator dividing M
-    generators = []
-    V2 = snf2.V
-    for j in range(P):
-        d = snf2.diag[j] if j < len(snf2.diag) else 0
-        g = gcd(d, M)
-        if g == 1:
-            continue
-        generators.append(tuple(V2[p][j] * (M // g) % M for p in range(P)))
+    def shifted(vec, gen):
+        out = list(vec)
+        for p, v in gen:
+            out[p] = (out[p] + v) % M
+        return tuple(out)
 
     zero_vec = (0,) * P
     seen = {signature(zero_vec): zero_vec}
     frontier = [zero_vec]
-    gen_sigs = [signature(g) for g in generators]
+    gen_sigs = [signature(shifted(zero_vec, g)) for g in generators]
     sig_of = {zero_vec: signature(zero_vec)}
     while frontier:
         new = []
         for vec in frontier:
             vsig = sig_of[vec]
-            for gvec, gsig in zip(generators, gen_sigs):
+            for gen, gsig in zip(generators, gen_sigs):
                 nsig = tuple((a + b) % M for a, b in zip(vsig, gsig))
                 if nsig not in seen:
-                    nvec = tuple((a + b) % M for a, b in zip(vec, gvec))
+                    nvec = shifted(vec, gen)
                     seen[nsig] = nvec
                     sig_of[nvec] = nsig
                     new.append(nvec)

@@ -301,3 +301,15 @@ def test_report_from_json_malformed_nested_fields_are_parse_errors():
         bad["classes"][data["classes"].index(blk)]["witnesses"][0][field] = value
         with pytest.raises(ParseError):
             report_from_json(bad, kp.category)
+
+
+@pytest.mark.parametrize("args", [5, [1, "x"], None, [True, 1]],
+                         ids=["int", "str-index", "null", "bool-index"])
+def test_report_from_json_malformed_psi_args_are_parse_errors(args):
+    from modcat import ParseError
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    i = next(i for i, p in enumerate(data["pairs"]) if p["psi"])
+    data["pairs"][i]["psi"][0]["args"] = args
+    with pytest.raises(ParseError):
+        report_from_json(data, kp.category)

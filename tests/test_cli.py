@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from modcat import group_to_json, kp_category, report_from_json
 from modcat.cli import main
 from modcat.groups import cyclic_group, direct_product
@@ -174,6 +176,19 @@ def test_equiv_kp_merging(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["equivalent"] is True and data["g"] == 4
+
+
+@pytest.mark.parametrize("psi", [
+    '{"values": [{"args": 5, "val": "1/2"}]}',
+    '{"values": [{"args": [1, "x"], "val": "1/2"}]}',
+    '{"values": [{"args": [1.0, 1], "val": "1/2"}]}',
+    '{"values": {"args": [1, 1], "val": "1/2"}}',
+    '{"group": {"order": "eight"}, "values": []}',
+], ids=["args-int", "args-str", "args-float", "values-object", "order-str"])
+def test_malformed_psi_json_is_input_error(capsys, psi):
+    code, _, err = run(capsys, "equiv", "--group", "kp", "--omega", "trivial",
+                       "--pair1", "full:zero", "--pair2", "full:" + psi)
+    assert code == 2 and "error:" in err
 
 
 def test_bad_pair_spec(capsys):

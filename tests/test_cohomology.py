@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+import modcat.cohomology as cohomology
 from modcat import (Cochain, QZ, coboundary, combine, cyclic_group,
                     dihedral_group, direct_product, from_table, h2_order,
                     h2_representatives, is_cocycle, is_cohomologous, kp_category,
                     kp_group, restrict, smith_normal_form, solve_coboundary,
-                    zero_cochain)
+                    subgroups, zero_cochain)
 from modcat.cohomology import coboundary_matrix, image_obstruction
 from oracles import (bareiss_det, brute_coboundary_witness,
                      enumerate_2cocycles_int, h2_order_homology, random_cochain)
@@ -224,10 +225,59 @@ def test_h2_klein_exhaustive_quarter_lattice():
                     cyclic_group(2)), 8),
     (kp_group(), 2),
     (dihedral_group(6), 1),
+    (direct_product(cyclic_group(2), cyclic_group(4)), 2),
+    (direct_product(cyclic_group(3), cyclic_group(3)), 3),
+    (dihedral_group(8), 2),
 ])
 def test_h2_order_known_values_and_homology_oracle(G, expected):
     assert h2_order(G) == expected
     assert h2_order_homology(G) == expected
+
+
+def assert_complete_representatives(G):
+    reps = h2_representatives(G)
+    assert len(reps) == h2_order(G)
+    assert reps[0].is_zero()
+    assert all(is_cocycle(r) for r in reps)
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            assert is_cohomologous(reps[i], reps[j]) is None
+
+
+@pytest.mark.parametrize("G,schur", [
+    (direct_product(dihedral_group(8), cyclic_group(2)), 8),
+    (direct_product(cyclic_group(4), cyclic_group(4)), 4),
+], ids=["D8xZ2", "Z4xZ4"])
+def test_h2_representatives_on_every_subgroup_view(G, schur):
+    checked = set()
+    for H in subgroups(G):
+        view = H.as_group()
+        assert_complete_representatives(view)
+        if view.order <= 8 and view.table not in checked:  # the oracle is slow beyond
+            checked.add(view.table)
+            assert h2_order(view) == h2_order_homology(view)
+    assert h2_order(G) == schur
+
+
+@pytest.mark.parametrize("G,order,residual", [
+    (cyclic_group(16), 1, False),
+    (direct_product(dihedral_group(8), cyclic_group(2)), 8, True),
+], ids=["cyclic16-empty", "D8xZ2-nonempty"])
+def test_h2_with_and_without_a_residual_smith_form(monkeypatch, G, order, residual):
+    shapes = []
+    real = cohomology.smith_normal_form
+
+    def recorded(A, nrows, ncols, **kwargs):
+        shapes.append((nrows, ncols))
+        return real(A, nrows, ncols, **kwargs)
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", recorded)
+    assert h2_order(G) == order
+    [(nrows, ncols)] = shapes  # one Smith form, on what unit pivots leave
+    mat = coboundary_matrix(G, 2)
+    assert (nrows * ncols > 0) == residual
+    assert nrows < len(mat.rows) // 10 and ncols < len(mat.cols) // 10
+    assert_complete_representatives(G)
 
 
 def test_h2_representatives_contract():

@@ -11,10 +11,10 @@ import modcat.cohomology as cohomology
 from modcat import (Cochain, InternalInvariantBroken, ModcatError, ParseError,
                     PointedCategory, QZ, big_omega, classify, coboundary, combine,
                     conjugate_subgroup, cyclic_3cocycle, cyclic_group,
-                    dihedral_group, direct_product, echelon_form,
-                    h2_representatives, image_obstruction, kp_category,
-                    kp_group, restrict, smith_normal_form, solve_coboundary,
-                    zero_cochain)
+                    dihedral_group, direct_product, echelon_form, from_table,
+                    h2_order, h2_representatives, image_obstruction, is_cocycle,
+                    kp_category, kp_group, restrict, smith_normal_form,
+                    solve_coboundary, zero_cochain)
 from modcat.cohomology import coboundary_matrix
 from oracles import bareiss_det, brute_coboundary_witness, random_cochain
 
@@ -292,3 +292,103 @@ def test_cache_writes_do_not_use_a_fixed_temp_name(tmp_path, monkeypatch):
         [path.name, path.name + ".tmp"])
     h2_representatives(dihedral_group(6))  # no temp file is left behind
     assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp" and p.is_file()]
+
+
+def test_groups_with_one_table_share_cache_entries(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    G = dihedral_group(6)
+    first = h2_representatives(G)
+    before = listing(tmp_path)
+    assert sorted(name.split("-")[0] for name, _, _ in before) == ["echelon", "smith"]
+    monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **k: pytest.fail(
+        "a group with a cached table wrote the cache"))
+    renamed = from_table(6, G.table, [f"x{i}" for i in range(6)])
+    assert renamed.names != G.names
+    assert [c.items() for c in h2_representatives(renamed)] == [c.items() for c in first]
+    assert listing(tmp_path) == before
+
+
+# --- the "smith" entry: invariant factors and sparse class generators ---------
+
+def smith_cache(tmp_path, monkeypatch, G):
+    """h2_representatives of G, and the cache entry it wrote for d^2."""
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    reps = h2_representatives(G)
+    return reps, cache_entry(tmp_path, "smith", 2)
+
+
+def test_smith_entry_holds_only_invariant_factors_and_generators(tmp_path, monkeypatch):
+    G = direct_product(cyclic_group(2), cyclic_group(4))
+    reps, path = smith_cache(tmp_path, monkeypatch, G)
+    data = json.loads(path.read_text())
+    mat = coboundary_matrix(G, 2)
+    assert set(data) == {"kind", "shape", "matrix_sha256", "torsion", "generators"}
+    assert data["shape"] == [len(mat.rows), len(mat.cols)]
+    assert data["torsion"] == [2] and len(reps) == 2
+    # one generator, a 2-cocycle with values in (1/2)Z/Z: A g = 0 mod 8
+    [flat] = data["generators"]
+    g = dict(zip(flat[::2], flat[1::2]))
+    assert g and set(g.values()) == {4}
+    assert all(sum(c * g.get(j, 0) for j, c in row) % 8 == 0 for row in mat.sparse)
+
+
+def test_dense_v_entry_of_an_earlier_version_is_refused(tmp_path, monkeypatch):
+    G = dihedral_group(6)
+    _, path = smith_cache(tmp_path, monkeypatch, G)
+    P = len(coboundary_matrix(G, 2).cols)
+
+    def dense_v(d):
+        del d["torsion"], d["generators"]
+        d["diag"] = [1] * P
+        d["V"] = [[int(i == j) for j in range(P)] for i in range(P)]
+    rewrite(path, dense_v)
+    with pytest.raises(ParseError, match=path.name):
+        h2_representatives(dihedral_group(6))
+
+
+def bump(i, k):
+    """Change the k-th number of generator i to another value in 1..7."""
+    return lambda d: d["generators"][i].__setitem__(k, d["generators"][i][k] % 7 + 1)
+
+
+def add_coboundary(d):
+    """Add to generator 0 of D8 the coboundary of the 1-cochain that is 1/2 at
+    the first non-identity element: same class, other values."""
+    g = dict(zip(d["generators"][0][::2], d["generators"][0][1::2]))
+    for p, row in enumerate(coboundary_matrix(dihedral_group(8), 1).sparse):
+        g[p] = (g.get(p, 0) + 4 * dict(row).get(0, 0)) % 8
+    d["generators"][0] = [x for p in sorted(g) if g[p] for x in (p, g[p])]
+
+
+SMITH_TAMPERS = {
+    "plus-coboundary": add_coboundary,
+    "no-torsion": lambda d: d.__setitem__("torsion", []),
+    "torsion-4": lambda d: d.__setitem__("torsion", [4]),
+    "torsion-2-2": lambda d: d.__setitem__("torsion", [2, 2]),
+    "torsion-3": lambda d: d.__setitem__("torsion", [3]),
+    "torsion-str": lambda d: d.__setitem__("torsion", "2"),
+    "no-generators": lambda d: d.__setitem__("generators", []),
+    "drop-generator": lambda d: d["generators"].pop(),
+    "unreduced": lambda d: d["generators"].__setitem__(0, [0, 8]),
+    "unsorted": lambda d: d["generators"].__setitem__(0, [1, 1, 0, 1]),
+    "object": lambda d: d["generators"].__setitem__(0, {"0": 1}),
+    "extra-generator": lambda d: d["generators"].append(d["generators"][0]),
+    "doubled-generator": lambda d: d["generators"].__setitem__(
+        0, [v if i % 2 == 0 else 2 * v % 8 for i, v in enumerate(d["generators"][0])]),
+    **{f"index-{k}": bump(0, k) for k in (0, 2, 4)},
+    **{f"coefficient-{k}": bump(0, k) for k in (1, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("tamper", SMITH_TAMPERS.values(), ids=SMITH_TAMPERS.keys())
+def test_tampered_smith_entry_never_gives_a_wrong_class_count(tmp_path, monkeypatch, tamper):
+    G = dihedral_group(8)
+    reps, path = smith_cache(tmp_path, monkeypatch, G)
+    assert len(reps) == 2
+    rewrite(path, tamper)
+    try:
+        again = h2_representatives(dihedral_group(8))
+    except (ParseError, InternalInvariantBroken):
+        return
+    assert len(again) == 2 and all(is_cocycle(c) for c in again)
+    assert h2_order(dihedral_group(8)) == 2
