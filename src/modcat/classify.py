@@ -2,21 +2,23 @@
 
 Two pairs label equivalent module categories exactly when some group element
 g conjugates one subgroup onto the other and the combination
--xi + psi^g + big_omega(g), restricted to L, is a coboundary.  The classifier
+-xi + psi^g + big_omega(g), restricted to L, is a coboundary.  So the classes
+are the orbits of G acting on pairs up to coboundaries.  The classifier
 enumerates all pairs (admissible subgroups times second-cohomology
-representatives), partitions them with union-find under that test, and emits
-a deterministic, re-verifiable report.
+representatives), keys each by an exact signature of its class in H^2,
+computes the orbits in one pass of G over those keys, and emits a
+deterministic, re-verifiable report.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .cochains import (Cochain, cochain_from_json, coboundary, combine,
                        conjugate_cochain, restrict)
-from .cohomology import h2_representatives, solve_coboundary, warm_degree2_solver
+from .cohomology import ClassSignature, h2_representatives, solve_coboundary
 from .errors import (CategoryMismatch, InternalInvariantBroken, ParseError,
                      SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
@@ -52,30 +54,6 @@ class EquivalenceWitness:
 
     def __repr__(self):
         return f"EquivalenceWitness(g={self.g})"
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-    def groups(self) -> List[List[int]]:
-        out = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return [sorted(v) for _, v in sorted(out.items())]
 
 
 def admissible_subgroups(cat: PointedCategory) -> List[Tuple[Subgroup, Cochain]]:
@@ -148,106 +126,127 @@ class ClassificationReport:
         return len(self.classes)
 
     def verify(self):
-        """Re-check every pair condition and every stored witness, bit-exactly."""
-        for pair in self.pairs:
+        """Re-check every pair condition, that the classes partition the pairs
+        with one witness from each non-representative member and the rank
+        [G:H], and every stored witness, bit-exactly."""
+        pairs = self.pairs
+        for pair in pairs:
             validate_pair(self.category, pair.H, pair.psi)
+        members = [m for blk in self.classes for m in blk["members"]]
+        if sorted(members) != list(range(len(pairs))):
+            raise InternalInvariantBroken("the classes do not partition the pairs")
         for block in self.classes:
-            rep = self.pairs[block["representative"]]
+            i, rep = block["representative"], pairs[block["representative"]]
+            if i not in block["members"]:
+                raise InternalInvariantBroken("a representative is not a member")
+            if sorted(m for m, _ in block["witnesses"]) != sorted(
+                    m for m in block["members"] if m != i):
+                raise InternalInvariantBroken("witnesses are not one per other member")
+            if block["rank"] != rep.rank:
+                raise InternalInvariantBroken("a class rank is not [G:H]")
             for member, w in block["witnesses"]:
-                pair = self.pairs[member]
-                if conjugate_subgroup(self.category.group, rep.H, w.g).members \
-                        != pair.H.members:
+                pair = pairs[member]
+                if conjugate_subgroup(self.category.group, rep.H, w.g) != pair.H:
                     raise InternalInvariantBroken("witness conjugation mismatch")
                 crit = criterion_cochain(pair, rep, w.g)
                 if coboundary(w.coboundary_witness) != crit:
                     raise InternalInvariantBroken("witness coboundary mismatch")
 
 
-def _candidate_edges(pairs, class_of_members) -> List[Tuple[int, int]]:
-    """Pairs of indices worth testing: subgroups conjugate (hence equal order)."""
-    edges = []
-    for i in range(len(pairs)):
-        ci = class_of_members[pairs[i].H.members]
-        for j in range(i + 1, len(pairs)):
-            if class_of_members[pairs[j].H.members] == ci:
-                edges.append((i, j))
-    return edges
+def _move(cat: PointedCategory, sigs, H: Subgroup, g: int, D: int):
+    """How g acts on 2-cochains on H, as numerators over D: (L, perm, twist),
+    the image of x being x[perm[k]] + twist[k] on the rows of L = g^-1 H g;
+    None when g fixes H pointwise and big_omega(g) vanishes on it."""
+    G = cat.group
+    L = conjugate_subgroup(G, H, G.inverse[g])
+    pos, Lm = {h: k for k, h in enumerate(H.members)}, L.members
+    rows, row_of = sigs[Lm].matrix.rows, sigs[H.members].matrix.row_of
+    perm = [row_of((pos[G.conj(g, Lm[x])], pos[G.conj(g, Lm[y])])) for x, y in rows]
+    omega_g = big_omega(cat, g)
+    twist = [v.num * (D // v.den) for v in (omega_g(Lm[x], Lm[y]) for x, y in rows)]
+    trivial = L == H and perm == list(range(len(rows))) and not any(twist)
+    return None if trivial else (Lm, perm, twist)
+
+
+def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
+    """The orbits of G on the pairs, as sorted index lists.
+
+    A pair (H, psi) is keyed by (H.members, sig_H(psi)), with sig_H the exact
+    ClassSignature of H over one common denominator D.  Each pair not yet
+    placed is moved by every g in G to psi^g + big_omega(g)|_L on L = g^-1 H g;
+    its class is every pair whose key an image hits.
+    """
+    G = cat.group
+    D = lcm(*(v.den for c in [cat.omega] + [p.psi for p in pairs]
+              for v in c.values.values()))
+    on = {}
+    for i, p in enumerate(pairs):
+        on.setdefault(p.H.members, []).append(i)
+    sigs, vecs, key_of, keyed, moves, classes = {}, {}, {}, {}, {}, []
+    for block in subgroup_conjugacy_classes(G):
+        todo = [i for S in block for i in on.get(S.members, ())]
+        if len(todo) < 2:
+            classes += [[i] for i in todo]
+            continue
+        for S in block:
+            sig = sigs[S.members] = ClassSignature(S.as_group())
+            for i in on.get(S.members, ()):
+                vecs[i] = sig.numerators(pairs[i].psi, D)
+                key_of[i] = (S.members, sig(vecs[i], D))
+                keyed.setdefault(key_of[i], []).append(i)
+        left = set(todo)
+        for a in sorted(todo):
+            if a not in left:
+                continue
+            H, orbit = pairs[a].H, set(keyed[key_of[a]])
+            for g in G.elements():
+                if len(orbit) == len(left):
+                    break
+                if (H.members, g) not in moves:
+                    moves[H.members, g] = _move(cat, sigs, H, g, D)
+                if moves[H.members, g] is not None:
+                    L, perm, twist = moves[H.members, g]
+                    image = [vecs[a][k] + t for k, t in zip(perm, twist)]
+                    hits = keyed.get((L, sigs[L](image, D)))
+                    if hits is None:
+                        raise InternalInvariantBroken("an image matches no pair")
+                    orbit.update(hits)
+            if not orbit <= left:
+                raise InternalInvariantBroken("the orbits of two pairs overlap")
+            left -= orbit
+            classes.append(sorted(orbit))
+    return sorted(classes)
 
 
 def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
              jobs: int = 1, omega_source: str = "inline",
              progress=None) -> ClassificationReport:
-    """Partition all pairs of the category under the equivalence test.
+    """Partition all pairs of the category into equivalence classes.
 
-    ``jobs`` > 1 evaluates candidate comparisons in a thread pool; the
-    resulting report is byte-identical regardless of parallelism because the
-    partition is schedule-independent and witnesses are recomputed in
-    canonical order afterwards.
+    The classes are the orbits of G on the pairs, computed in one pass over
+    exact H^2 signatures (see _orbit_classes).  Each class's representative
+    is its pair of least key(); every other member carries the witness that
+    equivalent_pairs finds towards it, and the finished report is verified.
+    ``jobs`` is accepted for compatibility and has no effect: the pass is
+    serial, and the report is byte-identical for any value.
     """
     G = cat.group
     if G.order > size_limit:
-        raise SizeLimitExceeded(
-            f"group order {G.order} exceeds the limit {size_limit}")
-
+        raise SizeLimitExceeded(f"group order {G.order} exceeds the limit {size_limit}")
     say = progress or (lambda msg: None)
     say("enumerating pairs")
     pairs = enumerate_pairs(cat)
-
-    class_of_members = {}
-    for ci, block in enumerate(subgroup_conjugacy_classes(G)):
-        for S in block:
-            class_of_members[S.members] = ci
-
-    edges = _candidate_edges(pairs, class_of_members)
-    say(f"{len(pairs)} pairs, {len(edges)} candidate comparisons")
-
-    uf = UnionFind(len(pairs))
-    if jobs <= 1:
-        for i, j in edges:
-            if uf.find(i) == uf.find(j):
-                continue
-            if equivalent_pairs(pairs[i], pairs[j]) is not None:
-                uf.union(i, j)
-    else:
-        # build all shared caches serially; the workers then only read
-        for members in sorted({p.H.members for p in pairs}):
-            warm_degree2_solver(Subgroup(G, members, _checked=True).as_group())
-        for g in G.elements():
-            big_omega(cat, g)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            k = 0
-            while k < len(edges):
-                batch = []
-                while k < len(edges) and len(batch) < jobs:
-                    i, j = edges[k]
-                    k += 1
-                    if uf.find(i) != uf.find(j):
-                        batch.append((i, j))
-                results = pool.map(
-                    lambda e: equivalent_pairs(pairs[e[0]], pairs[e[1]]), batch)
-                for (i, j), w in zip(batch, results):
-                    if w is not None:
-                        uf.union(i, j)
-
-    say("building report")
+    say(f"{len(pairs)} pairs on {len(subgroup_conjugacy_classes(G))} "
+        "conjugacy classes of subgroups")
     blocks = []
-    for component in uf.groups():
-        rep = min(component, key=lambda i: pairs[i].key())
-        witnesses = []
-        for member in component:
-            if member == rep:
-                continue
-            w = equivalent_pairs(pairs[member], pairs[rep])
-            if w is None:
-                raise InternalInvariantBroken(
-                    "connected pairs lost their direct witness")
-            witnesses.append((member, w))
-        blocks.append({
-            "representative": rep,
-            "members": component,
-            "rank": pairs[rep].rank,
-            "witnesses": witnesses,
-        })
+    for members in _orbit_classes(cat, pairs):
+        rep = min(members, key=lambda i: pairs[i].key())
+        witnesses = [(m, equivalent_pairs(pairs[m], pairs[rep]))
+                     for m in members if m != rep]
+        if any(w is None for _, w in witnesses):
+            raise InternalInvariantBroken("a pair has no witness to its representative")
+        blocks.append({"representative": rep, "members": members,
+                       "rank": pairs[rep].rank, "witnesses": witnesses})
     blocks.sort(key=lambda blk: pairs[blk["representative"]].key())
     report = ClassificationReport(cat, pairs, blocks, omega_source)
     report.verify()
@@ -343,12 +342,11 @@ def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
                                    "values": _field(w, "f", list, "witness")},
                                   group=pairs[rep].H.as_group())
             witnesses.append((member, EquivalenceWitness(g, f)))
-        blocks.append({
-            "representative": rep,
-            "members": members,
-            "rank": _field(blk, "rank", int, "class"),
-            "witnesses": witnesses,
-        })
+        rank = _field(blk, "rank", int, "class")
+        blocks.append({"representative": rep, "members": members, "rank": rank,
+                       "witnesses": witnesses})
+    if _field(data, "class_count", int, "report") != len(blocks):
+        raise ParseError("report JSON: class_count does not match the classes")
     report = ClassificationReport(cat, pairs, blocks, source)
     report.verify()
     return report

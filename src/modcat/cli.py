@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--omega", required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel comparisons (output is identical for any value)")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_classify)
 
     return parser

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import heapq
 import json
 import os
 import tempfile
@@ -41,6 +42,7 @@ from .groups import Group
 from .qz import QZ, ZERO
 
 __all__ = [
+    "ClassSignature",
     "CoboundaryMatrix",
     "SNF",
     "Echelon",
@@ -344,37 +346,83 @@ class Echelon:
 _SEARCH_COLUMNS = 3
 
 
-def _axpy(dst: dict, src: dict, q: int, colrows=None, rid=None) -> None:
+class _Columns:
+    """The row sets of a sparse matrix's columns during elimination, with a
+    lazy heap of (count, column) entries for visiting them sparsest first.
+
+    Elimination marks every column whose count it may change as dirty, and
+    ``ascending`` pushes the true count of each dirty column before it pops.
+    So every nonempty column has an entry at its true place; entries whose
+    count is no longer true are dropped as they surface.
+    """
+
+    __slots__ = ("rows", "heap", "dirty")
+
+    def __init__(self, rows: List[set]):
+        self.rows = rows
+        self.heap = [(len(rs), c) for c, rs in enumerate(rows) if rs]
+        heapq.heapify(self.heap)
+        self.dirty = set()
+
+    def ascending(self):
+        """Nonempty columns as (count, col) in ascending order, each once.
+
+        Each column visited must be pushed back with ``restore``.
+        """
+        heap, rows, seen = self.heap, self.rows, set()
+        for c in self.dirty:
+            if rows[c]:
+                heapq.heappush(heap, (len(rows[c]), c))
+        self.dirty.clear()
+        while heap:
+            count, c = heapq.heappop(heap)
+            if count == len(rows[c]) and c not in seen:
+                seen.add(c)
+                yield count, c
+
+    def restore(self, visited) -> None:
+        for item in visited:
+            heapq.heappush(self.heap, item)
+
+
+def _axpy(dst: dict, src: dict, q: int, cols: Optional[_Columns] = None,
+          rid=None) -> None:
     """dst += q * src on sparse dict rows, keeping column occupancy current."""
+    if cols is not None:
+        cols.dirty.update(src)
+        colrows = cols.rows
     for j, v in src.items():
         nv = dst.get(j, 0) + q * v
         if nv:
-            if colrows is not None and j not in dst:
+            if cols is not None and j not in dst:
                 colrows[j].add(rid)
             dst[j] = nv
         elif j in dst:
             del dst[j]
-            if colrows is not None:
+            if cols is not None:
                 colrows[j].discard(rid)
 
 
 def _mix(d1: dict, d2: dict, x: int, y: int, s: int, t: int,
-         colrows=None, r1=None, r2=None) -> None:
+         cols: Optional[_Columns] = None, r1=None, r2=None) -> None:
     """(d1, d2) <- (x d1 + y d2, s d1 + t d2) on sparse dict rows."""
-    for j in sorted(set(d1) | set(d2)):
+    touched = sorted(set(d1) | set(d2))
+    if cols is not None:
+        cols.dirty.update(touched)
+    for j in touched:
         a, b = d1.get(j, 0), d2.get(j, 0)
         for d, v, rid in ((d1, x * a + y * b, r1), (d2, s * a + t * b, r2)):
             if v:
-                if colrows is not None and j not in d:
-                    colrows[j].add(rid)
+                if cols is not None and j not in d:
+                    cols.rows[j].add(rid)
                 d[j] = v
             elif j in d:
                 del d[j]
-                if colrows is not None:
-                    colrows[j].discard(rid)
+                if cols is not None:
+                    cols.rows[j].discard(rid)
 
 
-def _choose_pivot(work, colrows, urow=None):
+def _choose_pivot(work, cols: _Columns, urow=None):
     """(row, col, unit) for the next pivot.
 
     Unit entries come first, chosen by the Markowitz cost (row length - 1) *
@@ -383,9 +431,10 @@ def _choose_pivot(work, colrows, urow=None):
     index).  Without any unit entry, the sparsest column is taken with its
     entry of least magnitude.
     """
-    cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
-    best, seen = None, 0
-    for count, c in cands:
+    colrows = cols.rows
+    best, seen, visited = None, 0, []
+    for count, c in cols.ascending():
+        visited.append((count, c))
         found = False
         for r in colrows[c]:
             row = work[r]
@@ -399,9 +448,10 @@ def _choose_pivot(work, colrows, urow=None):
             seen += 1
             if seen == _SEARCH_COLUMNS or best[0][0] == 0:
                 break
+    cols.restore(visited)
     if best is not None:
         return best[1], best[2], True
-    c = cands[0][1]
+    c = visited[0][1]
     r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]),
                                        0 if urow is None else len(urow[r]), r))
     return r, c, False
@@ -430,18 +480,19 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
                 colrows[j].add(i)
         else:
             zero.append(i)
+    cols = _Columns(colrows)
     pivots = []
     while work:
-        r, c, unit = _choose_pivot(work, colrows, urow)
+        r, c, unit = _choose_pivot(work, cols, urow)
         if not unit:
             for r2 in sorted(colrows[c] - {r}):
                 a, b = work[r][c], work[r2][c]
                 if b % a == 0:
-                    _axpy(work[r2], work[r], -(b // a), colrows, r2)
+                    _axpy(work[r2], work[r], -(b // a), cols, r2)
                     _axpy(urow[r2], urow[r], -(b // a))
                 else:
                     x, y, g = _xgcd(a, b)
-                    _mix(work[r], work[r2], x, y, -b // g, a // g, colrows, r, r2)
+                    _mix(work[r], work[r2], x, y, -b // g, a // g, cols, r, r2)
                     _mix(urow[r], urow[r2], x, y, -b // g, a // g)
                 if not work[r2]:
                     del work[r2]
@@ -450,9 +501,10 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
         p = prow[c]
         for j in prow:
             colrows[j].discard(r)
+        cols.dirty.update(prow)
         for r2 in sorted(colrows[c]):  # none left after the gcd combines
             q = work[r2][c] * p
-            _axpy(work[r2], prow, -q, colrows, r2)
+            _axpy(work[r2], prow, -q, cols, r2)
             _axpy(urow[r2], pu, -q)
             if not work[r2]:
                 del work[r2]
@@ -501,31 +553,33 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
             work[i] = dict(row)
             for j, _ in row:
                 colrows[j].add(i)
+    cols = _Columns(colrows)
     pivots = []
     while work:
-        r, c, unit = _choose_pivot(work, colrows)
+        r, c, unit = _choose_pivot(work, cols)
         if not unit:
             break
         prow = work.pop(r)
         p = prow[c]
         for j in prow:
             colrows[j].discard(r)
+        cols.dirty.update(prow)
         for r2 in sorted(colrows[c]):
-            _axpy(work[r2], prow, -work[r2][c] * p, colrows, r2)
+            _axpy(work[r2], prow, -work[r2][c] * p, cols, r2)
             if not work[r2]:
                 del work[r2]
         pivots.append((c, p, tuple((j, v) for j, v in prow.items() if j != c)))
 
     # the residual, on its own columns, with repeated rows (up to sign) dropped
-    cols = sorted(c for c, rs in enumerate(colrows) if rs)
+    live = sorted(c for c, rs in enumerate(colrows) if rs)
     residual = set()
     for row in work.values():
-        dense = [row.get(c, 0) for c in cols]
+        dense = [row.get(c, 0) for c in live]
         if next(v for v in dense if v) < 0:
             dense = [-v for v in dense]
         residual.add(tuple(dense))
     residual = sorted(residual)
-    snf = smith_normal_form(residual, len(residual), len(cols),
+    snf = smith_normal_form(residual, len(residual), len(live),
                             need_U=False, need_V=True)
 
     torsion, generators = [], []
@@ -534,7 +588,7 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
             continue
         if M % d:
             raise InternalInvariantBroken(f"invariant factor {d} does not divide {M}")
-        x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(cols)}
+        x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(live)}
         for c, p, rest in reversed(pivots):
             x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
         torsion.append(d)
@@ -552,6 +606,14 @@ def _dense(z: Sparse, n: int) -> List[int]:
 def _dot(z: Sparse, vec: Sequence[int]) -> int:
     """Integer dot product of a sparse vector with a dense one."""
     return sum(c * vec[k] for k, c in z)
+
+
+def _numerators(mat: CoboundaryMatrix, c: Cochain, D: int) -> List[int]:
+    """c, indexed like the rows of mat, as integer numerators over D."""
+    vec = [0] * len(mat.rows)
+    for t, v in c.values.items():
+        vec[mat.row_of(t)] = v.num * (D // v.den)
+    return vec
 
 
 def _in_left_kernel(z: Sparse, mat: CoboundaryMatrix) -> bool:
@@ -722,9 +784,7 @@ def _solve(target: Cochain):
     ech = _factor(group, n - 1, "echelon")
     # the target as integers over the common denominator D
     D = lcm(*(v.den for v in target.values.values()))
-    b = [0] * len(mat.rows)
-    for t, v in target.values.items():
-        b[mat.row_of(t)] = v.num * (D // v.den)
+    b = _numerators(mat, target, D)
 
     for i, z in enumerate(ech.kernel):
         if _dot(z, b) % D:
@@ -761,14 +821,35 @@ def solve_coboundary(target: Cochain) -> Optional[Cochain]:
     return witness
 
 
-def warm_degree2_solver(group: Group) -> None:
-    """Precompute the factorization behind degree-2 solves on this group.
+class ClassSignature:
+    """An exact invariant of 2-cochains on a group, modulo coboundaries.
 
-    Construction of the shared caches is single-threaded by contract; call
-    this before handing the group to concurrent readers.
+    A cochain is given as integer numerators over a common denominator D,
+    indexed like ``matrix.rows`` (the rows of the degree-1 coboundary matrix
+    A).  Its signature pairs it with every kernel functional z of the
+    degree-1 echelon form, mod D.  Because Q/Z is divisible, two cochains have
+    equal signatures exactly when their difference is a coboundary: the test
+    _solve applies.  Every functional is checked to satisfy z A = 0 before it
+    is used, so a corrupt factorization can raise here but never tell a
+    coboundary apart from zero.
     """
-    if group.order > 1:
-        _factor(group, 1, "echelon")
+
+    __slots__ = ("matrix", "kernel")
+
+    def __init__(self, group: Group):
+        self.matrix = coboundary_matrix(group, 1)
+        self.kernel = _factor(group, 1, "echelon").kernel if group.order > 1 else []
+        for z in self.kernel:
+            if not _in_left_kernel(z, self.matrix):
+                raise InternalInvariantBroken("kernel functional failed verification")
+
+    def numerators(self, c: Cochain, D: int) -> List[int]:
+        """The 2-cochain c as integer numerators over D, a multiple of its
+        denominators."""
+        return _numerators(self.matrix, c, D)
+
+    def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
+        return tuple(_dot(z, vec) % D for z in self.kernel)
 
 
 def image_obstruction(target: Cochain) -> Optional[int]:
@@ -813,13 +894,10 @@ def h2_representatives(group: Group) -> List[Cochain]:
     if group.order == 1:
         return [zero_cochain(group, 2)]
     M = group.order
-    pairs = coboundary_matrix(group, 1).rows  # == coboundary_matrix(group, 2).cols
+    sig = ClassSignature(group)
+    pairs = sig.matrix.rows  # == coboundary_matrix(group, 2).cols
     P = len(pairs)
-    kernel = _factor(group, 1, "echelon").kernel
     generators = _factor(group, 2, "smith").generators
-
-    def signature(vec):
-        return tuple(_dot(z, vec) % M for z in kernel)
 
     def shifted(vec, gen):
         out = list(vec)
@@ -828,10 +906,10 @@ def h2_representatives(group: Group) -> List[Cochain]:
         return tuple(out)
 
     zero_vec = (0,) * P
-    seen = {signature(zero_vec): zero_vec}
+    seen = {sig(zero_vec, M): zero_vec}
     frontier = [zero_vec]
-    gen_sigs = [signature(shifted(zero_vec, g)) for g in generators]
-    sig_of = {zero_vec: signature(zero_vec)}
+    gen_sigs = [sig(shifted(zero_vec, g), M) for g in generators]
+    sig_of = {zero_vec: sig(zero_vec, M)}
     while frontier:
         new = []
         for vec in frontier:

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from modcat import (PointedCategory, SizeLimitExceeded, Subgroup,
+from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
+                    PointedCategory, SizeLimitExceeded, Subgroup,
                     admissible_subgroups, classify, coboundary, combine,
                     cyclic_group, cyclic_3cocycle, dihedral_group,
                     direct_product, enumerate_pairs, equivalent_pairs,
                     kp_category, report_from_json, report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
+from modcat import cohomology
 from oracles import brute_trivial_omega_classes, random_cochain
 
 
@@ -313,3 +315,131 @@ def test_report_from_json_malformed_psi_args_are_parse_errors(args):
     data["pairs"][i]["psi"][0]["args"] = args
     with pytest.raises(ParseError):
         report_from_json(data, kp.category)
+
+
+# --- the orbit partition against a pairwise search ---------------------------
+
+def sign_category(n):
+    """D_n with the nontrivial 3-cocycle of Z_2 pulled back along the
+    reflection sign: 1/2 on every triple of reflections."""
+    G = dihedral_group(n)
+    refl = range(n // 2, n)
+    return PointedCategory(G, Cochain(G, 3, {(a, b, c): QZ(1, 2) for a in refl
+                                             for b in refl for c in refl}))
+
+
+def pairwise_classes(cat, pairs):
+    """equivalent_pairs on every two pairs over conjugate subgroups, closed
+    transitively."""
+    block_of = {S.members: k for k, blk in enumerate(subgroup_conjugacy_classes(cat.group))
+                for S in blk}
+    label = list(range(len(pairs)))
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if block_of[pairs[i].H.members] == block_of[pairs[j].H.members] \
+                    and equivalent_pairs(pairs[i], pairs[j]) is not None:
+                old, new = sorted((label[i], label[j]), reverse=True)
+                label = [new if x == old else x for x in label]
+    classes = {}
+    for i, x in enumerate(label):
+        classes.setdefault(x, []).append(i)
+    return sorted(classes.values())
+
+
+ORACLE_CASES = {
+    "kp": lambda: kp_category().category,
+    "dihedral8": lambda: trivial_category(dihedral_group(8)),
+    "dihedral12-sign": lambda: sign_category(12),
+    "cyclic12-2": lambda: PointedCategory(cyclic_group(12),
+                                          cyclic_3cocycle(cyclic_group(12), 2)),
+    "D8xZ2": lambda: trivial_category(direct_product(dihedral_group(8), cyclic_group(2))),
+    "dihedral16": lambda: trivial_category(dihedral_group(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_orbit_partition_matches_pairwise_search(name):
+    cat = ORACLE_CASES[name]()
+    report = classify(cat)
+    got = sorted(blk["members"] for blk in report.classes)
+    assert got == pairwise_classes(cat, report.pairs)
+    subgroups_of = [{report.pairs[i].H.members for i in c} for c in got]
+    if name == "kp":  # two psi on one subgroup merge
+        assert any(len(c) > len(s) for c, s in zip(got, subgroups_of))
+    if name == "dihedral16":  # pairs on conjugate subgroups merge
+        assert any(len(s) > 1 for s in subgroups_of)
+
+
+def test_tampered_kernel_functional_makes_classify_raise(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    kp = kp_category()
+    assert classify(kp.category).class_count == 6
+    view = kp.L.as_group()
+    path = tmp_path / f"echelon-{cohomology._table_key(view)}-d1.json"
+    original = json.loads(path.read_text())
+    mat = cohomology.coboundary_matrix(view, 1)
+    assert original["kernel"]
+    for k, z in enumerate(original["kernel"]):
+        bad = list(z)
+        bad[1] += 1 if bad[1] > 0 else -1  # z A + (row z[0] of A), never 0
+        assert not cohomology._in_left_kernel(tuple(zip(bad[::2], bad[1::2])), mat)
+        data = json.loads(json.dumps(original))
+        data["kernel"][k] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(InternalInvariantBroken):
+            classify(kp_category().category)
+
+
+# --- verify() checks the partition -------------------------------------------
+
+def move_member_to_another_class(d):
+    blk = next(b for b in d["classes"] if b["witnesses"])
+    other = next(b for b in d["classes"] if b is not blk)
+    other["members"].append(blk["witnesses"][0]["from"])
+
+
+def drop_member_keep_witness(d):
+    blk = next(b for b in d["classes"] if b["witnesses"])
+    blk["members"].remove(blk["witnesses"][0]["from"])
+
+
+def drop_class(d):
+    d["classes"].pop()
+    d["class_count"] -= 1
+
+
+def set_rank(d):
+    d["classes"][0]["rank"] = 99
+
+
+def miscount(d):
+    d["class_count"] += 1
+
+
+@pytest.mark.parametrize("tamper, error", [
+    (move_member_to_another_class, InternalInvariantBroken),
+    (drop_member_keep_witness, InternalInvariantBroken),
+    (drop_class, InternalInvariantBroken),
+    (set_rank, InternalInvariantBroken),
+    (miscount, ParseError),
+], ids=["pair-in-two-classes", "member-dropped-witness-kept", "class-dropped",
+        "rank-99", "class-count"])
+def test_verify_rejects_a_tampered_partition(tamper, error):
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    report_from_json(json.loads(json.dumps(data)), kp.category)
+    tamper(data)
+    with pytest.raises(error):
+        report_from_json(data, kp.category)
+
+
+def test_z2_to_the_4_with_trivial_omega_has_one_class_per_pair():
+    # every subgroup of Z2^4 is elementary abelian of some rank k, with Schur
+    # multiplier of order 2^(k(k-1)/2); G is abelian and omega trivial, so
+    # nothing merges: 1 + 15*1 + 35*2 + 15*8 + 1*64 = 270 classes of one pair
+    z2 = cyclic_group(2)
+    G = direct_product(direct_product(z2, z2), direct_product(z2, z2))
+    schur = sum(2 ** (k * (k - 1) // 2) for k in
+                (S.order.bit_length() - 1 for S in subgroups(G)))
+    report = classify(trivial_category(G))
+    assert len(report.pairs) == report.class_count == schur == 270

@@ -14,7 +14,7 @@ from modcat import (Cochain, InternalInvariantBroken, ModcatError, ParseError,
                     dihedral_group, direct_product, echelon_form, from_table,
                     h2_order, h2_representatives, image_obstruction, is_cocycle,
                     kp_category, kp_group, restrict, smith_normal_form,
-                    solve_coboundary, zero_cochain)
+                    solve_coboundary, subgroups, zero_cochain)
 from modcat.cohomology import coboundary_matrix
 from oracles import bareiss_det, brute_coboundary_witness, random_cochain
 
@@ -123,6 +123,60 @@ def test_solver_agrees_with_brute_force_on_the_klein_view():
         assert (fast is None) == (slow is None)
         if fast is None:
             assert obstruction_holds(c, image_obstruction(c))
+
+
+# --- the pivot choice --------------------------------------------------------
+
+def sorting_choose_pivot(work, colrows, urow=None):
+    """The pivot choice as first written, re-sorting every nonempty column by
+    count on each call: the reference for the heap-ordered choice."""
+    cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
+    best, seen = None, 0
+    for count, c in cands:
+        found = False
+        for r in colrows[c]:
+            row = work[r]
+            if row[c] == 1 or row[c] == -1:
+                tlen = 0 if urow is None else len(urow[r])
+                key = ((len(row) - 1) * (count - 1), tlen, r)
+                if best is None or key < best[0]:
+                    best = (key, r, c)
+                found = True
+        if found:
+            seen += 1
+            if seen == 3 or best[0][0] == 0:
+                break
+    if best is not None:
+        return best[1], best[2], True
+    c = cands[0][1]
+    r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]),
+                                       0 if urow is None else len(urow[r]), r))
+    return r, c, False
+
+
+def test_pivot_choice_matches_the_sorting_reference(monkeypatch):
+    real, choices = cohomology._choose_pivot, []
+
+    def checked(work, cols, urow=None):
+        want = sorting_choose_pivot(work, cols.rows, urow)
+        got = real(work, cols, urow)
+        assert got == want
+        choices.append(got)
+        return got
+
+    monkeypatch.setattr(cohomology, "_choose_pivot", checked)
+    rng = random.Random(71)
+    for k in range(60):
+        A, _, ncols = random_sparse_matrix(rng, units=k % 3 != 0)
+        echelon_form([tuple((j, v) for j, v in enumerate(row) if v) for row in A], ncols)
+    G = direct_product(dihedral_group(8), cyclic_group(2))
+    for H in subgroups(G):
+        mat = coboundary_matrix(H.as_group(), 2)
+        echelon_form(mat.sparse, len(mat.cols))
+        cohomology._h2_basis(mat)
+    # both kinds of pivot were chosen, many times
+    assert sum(unit for _, _, unit in choices) > 1000
+    assert sum(not unit for _, _, unit in choices) > 50
 
 
 # --- one factorization per (view, degree) ------------------------------------
