@@ -7,7 +7,8 @@ are the orbits of G acting on pairs up to coboundaries.  The classifier
 enumerates all pairs (admissible subgroups times second-cohomology
 representatives), keys each by an exact signature of its class in H^2,
 computes the orbits in one pass of G over those keys, and emits a
-deterministic, re-verifiable report.
+deterministic, re-verifiable report.  Every check is a sparse integer
+product on numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import hashlib
 from math import lcm
 from typing import List, Optional, Tuple
 
-from .cochains import (Cochain, cochain_from_json, coboundary, combine,
-                       conjugate_cochain, restrict)
-from .cohomology import ClassSignature, h2_representatives, solve_coboundary
-from .errors import (CategoryMismatch, InternalInvariantBroken, ParseError,
-                     SizeLimitExceeded)
+from .cochains import Cochain, cochain_from_json, combine, restrict
+from .cohomology import (ClassSignature, _solve, _tuple_index, coboundary_matrix,
+                         h2_representatives, integer_coboundary, numerators)
+from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
+                     ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
                      group_to_json, subgroup_conjugacy_classes, subgroups)
 from .pointed import AlgebraPair, PointedCategory, big_omega, validate_pair
+from .qz import QZ
 
 __all__ = [
     "EquivalenceWitness",
@@ -58,21 +60,35 @@ class EquivalenceWitness:
 
 def admissible_subgroups(cat: PointedCategory) -> List[Tuple[Subgroup, Cochain]]:
     """Subgroups on which omega restricts to a coboundary, with a base witness."""
-    out = []
+    out, D = [], cat.den
     for H in subgroups(cat.group):
-        psi0 = solve_coboundary(restrict(cat.omega, H))
+        psi0, _ = _solve(H.as_group(), 3, numerators(restrict(cat.omega, H), D), D)
         if psi0 is not None:
             out.append((H, psi0))
     return out
 
 
 def enumerate_pairs(cat: PointedCategory) -> List[AlgebraPair]:
-    """All pairs (H, psi0 + r) over admissible H and H^2 representatives r."""
+    """All pairs (H, psi0 + r) over admissible H and H^2 representatives r,
+    valid by linearity: the solver checks its witness d(psi0) = omega|_H once
+    per subgroup, and h2_representatives checks d(r) = 0."""
     out = []
     for H, psi0 in admissible_subgroups(cat):
         for rep in h2_representatives(H.as_group()):
-            out.append(validate_pair(cat, H, combine(psi0, rep, (1, 1))))
+            out.append(AlgebraPair(cat, H, combine(psi0, rep, (1, 1))))
     return out
+
+
+def _denominator(cat: PointedCategory, *cochains: Cochain) -> int:
+    """A common denominator of omega and the given cochains."""
+    return lcm(cat.den, *(v.den for c in cochains for v in c.values.values()))
+
+
+def _criterion(cat: PointedCategory, H: Subgroup, psi, xi, g: int, D: int) -> List[int]:
+    """-xi + psi^g + big_omega(g) on L = g^-1 H g, as numerators over D, with
+    psi on H and xi on L given as numerators over D as well."""
+    _, perm, twist = _move(cat, H, g, D)
+    return [psi[k] + t - x for k, t, x in zip(perm, twist, xi)]
 
 
 def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
@@ -81,24 +97,27 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
     Only meaningful when g conjugates L onto a's subgroup; the result is then
     a 2-cocycle on L whose triviality decides equivalence.
     """
-    cat = a.category
-    psi_conj = conjugate_cochain(a.psi, g)
-    twist = restrict(big_omega(cat, g), b.H)
-    return combine(combine(b.psi, psi_conj, (-1, 1)), twist, (1, 1))
+    if conjugate_subgroup(a.category.group, b.H, g) != a.H:
+        raise GroupMismatch("g does not conjugate L onto H")
+    D, L = _denominator(a.category, a.psi, b.psi), b.H.as_group()
+    vec = _criterion(a.category, a.H, numerators(a.psi, D), numerators(b.psi, D), g, D)
+    return Cochain(L, 2, {t: QZ(v, D) for t, v in zip(coboundary_matrix(L, 1).rows, vec)})
 
 
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
     """Scan g in index order; return the first verified witness, or None."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
-    G = a.category.group
+    cat, G = a.category, a.category.group
     if a.H.order != b.H.order:
         return None
-    target = a.H.members
+    target, L = a.H.members, b.H.as_group()
+    D = _denominator(cat, a.psi, b.psi)
+    psi, xi = numerators(a.psi, D), numerators(b.psi, D)
     for g in G.elements():
         if conjugate_subgroup(G, b.H, g).members != target:
             continue
-        witness = solve_coboundary(criterion_cochain(a, b, g))
+        witness, _ = _solve(L, 2, _criterion(cat, a.H, psi, xi, g, D), D)
         if witness is not None:
             return EquivalenceWitness(g, witness)
     return None
@@ -128,10 +147,11 @@ class ClassificationReport:
     def verify(self):
         """Re-check every pair condition, that the classes partition the pairs
         with one witness from each non-representative member and the rank
-        [G:H], and every stored witness, bit-exactly."""
-        pairs = self.pairs
+        [G:H], and every stored witness, bit-exactly, by integer products with
+        coboundary matrices built from the group table, not by the solver."""
+        cat, pairs = self.category, self.pairs
         for pair in pairs:
-            validate_pair(self.category, pair.H, pair.psi)
+            validate_pair(cat, pair.H, pair.psi)
         members = [m for blk in self.classes for m in blk["members"]]
         if sorted(members) != list(range(len(pairs))):
             raise InternalInvariantBroken("the classes do not partition the pairs")
@@ -144,28 +164,32 @@ class ClassificationReport:
                 raise InternalInvariantBroken("witnesses are not one per other member")
             if block["rank"] != rep.rank:
                 raise InternalInvariantBroken("a class rank is not [G:H]")
+            L = rep.H.as_group()
             for member, w in block["witnesses"]:
-                pair = pairs[member]
-                if conjugate_subgroup(self.category.group, rep.H, w.g) != pair.H:
+                pair, f = pairs[member], w.coboundary_witness
+                if (conjugate_subgroup(cat.group, rep.H, w.g) != pair.H
+                        or f.group != L or f.degree != 1):
                     raise InternalInvariantBroken("witness conjugation mismatch")
-                crit = criterion_cochain(pair, rep, w.g)
-                if coboundary(w.coboundary_witness) != crit:
+                D = _denominator(cat, pair.psi, rep.psi, f)
+                crit = _criterion(cat, pair.H, numerators(pair.psi, D),
+                                  numerators(rep.psi, D), w.g, D)
+                df = integer_coboundary(coboundary_matrix(L, 1), numerators(f, D))
+                if any((u - v) % D for u, v in zip(df, crit)):
                     raise InternalInvariantBroken("witness coboundary mismatch")
 
 
-def _move(cat: PointedCategory, sigs, H: Subgroup, g: int, D: int):
+def _move(cat: PointedCategory, H: Subgroup, g: int, D: int):
     """How g acts on 2-cochains on H, as numerators over D: (L, perm, twist),
-    the image of x being x[perm[k]] + twist[k] on the rows of L = g^-1 H g;
-    None when g fixes H pointwise and big_omega(g) vanishes on it."""
+    the image of x being x[perm[k]] + twist[k] on the rows of L = g^-1 H g."""
     G = cat.group
     L = conjugate_subgroup(G, H, G.inverse[g])
     pos, Lm = {h: k for k, h in enumerate(H.members)}, L.members
-    rows, row_of = sigs[Lm].matrix.rows, sigs[H.members].matrix.row_of
-    perm = [row_of((pos[G.conj(g, Lm[x])], pos[G.conj(g, Lm[y])])) for x, y in rows]
+    rows, view = coboundary_matrix(L.as_group(), 1).rows, H.as_group()
+    perm = [_tuple_index(view, (pos[G.conj(g, Lm[x])], pos[G.conj(g, Lm[y])]))
+            for x, y in rows]
     omega_g = big_omega(cat, g)
     twist = [v.num * (D // v.den) for v in (omega_g(Lm[x], Lm[y]) for x, y in rows)]
-    trivial = L == H and perm == list(range(len(rows))) and not any(twist)
-    return None if trivial else (Lm, perm, twist)
+    return Lm, perm, twist
 
 
 def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
@@ -177,8 +201,7 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
     its class is every pair whose key an image hits.
     """
     G = cat.group
-    D = lcm(*(v.den for c in [cat.omega] + [p.psi for p in pairs]
-              for v in c.values.values()))
+    D = _denominator(cat, *(p.psi for p in pairs))
     on = {}
     for i, p in enumerate(pairs):
         on.setdefault(p.H.members, []).append(i)
@@ -191,7 +214,7 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
         for S in block:
             sig = sigs[S.members] = ClassSignature(S.as_group())
             for i in on.get(S.members, ()):
-                vecs[i] = sig.numerators(pairs[i].psi, D)
+                vecs[i] = numerators(pairs[i].psi, D)
                 key_of[i] = (S.members, sig(vecs[i], D))
                 keyed.setdefault(key_of[i], []).append(i)
         left = set(todo)
@@ -202,8 +225,10 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
             for g in G.elements():
                 if len(orbit) == len(left):
                     break
-                if (H.members, g) not in moves:
-                    moves[H.members, g] = _move(cat, sigs, H, g, D)
+                if (H.members, g) not in moves:  # a g moving nothing is skipped
+                    L, perm, twist = move = _move(cat, H, g, D)
+                    fixed = L == H.members and perm == sorted(perm) and not any(twist)
+                    moves[H.members, g] = None if fixed else move
                 if moves[H.members, g] is not None:
                     L, perm, twist = moves[H.members, g]
                     image = [vecs[a][k] + t for k, t in zip(perm, twist)]

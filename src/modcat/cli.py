@@ -68,6 +68,11 @@ def load_omega(spec: str, group: Group) -> Cochain:
     raise ParseError(f"unknown omega spec {spec!r}")
 
 
+def load_category(spec: str, group: Group) -> PointedCategory:
+    omega = load_omega(spec, group)  # cyclic_3cocycle checks itself
+    return PointedCategory(group, omega, _checked=spec.startswith("cyclic:"))
+
+
 def load_pair(spec: str, cat: PointedCategory):
     """Parse 'full:zero', 'full:@f', 'full:{json}', or 'H=[...];psi=...'."""
     group = cat.group
@@ -213,8 +218,7 @@ def cmd_h2(args) -> int:
 def cmd_omega_g(args) -> int:
     G = load_group(args.group)
     _check_limit(G, args.size_limit)
-    omega = load_omega(args.omega, G)
-    cat = PointedCategory(G, omega)
+    cat = load_category(args.omega, G)
     g = _element(G, args.g)
     tw = big_omega(cat, g)
     if args.restrict:
@@ -237,7 +241,7 @@ def cmd_omega_g(args) -> int:
 def cmd_equiv(args) -> int:
     G = load_group(args.group)
     _check_limit(G, args.size_limit)
-    cat = PointedCategory(G, load_omega(args.omega, G))
+    cat = load_category(args.omega, G)
     a = load_pair(args.pair1, cat)
     b = load_pair(args.pair2, cat)
     w = equivalent_pairs(a, b)
@@ -259,7 +263,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_classify(args) -> int:
     G = load_group(args.group)
-    cat = PointedCategory(G, load_omega(args.omega, G))
+    cat = load_category(args.omega, G)
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     report = classify(cat, size_limit=args.size_limit, jobs=args.jobs,
                       omega_source=args.omega, progress=progress)

@@ -13,6 +13,7 @@ inverse becomes a negation.
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 from typing import Mapping, Optional, Tuple
 
 from .errors import DegreeMismatch, GroupMismatch, NotASubgroup, ParseError
@@ -118,27 +119,30 @@ def coboundary(f: Cochain) -> Cochain:
     (df)(g_1, ..., g_{n+1}) = f(g_2, ..., g_{n+1})
                               + sum_i (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{n+1})
                               + (-1)^{n+1} f(g_1, ..., g_n)
+
+    Computed on integer numerators over a common denominator, for every last
+    argument of one prefix at a time; no coboundary matrix is built.
     """
-    G, n = f.group, f.degree
-    table = G.table
-    get = f.values.get
+    G, n, table = f.group, f.degree, f.group.table
     out = {}
-    for args in nonidentity_tuples(G, n + 1):
-        v = get(args[1:], ZERO)
-        sign = 1
-        for i in range(n):
+    if not f.values or n == 0:  # d vanishes on degree 0
+        return Cochain(G, n + 1, out)
+    D = lcm(*(v.den for v in f.values.values()))
+    zero, rows = [0] * G.order, {}
+    for args, v in f.values.items():
+        rows.setdefault(args[:-1], [0] * G.order)[args[-1]] = v.num * (D // v.den)
+    for args in nonidentity_tuples(G, n):
+        acc, sign = rows.get(args[1:], zero), 1
+        for i in range(n - 1):
             sign = -sign
             merged = args[:i] + (table[args[i]][args[i + 1]],) + args[i + 2:]
-            if G.identity not in merged:
-                term = get(merged, ZERO)
-                if term:
-                    v = v + term if sign > 0 else v - term
-        if sign > 0:  # (-1)^{n+1} where sign currently holds (-1)^n
-            v = v - get(args[:n], ZERO)
-        else:
-            v = v + get(args[:n], ZERO)
-        if v:
-            out[args] = v
+            acc = [a + sign * b for a, b in zip(acc, rows.get(merged, zero))]
+        last = rows.get(args[:-1], zero)
+        const = sign * last[args[-1]]  # (-1)^{n+1} f(args)
+        for x, (a, t) in enumerate(zip(acc, table[args[-1]])):
+            v = (a - sign * last[t] + const) % D
+            if v and x != G.identity:
+                out[args + (x,)] = QZ(v, D)
     return Cochain(G, n + 1, out)
 
 

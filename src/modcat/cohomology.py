@@ -8,9 +8,11 @@ The rows of T whose E row is zero form an integer basis of the kernel
 functionals {z : z A = 0}, and because Q/Z is divisible, b is a coboundary
 exactly when z . b = 0 in Q/Z for every one of them.  A witness then comes
 from back-substitution on the nonzero rows of E, dividing by each pivot in
-Q/Z.  Every answer is re-checked without trusting the factorization: a
-witness x must satisfy d(x) = b, and the functional z behind a "no" must
-satisfy z A = 0 by one sparse product.
+Q/Z.  Every answer is re-checked without trusting the factorization, by
+sparse integer products on numerators over a common denominator D: a witness
+x must satisfy A x = b mod D (``integer_coboundary``, which also checks pair
+conditions and H^2 representatives), and the functional z behind a "no" must
+satisfy z A = 0.  Q/Z values appear only where cochains enter and leave.
 
 H^2 comes from the degree-2 matrix by sparse elimination on unit pivots,
 which splits a 1 off the Smith form per pivot, followed by a dense Smith
@@ -36,10 +38,10 @@ import tempfile
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .cochains import Cochain, coboundary, combine, nonidentity_tuples, zero_cochain
+from .cochains import Cochain, combine, nonidentity_tuples, zero_cochain
 from .errors import DegreeMismatch, InternalInvariantBroken, ParseError
 from .groups import Group
-from .qz import QZ, ZERO
+from .qz import QZ
 
 __all__ = [
     "ClassSignature",
@@ -49,6 +51,8 @@ __all__ = [
     "smith_normal_form",
     "echelon_form",
     "coboundary_matrix",
+    "numerators",
+    "integer_coboundary",
     "solve_coboundary",
     "image_obstruction",
     "is_cohomologous",
@@ -81,7 +85,7 @@ class CoboundaryMatrix:
         col_index = {t: i for i, t in enumerate(self.cols)}
         e, table = group.identity, group.table
         n = degree
-        sparse = []
+        sparse, shared = [], {}  # equal (col, coeff) entries share one tuple
         for args in self.rows:
             row = {}
             terms = [(args[1:], 1)]
@@ -95,39 +99,22 @@ class CoboundaryMatrix:
             for t, c in terms:
                 j = col_index[t]
                 row[j] = row.get(j, 0) + c
-            sparse.append(tuple(sorted((j, c) for j, c in row.items() if c)))
+            sparse.append(tuple(sorted(shared.setdefault(jc, jc)
+                                       for jc in row.items() if jc[1])))
         self.sparse = sparse
         self._entries = None
 
     @property
     def entries(self) -> List[List[int]]:
         if self._entries is None:
-            self._entries = [_dense(row, len(self.cols)) for row in self.sparse]
+            self._entries = [[dict(row).get(j, 0) for j in range(len(self.cols))]
+                             for row in self.sparse]
         return self._entries
-
-    def row_of(self, args: tuple) -> int:
-        """Index of a row tuple (lexicographic over non-identity elements)."""
-        e, base, i = self.group.identity, self.group.order - 1, 0
-        for a in args:
-            i = i * base + a - (a > e)
-        return i
 
     def sha256(self) -> str:
         """Hash of the shape and entries, stored with disk-cache entries."""
         return hashlib.sha256(
             repr((len(self.rows), len(self.cols), self.sparse)).encode()).hexdigest()
-
-    def apply(self, f: Cochain) -> List[QZ]:
-        """Matrix times the flattened cochain; must agree with coboundary()."""
-        vec = [f.value(t) for t in self.cols]
-        out = []
-        for row in self.sparse:
-            acc = ZERO
-            for j, c in row:
-                if vec[j]:
-                    acc = acc + c * vec[j]
-            out.append(acc)
-        return out
 
 
 class SNF:
@@ -457,22 +444,16 @@ def _choose_pivot(work, cols: _Columns, urow=None):
     return r, c, False
 
 
-def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
-    """Sparse unimodular row echelon form of the matrix with these sparse rows.
-
-    Pivots are unit entries where any exist, chosen Markowitz-style as in
-    Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
-    normal form computations" (J. Symbolic Comput. 32, 2001); a column
-    without one is reduced to a single entry, its gcd, by 2x2 extended-gcd
-    combines of its rows.  Every tie is broken by index, so the result is
-    deterministic.
-    """
-    nrows = len(rows)
+def _eliminate(rows: Sequence[Sparse], ncols: int, track: bool = True):
+    """(pivots, work, colrows, kernel) for echelon_form, or, without ``track``
+    (no T, u empty in the pivots), for _h2_basis: then elimination stops at the
+    first column without a unit entry, leaving the rows in ``work``."""
     work, urow = {}, {}
     colrows = [set() for _ in range(ncols)]
     zero = []
     for i, row in enumerate(rows):
-        urow[i] = {i: 1}
+        if track:
+            urow[i] = {i: 1}
         entries = {j: v for j, v in row if v}
         if entries:
             work[i] = entries
@@ -483,8 +464,10 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
     cols = _Columns(colrows)
     pivots = []
     while work:
-        r, c, unit = _choose_pivot(work, cols, urow)
+        r, c, unit = _choose_pivot(work, cols, urow if track else None)
         if not unit:
+            if not track:
+                break
             for r2 in sorted(colrows[c] - {r}):
                 a, b = work[r][c], work[r2][c]
                 if b % a == 0:
@@ -497,7 +480,7 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
                 if not work[r2]:
                     del work[r2]
                     zero.append(r2)
-        prow, pu = work.pop(r), urow.pop(r)
+        prow, pu = work.pop(r), urow.pop(r, {})
         p = prow[c]
         for j in prow:
             colrows[j].discard(r)
@@ -505,14 +488,29 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
         for r2 in sorted(colrows[c]):  # none left after the gcd combines
             q = work[r2][c] * p
             _axpy(work[r2], prow, -q, cols, r2)
-            _axpy(urow[r2], pu, -q)
+            if track:
+                _axpy(urow[r2], pu, -q)
             if not work[r2]:
                 del work[r2]
                 zero.append(r2)
         rest = tuple(sorted((j, v) for j, v in prow.items() if j != c))
         pivots.append((c, p, rest, tuple(sorted(pu.items()))))
-    kernel = [tuple(sorted(urow[i].items())) for i in sorted(zero)]
-    return Echelon(nrows, ncols, pivots, kernel)
+    kernel = [tuple(sorted(urow[i].items())) for i in sorted(zero)] if track else []
+    return pivots, work, colrows, kernel
+
+
+def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
+    """Sparse unimodular row echelon form of the matrix with these sparse rows.
+
+    Pivots are unit entries where any exist, chosen Markowitz-style as in
+    Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+    normal form computations" (J. Symbolic Comput. 32, 2001); a column
+    without one is reduced to a single entry, its gcd, by 2x2 extended-gcd
+    combines of its rows.  Every tie is broken by index, so the result is
+    deterministic.
+    """
+    pivots, _, _, kernel = _eliminate(rows, ncols)
+    return Echelon(len(rows), ncols, pivots, kernel)
 
 
 class H2Basis:
@@ -534,42 +532,17 @@ class H2Basis:
 def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
     """Invariant factors and class generators of H^2 from d^2, kept sparse.
 
-    Sparse elimination on unit pivots, Markowitz-style as in echelon_form but
-    without a transform, splits a 1 off the Smith form per pivot, so
-    Smith(A) = 1^u + Smith(S) for the rows S left when no unit entry remains
-    (Dumas, Saunders and Villard, 2001).  S is nonzero only on a few columns,
-    and only it goes through the dense smith_normal_form, with V.  For each
-    invariant factor d_j > 1 of S, the column V_S[:, j] * (M / d_j) solves
-    S x = 0 mod M and is lifted to the pivot columns by back-substitution in
-    reverse pivot order.  Columns with d_j = 0, and columns left free by the
-    elimination, give integer cocycles, which are coboundaries over Q/Z since
-    H^2(G, Q) = 0; they add no class and are not kept.
+    The unit pivots of _eliminate, without T, each split a 1 off the Smith
+    form, so Smith(A) = 1^u + Smith(S) for the rows S left (Dumas, Saunders
+    and Villard, 2001).  Only S, nonzero on a few columns, goes through the
+    dense smith_normal_form, with V.  For each invariant factor d_j > 1 of S,
+    V_S[:, j] * (M / d_j) solves S x = 0 mod M and is lifted to the pivot
+    columns by back-substitution in reverse pivot order.  Columns with d_j = 0,
+    and columns left free, give integer cocycles: coboundaries over Q/Z, since
+    H^2(G, Q) = 0, so they are not kept.
     """
-    M, ncols = mat.group.order, len(mat.cols)
-    work = {}
-    colrows = [set() for _ in range(ncols)]
-    for i, row in enumerate(mat.sparse):
-        if row:
-            work[i] = dict(row)
-            for j, _ in row:
-                colrows[j].add(i)
-    cols = _Columns(colrows)
-    pivots = []
-    while work:
-        r, c, unit = _choose_pivot(work, cols)
-        if not unit:
-            break
-        prow = work.pop(r)
-        p = prow[c]
-        for j in prow:
-            colrows[j].discard(r)
-        cols.dirty.update(prow)
-        for r2 in sorted(colrows[c]):
-            _axpy(work[r2], prow, -work[r2][c] * p, cols, r2)
-            if not work[r2]:
-                del work[r2]
-        pivots.append((c, p, tuple((j, v) for j, v in prow.items() if j != c)))
-
+    M = mat.group.order
+    pivots, work, colrows, _ = _eliminate(mat.sparse, len(mat.cols), track=False)
     # the residual, on its own columns, with repeated rows (up to sign) dropped
     live = sorted(c for c, rs in enumerate(colrows) if rs)
     residual = set()
@@ -589,31 +562,52 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
         if M % d:
             raise InternalInvariantBroken(f"invariant factor {d} does not divide {M}")
         x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(live)}
-        for c, p, rest in reversed(pivots):
+        for c, p, rest, _ in reversed(pivots):
             x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
         torsion.append(d)
         generators.append(tuple((j, v) for j, v in sorted(x.items()) if v))
     return H2Basis(torsion, generators)
 
 
-def _dense(z: Sparse, n: int) -> List[int]:
-    out = [0] * n
-    for k, c in z:
-        out[k] = c
-    return out
-
-
 def _dot(z: Sparse, vec: Sequence[int]) -> int:
     """Integer dot product of a sparse vector with a dense one."""
-    return sum(c * vec[k] for k, c in z)
+    s = 0
+    for k, c in z:  # a plain loop: about twice as fast as sum() on a generator
+        s += c * vec[k]
+    return s
 
 
-def _numerators(mat: CoboundaryMatrix, c: Cochain, D: int) -> List[int]:
-    """c, indexed like the rows of mat, as integer numerators over D."""
-    vec = [0] * len(mat.rows)
+def _tuple_index(group: Group, args: tuple) -> int:
+    """Lexicographic index of an identity-free tuple among those of its length."""
+    e, base, i = group.identity, group.order - 1, 0
+    for a in args:
+        i = i * base + a - (a > e)
+    return i
+
+
+def numerators(c: Cochain, D: int) -> List[int]:
+    """c as integer numerators over D, a multiple of its denominators, indexed
+    like the columns of ``coboundary_matrix(c.group, c.degree)``."""
+    vec = [0] * (c.group.order - 1) ** c.degree
     for t, v in c.values.items():
-        vec[mat.row_of(t)] = v.num * (D // v.den)
+        vec[_tuple_index(c.group, t)] = v.num * (D // v.den)
     return vec
+
+
+def integer_coboundary(mat: CoboundaryMatrix, x: Sequence[int]) -> List[int]:
+    """A x: the coboundary of numerators x over some D, indexed like
+    ``mat.cols``, as exact numerators over the same D, indexed like ``mat.rows``.
+    On the cyclic group of order 3, df(a, b) = f(b) - f(ab) + f(a), and a term
+    at the identity vanishes:
+
+    >>> from modcat.groups import cyclic_group
+    >>> mat = coboundary_matrix(cyclic_group(3), 1)
+    >>> mat.cols, mat.rows
+    ([(1,), (2,)], [(1, 1), (1, 2), (2, 1), (2, 2)])
+    >>> integer_coboundary(mat, [1, 0])
+    [2, 1, 1, -1]
+    """
+    return [_dot(row, x) for row in mat.sparse]
 
 
 def _in_left_kernel(z: Sparse, mat: CoboundaryMatrix) -> bool:
@@ -767,25 +761,17 @@ def _factor(group: Group, degree: int, kind: str):
 # ----------------------------------------------------------------------------
 # solving
 
-def _solve(target: Cochain):
-    """Shared solver core: (witness or None, obstruction index or None).
-
-    A witness is returned only after d(witness) == target is checked; None
-    only after the obstruction functional z is checked to satisfy z A = 0.
-    """
-    n = target.degree
-    if n not in (2, 3):
-        raise DegreeMismatch("coboundary solving supports target degrees 2 and 3")
-    group = target.group
-    if target.is_zero():
+def _solve(group: Group, n: int, b: Sequence[int], D: int):
+    """(witness or None, obstruction index or None) for a degree-n target,
+    n in (2, 3), given as numerators b over D like the rows of
+    ``coboundary_matrix(group, n - 1)``.  A witness is returned only after
+    A x = b in Q/Z is checked by the integer product; None only after the
+    obstruction functional z is checked to satisfy z A = 0."""
+    if not any(v % D for v in b):
         return zero_cochain(group, n - 1), None
 
     mat = coboundary_matrix(group, n - 1)
     ech = _factor(group, n - 1, "echelon")
-    # the target as integers over the common denominator D
-    D = lcm(*(v.den for v in target.values.values()))
-    b = _numerators(mat, target, D)
-
     for i, z in enumerate(ech.kernel):
         if _dot(z, b) % D:
             if not _in_left_kernel(z, mat):
@@ -804,20 +790,28 @@ def _solve(target: Cochain):
             x = [v * m for v in x]
             s *= m
         x[c] = (s // p) % den
-    witness = Cochain(group, n - 1, {mat.cols[j]: QZ(v, den)
-                                     for j, v in enumerate(x) if v})
-    if coboundary(witness) != target:
+    scale = den // D
+    if any((v - t * scale) % den for v, t in zip(integer_coboundary(mat, x), b)):
         raise InternalInvariantBroken("coboundary witness failed verification")
-    return witness, None
+    return Cochain(group, n - 1, {mat.cols[j]: QZ(v, den)
+                                  for j, v in enumerate(x) if v}), None
+
+
+def _solve_cochain(target: Cochain):
+    """_solve on a target given as a cochain of degree 2 or 3."""
+    if target.degree not in (2, 3):
+        raise DegreeMismatch("coboundary solving supports target degrees 2 and 3")
+    D = lcm(*(v.den for v in target.values.values()))
+    return _solve(target.group, target.degree, numerators(target, D), D)
 
 
 def solve_coboundary(target: Cochain) -> Optional[Cochain]:
     """A cochain f with df = target, or None when the class is nontrivial.
 
-    Witnesses are re-verified through coboundary() before being returned,
-    and obstructions are checked against the coboundary matrix.
+    Witnesses are re-verified by the integer coboundary product before being
+    returned, and obstructions are checked against the coboundary matrix.
     """
-    witness, _ = _solve(target)
+    witness, _ = _solve_cochain(target)
     return witness
 
 
@@ -843,11 +837,6 @@ class ClassSignature:
             if not _in_left_kernel(z, self.matrix):
                 raise InternalInvariantBroken("kernel functional failed verification")
 
-    def numerators(self, c: Cochain, D: int) -> List[int]:
-        """The 2-cochain c as integer numerators over D, a multiple of its
-        denominators."""
-        return _numerators(self.matrix, c, D)
-
     def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
         return tuple(_dot(z, vec) % D for z in self.kernel)
 
@@ -855,7 +844,7 @@ class ClassSignature:
 def image_obstruction(target: Cochain) -> Optional[int]:
     """Index of the kernel functional certifying target is not a coboundary
     (None if it is one)."""
-    _, row = _solve(target)
+    _, row = _solve_cochain(target)
     return row
 
 
@@ -879,67 +868,37 @@ def h2_order(group: Group) -> int:
 
 
 def h2_representatives(group: Group) -> List[Cochain]:
-    """One normalized 2-cocycle per class of H^2(group, Q/Z).
+    """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first.
 
-    The zero cochain comes first; the list is complete (its length is checked
-    against the invariant-factor order) and pairwise non-cohomologous (checked
-    with solve_coboundary on differences).
-
-    Every class has a representative with values in (1/M)Z/Z for M = |group|,
-    so candidates are sums of the class generators of the degree-2 "smith"
-    factorization, held as integer numerators over M.  Candidates are
-    separated by their pairing with the kernel functionals of the degree-1
-    matrix, which detects cohomology over Q/Z exactly.
+    The candidates are the sums of multiples m_k < d_k of the class generators
+    of the degree-2 "smith" factorization, numerators over M = |group|, each
+    checked to be a cocycle by the integer product mod M.  Their
+    ClassSignatures (checked functionals) must all differ, which proves no two
+    cohomologous, and count the order of H^2, which proves the list complete.
     """
     if group.order == 1:
         return [zero_cochain(group, 2)]
     M = group.order
     sig = ClassSignature(group)
     pairs = sig.matrix.rows  # == coboundary_matrix(group, 2).cols
-    P = len(pairs)
-    generators = _factor(group, 2, "smith").generators
-
-    def shifted(vec, gen):
-        out = list(vec)
-        for p, v in gen:
-            out[p] = (out[p] + v) % M
-        return tuple(out)
-
-    zero_vec = (0,) * P
-    seen = {sig(zero_vec, M): zero_vec}
-    frontier = [zero_vec]
-    gen_sigs = [sig(shifted(zero_vec, g), M) for g in generators]
-    sig_of = {zero_vec: sig(zero_vec, M)}
-    while frontier:
-        new = []
-        for vec in frontier:
-            vsig = sig_of[vec]
-            for gen, gsig in zip(generators, gen_sigs):
-                nsig = tuple((a + b) % M for a, b in zip(vsig, gsig))
-                if nsig not in seen:
-                    nvec = shifted(vec, gen)
-                    seen[nsig] = nvec
-                    sig_of[nvec] = nsig
-                    new.append(nvec)
-        frontier = new
-
-    expected = h2_order(group)
-    if len(seen) != expected:
+    basis = _factor(group, 2, "smith")
+    classes = [((0,) * len(pairs), sig((0,) * len(pairs), M))]
+    for gen, d in zip(basis.generators, basis.torsion):
+        g = [dict(gen).get(p, 0) for p in range(len(pairs))]
+        gsig = sig(g, M)
+        classes = [(tuple((a + m * b) % M for a, b in zip(vec, g)),
+                    tuple((a + m * b) % M for a, b in zip(vsig, gsig)))
+                   for vec, vsig in classes for m in range(d)]
+    found, expected = len({vsig for _, vsig in classes}), h2_order(group)
+    if found != expected:
         raise InternalInvariantBroken(
-            f"found {len(seen)} cohomology classes, invariant factors give {expected}")
+            f"found {found} cohomology classes, invariant factors give {expected}")
 
+    d2 = coboundary_matrix(group, 2)
     reps = []
-    for vec in seen.values():
-        vals = {pairs[p]: QZ(v, M) for p, v in enumerate(vec) if v}
-        c = Cochain(group, 2, vals)
-        if not coboundary(c).is_zero():
+    # numerators in [0, M) order like the QZ values they stand for
+    for vec, _ in sorted(classes, key=lambda c: (any(c[0]), c[0])):
+        if any(v % M for v in integer_coboundary(d2, vec)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
-        reps.append(c)
-    reps.sort(key=lambda c: (not c.is_zero(),) + c.value_sequence())
-
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if is_cohomologous(reps[i], reps[j]) is not None:
-                raise InternalInvariantBroken(
-                    "distinct representatives are cohomologous")
+        reps.append(Cochain(group, 2, {t: QZ(v, M) for t, v in zip(pairs, vec) if v}))
     return reps

@@ -97,7 +97,7 @@ def kp_category() -> KPData:
     omega = kp_omega(G)
     if not is_cocycle(omega):
         raise InternalInvariantBroken("fixture omega failed the 3-cocycle check")
-    cat = PointedCategory(G, omega)
+    cat = PointedCategory(G, omega, _checked=True)
     L = Subgroup(G, (0, 1, 2, 3))
     x = 4
     if not restrict(omega, L).is_zero():

@@ -9,8 +9,11 @@ module categories the classifier works with.
 
 from __future__ import annotations
 
-from .cochains import (Cochain, coboundary, combine, conjugate_cochain,
-                       is_cocycle, nonidentity_tuples, restrict)
+from math import lcm
+
+from .cochains import (Cochain, combine, conjugate_cochain, is_cocycle,
+                       nonidentity_tuples, restrict)
+from .cohomology import coboundary_matrix, integer_coboundary, numerators
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
 from .groups import Group, Subgroup, conjugate_subgroup
@@ -27,17 +30,19 @@ __all__ = [
 
 
 class PointedCategory:
-    """A finite group together with a normalized 3-cocycle on it."""
+    """A finite group together with a normalized 3-cocycle on it; ``den``,
+    the lcm of omega's denominators, also clears every twist big_omega(g)."""
 
-    __slots__ = ("group", "omega", "_twists")
+    __slots__ = ("group", "omega", "den", "_twists")
 
-    def __init__(self, group: Group, omega: Cochain):
+    def __init__(self, group: Group, omega: Cochain, _checked=False):
         if omega.group != group or omega.degree != 3:
             raise DegreeMismatch("omega must be a 3-cochain on the given group")
-        if not is_cocycle(omega):
+        if not _checked and not is_cocycle(omega):
             raise NotCompatible("omega is not a 3-cocycle")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "den", lcm(*(v.den for v in omega.values.values())))
         object.__setattr__(self, "_twists", {})
 
     def __setattr__(self, name, value):
@@ -136,21 +141,23 @@ def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
 
 
 def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPair:
-    """Check d(psi) = omega|_H and return the algebra pair.
-
-    Raises NotCompatible carrying a failing triple of H-local indices.
-    """
+    """Check d(psi) = omega|_H by one sparse integer product with H's degree-2
+    coboundary matrix, on numerators over a common denominator, and return the
+    algebra pair.  Raises NotCompatible carrying the least failing triple of
+    H-local indices."""
     if psi.degree != 2:
         raise DegreeMismatch("psi must have degree 2")
     view = H.as_group()
     if psi.group != view:
         raise NotCompatible("psi does not live on the subgroup view")
-    diff = combine(coboundary(psi), restrict(cat.omega, H), (1, -1))
-    if not diff.is_zero():
-        triple = min(diff.values)
-        raise NotCompatible(
-            f"d(psi) differs from the restricted 3-cocycle at {triple}",
-            witness=triple)
+    mat = coboundary_matrix(view, 2)
+    D = lcm(cat.den, *(v.den for v in psi.values.values()))
+    dpsi = integer_coboundary(mat, numerators(psi, D))
+    for i, (u, w) in enumerate(zip(dpsi, numerators(restrict(cat.omega, H), D))):
+        if (u - w) % D:
+            raise NotCompatible(
+                f"d(psi) differs from the restricted 3-cocycle at {mat.rows[i]}",
+                witness=mat.rows[i])
     return AlgebraPair(cat, H, psi)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -11,7 +12,7 @@ from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     kp_category, report_from_json, report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
-from modcat import cohomology
+from modcat import NotCompatible, cohomology, qz
 from oracles import brute_trivial_omega_classes, random_cochain
 
 
@@ -264,6 +265,37 @@ def test_report_verify_catches_tampering():
     assert tampered
     with pytest.raises(InternalInvariantBroken):
         report_from_json(data, kp.category)
+
+
+def test_report_with_an_altered_psi_value_fails():
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    # on a Klein subgroup, shifting one value of psi breaks d(psi) = omega|_H
+    entry = next(p for p in data["pairs"] if len(p["H"]) == 4 and p["psi"])["psi"][0]
+    entry["val"] = str(qz(entry["val"]) + QZ(1, 3))
+    with pytest.raises(NotCompatible):
+        report_from_json(data, kp.category)
+
+
+def test_checks_use_no_qz_cochain_arithmetic(monkeypatch):
+    kp = kp_category()
+    report = classify(kp.category)
+    queries = [(report.pairs[m], report.pairs[blk["representative"]])
+               for blk in report.classes for m in blk["members"]]
+    fresh_view = kp_category().L.as_group()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran Q/Z cochain arithmetic")
+
+    # by module name: the package attribute ``modcat.classify`` is the function
+    for name in ("classify", "pointed", "cohomology"):
+        module = importlib.import_module(f"modcat.{name}")
+        for attr in ("coboundary", "combine", "conjugate_cochain"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    report.verify()
+    assert all(equivalent_pairs(a, b) is not None for a, b in queries)
+    assert len(cohomology.h2_representatives(fresh_view)) == 2
 
 
 @pytest.mark.parametrize("key", ["group", "omega", "pairs", "classes"])

@@ -1,14 +1,17 @@
+import json
 import random
+from math import lcm
 
 import pytest
 
 import modcat.cohomology as cohomology
-from modcat import (Cochain, QZ, coboundary, combine, cyclic_group,
-                    dihedral_group, direct_product, from_table, h2_order,
-                    h2_representatives, is_cocycle, is_cohomologous, kp_category,
-                    kp_group, restrict, smith_normal_form, solve_coboundary,
-                    subgroups, zero_cochain)
-from modcat.cohomology import coboundary_matrix, image_obstruction
+from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
+                    cyclic_group, dihedral_group, direct_product, from_table,
+                    h2_order, h2_representatives, is_cocycle, is_cohomologous,
+                    kp_category, kp_group, nonidentity_tuples, restrict,
+                    smith_normal_form, solve_coboundary, subgroups, zero_cochain)
+from modcat.cohomology import (coboundary_matrix, image_obstruction,
+                               integer_coboundary, numerators)
 from oracles import (bareiss_det, brute_coboundary_witness,
                      enumerate_2cocycles_int, h2_order_homology, random_cochain)
 
@@ -48,9 +51,64 @@ def test_matrix_reproduces_coboundary(G, degree):
     mat = coboundary_matrix(G, degree)
     f = random_cochain(G, degree, rng)
     df = coboundary(f)
-    applied = mat.apply(f)
+    D = lcm(*(v.den for v in f.values.values()))
+    applied = [QZ(v, D) for v in integer_coboundary(mat, numerators(f, D))]
     for row_tuple, got in zip(mat.rows, applied):
         assert got == df.value(row_tuple)
+
+
+def mixed_denominator_cochain(G, degree, rng):
+    """A random cochain whose values have different denominators."""
+    vals = {}
+    for args in nonidentity_tuples(G, degree):
+        den = rng.choice((1, 2, 3, 4, 5, 6, 8, 12))
+        if rng.random() < 0.7:
+            vals[args] = QZ(rng.randrange(den), den)
+    return Cochain(G, degree, vals)
+
+
+@pytest.mark.parametrize("G", [kp_group(), dihedral_group(6),
+                               direct_product(klein_group(), cyclic_group(2))],
+                         ids=["kp", "D6", "Z2^3"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_integer_coboundary_matches_coboundary(G, degree):
+    rng = random.Random(17 * degree + G.order)
+    mat = coboundary_matrix(G, degree)
+    for _ in range(3):
+        f = mixed_denominator_cochain(G, degree, rng)
+        D = lcm(*(v.den for v in f.values.values()))
+        x = numerators(f, D)
+        assert x == [f.value(t).scaled_num(D) for t in mat.cols]
+        got = Cochain(G, degree + 1, {t: QZ(v, D) for t, v in
+                                      zip(mat.rows, integer_coboundary(mat, x))})
+        assert got == coboundary(f)
+        assert is_cocycle(f) == (not any(v % D for v in integer_coboundary(mat, x)))
+
+
+def test_tampered_smith_generator_makes_h2_representatives_raise(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    assert len(h2_representatives(kp_klein_view()[1])) == 2
+    [path] = tmp_path.glob("smith-*-d2.json")
+    original = json.loads(path.read_text())
+    [gen], [d] = original["generators"], original["torsion"]
+    view = kp_klein_view()[1]
+    M, mat = view.order, coboundary_matrix(view, 2)
+    messages = set()
+    for p in range(len(mat.cols)):
+        # the generator plus (M/d) at one pair: still a multiple of M/d below M,
+        # so it passes the cache's shape rules, but never a cocycle
+        bad = dict(zip(gen[::2], gen[1::2]))
+        bad[p] = (bad.get(p, 0) + M // d) % M
+        flat = [v for j in sorted(bad) if bad[j] for v in (j, bad[j])]
+        x = [bad.get(j, 0) for j in range(len(mat.cols))]
+        assert any(v % M for v in integer_coboundary(mat, x))
+        data = dict(original, generators=[flat])
+        path.write_text(json.dumps(data))
+        with pytest.raises(InternalInvariantBroken) as exc:
+            h2_representatives(kp_klein_view()[1])
+        messages.add(str(exc.value))
+    # some of these keep two distinct signatures and reach the cocycle check
+    assert "candidate representative is not a cocycle" in messages
 
 
 # --- Smith normal form ------------------------------------------------------

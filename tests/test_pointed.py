@@ -4,10 +4,11 @@ import pytest
 
 from modcat import (CategoryMismatch, Cochain, NotCompatible,
                     PointedCategory, QZ, Subgroup, alpha_g, big_omega,
-                    coboundary, combine, conjugate_cochain, conjugate_pair,
-                    cyclic_group, dihedral_group, gamma_cochain, is_cocycle,
-                    is_cohomologous, kp_category, restrict, solve_coboundary,
-                    validate_pair, zero_cochain)
+                    builtin_group, coboundary, combine, conjugate_cochain,
+                    conjugate_pair, cyclic_3cocycle, cyclic_group,
+                    dihedral_group, gamma_cochain, h2_representatives,
+                    is_cocycle, is_cohomologous, kp_category, restrict,
+                    solve_coboundary, validate_pair, zero_cochain)
 from oracles import random_cochain
 
 
@@ -127,6 +128,32 @@ def test_validate_pair_trivial_omega():
 def test_validate_pair_kp(kp):
     pair = validate_pair(kp.category, kp.L, zero_cochain(kp.L.as_group(), 2))
     assert pair.rank == 2
+
+
+def corrupted(psi, args, delta):
+    vals = dict(psi.values)
+    vals[args] = psi.value(args) + delta
+    return Cochain(psi.group, 2, vals)
+
+
+def test_validate_pair_reports_the_least_failing_triple(kp):
+    # each witness is the lexicographically least triple where d(psi) and
+    # omega|_H differ, pinned to what the Q/Z check reported
+    cat, L = kp.category, kp.L
+    cases = [(cat, L, corrupted(kp.xi_nontrivial, (3, 1), QZ(1, 3)), (1, 2, 1)),
+             (cat, Subgroup(cat.group, range(8)), None, (4, 2, 1))]
+    d16 = builtin_group("dihedral:16")
+    full = Subgroup(d16, range(16))
+    xi = h2_representatives(full.as_group())[1]
+    cases.append((PointedCategory(d16, zero_cochain(d16, 3)), full,
+                  corrupted(xi, (5, 9), QZ(1, 8)), (1, 4, 9)))
+    c16 = builtin_group("cyclic:16")
+    cases.append((PointedCategory(c16, cyclic_3cocycle(c16, 1)),
+                  Subgroup(c16, range(16)), None, (1, 1, 15)))
+    for cat, H, psi, triple in cases:
+        with pytest.raises(NotCompatible) as exc:
+            validate_pair(cat, H, psi or zero_cochain(H.as_group(), 2))
+        assert exc.value.witness == triple
 
 
 def test_validate_pair_rejects_full_kp_group(kp):
