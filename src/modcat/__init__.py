@@ -15,7 +15,7 @@ from .errors import (BadDimensions, CategoryMismatch, DegreeMismatch,
                      ParseError, SizeLimitExceeded)
 from .groups import (Group, Subgroup, builtin_group, conjugate_subgroup,
                      cyclic_group, dihedral_group, direct_product, from_table,
-                     group_from_json, group_to_json, semidirect_product,
+                     generators, group_from_json, group_to_json, semidirect_product,
                      subgroup_conjugacy_classes, subgroups)
 from .cochains import (Cochain, coboundary, cochain_from_json, cochain_to_json,
                        combine, conjugate_cochain, cyclic_3cocycle, is_cocycle,

@@ -69,8 +69,7 @@ def load_omega(spec: str, group: Group) -> Cochain:
 
 
 def load_category(spec: str, group: Group) -> PointedCategory:
-    omega = load_omega(spec, group)  # cyclic_3cocycle checks itself
-    return PointedCategory(group, omega, _checked=spec.startswith("cyclic:"))
+    return PointedCategory(group, load_omega(spec, group))
 
 
 def load_pair(spec: str, cat: PointedCategory):

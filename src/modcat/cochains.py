@@ -17,7 +17,8 @@ from math import lcm
 from typing import Mapping, Optional, Tuple
 
 from .errors import DegreeMismatch, GroupMismatch, NotASubgroup, ParseError
-from .groups import Group, Subgroup, builtin_group, group_from_json, group_to_json
+from .groups import (Group, Subgroup, builtin_group, generators, group_from_json,
+                     group_to_json)
 from .qz import QZ, ZERO, qz
 
 __all__ = [
@@ -113,25 +114,18 @@ def nonidentity_tuples(group: Group, n: int):
     return product(elems, repeat=n)
 
 
-def coboundary(f: Cochain) -> Cochain:
-    """The degree n+1 coboundary, for the trivial action on coefficients.
-
-    (df)(g_1, ..., g_{n+1}) = f(g_2, ..., g_{n+1})
-                              + sum_i (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{n+1})
-                              + (-1)^{n+1} f(g_1, ..., g_n)
-
-    Computed on integer numerators over a common denominator, for every last
-    argument of one prefix at a time; no coboundary matrix is built.
-    """
+def _nonzero_coboundary(f: Cochain, firsts):
+    """The nonzero values of df as (tuple, QZ) pairs, at the identity-free
+    tuples whose first argument lies in ``firsts``."""
     G, n, table = f.group, f.degree, f.group.table
-    out = {}
     if not f.values or n == 0:  # d vanishes on degree 0
-        return Cochain(G, n + 1, out)
+        return
     D = lcm(*(v.den for v in f.values.values()))
     zero, rows = [0] * G.order, {}
     for args, v in f.values.items():
         rows.setdefault(args[:-1], [0] * G.order)[args[-1]] = v.num * (D // v.den)
-    for args in nonidentity_tuples(G, n):
+    elems = [x for x in G.elements() if x != G.identity]
+    for args in product(firsts, *[elems] * (n - 1)):
         acc, sign = rows.get(args[1:], zero), 1
         for i in range(n - 1):
             sign = -sign
@@ -142,8 +136,22 @@ def coboundary(f: Cochain) -> Cochain:
         for x, (a, t) in enumerate(zip(acc, table[args[-1]])):
             v = (a - sign * last[t] + const) % D
             if v and x != G.identity:
-                out[args + (x,)] = QZ(v, D)
-    return Cochain(G, n + 1, out)
+                yield args + (x,), QZ(v, D)
+
+
+def coboundary(f: Cochain) -> Cochain:
+    """The degree n+1 coboundary, for the trivial action on coefficients.
+
+    (df)(g_1, ..., g_{n+1}) = f(g_2, ..., g_{n+1})
+                              + sum_i (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{n+1})
+                              + (-1)^{n+1} f(g_1, ..., g_n)
+
+    Computed on integer numerators over a common denominator, for every last
+    argument of one prefix at a time; no coboundary matrix is built.
+    """
+    G = f.group
+    firsts = [x for x in G.elements() if x != G.identity]
+    return Cochain(G, f.degree + 1, dict(_nonzero_coboundary(f, firsts)))
 
 
 def combine(f: Cochain, g: Cochain, signs: Tuple[int, int]) -> Cochain:
@@ -206,7 +214,20 @@ def conjugate_cochain(f: Cochain, g: int) -> Cochain:
 
 
 def is_cocycle(f: Cochain) -> bool:
-    return coboundary(f).is_zero()
+    """Whether df = 0, evaluated only at the tuples whose first argument is
+    one of ``generators(G)``.
+
+    That decides it.  A normalized k-cochain e (k >= 2) with de = 0 that
+    vanishes whenever its first argument is a generator s is zero: the
+    cocycle identity at (s, b, x_3, ...) reads
+    e(sb, x_3, ...) = e(b, x_3, ...) + (terms whose first argument is s),
+    so e(x, ...) is unchanged when x is multiplied on the left by a
+    generator, and every x is a product of generators, so
+    e(x, ...) = e(1, ...) = 0.  Here e = df, a cocycle because d d = 0.
+    """
+    if not f.values:  # the zero cochain needs no generating set
+        return True
+    return next(_nonzero_coboundary(f, generators(f.group)), None) is None
 
 
 def cyclic_3cocycle(G: Group, q: int) -> Cochain:

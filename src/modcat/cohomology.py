@@ -14,6 +14,20 @@ x must satisfy A x = b mod D (``integer_coboundary``, which also checks pair
 conditions and H^2 representatives), and the functional z behind a "no" must
 satisfy z A = 0.  Q/Z values appear only where cochains enter and leave.
 
+Questions about degree-3 targets and H^2 are decided on A_S, the rows of
+A = d^2 whose first argument lies in the generating set S = ``generators(G)``,
+by a lemma.  Let e be a normalized k-cochain, k >= 2, with de = 0, and
+suppose e(s, x_2, ..., x_k) = 0 for every s in S.  The cocycle identity at
+(s, b, x_3, ...) reads e(sb, x_3, ...) = e(b, x_3, ...) + (terms whose first
+argument is s) = e(b, x_3, ...), so e(x, ...) does not change when x is
+multiplied on the left by a generator; every x is a product of generators,
+so e(x, ...) = e(1, ...) = 0.  Applied to e = A x, always a cocycle, this
+gives ker A_S = ker A over any coefficients; applied to e = A x - b for a
+cocycle target b, it shows that A_S x = b_S implies A x = b.  A target that
+is not a cocycle is caught by a row of d^3 with first argument in S.  A_S
+holds |S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of
+order 16).
+
 H^2 comes from the degree-2 matrix by sparse elimination on unit pivots,
 which splits a 1 off the Smith form per pivot, followed by a dense Smith
 normal form (V only) of the few rows and columns that are left.  Its
@@ -35,12 +49,13 @@ import heapq
 import json
 import os
 import tempfile
+from itertools import product
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .cochains import Cochain, combine, nonidentity_tuples, zero_cochain
 from .errors import DegreeMismatch, InternalInvariantBroken, ParseError
-from .groups import Group
+from .groups import Group, generators
 from .qz import QZ
 
 __all__ = [
@@ -83,25 +98,7 @@ class CoboundaryMatrix:
         self.rows = list(nonidentity_tuples(group, degree + 1))
         self.cols = list(nonidentity_tuples(group, degree))
         col_index = {t: i for i, t in enumerate(self.cols)}
-        e, table = group.identity, group.table
-        n = degree
-        sparse, shared = [], {}  # equal (col, coeff) entries share one tuple
-        for args in self.rows:
-            row = {}
-            terms = [(args[1:], 1)]
-            sign = 1
-            for i in range(n):
-                sign = -sign
-                merged = args[:i] + (table[args[i]][args[i + 1]],) + args[i + 2:]
-                if e not in merged:
-                    terms.append((merged, sign))
-            terms.append((args[:n], -sign))  # (-1)^{n+1}
-            for t, c in terms:
-                j = col_index[t]
-                row[j] = row.get(j, 0) + c
-            sparse.append(tuple(sorted(shared.setdefault(jc, jc)
-                                       for jc in row.items() if jc[1])))
-        self.sparse = sparse
+        self.sparse = _coboundary_rows(group, degree, self.rows, col_index)
         self._entries = None
 
     @property
@@ -115,6 +112,43 @@ class CoboundaryMatrix:
         """Hash of the shape and entries, stored with disk-cache entries."""
         return hashlib.sha256(
             repr((len(self.rows), len(self.cols), self.sparse)).encode()).hexdigest()
+
+
+def _coboundary_rows(group: Group, degree: int, tuples, col_index) -> List[Sparse]:
+    """The sparse rows of d^degree at these (degree+1)-tuples, with columns
+    numbered by ``col_index``."""
+    e, table, n = group.identity, group.table, degree
+    sparse, shared = [], {}  # equal (col, coeff) entries share one tuple
+    for args in tuples:
+        row = {}
+        terms = [(args[1:], 1)]
+        sign = 1
+        for i in range(n):
+            sign = -sign
+            merged = args[:i] + (table[args[i]][args[i + 1]],) + args[i + 2:]
+            if e not in merged:
+                terms.append((merged, sign))
+        terms.append((args[:n], -sign))  # (-1)^{n+1}
+        for t, c in terms:
+            j = col_index[t]
+            row[j] = row.get(j, 0) + c
+        sparse.append(tuple(sorted(shared.setdefault(jc, jc)
+                                   for jc in row.items() if jc[1])))
+    return sparse
+
+
+def _generator_rows(mat: CoboundaryMatrix) -> List[int]:
+    """Indices, in order, of the rows of mat whose first argument is one of
+    ``generators(mat.group)``.  By the lemma in the module docstring they
+    decide, for degree >= 1, which cochains x have A x = 0 and, for cocycle
+    targets b, which have A x = b."""
+    G = mat.group
+    size = (G.order - 1) ** mat.degree  # the rows with one first argument
+    rows = []
+    for s in generators(G):
+        start = _tuple_index(G, (s,)) * size
+        rows.extend(range(start, start + size))
+    return rows
 
 
 class SNF:
@@ -317,15 +351,23 @@ class Echelon:
     Column ``col`` is zero in every later pivot row, so back-substitution in
     reverse order solves E x = T b.  ``kernel`` holds the rows of T whose E row
     is zero, in original row order: an integer basis of {z : z A = 0}.
+
+    A factorization of the rows of A indexed by ``keep`` is written in the row
+    indices of A all the same, so z A = 0 and u A = E still hold for the full
+    A.  The "echelon" factorization of d^2 is of this kind, on the rows whose
+    first argument is a generator; ``_solve`` may later append to its
+    ``kernel``, in memory only, the functionals of ``_cocycle_functionals``,
+    and then sets ``extended``.
     """
 
-    __slots__ = ("nrows", "ncols", "pivots", "kernel")
+    __slots__ = ("nrows", "ncols", "pivots", "kernel", "extended")
 
     def __init__(self, nrows: int, ncols: int, pivots, kernel):
         self.nrows = nrows
         self.ncols = ncols
         self.pivots = pivots
         self.kernel = kernel
+        self.extended = False
 
 
 # columns with a unit entry examined per pivot choice (a Markowitz search
@@ -444,17 +486,20 @@ def _choose_pivot(work, cols: _Columns, urow=None):
     return r, c, False
 
 
-def _eliminate(rows: Sequence[Sparse], ncols: int, track: bool = True):
+def _eliminate(rows: Sequence[Sparse], ncols: int, track: bool = True,
+               keep: Optional[Sequence[int]] = None):
     """(pivots, work, colrows, kernel) for echelon_form, or, without ``track``
     (no T, u empty in the pivots), for _h2_basis: then elimination stops at the
-    first column without a unit entry, leaving the rows in ``work``."""
+    first column without a unit entry, leaving the rows in ``work``.  Only the
+    rows indexed by ``keep`` take part (all by default); rows keep their
+    indices, in ``work`` and in T."""
     work, urow = {}, {}
     colrows = [set() for _ in range(ncols)]
     zero = []
-    for i, row in enumerate(rows):
+    for i in range(len(rows)) if keep is None else keep:
         if track:
             urow[i] = {i: 1}
-        entries = {j: v for j, v in row if v}
+        entries = {j: v for j, v in rows[i] if v}
         if entries:
             work[i] = entries
             for j in entries:
@@ -499,8 +544,10 @@ def _eliminate(rows: Sequence[Sparse], ncols: int, track: bool = True):
     return pivots, work, colrows, kernel
 
 
-def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
-    """Sparse unimodular row echelon form of the matrix with these sparse rows.
+def echelon_form(rows: Sequence[Sparse], ncols: int,
+                 keep: Optional[Sequence[int]] = None) -> Echelon:
+    """Sparse unimodular row echelon form of the matrix with these sparse rows,
+    or of its rows indexed by ``keep``, with T still indexed by all the rows.
 
     Pivots are unit entries where any exist, chosen Markowitz-style as in
     Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
@@ -509,7 +556,7 @@ def echelon_form(rows: Sequence[Sparse], ncols: int) -> Echelon:
     combines of its rows.  Every tie is broken by index, so the result is
     deterministic.
     """
-    pivots, _, _, kernel = _eliminate(rows, ncols)
+    pivots, _, _, kernel = _eliminate(rows, ncols, keep=keep)
     return Echelon(len(rows), ncols, pivots, kernel)
 
 
@@ -532,8 +579,14 @@ class H2Basis:
 def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
     """Invariant factors and class generators of H^2 from d^2, kept sparse.
 
+    Only the rows A_S of d^2 whose first argument is a generator are
+    eliminated.  By the lemma in the module docstring, a 2-cochain x with
+    A_S x = 0 has A x = 0, over Q/Z and over Z alike, so A_S and A have the
+    same kernel over Q/Z, hence the same invariant factors above 1, and every
+    generator below is a cocycle of the full A.
+
     The unit pivots of _eliminate, without T, each split a 1 off the Smith
-    form, so Smith(A) = 1^u + Smith(S) for the rows S left (Dumas, Saunders
+    form, so Smith(A_S) = 1^u + Smith(S) for the rows S left (Dumas, Saunders
     and Villard, 2001).  Only S, nonzero on a few columns, goes through the
     dense smith_normal_form, with V.  For each invariant factor d_j > 1 of S,
     V_S[:, j] * (M / d_j) solves S x = 0 mod M and is lifted to the pivot
@@ -542,7 +595,8 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
     H^2(G, Q) = 0, so they are not kept.
     """
     M = mat.group.order
-    pivots, work, colrows, _ = _eliminate(mat.sparse, len(mat.cols), track=False)
+    pivots, work, colrows, _ = _eliminate(mat.sparse, len(mat.cols), track=False,
+                                          keep=_generator_rows(mat))
     # the residual, on its own columns, with repeated rows (up to sign) dropped
     live = sorted(c for c, rs in enumerate(colrows) if rs)
     residual = set()
@@ -555,7 +609,7 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
     snf = smith_normal_form(residual, len(residual), len(live),
                             need_U=False, need_V=True)
 
-    torsion, generators = [], []
+    torsion, gens = [], []
     for k, d in enumerate(snf.diag):
         if d <= 1:
             continue
@@ -565,8 +619,8 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
         for c, p, rest, _ in reversed(pivots):
             x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
         torsion.append(d)
-        generators.append(tuple((j, v) for j, v in sorted(x.items()) if v))
-    return H2Basis(torsion, generators)
+        gens.append(tuple((j, v) for j, v in sorted(x.items()) if v))
+    return H2Basis(torsion, gens)
 
 
 def _dot(z: Sparse, vec: Sequence[int]) -> int:
@@ -738,8 +792,8 @@ def _cache_write(path: str, kind: str, mat: CoboundaryMatrix, fac) -> None:
 
 
 def _factor(group: Group, degree: int, kind: str):
-    """The cached factorization of d^degree: "echelon" (an Echelon) or
-    "smith" (an H2Basis, for degree 2)."""
+    """The cached factorization of d^degree: "echelon" (an Echelon, of the
+    generator rows from degree 2 on) or "smith" (an H2Basis, for degree 2)."""
     key = (kind, degree)
     got = group._cache.get(key)
     if got is None:
@@ -749,7 +803,8 @@ def _factor(group: Group, degree: int, kind: str):
             got = _cache_read(path, kind, mat)
         if got is None:
             if kind == "echelon":
-                got = echelon_form(mat.sparse, len(mat.cols))
+                keep = _generator_rows(mat) if degree >= 2 else None
+                got = echelon_form(mat.sparse, len(mat.cols), keep)
             else:
                 got = _h2_basis(mat)
             if path:
@@ -761,27 +816,31 @@ def _factor(group: Group, degree: int, kind: str):
 # ----------------------------------------------------------------------------
 # solving
 
-def _solve(group: Group, n: int, b: Sequence[int], D: int):
-    """(witness or None, obstruction index or None) for a degree-n target,
-    n in (2, 3), given as numerators b over D like the rows of
-    ``coboundary_matrix(group, n - 1)``.  A witness is returned only after
-    A x = b in Q/Z is checked by the integer product; None only after the
-    obstruction functional z is checked to satisfy z A = 0."""
-    if not any(v % D for v in b):
-        return zero_cochain(group, n - 1), None
+def _cocycle_functionals(group: Group, n: int) -> List[Sparse]:
+    """The rows of d^n whose first argument is a generator, derived from the
+    table, as functionals on the rows of d^(n-1).  Each satisfies z A = 0 for
+    A = d^(n-1), because d d = 0, and by the lemma in the module docstring
+    they all vanish on an n-cochain exactly when it is a cocycle."""
+    cols = coboundary_matrix(group, n - 1).rows
+    elems = [x for x in group.elements() if x != group.identity]
+    return _coboundary_rows(group, n, product(generators(group), *[elems] * n),
+                            {t: i for i, t in enumerate(cols)})
 
-    mat = coboundary_matrix(group, n - 1)
-    ech = _factor(group, n - 1, "echelon")
-    for i, z in enumerate(ech.kernel):
-        if _dot(z, b) % D:
-            if not _in_left_kernel(z, mat):
-                raise InternalInvariantBroken(
-                    "obstruction functional failed verification")
-            return None, i
 
-    # back-substitution; x holds numerators over den, a multiple of D
+def _first_obstruction(kernel: Sequence[Sparse], b: Sequence[int], D: int,
+                       start: int = 0) -> Optional[int]:
+    """Index of the first functional from ``start`` on with z . b != 0 mod D."""
+    for i in range(start, len(kernel)):
+        if _dot(kernel[i], b) % D:
+            return i
+    return None
+
+
+def _back_substitute(ech: Echelon, b: Sequence[int], D: int) -> Tuple[List[int], int]:
+    """(x, den): x solves E x = T b in Q/Z, as numerators over den, a multiple
+    of D, given b as numerators over D."""
     den = D
-    x = [0] * len(mat.cols)
+    x = [0] * ech.ncols
     for c, p, rest, u in reversed(ech.pivots):
         s = (_dot(u, b) * (den // D) - _dot(rest, x)) % den
         m = abs(p) // gcd(s, p)
@@ -790,11 +849,48 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
             x = [v * m for v in x]
             s *= m
         x[c] = (s // p) % den
-    scale = den // D
-    if any((v - t * scale) % den for v, t in zip(integer_coboundary(mat, x), b)):
-        raise InternalInvariantBroken("coboundary witness failed verification")
-    return Cochain(group, n - 1, {mat.cols[j]: QZ(v, den)
-                                  for j, v in enumerate(x) if v}), None
+    return x, den
+
+
+def _solve(group: Group, n: int, b: Sequence[int], D: int):
+    """(witness or None, obstruction index or None) for a degree-n target,
+    n in (2, 3), given as numerators b over D like the rows of
+    ``coboundary_matrix(group, n - 1)``.  A witness is returned only after
+    A x = b in Q/Z is checked by the integer product; None only after the
+    obstruction functional z, ``_factor(group, n - 1, "echelon").kernel[i]``
+    for the index i returned, is checked to satisfy z A = 0.
+
+    For n = 3 the factorization covers only the rows of A whose first
+    argument is a generator, so its kernel and back-substitution give
+    A x = b on those rows.  When b is a cocycle, A x - b is a cocycle that
+    vanishes there, hence zero (the lemma in the module docstring).  So a
+    witness that fails the check proves b is not a cocycle, and a row of d^3
+    from ``_cocycle_functionals`` that does not vanish on b is the
+    obstruction; those rows are appended to the kernel, once, to name it.
+    """
+    if not any(v % D for v in b):
+        return zero_cochain(group, n - 1), None
+
+    mat = coboundary_matrix(group, n - 1)
+    ech = _factor(group, n - 1, "echelon")
+    i = _first_obstruction(ech.kernel, b, D)
+    if i is None:
+        x, den = _back_substitute(ech, b, D)
+        scale = den // D
+        if not any((v - t * scale) % den
+                   for v, t in zip(integer_coboundary(mat, x), b)):
+            return Cochain(group, n - 1, {mat.cols[j]: QZ(v, den)
+                                          for j, v in enumerate(x) if v}), None
+        if n >= 3 and not ech.extended:
+            start = len(ech.kernel)
+            ech.kernel.extend(_cocycle_functionals(group, n))
+            ech.extended = True
+            i = _first_obstruction(ech.kernel, b, D, start)
+        if i is None:  # b passes every functional: a corrupt factorization
+            raise InternalInvariantBroken("coboundary witness failed verification")
+    if not _in_left_kernel(ech.kernel[i], mat):
+        raise InternalInvariantBroken("obstruction functional failed verification")
+    return None, i
 
 
 def _solve_cochain(target: Cochain):
@@ -842,8 +938,10 @@ class ClassSignature:
 
 
 def image_obstruction(target: Cochain) -> Optional[int]:
-    """Index of the kernel functional certifying target is not a coboundary
-    (None if it is one)."""
+    """Index of the functional certifying target is not a coboundary (None if
+    it is one): a kernel row of the factorization that _solve uses, or, for a
+    degree-3 target that is not a cocycle, possibly a row of d^3 appended
+    after them (see _solve)."""
     _, row = _solve_cochain(target)
     return row
 

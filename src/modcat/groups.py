@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BadDimensions, NotAGroup, NotAnAction, NotASubgroup, ParseError
+from .errors import (BadDimensions, InternalInvariantBroken, NotAGroup, NotAnAction,
+                     NotASubgroup, ParseError)
 
 __all__ = [
     "Group",
@@ -23,6 +24,7 @@ __all__ = [
     "semidirect_product",
     "builtin_group",
     "subgroups",
+    "generators",
     "conjugate_subgroup",
     "subgroup_conjugacy_classes",
     "group_to_json",
@@ -359,6 +361,25 @@ def _closure(G: Group, seed: Iterable[int]) -> tuple:
                         new.append(p)
         frontier = new
     return tuple(sorted(mem))
+
+
+def generators(G: Group) -> tuple:
+    """A generating set in index order, chosen deterministically: elements
+    are taken by descending element order, then by index, skipping any
+    already in the closure of those taken.  Cached; the closure is checked to
+    be all of G.
+    """
+    got = G._cache.get("generators")
+    if got is None:
+        taken, closure = [], {G.identity}
+        for g in sorted(G.elements(), key=lambda g: (-G.element_order(g), g)):
+            if g not in closure:
+                taken.append(g)
+                closure = set(_closure(G, taken))
+        if len(closure) != G.order:
+            raise InternalInvariantBroken("the chosen generators do not generate the group")
+        got = G._cache["generators"] = tuple(sorted(taken))
+    return got
 
 
 def subgroups(G: Group) -> list:

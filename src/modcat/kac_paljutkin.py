@@ -10,7 +10,7 @@ than trusting the transcription.
 
 from __future__ import annotations
 
-from .cochains import Cochain, is_cocycle, restrict
+from .cochains import Cochain, restrict
 from .cohomology import h2_representatives, is_cohomologous
 from .errors import InternalInvariantBroken
 from .groups import Group, Subgroup, from_table
@@ -95,9 +95,7 @@ def kp_category() -> KPData:
     if G.order != 8 or G.is_abelian():
         raise InternalInvariantBroken("fixture group is not nonabelian of order 8")
     omega = kp_omega(G)
-    if not is_cocycle(omega):
-        raise InternalInvariantBroken("fixture omega failed the 3-cocycle check")
-    cat = PointedCategory(G, omega, _checked=True)
+    cat = PointedCategory(G, omega)  # raises NotCompatible unless a 3-cocycle
     L = Subgroup(G, (0, 1, 2, 3))
     x = 4
     if not restrict(omega, L).is_zero():

@@ -30,15 +30,16 @@ __all__ = [
 
 
 class PointedCategory:
-    """A finite group together with a normalized 3-cocycle on it; ``den``,
-    the lcm of omega's denominators, also clears every twist big_omega(g)."""
+    """A finite group together with a normalized 3-cocycle on it, checked
+    with ``is_cocycle`` on construction; ``den``, the lcm of omega's
+    denominators, also clears every twist big_omega(g)."""
 
     __slots__ = ("group", "omega", "den", "_twists")
 
-    def __init__(self, group: Group, omega: Cochain, _checked=False):
+    def __init__(self, group: Group, omega: Cochain):
         if omega.group != group or omega.degree != 3:
             raise DegreeMismatch("omega must be a 3-cochain on the given group")
-        if not _checked and not is_cocycle(omega):
+        if not is_cocycle(omega):
             raise NotCompatible("omega is not a 3-cocycle")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "omega", omega)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
+from modcat.classify import DEFAULT_SIZE_LIMIT
 from oracles import brute_trivial_omega_classes, random_cochain
 
 
@@ -236,6 +238,23 @@ def test_size_limit():
         classify(trivial_category(G))
     report = classify(trivial_category(G), size_limit=17)
     assert report.class_count == 2
+
+
+def divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_order_24_classifies_with_a_raised_size_limit():
+    assert DEFAULT_SIZE_LIMIT == 16
+    G = cyclic_group(24)
+    cat = PointedCategory(G, cyclic_3cocycle(G, 1))
+    with pytest.raises(SizeLimitExceeded):
+        classify(cat)
+    assert classify(cat, size_limit=24).class_count == 1 == divisor_count(gcd(24, 1))
+    D = dihedral_group(24)
+    report = classify(trivial_category(D), size_limit=24)
+    assert {p.H.members for p in report.pairs} == {H.members for H in subgroups(D)}
+    report.verify()
 
 
 def test_report_json_round_trip_and_determinism():

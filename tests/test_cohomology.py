@@ -7,13 +7,15 @@ import pytest
 import modcat.cohomology as cohomology
 from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
                     cyclic_group, dihedral_group, direct_product, from_table,
-                    h2_order, h2_representatives, is_cocycle, is_cohomologous,
+                    generators, h2_order, h2_representatives, is_cocycle,
+                    is_cohomologous,
                     kp_category, kp_group, nonidentity_tuples, restrict,
                     smith_normal_form, solve_coboundary, subgroups, zero_cochain)
 from modcat.cohomology import (coboundary_matrix, image_obstruction,
                                integer_coboundary, numerators)
 from oracles import (bareiss_det, brute_coboundary_witness,
                      enumerate_2cocycles_int, h2_order_homology, random_cochain)
+from test_solver import obstruction_holds
 
 
 def klein_group():
@@ -373,3 +375,97 @@ def test_snf_disk_cache(tmp_path, monkeypatch):
     G2 = klein_group()  # fresh object, warm disk cache
     reps2 = [r.items() for r in h2_representatives(G2)]
     assert reps1 == reps2
+
+
+# --- the generator-row lemma --------------------------------------------------
+# A normalized k-cochain e (k >= 2) with de = 0 that vanishes whenever its first
+# argument is a generator is zero.  is_cocycle, H^2 and the degree-3 solves rest
+# on it.
+
+def z2_to_the_4():
+    return direct_product(direct_product(cyclic_group(2), cyclic_group(2)),
+                          direct_product(cyclic_group(2), cyclic_group(2)))
+
+
+def span(G, gens):
+    """The subgroup generated by gens, by a search over right multiplication
+    (positive words suffice in a finite group)."""
+    seen, todo = {G.identity}, [G.identity]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = G.table[x][s]
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("G", [kp_group(), direct_product(dihedral_group(8), cyclic_group(2)),
+                               z2_to_the_4(), dihedral_group(24)],
+                         ids=["kp", "D8xZ2", "Z2^4", "dihedral24"])
+def test_generators_generate_every_subgroup_view(G):
+    for H in subgroups(G):
+        view = H.as_group()
+        S = generators(view)
+        assert list(S) == sorted(set(S)) and view.identity not in S
+        assert span(view, S) == set(view.elements())
+        assert generators(view) is S  # cached
+    assert generators(cyclic_group(16)) == (1,)
+    assert generators(dihedral_group(16)) == (1, 8)
+
+
+@pytest.mark.parametrize("G", [kp_group(), dihedral_group(6),
+                               direct_product(klein_group(), cyclic_group(2)),
+                               direct_product(cyclic_group(4), cyclic_group(4))],
+                         ids=["kp", "D6", "Z2^3", "Z4xZ4"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_is_cocycle_matches_the_full_coboundary(G, degree):
+    rng = random.Random(31 * degree + G.order)
+    S = set(generators(G))
+    cocycle = (coboundary(random_cochain(G, degree - 1, rng, den=4)) if degree > 1
+               else zero_cochain(G, 1))
+    # a cocycle changed at one tuple whose first argument is not a generator
+    outside = [t for t in nonidentity_tuples(G, degree) if t[0] not in S]
+    bumped = [combine(cocycle, Cochain(G, degree, {t: QZ(1, 4)}), (1, 1))
+              for t in rng.sample(outside, 3)]
+    cases = [zero_cochain(G, degree), cocycle, random_cochain(G, degree, rng, den=4)]
+    verdicts = [is_cocycle(f) for f in cases + bumped]
+    assert verdicts == [coboundary(f).is_zero() for f in cases + bumped]
+    assert verdicts[:2] == [True, True] and not any(verdicts[2:])
+
+
+@pytest.mark.parametrize("G", [kp_group(), z2_to_the_4(), dihedral_group(24)],
+                         ids=["kp", "Z2^4", "dihedral24"])
+def test_h2_order_matches_the_homology_oracle_on_small_views(G):
+    checked = set()
+    for H in subgroups(G):
+        view = H.as_group()
+        if view.order <= 8 and view.table not in checked:
+            checked.add(view.table)
+            assert h2_order(view) == h2_order_homology(view)
+    assert len(checked) > 3
+
+
+@pytest.mark.parametrize("G", [kp_group(), cyclic_group(12), dihedral_group(12)],
+                         ids=["kp", "Z12", "D12"])
+def test_non_cocycle_degree_3_targets_are_certified_non_coboundaries(G):
+    rng = random.Random(G.order + 3)
+    S = set(generators(G))
+    eliminated = len(cohomology._factor(G, 2, "echelon").kernel)
+    # a coboundary changed at one tuple whose first argument is not a
+    # generator agrees with a coboundary on every generator row, so it passes
+    # every kernel functional of the generator rows
+    base = coboundary(random_cochain(G, 2, rng, den=6))
+    outside = [t for t in nonidentity_tuples(G, 3) if t[0] not in S]
+    targets = [random_cochain(G, 3, rng, den=6)]
+    targets += [combine(base, Cochain(G, 3, {t: QZ(1, 6)}), (1, 1))
+                for t in rng.sample(outside, 3)]
+    rows = []
+    for target in targets:
+        assert not is_cocycle(target)
+        assert solve_coboundary(target) is None
+        rows.append(image_obstruction(target))
+        assert obstruction_holds(target, rows[-1])
+    # the changed coboundaries were caught by rows of d^3, after the kernel
+    assert all(row >= eliminated for row in rows[1:])

@@ -362,6 +362,73 @@ def test_groups_with_one_table_share_cache_entries(tmp_path, monkeypatch):
     assert listing(tmp_path) == before
 
 
+# --- entries in the full-row layout of earlier versions ------------------------
+
+def full_rows(monkeypatch):
+    """Factor all rows of every matrix, as earlier versions did: with every
+    non-identity element taken as a generator, the generator rows are all the
+    rows, in their order, and the factorizations are the full-row ones."""
+    monkeypatch.setattr(cohomology, "generators", lambda G: tuple(
+        x for x in G.elements() if x != G.identity))
+
+
+def degree_3_targets(G):
+    """Cocycles that are and are not coboundaries, and non-cocycles."""
+    rng = random.Random(41)
+    base = coboundary(random_cochain(G, 2, rng, den=4))
+    return [kp_category().category.omega if G == kp_group() else zero_cochain(G, 3),
+            base, random_cochain(G, 3, rng, den=4),
+            combine(base, Cochain(G, 3, {(G.order - 1,) * 3: QZ(1, 4)}), (1, 1))]
+
+
+def verdicts(targets):
+    """For each target, whether it is not a coboundary, solved on a fresh
+    group object; every witness and obstruction is checked."""
+    out = []
+    for t in targets:
+        t = Cochain(from_table(t.group.order, t.group.table), 3, t.values)
+        w = solve_coboundary(t)
+        if w is None:
+            assert obstruction_holds(t, image_obstruction(t))
+        else:
+            assert coboundary(w) == t
+        out.append(w is None)
+    return out
+
+
+def test_generator_rows_answer_as_the_full_rows(monkeypatch):
+    for G in (kp_group(), cyclic_group(12), dihedral_group(12)):
+        targets = degree_3_targets(G)
+        with monkeypatch.context() as m:
+            full_rows(m)
+            want = verdicts(targets)
+        assert verdicts(targets) == want
+        assert want[1] is False and want[2] is want[3] is True
+
+
+def test_full_row_cache_entries_load_and_answer_correctly(tmp_path, monkeypatch):
+    G = kp_group()
+    targets = degree_3_targets(G)
+    want, report = verdicts(targets), classify(kp_category().category)
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+    with monkeypatch.context() as m:
+        full_rows(m)
+        assert verdicts(targets) == want
+        classify(kp_category().category)
+    path = tmp_path / f"echelon-{cohomology._table_key(G)}-d2.json"
+    ech = json.loads(path.read_text())
+    assert len(ech["pivots"]) + len(ech["kernel"]) == len(coboundary_matrix(G, 2).rows)
+    L = kp_category().L.as_group()  # omega vanishes on L, whose H^2 has order 2
+    assert (tmp_path / f"smith-{cohomology._table_key(L)}-d2.json").exists()
+    # the entries are read, not rewritten, and give the same answers
+    monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **k: pytest.fail(
+        "a full-row entry was not read"))
+    assert verdicts(targets) == want
+    again = classify(kp_category().category)
+    assert sorted((b["rank"], len(b["members"])) for b in again.classes) == sorted(
+        (b["rank"], len(b["members"])) for b in report.classes)
+
+
 # --- the "smith" entry: invariant factors and sparse class generators ---------
 
 def smith_cache(tmp_path, monkeypatch, G):
