@@ -35,26 +35,18 @@ invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
 through the unit pivots, give one 2-cocycle per cyclic factor.  The kernel
 functionals of the degree-1 matrix tell the H^2 classes apart.
 
-Factorizations are cached per (group, degree) in memory, and on disk when
-``MODCAT_SNF_CACHE`` names a directory, keyed by the multiplication table
-alone; each disk entry records the shape and a hash of the matrix it
-factors and is checked against both on load.
+Factorizations are memoized per (group, kind, degree) on the group object.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import heapq
-import json
-import os
-import tempfile
 from itertools import product
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .cochains import Cochain, combine, nonidentity_tuples, zero_cochain
-from .errors import DegreeMismatch, InternalInvariantBroken, ParseError
+from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, generators
 from .qz import QZ
 
@@ -75,6 +67,7 @@ __all__ = [
     "h2_representatives",
 ]
 
+# no longer read by the package; bench/workloads.py still sets it by this name
 CACHE_ENV = "MODCAT_SNF_CACHE"
 
 # a sparse integer vector: (index, nonzero coefficient) pairs in index order
@@ -107,11 +100,6 @@ class CoboundaryMatrix:
             self._entries = [[dict(row).get(j, 0) for j in range(len(self.cols))]
                              for row in self.sparse]
         return self._entries
-
-    def sha256(self) -> str:
-        """Hash of the shape and entries, stored with disk-cache entries."""
-        return hashlib.sha256(
-            repr((len(self.rows), len(self.cols), self.sparse)).encode()).hexdigest()
 
 
 def _coboundary_rows(group: Group, degree: int, tuples, col_index) -> List[Sparse]:
@@ -356,8 +344,8 @@ class Echelon:
     indices of A all the same, so z A = 0 and u A = E still hold for the full
     A.  The "echelon" factorization of d^2 is of this kind, on the rows whose
     first argument is a generator; ``_solve`` may later append to its
-    ``kernel``, in memory only, the functionals of ``_cocycle_functionals``,
-    and then sets ``extended``.
+    ``kernel`` the functionals of ``_cocycle_functionals``, and then sets
+    ``extended``.
     """
 
     __slots__ = ("nrows", "ncols", "pivots", "kernel", "extended")
@@ -674,23 +662,10 @@ def _in_left_kernel(z: Sparse, mat: CoboundaryMatrix) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# factorization caches
-
-def _table_key(group: Group) -> str:
-    """Every factorization depends on the multiplication table alone."""
-    return hashlib.sha256(repr(group.table).encode()).hexdigest()
-
-
-def _disk_cache_path(group: Group, degree: int, kind: str) -> Optional[str]:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"{kind}-{_table_key(group)}-d{degree}.json")
-
+# memoized factorizations
 
 def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
-    """The (cached) matrix of d^degree on this group."""
+    """The (memoized) matrix of d^degree on this group."""
     key = ("dmat", degree)
     mat = group._cache.get(key)
     if mat is None:
@@ -699,116 +674,18 @@ def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
     return mat
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _sparse_from_json(flat, bound: int, path: str) -> Sparse:
-    """A sparse vector from its flat [index, coeff, index, coeff, ...] form."""
-    if not isinstance(flat, list) or len(flat) % 2:
-        raise ParseError(f"{path}: malformed sparse vector")
-    out = tuple(zip(flat[::2], flat[1::2]))
-    last = -1
-    for k, c in out:
-        if not (_is_int(k) and _is_int(c) and last < k < bound and c):
-            raise ParseError(f"{path}: bad sparse vector entry ({k!r}, {c!r})")
-        last = k
-    return out
-
-
-def _flat(z: Sparse) -> List[int]:
-    return [v for pair in z for v in pair]
-
-
-def _encode(kind: str, fac) -> dict:
-    if kind == "echelon":
-        return {"pivots": [[c, p, _flat(rest), _flat(u)] for c, p, rest, u in fac.pivots],
-                "kernel": [_flat(z) for z in fac.kernel]}
-    return {"torsion": fac.torsion, "generators": [_flat(g) for g in fac.generators]}
-
-
-def _decode(kind: str, data: dict, mat: CoboundaryMatrix, path: str):
-    nrows, ncols = len(mat.rows), len(mat.cols)
-    try:
-        if kind == "echelon":
-            pivots = []
-            for c, p, rest, u in data["pivots"]:
-                if not (_is_int(c) and 0 <= c < ncols and _is_int(p) and p):
-                    raise ParseError(f"{path}: bad pivot ({c!r}, {p!r})")
-                pivots.append((c, p, _sparse_from_json(rest, ncols, path),
-                               _sparse_from_json(u, nrows, path)))
-            kernel = [_sparse_from_json(z, nrows, path) for z in data["kernel"]]
-            return Echelon(nrows, ncols, pivots, kernel)
-        # the torsion of coker(d^2) is H^3(G, Z), which |G| annihilates
-        M, torsion = mat.group.order, data["torsion"]
-        if not (isinstance(torsion, list)
-                and all(_is_int(d) and d > 1 and M % d == 0 for d in torsion)
-                and all(b % a == 0 for a, b in zip(torsion, torsion[1:]))):
-            raise ParseError(f"{path}: bad invariant factors {torsion!r}")
-        generators = [_sparse_from_json(g, ncols, path) for g in data["generators"]]
-        if len(generators) != len(torsion) or any(
-                not 0 < c < M or c % (M // d) for g, d in zip(generators, torsion)
-                for _, c in g):
-            raise ParseError(f"{path}: generators do not match the invariant factors")
-        return H2Basis(torsion, generators)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed {kind} entry: {exc!r}") from exc
-
-
-def _cache_read(path: str, kind: str, mat: CoboundaryMatrix):
-    """The factorization stored at path, None if absent; ParseError if it
-    is unreadable or was made for a different matrix."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read cache entry {path}: {exc}") from exc
-    nrows, ncols = len(mat.rows), len(mat.cols)
-    if not isinstance(data, dict) or data.get("kind") != kind:
-        raise ParseError(f"{path}: not a {kind} cache entry")
-    if data.get("shape") != [nrows, ncols]:
-        raise ParseError(f"{path}: matrix shape {data.get('shape')!r} does not "
-                         f"match {nrows}x{ncols}")
-    if data.get("matrix_sha256") != mat.sha256():
-        raise ParseError(f"{path}: matrix hash does not match")
-    return _decode(kind, data, mat, path)
-
-
-def _cache_write(path: str, kind: str, mat: CoboundaryMatrix, fac) -> None:
-    """Write through a unique temp file, so concurrent writers never mix."""
-    payload = {"kind": kind, "shape": [len(mat.rows), len(mat.cols)],
-               "matrix_sha256": mat.sha256(), **_encode(kind, fac)}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _factor(group: Group, degree: int, kind: str):
-    """The cached factorization of d^degree: "echelon" (an Echelon, of the
+    """The memoized factorization of d^degree: "echelon" (an Echelon, of the
     generator rows from degree 2 on) or "smith" (an H2Basis, for degree 2)."""
     key = (kind, degree)
     got = group._cache.get(key)
     if got is None:
         mat = coboundary_matrix(group, degree)
-        path = _disk_cache_path(group, degree, kind)
-        if path:
-            got = _cache_read(path, kind, mat)
-        if got is None:
-            if kind == "echelon":
-                keep = _generator_rows(mat) if degree >= 2 else None
-                got = echelon_form(mat.sparse, len(mat.cols), keep)
-            else:
-                got = _h2_basis(mat)
-            if path:
-                _cache_write(path, kind, mat, got)
+        if kind == "echelon":
+            keep = _generator_rows(mat) if degree >= 2 else None
+            got = echelon_form(mat.sparse, len(mat.cols), keep)
+        else:
+            got = _h2_basis(mat)
         group._cache[key] = got
     return got
 

@@ -113,7 +113,7 @@ def big_omega(cat: PointedCategory, g: int) -> Cochain:
     val = om.value
     conj = G.conj
     out = {}
-    for a, b in nonidentity_tuples(G, 2):
+    for a, b in nonidentity_tuples(G, 2) if om.values else ():  # zero omega: zero twist
         ca, cb = conj(g, a), conj(g, b)
         v = val((ca, cb, g)) + val((g, a, b)) - val((ca, g, b))
         if v:

@@ -421,22 +421,25 @@ def test_orbit_partition_matches_pairwise_search(name):
         assert any(len(s) > 1 for s in subgroups_of)
 
 
-def test_tampered_kernel_functional_makes_classify_raise(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
     kp = kp_category()
     assert classify(kp.category).class_count == 6
     view = kp.L.as_group()
-    path = tmp_path / f"echelon-{cohomology._table_key(view)}-d1.json"
-    original = json.loads(path.read_text())
     mat = cohomology.coboundary_matrix(view, 1)
-    assert original["kernel"]
-    for k, z in enumerate(original["kernel"]):
-        bad = list(z)
-        bad[1] += 1 if bad[1] > 0 else -1  # z A + (row z[0] of A), never 0
-        assert not cohomology._in_left_kernel(tuple(zip(bad[::2], bad[1::2])), mat)
-        data = json.loads(json.dumps(original))
-        data["kernel"][k] = bad
-        path.write_text(json.dumps(data))
+    kernel = cohomology._factor(view, 1, "echelon").kernel
+    assert kernel
+    real = cohomology.echelon_form
+    for k, z in enumerate(kernel):
+        (j, c), *rest = z
+        bad = ((j, c + (1 if c > 0 else -1)), *rest)  # z A + (row j of A), never 0
+        assert not cohomology._in_left_kernel(bad, mat)
+
+        def tampered(rows, ncols, keep=None, k=k, bad=bad):
+            ech = real(rows, ncols, keep)
+            if rows == mat.sparse:  # d^1 of every group with L's table
+                ech.kernel[k] = bad
+            return ech
+        monkeypatch.setattr(cohomology, "echelon_form", tampered)
         with pytest.raises(InternalInvariantBroken):
             classify(kp_category().category)
 

@@ -289,3 +289,21 @@ def test_omega_g_size_limit(capsys):
     code, _, _ = run(capsys, "omega-g", "--group", "kp", "--omega", "kp",
                      "--g", "x", "--size-limit", "8")
     assert code == 0
+
+
+def test_snf_cache_variable_is_inert(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({
+        "group": "dihedral:6",
+        "degree": 2,
+        "values": [{"args": [1, 1], "val": "1/3"}],
+    }))
+    commands = [("classify", "--group", "kp", "--omega", "kp"),
+                ("h2", "--group", "dihedral:16"),
+                ("solve", "--target", f"@{target}")]
+    plain = [run(capsys, *argv) for argv in commands]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("MODCAT_SNF_CACHE", str(cache))
+    assert [run(capsys, *argv) for argv in commands] == plain
+    assert not list(cache.iterdir())

@@ -1,4 +1,3 @@
-import json
 import random
 from math import lcm
 
@@ -87,27 +86,24 @@ def test_integer_coboundary_matches_coboundary(G, degree):
         assert is_cocycle(f) == (not any(v % D for v in integer_coboundary(mat, x)))
 
 
-def test_tampered_smith_generator_makes_h2_representatives_raise(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
-    assert len(h2_representatives(kp_klein_view()[1])) == 2
-    [path] = tmp_path.glob("smith-*-d2.json")
-    original = json.loads(path.read_text())
-    [gen], [d] = original["generators"], original["torsion"]
+def test_tampered_smith_generator_makes_h2_representatives_raise():
     view = kp_klein_view()[1]
+    assert len(h2_representatives(view)) == 2
+    basis = cohomology._factor(view, 2, "smith")
+    [gen], [d] = basis.generators, basis.torsion
     M, mat = view.order, coboundary_matrix(view, 2)
     messages = set()
     for p in range(len(mat.cols)):
         # the generator plus (M/d) at one pair: still a multiple of M/d below M,
-        # so it passes the cache's shape rules, but never a cocycle
-        bad = dict(zip(gen[::2], gen[1::2]))
+        # like a true generator, but never a cocycle
+        bad = dict(gen)
         bad[p] = (bad.get(p, 0) + M // d) % M
-        flat = [v for j in sorted(bad) if bad[j] for v in (j, bad[j])]
         x = [bad.get(j, 0) for j in range(len(mat.cols))]
         assert any(v % M for v in integer_coboundary(mat, x))
-        data = dict(original, generators=[flat])
-        path.write_text(json.dumps(data))
+        view._cache[("smith", 2)] = cohomology.H2Basis(
+            [d], [tuple((j, bad[j]) for j in sorted(bad) if bad[j])])
         with pytest.raises(InternalInvariantBroken) as exc:
-            h2_representatives(kp_klein_view()[1])
+            h2_representatives(view)
         messages.add(str(exc.value))
     # some of these keep two distinct signatures and reach the cocycle check
     assert "candidate representative is not a cocycle" in messages
@@ -364,17 +360,6 @@ def test_h2_count_invariant_under_relabeling():
                  for i in range(G.order)]
         H = from_table(G.order, table)
         assert len(h2_representatives(H)) == len(h2_representatives(G))
-
-
-def test_snf_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
-    G1 = klein_group()
-    reps1 = [r.items() for r in h2_representatives(G1)]
-    files = list(tmp_path.iterdir())
-    assert files, "cache directory should have been populated"
-    G2 = klein_group()  # fresh object, warm disk cache
-    reps2 = [r.items() for r in h2_representatives(G2)]
-    assert reps1 == reps2
 
 
 # --- the generator-row lemma --------------------------------------------------

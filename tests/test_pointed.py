@@ -29,11 +29,15 @@ def kp():
 
 # --- big_omega and gamma ----------------------------------------------------
 
-def test_big_omega_trivial_omega():
+def test_big_omega_trivial_omega(monkeypatch):
     G = dihedral_group(8)
     cat = trivial_category(G)
+    # a zero omega gives zero twists without reading a single omega value
+    monkeypatch.setattr(Cochain, "value", lambda self, args: pytest.fail(
+        "big_omega read a value of the zero omega"))
     for g in G.elements():
         assert big_omega(cat, g).is_zero()
+        assert big_omega(cat, g) is big_omega(cat, g)  # memoized
 
 
 def test_big_omega_identity_element(kp):

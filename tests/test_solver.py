@@ -1,14 +1,11 @@
-"""The sparse echelon solver, its certified answers and its disk cache."""
+"""The sparse echelon solver and its certified answers."""
 
-import json
-import os
 import random
-import tempfile
 
 import pytest
 
 import modcat.cohomology as cohomology
-from modcat import (Cochain, InternalInvariantBroken, ModcatError, ParseError,
+from modcat import (Cochain, InternalInvariantBroken, ModcatError,
                     PointedCategory, QZ, big_omega, classify, coboundary, combine,
                     conjugate_subgroup, cyclic_3cocycle, cyclic_group,
                     dihedral_group, direct_product, echelon_form, from_table,
@@ -209,76 +206,55 @@ def test_classify_factors_each_view_and_degree_at_most_once(monkeypatch):
     assert real_ech in calls and real_snf in calls
 
 
-# --- certified answers from a tampered disk cache ----------------------------
+# --- certified answers from a tampered factorization --------------------------
 
-def cache_entry(tmp_path, kind, degree):
-    [path] = [p for p in tmp_path.iterdir()
-              if p.name.startswith(kind + "-") and p.name.endswith(f"-d{degree}.json")]
-    return path
-
-
-def filled_cache(tmp_path, monkeypatch):
-    """A cache holding the degree-1 echelon entry of D6, and a real coboundary."""
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
-    target = coboundary(random_cochain(dihedral_group(6), 1, random.Random(31)))
-    assert solve_coboundary(target) is not None
-    return cache_entry(tmp_path, "echelon", 1), target
+def tampered(target, change):
+    """target on a new D6 object whose degree-1 echelon form is the true one
+    after change(pivots, kernel), which edits those two lists in place."""
+    G = dihedral_group(6)
+    ech = cohomology._factor(G, 1, "echelon")
+    pivots, kernel = list(ech.pivots), list(ech.kernel)
+    change(pivots, kernel)
+    G._cache[("echelon", 1)] = cohomology.Echelon(ech.nrows, ech.ncols, pivots, kernel)
+    return Cochain(G, target.degree, target.values)
 
 
-def rewrite(path, change):
-    data = json.loads(path.read_text())
-    change(data)
-    path.write_text(json.dumps(data))
+def d6_coboundary():
+    return coboundary(random_cochain(dihedral_group(6), 1, random.Random(31)))
 
 
-def fresh(target):
-    """The same cochain on a new group object, so no in-memory cache applies."""
-    return Cochain(dihedral_group(6), target.degree, target.values)
-
-
-def test_altered_kernel_row_raises_instead_of_answering_no(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
+def test_altered_kernel_row_raises_instead_of_answering_no():
+    target = d6_coboundary()
     mat = coboundary_matrix(target.group, 1)
     k = next(i for i, t in enumerate(mat.rows) if target.value(t))
     # the unit functional at a row where the target is nonzero is not in the kernel
-    rewrite(path, lambda d: d["kernel"].__setitem__(0, [k, 1]))
+    bad = tampered(target, lambda pivots, kernel: kernel.__setitem__(0, ((k, 1),)))
     with pytest.raises(InternalInvariantBroken, match="obstruction"):
-        solve_coboundary(fresh(target))
+        solve_coboundary(bad)
 
 
-def test_zeroed_pivot_is_refused(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
-    rewrite(path, lambda d: d["pivots"][0].__setitem__(1, 0))
-    with pytest.raises(ParseError, match=path.name):
-        solve_coboundary(fresh(target))
-
-
-def test_dropped_kernel_rows_never_give_a_wrong_answer(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
-    rewrite(path, lambda d: d.__setitem__("kernel", []))
-    w = solve_coboundary(fresh(target))  # a real coboundary still solves
+def test_dropped_kernel_rows_never_give_a_wrong_answer():
+    target = tampered(d6_coboundary(), lambda pivots, kernel: kernel.clear())
+    w = solve_coboundary(target)  # a real coboundary still solves
     assert w is not None and coboundary(w) == target
     # a nonzero class now passes every remaining functional, and its
     # back-substituted witness fails verification
-    G = dihedral_group(6)
-    bad = Cochain(G, 2, {(1, 1): QZ(1, 3)})
+    bad = Cochain(target.group, 2, {(1, 1): QZ(1, 3)})
     with pytest.raises(InternalInvariantBroken, match="witness"):
         solve_coboundary(bad)
 
 
-def test_any_tampered_pivot_row_raises_or_solves(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
-    original = path.read_text()
-    npivots = len(json.loads(original)["pivots"])
-    tampers = [lambda piv: piv.__setitem__(1, 2 * piv[1]),  # scale the pivot
-               lambda piv: piv.__setitem__(3, [0, 1])]        # replace its T row
+def test_any_tampered_pivot_row_raises_or_solves():
+    target = d6_coboundary()
+    npivots = len(cohomology._factor(target.group, 1, "echelon").pivots)
+    tampers = [lambda c, p, rest, u: (c, 2 * p, rest, u),  # scale the pivot
+               lambda c, p, rest, u: (c, p, rest, ((0, 1),))]  # replace its T row
     raised = 0
     for i in range(npivots):
         for tamper in tampers:
-            path.write_text(original)
-            rewrite(path, lambda d: tamper(d["pivots"][i]))
             try:
-                w = solve_coboundary(fresh(target))
+                w = solve_coboundary(tampered(target, lambda pivots, kernel: pivots.__setitem__(
+                    i, tamper(*pivots[i]))))
             except ModcatError:
                 raised += 1
                 continue
@@ -286,80 +262,12 @@ def test_any_tampered_pivot_row_raises_or_solves(tmp_path, monkeypatch):
     assert raised
 
 
-# --- disk-cache entries --------------------------------------------------------
-
-def test_cache_entry_for_another_matrix_is_refused(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
-    rewrite(path, lambda d: d.__setitem__("shape", [1, 1]))
-    with pytest.raises(ParseError, match=path.name):
-        solve_coboundary(fresh(target))
-    path.unlink()
-    solve_coboundary(fresh(target))  # rewritten
-    rewrite(path, lambda d: d.__setitem__("matrix_sha256", "0" * 64))
-    with pytest.raises(ParseError, match=path.name):
-        solve_coboundary(fresh(target))
-    # a well-formed entry of another group of the same shape
-    path.unlink()
-    other = coboundary(random_cochain(cyclic_group(6), 1, random.Random(5)))
-    solve_coboundary(other)
-    os.replace(cache_entry(tmp_path, "echelon", 1), path)
-    with pytest.raises(ParseError, match="hash"):
-        solve_coboundary(fresh(target))
-
-
-def test_unreadable_cache_entry_is_a_parse_error(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
-    path.write_text("{not json")
-    with pytest.raises(ParseError, match=path.name):
-        solve_coboundary(fresh(target))
-
-
-def listing(path):
-    return sorted((p.name, p.stat().st_size, p.stat().st_mtime_ns)
-                  for p in path.iterdir())
-
-
-def test_warm_cache_read_never_writes(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
-    kp = kp_category()
-    first = classify(kp.category)
-    before = listing(tmp_path)
-    assert {name.split("-")[0] for name, _, _ in before} == {"echelon", "smith"}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a warm read tried to write the cache")
-
-    monkeypatch.setattr(tempfile, "mkstemp", refuse)
-    again = classify(kp_category().category)
-    assert listing(tmp_path) == before
-    assert [b["members"] for b in again.classes] == [b["members"] for b in first.classes]
-
-
-def test_cache_writes_do_not_use_a_fixed_temp_name(tmp_path, monkeypatch):
-    path, target = filled_cache(tmp_path, monkeypatch)
-    path.unlink()
-    # a stale object at the old fixed temp name no longer blocks the write
-    os.mkdir(str(path) + ".tmp")
-    assert solve_coboundary(fresh(target)) is not None
-    assert path.exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [path.name, path.name + ".tmp"])
-    h2_representatives(dihedral_group(6))  # no temp file is left behind
-    assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp" and p.is_file()]
-
-
-def test_groups_with_one_table_share_cache_entries(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
+def test_renamed_elements_keep_the_h2_representatives():
     G = dihedral_group(6)
-    first = h2_representatives(G)
-    before = listing(tmp_path)
-    assert sorted(name.split("-")[0] for name, _, _ in before) == ["echelon", "smith"]
-    monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **k: pytest.fail(
-        "a group with a cached table wrote the cache"))
     renamed = from_table(6, G.table, [f"x{i}" for i in range(6)])
     assert renamed.names != G.names
-    assert [c.items() for c in h2_representatives(renamed)] == [c.items() for c in first]
-    assert listing(tmp_path) == before
+    assert [c.items() for c in h2_representatives(renamed)] == [
+        c.items() for c in h2_representatives(G)]
 
 
 # --- entries in the full-row layout of earlier versions ------------------------
@@ -406,65 +314,32 @@ def test_generator_rows_answer_as_the_full_rows(monkeypatch):
         assert want[1] is False and want[2] is want[3] is True
 
 
-def test_full_row_cache_entries_load_and_answer_correctly(tmp_path, monkeypatch):
-    G = kp_group()
-    targets = degree_3_targets(G)
-    want, report = verdicts(targets), classify(kp_category().category)
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
-    with monkeypatch.context() as m:
-        full_rows(m)
-        assert verdicts(targets) == want
-        classify(kp_category().category)
-    path = tmp_path / f"echelon-{cohomology._table_key(G)}-d2.json"
-    ech = json.loads(path.read_text())
-    assert len(ech["pivots"]) + len(ech["kernel"]) == len(coboundary_matrix(G, 2).rows)
-    L = kp_category().L.as_group()  # omega vanishes on L, whose H^2 has order 2
-    assert (tmp_path / f"smith-{cohomology._table_key(L)}-d2.json").exists()
-    # the entries are read, not rewritten, and give the same answers
-    monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **k: pytest.fail(
-        "a full-row entry was not read"))
-    assert verdicts(targets) == want
-    again = classify(kp_category().category)
-    assert sorted((b["rank"], len(b["members"])) for b in again.classes) == sorted(
-        (b["rank"], len(b["members"])) for b in report.classes)
+# --- the "smith" factorization: invariant factors and sparse class generators --
 
-
-# --- the "smith" entry: invariant factors and sparse class generators ---------
-
-def smith_cache(tmp_path, monkeypatch, G):
-    """h2_representatives of G, and the cache entry it wrote for d^2."""
-    monkeypatch.setenv("MODCAT_SNF_CACHE", str(tmp_path))
-    reps = h2_representatives(G)
-    return reps, cache_entry(tmp_path, "smith", 2)
-
-
-def test_smith_entry_holds_only_invariant_factors_and_generators(tmp_path, monkeypatch):
+def test_smith_entry_holds_only_invariant_factors_and_generators():
     G = direct_product(cyclic_group(2), cyclic_group(4))
-    reps, path = smith_cache(tmp_path, monkeypatch, G)
-    data = json.loads(path.read_text())
+    reps = h2_representatives(G)
+    basis = cohomology._factor(G, 2, "smith")
     mat = coboundary_matrix(G, 2)
-    assert set(data) == {"kind", "shape", "matrix_sha256", "torsion", "generators"}
-    assert data["shape"] == [len(mat.rows), len(mat.cols)]
-    assert data["torsion"] == [2] and len(reps) == 2
+    assert cohomology.H2Basis.__slots__ == ("torsion", "generators")
+    assert basis.torsion == [2] and len(reps) == 2
     # one generator, a 2-cocycle with values in (1/2)Z/Z: A g = 0 mod 8
-    [flat] = data["generators"]
-    g = dict(zip(flat[::2], flat[1::2]))
+    [gen] = basis.generators
+    g = dict(gen)
     assert g and set(g.values()) == {4}
     assert all(sum(c * g.get(j, 0) for j, c in row) % 8 == 0 for row in mat.sparse)
 
 
-def test_dense_v_entry_of_an_earlier_version_is_refused(tmp_path, monkeypatch):
-    G = dihedral_group(6)
-    _, path = smith_cache(tmp_path, monkeypatch, G)
-    P = len(coboundary_matrix(G, 2).cols)
+def flat_form(basis):
+    """An H2Basis as {"torsion", "generators"}, each generator a flat
+    [index, value, index, value, ...] list, for the tampers below."""
+    return {"torsion": list(basis.torsion),
+            "generators": [[v for pair in g for v in pair] for g in basis.generators]}
 
-    def dense_v(d):
-        del d["torsion"], d["generators"]
-        d["diag"] = [1] * P
-        d["V"] = [[int(i == j) for j in range(P)] for i in range(P)]
-    rewrite(path, dense_v)
-    with pytest.raises(ParseError, match=path.name):
-        h2_representatives(dihedral_group(6))
+
+def from_flat(d):
+    return cohomology.H2Basis(d["torsion"], [tuple(zip(f[::2], f[1::2]))
+                                             for f in d["generators"]])
 
 
 def bump(i, k):
@@ -483,16 +358,13 @@ def add_coboundary(d):
 
 SMITH_TAMPERS = {
     "plus-coboundary": add_coboundary,
-    "no-torsion": lambda d: d.__setitem__("torsion", []),
     "torsion-4": lambda d: d.__setitem__("torsion", [4]),
     "torsion-2-2": lambda d: d.__setitem__("torsion", [2, 2]),
     "torsion-3": lambda d: d.__setitem__("torsion", [3]),
-    "torsion-str": lambda d: d.__setitem__("torsion", "2"),
     "no-generators": lambda d: d.__setitem__("generators", []),
     "drop-generator": lambda d: d["generators"].pop(),
     "unreduced": lambda d: d["generators"].__setitem__(0, [0, 8]),
     "unsorted": lambda d: d["generators"].__setitem__(0, [1, 1, 0, 1]),
-    "object": lambda d: d["generators"].__setitem__(0, {"0": 1}),
     "extra-generator": lambda d: d["generators"].append(d["generators"][0]),
     "doubled-generator": lambda d: d["generators"].__setitem__(
         0, [v if i % 2 == 0 else 2 * v % 8 for i, v in enumerate(d["generators"][0])]),
@@ -502,14 +374,15 @@ SMITH_TAMPERS = {
 
 
 @pytest.mark.parametrize("tamper", SMITH_TAMPERS.values(), ids=SMITH_TAMPERS.keys())
-def test_tampered_smith_entry_never_gives_a_wrong_class_count(tmp_path, monkeypatch, tamper):
+def test_tampered_smith_entry_never_gives_a_wrong_class_count(tamper):
     G = dihedral_group(8)
-    reps, path = smith_cache(tmp_path, monkeypatch, G)
-    assert len(reps) == 2
-    rewrite(path, tamper)
+    assert len(h2_representatives(G)) == 2
+    d = flat_form(cohomology._factor(G, 2, "smith"))
+    tamper(d)
+    G._cache[("smith", 2)] = from_flat(d)
     try:
-        again = h2_representatives(dihedral_group(8))
-    except (ParseError, InternalInvariantBroken):
+        again = h2_representatives(G)
+    except InternalInvariantBroken:
         return
     assert len(again) == 2 and all(is_cocycle(c) for c in again)
-    assert h2_order(dihedral_group(8)) == 2
+    assert h2_order(G) == 2
