@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import hashlib
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .cochains import Cochain, cochain_from_json, combine, restrict
-from .cohomology import (ClassSignature, _solve, _tuple_index, coboundary_matrix,
+from .cohomology import (ClassSignature, _solve, coboundary_matrix,
                          h2_representatives, integer_coboundary, numerators)
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
@@ -84,11 +84,31 @@ def _denominator(cat: PointedCategory, *cochains: Cochain) -> int:
     return lcm(cat.den, *(v.den for c in cochains for v in c.values.values()))
 
 
-def _criterion(cat: PointedCategory, H: Subgroup, psi, xi, g: int, D: int) -> List[int]:
-    """-xi + psi^g + big_omega(g) on L = g^-1 H g, as numerators over D, with
-    psi on H and xi on L given as numerators over D as well."""
-    _, perm, twist = _move(cat, H, g, D)
-    return [psi[k] + t - x for k, t, x in zip(perm, twist, xi)]
+class _Move(NamedTuple):
+    """How g acts on 2-cochains on a subgroup H: the image of x, on the rows
+    of L = g^-1 H g, is x[perm[k]] + twist[k], with the twist big_omega(g)|_L
+    as numerators over the category's den, or None where it vanishes.
+    ``fixed`` says g moves nothing: L = H, perm is the identity, no twist."""
+
+    L: Tuple[int, ...]
+    perm: Tuple[int, ...]
+    twist: Optional[Tuple[int, ...]]
+    fixed: bool
+
+
+def _apply(move: _Move, den: int, psi, D: int) -> List[int]:
+    """psi^g + big_omega(g) on L, with psi on H and the result as numerators
+    over D, a multiple of den, the category's denominator."""
+    if move.twist is None:
+        return [psi[k] for k in move.perm]
+    s = D // den
+    return [psi[k] + s * t for k, t in zip(move.perm, move.twist)]
+
+
+def _criterion(move: _Move, den: int, psi, xi, D: int) -> List[int]:
+    """-xi + psi^g + big_omega(g) on L, as numerators over D, with psi on H
+    and xi on L given as numerators over D as well."""
+    return [u - x for u, x in zip(_apply(move, den, psi, D), xi)]
 
 
 def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
@@ -97,27 +117,31 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
     Only meaningful when g conjugates L onto a's subgroup; the result is then
     a 2-cocycle on L whose triviality decides equivalence.
     """
-    if conjugate_subgroup(a.category.group, b.H, g) != a.H:
+    cat = a.category
+    move = _move(cat, a.H, g)
+    if b.H.parent != cat.group or move.L != b.H.members:
         raise GroupMismatch("g does not conjugate L onto H")
-    D, L = _denominator(a.category, a.psi, b.psi), b.H.as_group()
-    vec = _criterion(a.category, a.H, numerators(a.psi, D), numerators(b.psi, D), g, D)
+    D, L = _denominator(cat, a.psi, b.psi), b.H.as_group()
+    vec = _criterion(move, cat.den, numerators(a.psi, D), numerators(b.psi, D), D)
     return Cochain(L, 2, {t: QZ(v, D) for t, v in zip(coboundary_matrix(L, 1).rows, vec)})
 
 
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
-    """Scan g in index order; return the first verified witness, or None."""
+    """Scan g in index order; return the first verified witness, or None.
+    Each g's move on a's subgroup is read from the category's table."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
-    cat, G = a.category, a.category.group
+    cat = a.category
     if a.H.order != b.H.order:
         return None
-    target, L = a.H.members, b.H.as_group()
+    Lm, L = b.H.members, b.H.as_group()
     D = _denominator(cat, a.psi, b.psi)
     psi, xi = numerators(a.psi, D), numerators(b.psi, D)
-    for g in G.elements():
-        if conjugate_subgroup(G, b.H, g).members != target:
+    for g in cat.group.elements():
+        move = _move(cat, a.H, g)
+        if move.L != Lm:
             continue
-        witness, _ = _solve(L, 2, _criterion(cat, a.H, psi, xi, g, D), D)
+        witness, _ = _solve(L, 2, _criterion(move, cat.den, psi, xi, D), D)
         if witness is not None:
             return EquivalenceWitness(g, witness)
     return None
@@ -148,7 +172,12 @@ class ClassificationReport:
         """Re-check every pair condition, that the classes partition the pairs
         with one witness from each non-representative member and the rank
         [G:H], and every stored witness, bit-exactly, by integer products with
-        coboundary matrices built from the group table, not by the solver."""
+        coboundary matrices built from the group table, not by the solver.
+
+        Each witness's criterion comes from a move built afresh from the group
+        table and omega (_action), never from the category's move table, which
+        the classification itself read: a corrupt table entry must not be
+        confirmed by the check meant to catch it."""
         cat, pairs = self.category, self.pairs
         for pair in pairs:
             validate_pair(cat, pair.H, pair.psi)
@@ -171,25 +200,46 @@ class ClassificationReport:
                         or f.group != L or f.degree != 1):
                     raise InternalInvariantBroken("witness conjugation mismatch")
                 D = _denominator(cat, pair.psi, rep.psi, f)
-                crit = _criterion(cat, pair.H, numerators(pair.psi, D),
-                                  numerators(rep.psi, D), w.g, D)
+                crit = _criterion(_action(cat, pair.H, w.g), cat.den,
+                                  numerators(pair.psi, D), numerators(rep.psi, D), D)
                 df = integer_coboundary(coboundary_matrix(L, 1), numerators(f, D))
                 if any((u - v) % D for u, v in zip(df, crit)):
                     raise InternalInvariantBroken("witness coboundary mismatch")
 
 
-def _move(cat: PointedCategory, H: Subgroup, g: int, D: int):
-    """How g acts on 2-cochains on H, as numerators over D: (L, perm, twist),
-    the image of x being x[perm[k]] + twist[k] on the rows of L = g^-1 H g."""
-    G = cat.group
+def _action(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
+    """How g acts on 2-cochains on H, built from the group table and omega.
+    The twist is None wherever big_omega(g) vanishes on L, so always for a
+    trivial omega."""
+    G, den = cat.group, cat.den
     L = conjugate_subgroup(G, H, G.inverse[g])
-    pos, Lm = {h: k for k, h in enumerate(H.members)}, L.members
-    rows, view = coboundary_matrix(L.as_group(), 1).rows, H.as_group()
-    perm = [_tuple_index(view, (pos[G.conj(g, Lm[x])], pos[G.conj(g, Lm[y])]))
-            for x, y in rows]
-    omega_g = big_omega(cat, g)
-    twist = [v.num * (D // v.den) for v in (omega_g(Lm[x], Lm[y]) for x, y in rows)]
-    return Lm, perm, twist
+    Lm, pos, view = L.members, {h: k for k, h in enumerate(H.members)}, H.as_group()
+    e, base = view.identity, view.order - 1
+    # each element's place among the identity-free ones, as _tuple_index counts
+    place = [k - (k > e) for k in (pos[G.conj(g, x)] for x in Lm)]
+    rows = coboundary_matrix(L.as_group(), 1).rows
+    perm = tuple(place[x] * base + place[y] for x, y in rows)
+    vals = big_omega(cat, g).values
+    twist = None
+    if vals:
+        zero = QZ(0, 1)
+        twist = tuple(v.num * (den // v.den)
+                      for v in (vals.get((Lm[x], Lm[y]), zero) for x, y in rows))
+        if not any(twist):
+            twist = None
+    fixed = Lm == H.members and twist is None and perm == tuple(range(len(perm)))
+    return _Move(Lm, perm, twist, fixed)
+
+
+def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
+    """_action(cat, H, g), memoized in the category's move table under
+    (H.members, g).  The orbit pass, equivalent_pairs and criterion_cochain
+    share its entries; ClassificationReport.verify never reads them."""
+    key = (H.members, g)
+    move = cat._moves.get(key)
+    if move is None:
+        move = cat._moves[key] = _action(cat, H, g)
+    return move
 
 
 def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
@@ -198,14 +248,15 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
     A pair (H, psi) is keyed by (H.members, sig_H(psi)), with sig_H the exact
     ClassSignature of H over one common denominator D.  Each pair not yet
     placed is moved by every g in G to psi^g + big_omega(g)|_L on L = g^-1 H g;
-    its class is every pair whose key an image hits.
+    its class is every pair whose key an image hits.  The moves come from the
+    category's table (_move), whose ``fixed`` flag skips a g moving nothing.
     """
     G = cat.group
     D = _denominator(cat, *(p.psi for p in pairs))
     on = {}
     for i, p in enumerate(pairs):
         on.setdefault(p.H.members, []).append(i)
-    sigs, vecs, key_of, keyed, moves, classes = {}, {}, {}, {}, {}, []
+    sigs, vecs, key_of, keyed, classes = {}, {}, {}, {}, []
     for block in subgroup_conjugacy_classes(G):
         todo = [i for S in block for i in on.get(S.members, ())]
         if len(todo) < 2:
@@ -225,17 +276,14 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
             for g in G.elements():
                 if len(orbit) == len(left):
                     break
-                if (H.members, g) not in moves:  # a g moving nothing is skipped
-                    L, perm, twist = move = _move(cat, H, g, D)
-                    fixed = L == H.members and perm == sorted(perm) and not any(twist)
-                    moves[H.members, g] = None if fixed else move
-                if moves[H.members, g] is not None:
-                    L, perm, twist = moves[H.members, g]
-                    image = [vecs[a][k] + t for k, t in zip(perm, twist)]
-                    hits = keyed.get((L, sigs[L](image, D)))
-                    if hits is None:
-                        raise InternalInvariantBroken("an image matches no pair")
-                    orbit.update(hits)
+                move = _move(cat, H, g)
+                if move.fixed:
+                    continue
+                L = move.L
+                hits = keyed.get((L, sigs[L](_apply(move, cat.den, vecs[a], D), D)))
+                if hits is None:
+                    raise InternalInvariantBroken("an image matches no pair")
+                orbit.update(hits)
             if not orbit <= left:
                 raise InternalInvariantBroken("the orbits of two pairs overlap")
             left -= orbit

@@ -16,7 +16,7 @@ from .classify import (DEFAULT_SIZE_LIMIT, classify, equivalent_pairs,
                        report_to_json)
 from .cochains import (Cochain, cochain_from_json, cochain_to_json,
                        cyclic_3cocycle, is_cocycle, restrict, zero_cochain)
-from .cohomology import h2_representatives, image_obstruction, solve_coboundary
+from .cohomology import _solve_cochain, h2_representatives
 from .errors import ModcatError, ParseError, SizeLimitExceeded
 from .groups import (Group, Subgroup, builtin_group, group_from_json,
                      group_to_json, subgroup_conjugacy_classes, subgroups)
@@ -178,9 +178,8 @@ def cmd_solve(args) -> int:
     group = load_group(args.group) if args.group else None
     target = cochain_from_json(data, group=group)
     _check_limit(target.group, args.size_limit)
-    witness = solve_coboundary(target)
+    witness, row = _solve_cochain(target)
     if witness is None:
-        row = image_obstruction(target)
         if args.format == "json":
             _emit_json({"solvable": False, "obstruction_row": row})
         else:
@@ -262,6 +261,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_classify(args) -> int:
     G = load_group(args.group)
+    _check_limit(G, args.size_limit)
     cat = load_category(args.omega, G)
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     report = classify(cat, size_limit=args.size_limit, jobs=args.jobs,

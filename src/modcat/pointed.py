@@ -32,9 +32,13 @@ __all__ = [
 class PointedCategory:
     """A finite group together with a normalized 3-cocycle on it, checked
     with ``is_cocycle`` on construction; ``den``, the lcm of omega's
-    denominators, also clears every twist big_omega(g)."""
+    denominators, also clears every twist big_omega(g).
 
-    __slots__ = ("group", "omega", "den", "_twists")
+    ``_twists`` memoizes big_omega per g, and ``_moves`` is the G-action on
+    2-cochains over subgroups (see ``classify._move``), keyed by
+    (H.members, g); both live and die with the category."""
+
+    __slots__ = ("group", "omega", "den", "_twists", "_moves")
 
     def __init__(self, group: Group, omega: Cochain):
         if omega.group != group or omega.degree != 3:
@@ -45,6 +49,7 @@ class PointedCategory:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "den", lcm(*(v.den for v in omega.values.values())))
         object.__setattr__(self, "_twists", {})
+        object.__setattr__(self, "_moves", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PointedCategory objects are immutable")

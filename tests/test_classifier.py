@@ -1,20 +1,21 @@
 import importlib
 import json
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     PointedCategory, SizeLimitExceeded, Subgroup,
-                    admissible_subgroups, classify, coboundary, combine,
-                    cyclic_group, cyclic_3cocycle, dihedral_group,
-                    direct_product, enumerate_pairs, equivalent_pairs,
+                    admissible_subgroups, big_omega, classify, coboundary,
+                    combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
+                    dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
                     kp_category, report_from_json, report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
-from modcat.classify import DEFAULT_SIZE_LIMIT
+from modcat.classify import DEFAULT_SIZE_LIMIT, _apply, _move
+from modcat.cohomology import numerators
 from oracles import brute_trivial_omega_classes, random_cochain
 
 
@@ -497,3 +498,116 @@ def test_z2_to_the_4_with_trivial_omega_has_one_class_per_pair():
                 (S.order.bit_length() - 1 for S in subgroups(G)))
     report = classify(trivial_category(G))
     assert len(report.pairs) == report.class_count == schur == 270
+
+
+# --- the category's table of moves -------------------------------------------
+
+MOVE_CASES = {
+    "kp": ORACLE_CASES["kp"],
+    "cyclic12-2": ORACLE_CASES["cyclic12-2"],
+    "dihedral12-sign": ORACLE_CASES["dihedral12-sign"],
+    "D8xZ2": ORACLE_CASES["D8xZ2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_CASES))
+def test_memoized_moves_match_the_qz_definition(name):
+    # each pair's psi, and one random 2-cochain per subgroup so that psi = 0
+    # does not hide the permutation; D is twice a common denominator so that
+    # the twist, stored over cat.den, has to be scaled
+    cat, rng = MOVE_CASES[name](), random.Random(11)
+    G = cat.group
+    cochains = [(p.H, p.psi) for p in enumerate_pairs(cat)]
+    cochains += [(H, random_cochain(H.as_group(), 2, rng, 6))
+                 for H in {H.members: H for H, _ in cochains}.values()]
+    for H, psi in cochains:
+        D = 2 * lcm(cat.den, *(v.den for v in psi.values.values()))
+        x = numerators(psi, D)
+        for g in G.elements():
+            move = _move(cat, H, g)
+            assert cat._moves[H.members, g] is move
+            L, perm, twist, fixed = move
+            moved = conjugate_cochain(psi, g)
+            assert moved.group.members == L
+            twist_on_L = restrict(big_omega(cat, g), Subgroup(G, L))
+            want = combine(moved, twist_on_L, (1, 1))
+            assert [v % D for v in _apply(move, cat.den, x, D)] == \
+                [v % D for v in numerators(want, D)]
+            assert (twist is None) == twist_on_L.is_zero()
+            assert fixed == (L == H.members and twist is None
+                             and list(perm) == sorted(perm))
+
+
+def witness_moves(report):
+    """The table keys of the moves each stored witness was found with."""
+    return [(report.pairs[m].H, w.g) for blk in report.classes
+            for m, w in blk["witnesses"]]
+
+
+def test_tampered_move_twist_is_caught_by_verify():
+    # on a subgroup of order 2 every 2-cochain is a coboundary, so a changed
+    # twist numerator still gives the witness search an answer, and only
+    # verify, which builds each move afresh from the group table and omega,
+    # can see that the witness is wrong
+    cat = kp_category().category
+    report = classify(cat)
+    H, g = next((H, g) for H, g in witness_moves(report) if H.order == 2)
+    entry = cat._moves[H.members, g]
+    bad = list(entry.twist or [0] * len(entry.perm))
+    bad[0] += 1
+    cat._moves[H.members, g] = entry._replace(twist=tuple(bad), fixed=False)
+    with pytest.raises(InternalInvariantBroken, match="witness coboundary mismatch"):
+        classify(cat)
+
+
+def test_swapped_move_entries_never_give_a_wrong_report():
+    cat = kp_category().category
+    clean = classify(cat)
+    partition = [blk["members"] for blk in clean.classes]
+    H, g = next((H, g) for H, g in witness_moves(clean) if H.order == 4)
+    entry = cat._moves[H.members, g]
+    outcomes = set()
+    for i in range(len(entry.perm)):
+        for j in range(i + 1, len(entry.perm)):
+            swapped = list(entry.perm)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            cat._moves[H.members, g] = entry._replace(perm=tuple(swapped), fixed=False)
+            try:
+                report = classify(cat)
+            except InternalInvariantBroken:
+                outcomes.add("raised")
+                continue
+            assert [blk["members"] for blk in report.classes] == partition
+            # a category with its own, untampered table re-checks every witness
+            report_from_json(report_to_json(report), kp_category().category)
+            outcomes.add("same" if report_to_json(report) == report_to_json(clean)
+                         else "other witnesses")
+    cat._moves[H.members, g] = entry
+    assert "other witnesses" in outcomes  # the swaps did reach the search
+
+
+def fresh_pair(pair):
+    """The same pair over a newly built category, whose move table is empty."""
+    cat = PointedCategory(pair.category.group, pair.category.omega)
+    return validate_pair(cat, pair.H, pair.psi)
+
+
+@pytest.mark.parametrize("name", ["kp", "dihedral16"])
+def test_warm_and_fresh_tables_give_the_same_witnesses(name):
+    cat = ORACLE_CASES[name]()
+    report = classify(cat)
+    assert cat._moves
+    block_of = {S.members: k for k, blk in enumerate(subgroup_conjugacy_classes(cat.group))
+                for S in blk}
+    pairs = report.pairs
+    found = 0
+    for a in pairs:
+        for b in pairs:
+            if block_of[a.H.members] != block_of[b.H.members]:
+                continue
+            warm, fresh = equivalent_pairs(a, b), equivalent_pairs(fresh_pair(a), fresh_pair(b))
+            assert (warm is None) == (fresh is None)
+            if warm is not None:
+                assert (warm.g, warm.coboundary_witness) == (fresh.g, fresh.coboundary_witness)
+                found += 1
+    assert found > len(pairs)

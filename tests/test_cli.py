@@ -1,8 +1,12 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
-from modcat import group_to_json, kp_category, report_from_json
+from modcat import (cli, cochain_from_json, cochain_to_json, cohomology,
+                    group_to_json, image_obstruction, kp_category,
+                    report_from_json, solve_coboundary)
 from modcat.cli import main
 from modcat.groups import cyclic_group, direct_product
 
@@ -231,12 +235,23 @@ def test_classify_text_mode(capsys):
 def test_classify_size_limit(capsys):
     code, _, err = run(capsys, "classify", "--group", "cyclic:17",
                        "--omega", "trivial")
-    assert code == 2 and "exceeds the limit" in err
+    assert code == 2 and "exceeds --size-limit 16" in err
     code, out, _ = run(capsys, "classify", "--group", "cyclic:17",
                        "--omega", "trivial", "--size-limit", "17",
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["class_count"] == 2
+
+
+def test_classify_checks_the_limit_before_building_omega(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("omega was built for a group over the limit")
+
+    monkeypatch.setattr(cli, "cyclic_3cocycle", refuse)
+    code, out, err = run(capsys, "classify", "--group", "cyclic:96",
+                         "--omega", "cyclic:96:1")
+    assert code == 2 and out == ""
+    assert "exceeds --size-limit 16" in err
 
 
 def test_classify_verbose_progress_to_stderr_only(capsys):
@@ -307,3 +322,45 @@ def test_snf_cache_variable_is_inert(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MODCAT_SNF_CACHE", str(cache))
     assert [run(capsys, *argv) for argv in commands] == plain
     assert not list(cache.iterdir())
+
+
+def benchmark_solve_commands(monkeypatch, tmp_path):
+    """The ``solve`` commands of the benchmark's cli_cached workload, seed 1:
+    the nontrivial class q = 2 of H^3(Z_12), then a coboundary on D16."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    import modcat
+    commands = workloads.CliWorkload(modcat, 1, str(tmp_path))._commands()
+    return [argv for argv, _, _ in commands if argv[0] == "solve"]
+
+
+def test_solve_runs_the_solver_once(capsys, monkeypatch, tmp_path):
+    omega12, cob2 = benchmark_solve_commands(monkeypatch, tmp_path)
+    targets = [cochain_from_json(json.loads(Path(argv[2][1:]).read_text()))
+               for argv in (omega12, cob2)]
+    row = image_obstruction(targets[0])
+    witness = solve_coboundary(targets[1])
+    assert row is not None and witness is not None
+    expected = [
+        (1, {"solvable": False, "obstruction_row": row}),
+        (0, {"solvable": True, "witness": cochain_to_json(witness)["values"]}),
+    ]
+    calls = []
+    solve = cohomology._solve
+
+    def counted(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(cohomology, "_solve", counted)
+    for argv, (want_code, want) in zip((omega12, cob2), expected):
+        del calls[:]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (want_code, json.dumps(
+            want, sort_keys=True, separators=(",", ":")) + "\n")
+        assert len(calls) == 1
+    text = [a for a in omega12 if a not in ("--format", "json")]
+    del calls[:]
+    code, out, err = run(capsys, *text, "--verbose")
+    assert (code, out, err) == (1, "nontrivial class\n", f"obstruction at row {row}\n")
+    assert len(calls) == 1
