@@ -46,6 +46,13 @@ def load_group(spec: str) -> Group:
     return builtin_group(spec)
 
 
+def _ints(tokens, what: str):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ParseError(f"{what} needs integers: {exc}") from exc
+
+
 def load_omega(spec: str, group: Group) -> Cochain:
     if spec == "trivial":
         return zero_cochain(group, 3)
@@ -58,7 +65,7 @@ def load_omega(spec: str, group: Group) -> Cochain:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParseError("cyclic omega spec is cyclic:N:Q")
-        n, q = int(parts[1]), int(parts[2])
+        n, q = _ints(parts[1:], "cyclic omega spec")
         if group.order != n:
             raise ParseError(f"cyclic omega is for order {n}, group has {group.order}")
         return cyclic_3cocycle(group, q)
@@ -86,6 +93,8 @@ def load_pair(spec: str, cat: PointedCategory):
             members = json.loads(body[len("H="):])
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad member list in pair spec: {exc}") from exc
+        if not isinstance(members, list) or not all(type(m) is int for m in members):
+            raise ParseError(f"pair spec members {members!r} are not a list of indices")
         H = Subgroup(group, members)
     else:
         raise ParseError(f"cannot parse pair spec {spec!r}")
@@ -220,7 +229,7 @@ def cmd_omega_g(args) -> int:
     g = _element(G, args.g)
     tw = big_omega(cat, g)
     if args.restrict:
-        members = [int(s) for s in args.restrict.split(",")]
+        members = _ints(args.restrict.split(","), "--restrict")
         tw = restrict(tw, Subgroup(G, members))
     if args.format == "json":
         _emit_json(cochain_to_json(tw))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import lcm
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .errors import DegreeMismatch, GroupMismatch, NotASubgroup, ParseError
 from .groups import (Group, Subgroup, builtin_group, generators, group_from_json,
@@ -114,17 +114,40 @@ def nonidentity_tuples(group: Group, n: int):
     return product(elems, repeat=n)
 
 
-def _nonzero_coboundary(f: Cochain, firsts):
-    """The nonzero values of df as (tuple, QZ) pairs, at the identity-free
-    tuples whose first argument lies in ``firsts``."""
-    G, n, table = f.group, f.degree, f.group.table
-    if not f.values or n == 0:  # d vanishes on degree 0
-        return
-    D = lcm(*(v.den for v in f.values.values()))
-    zero, rows = [0] * G.order, {}
-    for args, v in f.values.items():
-        rows.setdefault(args[:-1], [0] * G.order)[args[-1]] = v.num * (D // v.den)
-    elems = [x for x in G.elements() if x != G.identity]
+def _tuple_index(group: Group, args: tuple) -> int:
+    """Lexicographic index of an identity-free tuple among those of its length."""
+    e, base, i = group.identity, group.order - 1, 0
+    for a in args:
+        i = i * base + a - (a > e)
+    return i
+
+
+def numerators(c: Cochain, D: int) -> List[int]:
+    """c as integer numerators over D, a multiple of its denominators, on the
+    identity-free tuples in lexicographic order (its coboundary's columns)."""
+    vec = [0] * (c.group.order - 1) ** c.degree
+    for t, v in c.values.items():
+        vec[_tuple_index(c.group, t)] = v.num * (D // v.den)
+    return vec
+
+
+def _coboundary_numerators(group: Group, n: int, x, firsts=None) -> List[int]:
+    """dx for numerators x of an n-cochain, laid out as by ``numerators``, as
+    exact numerators at the (n+1)-tuples whose first argument lies in
+    ``firsts`` (all by default), in lexicographic order.  No matrix is built:
+    the values at every last argument of one prefix are computed together."""
+    e, table, order = group.identity, group.table, group.order
+    elems = [a for a in group.elements() if a != e]
+    firsts = elems if firsts is None else firsts
+    if n == 0 or not any(x):  # d vanishes on degree 0
+        return [0] * (len(firsts) * len(elems) ** n)
+    zero, rows, base = [0] * order, {}, order - 1
+    for k, prefix in enumerate(product(elems, repeat=n - 1)):
+        row = list(x[k * base:(k + 1) * base])
+        if any(row):
+            row.insert(e, 0)  # indexed by element
+            rows[prefix] = row
+    out = []
     for args in product(firsts, *[elems] * (n - 1)):
         acc, sign = rows.get(args[1:], zero), 1
         for i in range(n - 1):
@@ -133,10 +156,10 @@ def _nonzero_coboundary(f: Cochain, firsts):
             acc = [a + sign * b for a, b in zip(acc, rows.get(merged, zero))]
         last = rows.get(args[:-1], zero)
         const = sign * last[args[-1]]  # (-1)^{n+1} f(args)
-        for x, (a, t) in enumerate(zip(acc, table[args[-1]])):
-            v = (a - sign * last[t] + const) % D
-            if v and x != G.identity:
-                yield args + (x,), QZ(v, D)
+        vals = [a - sign * last[t] + const for a, t in zip(acc, table[args[-1]])]
+        del vals[e]
+        out += vals
+    return out
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -146,12 +169,14 @@ def coboundary(f: Cochain) -> Cochain:
                               + sum_i (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{n+1})
                               + (-1)^{n+1} f(g_1, ..., g_n)
 
-    Computed on integer numerators over a common denominator, for every last
-    argument of one prefix at a time; no coboundary matrix is built.
+    Computed on integer numerators over a common denominator by the
+    matrix-free ``_coboundary_numerators``.
     """
-    G = f.group
-    firsts = [x for x in G.elements() if x != G.identity]
-    return Cochain(G, f.degree + 1, dict(_nonzero_coboundary(f, firsts)))
+    G, n = f.group, f.degree
+    D = lcm(*(v.den for v in f.values.values()))
+    dx = _coboundary_numerators(G, n, numerators(f, D))
+    return Cochain(G, n + 1, {t: QZ(v, D) for t, v in
+                              zip(nonidentity_tuples(G, n + 1), dx) if v % D})
 
 
 def combine(f: Cochain, g: Cochain, signs: Tuple[int, int]) -> Cochain:
@@ -215,19 +240,19 @@ def conjugate_cochain(f: Cochain, g: int) -> Cochain:
 
 def is_cocycle(f: Cochain) -> bool:
     """Whether df = 0, evaluated only at the tuples whose first argument is
-    one of ``generators(G)``.
-
-    That decides it.  A normalized k-cochain e (k >= 2) with de = 0 that
-    vanishes whenever its first argument is a generator s is zero: the
-    cocycle identity at (s, b, x_3, ...) reads
-    e(sb, x_3, ...) = e(b, x_3, ...) + (terms whose first argument is s),
-    so e(x, ...) is unchanged when x is multiplied on the left by a
-    generator, and every x is a product of generators, so
-    e(x, ...) = e(1, ...) = 0.  Here e = df, a cocycle because d d = 0.
+    one of ``generators(G)``.  That decides it, by a lemma: a normalized
+    k-cochain e (k >= 2) with de = 0 that vanishes whenever its first argument
+    is a generator s is zero.  The cocycle identity at (s, b, x_3, ...) reads
+    e(sb, x_3, ...) = e(b, x_3, ...) + (terms whose first argument is s), so
+    e(x, ...) is unchanged when x is multiplied on the left by a generator;
+    every x is a product of generators, so e(x, ...) = e(1, ...) = 0.  Here
+    e = df, a cocycle because d d = 0.
     """
     if not f.values:  # the zero cochain needs no generating set
         return True
-    return next(_nonzero_coboundary(f, generators(f.group)), None) is None
+    D = lcm(*(v.den for v in f.values.values()))
+    return not any(v % D for v in _coboundary_numerators(
+        f.group, f.degree, numerators(f, D), generators(f.group)))
 
 
 def cyclic_3cocycle(G: Group, q: int) -> Cochain:

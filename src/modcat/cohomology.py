@@ -8,32 +8,30 @@ The rows of T whose E row is zero form an integer basis of the kernel
 functionals {z : z A = 0}, and because Q/Z is divisible, b is a coboundary
 exactly when z . b = 0 in Q/Z for every one of them.  A witness then comes
 from back-substitution on the nonzero rows of E, dividing by each pivot in
-Q/Z.  Every answer is re-checked without trusting the factorization, by
-sparse integer products on numerators over a common denominator D: a witness
-x must satisfy A x = b mod D (``integer_coboundary``, which also checks pair
-conditions and H^2 representatives), and the functional z behind a "no" must
-satisfy z A = 0.  Q/Z values appear only where cochains enter and leave.
+Q/Z.  Every answer is re-checked without trusting the factorization, on
+integer numerators over a common denominator D: a witness x must satisfy
+A x = b mod D on every row, computed by the matrix-free
+``cochains._coboundary_numerators`` from degree 2 on (which also checks pair
+conditions and H^2 representatives) and by the memoized d^1 matrix below,
+and the functional z behind a "no" must satisfy z A = 0.
 
 Questions about degree-3 targets and H^2 are decided on A_S, the rows of
 A = d^2 whose first argument lies in the generating set S = ``generators(G)``,
-by a lemma.  Let e be a normalized k-cochain, k >= 2, with de = 0, and
-suppose e(s, x_2, ..., x_k) = 0 for every s in S.  The cocycle identity at
-(s, b, x_3, ...) reads e(sb, x_3, ...) = e(b, x_3, ...) + (terms whose first
-argument is s) = e(b, x_3, ...), so e(x, ...) does not change when x is
-multiplied on the left by a generator; every x is a product of generators,
-so e(x, ...) = e(1, ...) = 0.  Applied to e = A x, always a cocycle, this
-gives ker A_S = ker A over any coefficients; applied to e = A x - b for a
-cocycle target b, it shows that A_S x = b_S implies A x = b.  A target that
-is not a cocycle is caught by a row of d^3 with first argument in S.  A_S
-holds |S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of
-order 16).
+by the lemma in ``cochains.is_cocycle``: a normalized k-cochain e, k >= 2,
+with de = 0 that vanishes wherever its first argument lies in S is zero.
+Applied to e = A x, always a cocycle, this gives ker A_S = ker A over any
+coefficients; applied to e = A x - b for a cocycle target b, it shows that
+A_S x = b_S implies A x = b.  A target that is not a cocycle is caught by a
+row of d^3 with first argument in S.  A_S holds |S| / (|G| - 1) of the rows
+of A (2 of 15 for the dihedral group of order 16), and is all of d^2 that is
+built (``_factored_rows``), except to check such a row of d^3.
 
-H^2 comes from the degree-2 matrix by sparse elimination on unit pivots,
-which splits a 1 off the Smith form per pivot, followed by a dense Smith
-normal form (V only) of the few rows and columns that are left.  Its
-invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
-through the unit pivots, give one 2-cocycle per cyclic factor.  The kernel
-functionals of the degree-1 matrix tell the H^2 classes apart.
+H^2 comes from A_S by sparse elimination on unit pivots, which splits a 1
+off the Smith form per pivot, followed by a dense Smith normal form (V only)
+of the few rows and columns that are left.  Its invariant factors give the
+order of H^2(G, Q/Z); its V columns, lifted back through the unit pivots,
+give one 2-cocycle per cyclic factor.  The kernel functionals of the
+degree-1 matrix tell the H^2 classes apart.
 
 Factorizations are memoized per (group, kind, degree) on the group object.
 """
@@ -43,9 +41,10 @@ from __future__ import annotations
 import heapq
 from itertools import product
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cochains import Cochain, combine, nonidentity_tuples, zero_cochain
+from .cochains import (Cochain, _coboundary_numerators, _tuple_index, combine,
+                       nonidentity_tuples, numerators, zero_cochain)
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, generators
 from .qz import QZ
@@ -90,8 +89,7 @@ class CoboundaryMatrix:
         self.degree = degree
         self.rows = list(nonidentity_tuples(group, degree + 1))
         self.cols = list(nonidentity_tuples(group, degree))
-        col_index = {t: i for i, t in enumerate(self.cols)}
-        self.sparse = _coboundary_rows(group, degree, self.rows, col_index)
+        self.sparse = list(_coboundary_rows(group, degree, self.rows).values())
         self._entries = None
 
     @property
@@ -102,11 +100,11 @@ class CoboundaryMatrix:
         return self._entries
 
 
-def _coboundary_rows(group: Group, degree: int, tuples, col_index) -> List[Sparse]:
-    """The sparse rows of d^degree at these (degree+1)-tuples, with columns
-    numbered by ``col_index``."""
+def _coboundary_rows(group: Group, degree: int, tuples) -> Dict[int, Sparse]:
+    """The sparse rows of d^degree at these (degree+1)-tuples, keyed by row
+    index; rows and columns are numbered by ``_tuple_index``."""
     e, table, n = group.identity, group.table, degree
-    sparse, shared = [], {}  # equal (col, coeff) entries share one tuple
+    sparse, shared = {}, {}  # equal (col, coeff) entries share one tuple
     for args in tuples:
         row = {}
         terms = [(args[1:], 1)]
@@ -118,25 +116,11 @@ def _coboundary_rows(group: Group, degree: int, tuples, col_index) -> List[Spars
                 terms.append((merged, sign))
         terms.append((args[:n], -sign))  # (-1)^{n+1}
         for t, c in terms:
-            j = col_index[t]
+            j = _tuple_index(group, t)
             row[j] = row.get(j, 0) + c
-        sparse.append(tuple(sorted(shared.setdefault(jc, jc)
-                                   for jc in row.items() if jc[1])))
+        sparse[_tuple_index(group, args)] = tuple(sorted(
+            shared.setdefault(jc, jc) for jc in row.items() if jc[1]))
     return sparse
-
-
-def _generator_rows(mat: CoboundaryMatrix) -> List[int]:
-    """Indices, in order, of the rows of mat whose first argument is one of
-    ``generators(mat.group)``.  By the lemma in the module docstring they
-    decide, for degree >= 1, which cochains x have A x = 0 and, for cocycle
-    targets b, which have A x = b."""
-    G = mat.group
-    size = (G.order - 1) ** mat.degree  # the rows with one first argument
-    rows = []
-    for s in generators(G):
-        start = _tuple_index(G, (s,)) * size
-        rows.extend(range(start, start + size))
-    return rows
 
 
 class SNF:
@@ -340,11 +324,9 @@ class Echelon:
     reverse order solves E x = T b.  ``kernel`` holds the rows of T whose E row
     is zero, in original row order: an integer basis of {z : z A = 0}.
 
-    A factorization of the rows of A indexed by ``keep`` is written in the row
-    indices of A all the same, so z A = 0 and u A = E still hold for the full
-    A.  The "echelon" factorization of d^2 is of this kind, on the rows whose
-    first argument is a generator; ``_solve`` may later append to its
-    ``kernel`` the functionals of ``_cocycle_functionals``, and then sets
+    A factorization of some rows of A, given by row index, keeps A's row
+    indices, so z A = 0 and u A = E hold for the full A.  That of A_S for d^2
+    is one; ``_solve`` may append rows of d^3 to its ``kernel`` and then sets
     ``extended``.
     """
 
@@ -474,20 +456,18 @@ def _choose_pivot(work, cols: _Columns, urow=None):
     return r, c, False
 
 
-def _eliminate(rows: Sequence[Sparse], ncols: int, track: bool = True,
-               keep: Optional[Sequence[int]] = None):
+def _eliminate(rows: Dict[int, Sparse], ncols: int, track: bool = True):
     """(pivots, work, colrows, kernel) for echelon_form, or, without ``track``
     (no T, u empty in the pivots), for _h2_basis: then elimination stops at the
-    first column without a unit entry, leaving the rows in ``work``.  Only the
-    rows indexed by ``keep`` take part (all by default); rows keep their
-    indices, in ``work`` and in T."""
+    first column without a unit entry, leaving the rows in ``work``.  Rows are
+    given by index and keep it, in ``work`` and in T."""
     work, urow = {}, {}
     colrows = [set() for _ in range(ncols)]
     zero = []
-    for i in range(len(rows)) if keep is None else keep:
+    for i, row in rows.items():
         if track:
             urow[i] = {i: 1}
-        entries = {j: v for j, v in rows[i] if v}
+        entries = {j: v for j, v in row if v}
         if entries:
             work[i] = entries
             for j in entries:
@@ -532,10 +512,10 @@ def _eliminate(rows: Sequence[Sparse], ncols: int, track: bool = True,
     return pivots, work, colrows, kernel
 
 
-def echelon_form(rows: Sequence[Sparse], ncols: int,
-                 keep: Optional[Sequence[int]] = None) -> Echelon:
+def echelon_form(rows, ncols: int) -> Echelon:
     """Sparse unimodular row echelon form of the matrix with these sparse rows,
-    or of its rows indexed by ``keep``, with T still indexed by all the rows.
+    given as a sequence, or as a dict from row index to row when only some
+    rows of a matrix are factored; T is indexed by row index either way.
 
     Pivots are unit entries where any exist, chosen Markowitz-style as in
     Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
@@ -544,7 +524,8 @@ def echelon_form(rows: Sequence[Sparse], ncols: int,
     combines of its rows.  Every tie is broken by index, so the result is
     deterministic.
     """
-    pivots, _, _, kernel = _eliminate(rows, ncols, keep=keep)
+    rows = rows if isinstance(rows, dict) else dict(enumerate(rows))
+    pivots, _, _, kernel = _eliminate(rows, ncols)
     return Echelon(len(rows), ncols, pivots, kernel)
 
 
@@ -564,14 +545,12 @@ class H2Basis:
         self.generators = generators
 
 
-def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
+def _h2_basis(group: Group) -> H2Basis:
     """Invariant factors and class generators of H^2 from d^2, kept sparse.
 
-    Only the rows A_S of d^2 whose first argument is a generator are
-    eliminated.  By the lemma in the module docstring, a 2-cochain x with
-    A_S x = 0 has A x = 0, over Q/Z and over Z alike, so A_S and A have the
-    same kernel over Q/Z, hence the same invariant factors above 1, and every
-    generator below is a cocycle of the full A.
+    Only A_S is eliminated: it has the kernel of A over Q/Z (module
+    docstring), hence the same invariant factors above 1, and every generator
+    below is a cocycle of the full A.
 
     The unit pivots of _eliminate, without T, each split a 1 off the Smith
     form, so Smith(A_S) = 1^u + Smith(S) for the rows S left (Dumas, Saunders
@@ -582,9 +561,9 @@ def _h2_basis(mat: CoboundaryMatrix) -> H2Basis:
     and columns left free, give integer cocycles: coboundaries over Q/Z, since
     H^2(G, Q) = 0, so they are not kept.
     """
-    M = mat.group.order
-    pivots, work, colrows, _ = _eliminate(mat.sparse, len(mat.cols), track=False,
-                                          keep=_generator_rows(mat))
+    M = group.order
+    pivots, work, colrows, _ = _eliminate(_factored_rows(group, 2), (M - 1) ** 2,
+                                          track=False)
     # the residual, on its own columns, with repeated rows (up to sign) dropped
     live = sorted(c for c, rs in enumerate(colrows) if rs)
     residual = set()
@@ -619,28 +598,12 @@ def _dot(z: Sparse, vec: Sequence[int]) -> int:
     return s
 
 
-def _tuple_index(group: Group, args: tuple) -> int:
-    """Lexicographic index of an identity-free tuple among those of its length."""
-    e, base, i = group.identity, group.order - 1, 0
-    for a in args:
-        i = i * base + a - (a > e)
-    return i
-
-
-def numerators(c: Cochain, D: int) -> List[int]:
-    """c as integer numerators over D, a multiple of its denominators, indexed
-    like the columns of ``coboundary_matrix(c.group, c.degree)``."""
-    vec = [0] * (c.group.order - 1) ** c.degree
-    for t, v in c.values.items():
-        vec[_tuple_index(c.group, t)] = v.num * (D // v.den)
-    return vec
-
-
 def integer_coboundary(mat: CoboundaryMatrix, x: Sequence[int]) -> List[int]:
     """A x: the coboundary of numerators x over some D, indexed like
-    ``mat.cols``, as exact numerators over the same D, indexed like ``mat.rows``.
-    On the cyclic group of order 3, df(a, b) = f(b) - f(ab) + f(a), and a term
-    at the identity vanishes:
+    ``mat.cols``, as exact numerators over the same D, indexed like ``mat.rows``;
+    it checks degree-1 witnesses, and ``cochains._coboundary_numerators`` gives
+    the same values without a matrix.  On the cyclic group of order 3,
+    df(a, b) = f(b) - f(ab) + f(a), and a term at the identity vanishes:
 
     >>> from modcat.groups import cyclic_group
     >>> mat = coboundary_matrix(cyclic_group(3), 1)
@@ -652,11 +615,11 @@ def integer_coboundary(mat: CoboundaryMatrix, x: Sequence[int]) -> List[int]:
     return [_dot(row, x) for row in mat.sparse]
 
 
-def _in_left_kernel(z: Sparse, mat: CoboundaryMatrix) -> bool:
-    """z A = 0, by one sparse vector-matrix product."""
+def _in_left_kernel(z: Sparse, rows) -> bool:
+    """z A = 0, by one sparse vector-matrix product; ``rows[k]`` is row k of A."""
     acc = {}
     for k, c in z:
-        for j, v in mat.sparse[k]:
+        for j, v in rows[k]:
             acc[j] = acc.get(j, 0) + c * v
     return not any(acc.values())
 
@@ -674,18 +637,32 @@ def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
     return mat
 
 
+def _factored_rows(group: Group, degree: int):
+    """The rows of d^degree that its factorizations eliminate, by row index:
+    for degree 1 all, as ``coboundary_matrix(group, 1).sparse``; from degree 2
+    on, a memoized dict of those whose first argument lies in S, built from
+    the table (A_S for d^2, see the module docstring)."""
+    if degree == 1:
+        return coboundary_matrix(group, 1).sparse
+    key = ("rows", degree)
+    rows = group._cache.get(key)
+    if rows is None:
+        elems = [x for x in group.elements() if x != group.identity]
+        rows = group._cache[key] = _coboundary_rows(
+            group, degree, product(generators(group), *[elems] * degree))
+    return rows
+
+
 def _factor(group: Group, degree: int, kind: str):
-    """The memoized factorization of d^degree: "echelon" (an Echelon, of the
-    generator rows from degree 2 on) or "smith" (an H2Basis, for degree 2)."""
+    """The memoized factorization of d^degree: "echelon" (an Echelon of
+    ``_factored_rows``) or "smith" (an H2Basis, for degree 2)."""
     key = (kind, degree)
     got = group._cache.get(key)
     if got is None:
-        mat = coboundary_matrix(group, degree)
         if kind == "echelon":
-            keep = _generator_rows(mat) if degree >= 2 else None
-            got = echelon_form(mat.sparse, len(mat.cols), keep)
+            got = echelon_form(_factored_rows(group, degree), (group.order - 1) ** degree)
         else:
-            got = _h2_basis(mat)
+            got = _h2_basis(group)
         group._cache[key] = got
     return got
 
@@ -693,22 +670,11 @@ def _factor(group: Group, degree: int, kind: str):
 # ----------------------------------------------------------------------------
 # solving
 
-def _cocycle_functionals(group: Group, n: int) -> List[Sparse]:
-    """The rows of d^n whose first argument is a generator, derived from the
-    table, as functionals on the rows of d^(n-1).  Each satisfies z A = 0 for
-    A = d^(n-1), because d d = 0, and by the lemma in the module docstring
-    they all vanish on an n-cochain exactly when it is a cocycle."""
-    cols = coboundary_matrix(group, n - 1).rows
-    elems = [x for x in group.elements() if x != group.identity]
-    return _coboundary_rows(group, n, product(generators(group), *[elems] * n),
-                            {t: i for i, t in enumerate(cols)})
-
-
-def _first_obstruction(kernel: Sequence[Sparse], b: Sequence[int], D: int,
-                       start: int = 0) -> Optional[int]:
-    """Index of the first functional from ``start`` on with z . b != 0 mod D."""
-    for i in range(start, len(kernel)):
-        if _dot(kernel[i], b) % D:
+def _first_obstruction(kernel: Sequence[Sparse], b: Sequence[int],
+                       D: int) -> Optional[int]:
+    """Index of the first functional with z . b != 0 mod D."""
+    for i, z in enumerate(kernel):
+        if _dot(z, b) % D:
             return i
     return None
 
@@ -731,41 +697,42 @@ def _back_substitute(ech: Echelon, b: Sequence[int], D: int) -> Tuple[List[int],
 
 def _solve(group: Group, n: int, b: Sequence[int], D: int):
     """(witness or None, obstruction index or None) for a degree-n target,
-    n in (2, 3), given as numerators b over D like the rows of
-    ``coboundary_matrix(group, n - 1)``.  A witness is returned only after
-    A x = b in Q/Z is checked by the integer product; None only after the
-    obstruction functional z, ``_factor(group, n - 1, "echelon").kernel[i]``
-    for the index i returned, is checked to satisfy z A = 0.
+    n in (2, 3), given as numerators b over D like the rows of d^(n-1).  A
+    witness x is returned only after A x = b in Q/Z is checked on every row
+    (module docstring); None only after the obstruction functional z,
+    ``_factor(group, n - 1, "echelon").kernel[i]`` for the index i returned,
+    is checked to satisfy z A = 0.
 
-    For n = 3 the factorization covers only the rows of A whose first
-    argument is a generator, so its kernel and back-substitution give
-    A x = b on those rows.  When b is a cocycle, A x - b is a cocycle that
-    vanishes there, hence zero (the lemma in the module docstring).  So a
-    witness that fails the check proves b is not a cocycle, and a row of d^3
-    from ``_cocycle_functionals`` that does not vanish on b is the
-    obstruction; those rows are appended to the kernel, once, to name it.
+    For n = 3 back-substitution gives A_S x = b_S, hence A x = b when b is a
+    cocycle.  So a witness that fails the check proves b is not a cocycle,
+    and the first row of d^3 with first argument in S that does not vanish
+    on b is the obstruction (z A = 0 as d d = 0, and by the lemma they all
+    vanish exactly on cocycles).  Those rows are appended to the kernel, once;
+    they reach rows of d^2 outside A_S, so their check reads the full d^2.
     """
     if not any(v % D for v in b):
         return zero_cochain(group, n - 1), None
 
-    mat = coboundary_matrix(group, n - 1)
     ech = _factor(group, n - 1, "echelon")
     i = _first_obstruction(ech.kernel, b, D)
     if i is None:
         x, den = _back_substitute(ech, b, D)
         scale = den // D
-        if not any((v - t * scale) % den
-                   for v, t in zip(integer_coboundary(mat, x), b)):
-            return Cochain(group, n - 1, {mat.cols[j]: QZ(v, den)
-                                          for j, v in enumerate(x) if v}), None
+        d1 = coboundary_matrix(group, 1)  # its columns and rows: the 1- and 2-tuples
+        dx = integer_coboundary(d1, x) if n == 2 else _coboundary_numerators(group, 2, x)
+        if not any((v - t * scale) % den for v, t in zip(dx, b)):
+            f = {(d1.cols if n == 2 else d1.rows)[j]: QZ(v, den) for j, v in enumerate(x) if v}
+            return Cochain(group, n - 1, f), None
         if n >= 3 and not ech.extended:
-            start = len(ech.kernel)
-            ech.kernel.extend(_cocycle_functionals(group, n))
+            ech.kernel.extend(_factored_rows(group, n).values())
             ech.extended = True
-            i = _first_obstruction(ech.kernel, b, D, start)
+            i = _first_obstruction(ech.kernel, b, D)
         if i is None:  # b passes every functional: a corrupt factorization
             raise InternalInvariantBroken("coboundary witness failed verification")
-    if not _in_left_kernel(ech.kernel[i], mat):
+    z, rows = ech.kernel[i], _factored_rows(group, n - 1)
+    if n >= 3 and any(k not in rows for k, _ in z):
+        rows = coboundary_matrix(group, n - 1).sparse
+    if not _in_left_kernel(z, rows):
         raise InternalInvariantBroken("obstruction functional failed verification")
     return None, i
 
@@ -807,7 +774,7 @@ class ClassSignature:
         self.matrix = coboundary_matrix(group, 1)
         self.kernel = _factor(group, 1, "echelon").kernel if group.order > 1 else []
         for z in self.kernel:
-            if not _in_left_kernel(z, self.matrix):
+            if not _in_left_kernel(z, self.matrix.sparse):
                 raise InternalInvariantBroken("kernel functional failed verification")
 
     def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
@@ -847,7 +814,8 @@ def h2_representatives(group: Group) -> List[Cochain]:
 
     The candidates are the sums of multiples m_k < d_k of the class generators
     of the degree-2 "smith" factorization, numerators over M = |group|, each
-    checked to be a cocycle by the integer product mod M.  Their
+    checked to be a cocycle mod M at every triple by the matrix-free integer
+    coboundary.  Their
     ClassSignatures (checked functionals) must all differ, which proves no two
     cohomologous, and count the order of H^2, which proves the list complete.
     """
@@ -869,11 +837,10 @@ def h2_representatives(group: Group) -> List[Cochain]:
         raise InternalInvariantBroken(
             f"found {found} cohomology classes, invariant factors give {expected}")
 
-    d2 = coboundary_matrix(group, 2)
     reps = []
     # numerators in [0, M) order like the QZ values they stand for
     for vec, _ in sorted(classes, key=lambda c: (any(c[0]), c[0])):
-        if any(v % M for v in integer_coboundary(d2, vec)):
+        if any(v % M for v in _coboundary_numerators(group, 2, vec)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
         reps.append(Cochain(group, 2, {t: QZ(v, M) for t, v in zip(pairs, vec) if v}))
     return reps

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cochains import (Cochain, combine, conjugate_cochain, is_cocycle,
-                       nonidentity_tuples, restrict)
-from .cohomology import coboundary_matrix, integer_coboundary, numerators
+from .cochains import (Cochain, _coboundary_numerators, combine, conjugate_cochain,
+                       is_cocycle, nonidentity_tuples, numerators, restrict)
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
 from .groups import Group, Subgroup, conjugate_subgroup
@@ -147,8 +146,8 @@ def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
 
 
 def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPair:
-    """Check d(psi) = omega|_H by one sparse integer product with H's degree-2
-    coboundary matrix, on numerators over a common denominator, and return the
+    """Check d(psi) = omega|_H at every triple of H, on integer numerators over
+    a common denominator (the matrix-free integer coboundary), and return the
     algebra pair.  Raises NotCompatible carrying the least failing triple of
     H-local indices."""
     if psi.degree != 2:
@@ -156,14 +155,13 @@ def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPai
     view = H.as_group()
     if psi.group != view:
         raise NotCompatible("psi does not live on the subgroup view")
-    mat = coboundary_matrix(view, 2)
     D = lcm(cat.den, *(v.den for v in psi.values.values()))
-    dpsi = integer_coboundary(mat, numerators(psi, D))
-    for i, (u, w) in enumerate(zip(dpsi, numerators(restrict(cat.omega, H), D))):
+    dpsi = _coboundary_numerators(view, 2, numerators(psi, D))
+    for t, u, w in zip(nonidentity_tuples(view, 3), dpsi,
+                       numerators(restrict(cat.omega, H), D)):
         if (u - w) % D:
             raise NotCompatible(
-                f"d(psi) differs from the restricted 3-cocycle at {mat.rows[i]}",
-                witness=mat.rows[i])
+                f"d(psi) differs from the restricted 3-cocycle at {t}", witness=t)
     return AlgebraPair(cat, H, psi)
 
 

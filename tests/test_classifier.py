@@ -433,16 +433,41 @@ def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
     for k, z in enumerate(kernel):
         (j, c), *rest = z
         bad = ((j, c + (1 if c > 0 else -1)), *rest)  # z A + (row j of A), never 0
-        assert not cohomology._in_left_kernel(bad, mat)
+        assert not cohomology._in_left_kernel(bad, mat.sparse)
 
-        def tampered(rows, ncols, keep=None, k=k, bad=bad):
-            ech = real(rows, ncols, keep)
+        def tampered(rows, ncols, k=k, bad=bad):
+            ech = real(rows, ncols)
             if rows == mat.sparse:  # d^1 of every group with L's table
                 ech.kernel[k] = bad
             return ech
         monkeypatch.setattr(cohomology, "echelon_form", tampered)
         with pytest.raises(InternalInvariantBroken):
             classify(kp_category().category)
+
+
+def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
+    """Factorizations read only the generator rows of d^2, and every full-row
+    check runs matrix-free, so classify, verify, H^2 and solves on cocycle
+    targets never build a coboundary matrix of degree 2 or more."""
+    real = cohomology.CoboundaryMatrix.__init__
+
+    def init(self, group, degree):
+        if degree >= 2:
+            raise AssertionError(f"a degree-{degree} coboundary matrix was built")
+        real(self, group, degree)
+
+    monkeypatch.setattr(cohomology.CoboundaryMatrix, "__init__", init)
+    rng = random.Random(3)
+    for name in ("kp", "cyclic12-2", "dihedral12-sign", "D8xZ2"):
+        cat = ORACLE_CASES[name]()
+        classify(cat).verify()
+        G = cat.group
+        assert len(cohomology.h2_representatives(G)) == cohomology.h2_order(G)
+        exact = coboundary(random_cochain(G, 2, rng))
+        targets = (cat.omega, exact, combine(cat.omega, exact, (1, 1)))
+        witnesses = [cohomology.solve_coboundary(t) for t in targets]
+        assert witnesses[1] is not None and (witnesses[0] is None) == (witnesses[2] is None)
+        assert all(w is None or coboundary(w) == t for w, t in zip(witnesses, targets))
 
 
 # --- verify() checks the partition -------------------------------------------

@@ -195,6 +195,21 @@ def test_malformed_psi_json_is_input_error(capsys, psi):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "cyclic:4", "--omega", "cyclic:x:1"],
+    ["cocycle-check", "--group", "cyclic:4", "--cocycle", "cyclic:4:z"],
+    ["omega-g", "--group", "kp", "--omega", "kp", "--g", "x", "--restrict", "0,1,y"],
+    ["equiv", "--group", "kp", "--omega", "trivial",
+     "--pair1", "H=5;psi=zero", "--pair2", "full:zero"],
+    ["equiv", "--group", "kp", "--omega", "trivial",
+     "--pair1", "H=[0, true];psi=zero", "--pair2", "full:zero"],
+], ids=["omega-cyclic-n", "cocycle-cyclic-q", "restrict-token", "members-int",
+        "members-bool"])
+def test_malformed_spec_is_input_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+
+
 def test_bad_pair_spec(capsys):
     code, _, err = run(capsys, "equiv", "--group", "cyclic:2",
                        "--omega", "trivial",

@@ -10,6 +10,7 @@ from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
                     is_cohomologous,
                     kp_category, kp_group, nonidentity_tuples, restrict,
                     smith_normal_form, solve_coboundary, subgroups, zero_cochain)
+from modcat.cochains import _coboundary_numerators
 from modcat.cohomology import (coboundary_matrix, image_obstruction,
                                integer_coboundary, numerators)
 from oracles import (bareiss_det, brute_coboundary_witness,
@@ -84,6 +85,7 @@ def test_integer_coboundary_matches_coboundary(G, degree):
                                       zip(mat.rows, integer_coboundary(mat, x))})
         assert got == coboundary(f)
         assert is_cocycle(f) == (not any(v % D for v in integer_coboundary(mat, x)))
+        assert _coboundary_numerators(G, degree, x) == integer_coboundary(mat, x)
 
 
 def test_tampered_smith_generator_makes_h2_representatives_raise():

@@ -154,6 +154,10 @@ def test_validate_pair_reports_the_least_failing_triple(kp):
     c16 = builtin_group("cyclic:16")
     cases.append((PointedCategory(c16, cyclic_3cocycle(c16, 1)),
                   Subgroup(c16, range(16)), None, (1, 1, 15)))
+    # one triple in all: dropping any row of the comparison loses the failure
+    c2 = builtin_group("cyclic:2")
+    cases.append((PointedCategory(c2, cyclic_3cocycle(c2, 1)),
+                  Subgroup(c2, range(2)), None, (1, 1, 1)))
     for cat, H, psi, triple in cases:
         with pytest.raises(NotCompatible) as exc:
             validate_pair(cat, H, psi or zero_cochain(H.as_group(), 2))
