@@ -380,7 +380,8 @@ def _index(value, bound: int, where: str) -> int:
 def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
     """Rebuild a report against a category and re-verify it completely.
 
-    A missing or mistyped field, or an index out of range, is a ParseError.
+    A missing or mistyped field, or an index out of range, is a ParseError;
+    a pair that does not satisfy d(psi) = omega|_H fails in ``verify``.
     """
     G = group_from_json(_field(data, "group", dict, "report"))
     if G != cat.group:
@@ -399,7 +400,7 @@ def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
         psi = cochain_from_json({"degree": 2,
                                  "values": _field(entry, "psi", list, "pair")},
                                 group=H.as_group())
-        pairs.append(validate_pair(cat, H, psi))
+        pairs.append(AlgebraPair(cat, H, psi))  # checked once, by verify()
     blocks = []
     for blk in _field(data, "classes", list, "report"):
         rep = _index(_field(blk, "representative", int, "class"), len(pairs),

@@ -22,9 +22,9 @@ with de = 0 that vanishes wherever its first argument lies in S is zero.
 Applied to e = A x, always a cocycle, this gives ker A_S = ker A over any
 coefficients; applied to e = A x - b for a cocycle target b, it shows that
 A_S x = b_S implies A x = b.  A target that is not a cocycle is caught by a
-row of d^3 with first argument in S.  A_S holds |S| / (|G| - 1) of the rows
-of A (2 of 15 for the dihedral group of order 16), and is all of d^2 that is
-built (``_factored_rows``), except to check such a row of d^3.
+row of d^3 with first argument in S, built alone when needed.  A_S holds
+|S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of order
+16); no coboundary matrix of degree 2 or more is built (``_factored_rows``).
 
 H^2 comes from A_S by sparse elimination on unit pivots, which splits a 1
 off the Smith form per pivot, followed by a dense Smith normal form (V only)
@@ -33,13 +33,13 @@ order of H^2(G, Q/Z); its V columns, lifted back through the unit pivots,
 give one 2-cocycle per cyclic factor.  The kernel functionals of the
 degree-1 matrix tell the H^2 classes apart.
 
-Factorizations are memoized per (group, kind, degree) on the group object.
+Factorizations are memoized, write-once, per (group, kind, degree) on the group.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -326,18 +326,17 @@ class Echelon:
 
     A factorization of some rows of A, given by row index, keeps A's row
     indices, so z A = 0 and u A = E hold for the full A.  That of A_S for d^2
-    is one; ``_solve`` may append rows of d^3 to its ``kernel`` and then sets
-    ``extended``.
+    is one.  Nothing changes an Echelon after it is built: a memoized one
+    answers every later solve the same way.
     """
 
-    __slots__ = ("nrows", "ncols", "pivots", "kernel", "extended")
+    __slots__ = ("nrows", "ncols", "pivots", "kernel")
 
     def __init__(self, nrows: int, ncols: int, pivots, kernel):
         self.nrows = nrows
         self.ncols = ncols
         self.pivots = pivots
         self.kernel = kernel
-        self.extended = False
 
 
 # columns with a unit entry examined per pivot choice (a Markowitz search
@@ -639,9 +638,9 @@ def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
 
 def _factored_rows(group: Group, degree: int):
     """The rows of d^degree that its factorizations eliminate, by row index:
-    for degree 1 all, as ``coboundary_matrix(group, 1).sparse``; from degree 2
-    on, a memoized dict of those whose first argument lies in S, built from
-    the table (A_S for d^2, see the module docstring)."""
+    for degree 1 all, as ``coboundary_matrix(group, 1).sparse``; for degree 2
+    a memoized dict of those whose first argument lies in S, built from the
+    table (A_S, see the module docstring)."""
     if degree == 1:
         return coboundary_matrix(group, 1).sparse
     key = ("rows", degree)
@@ -670,15 +669,6 @@ def _factor(group: Group, degree: int, kind: str):
 # ----------------------------------------------------------------------------
 # solving
 
-def _first_obstruction(kernel: Sequence[Sparse], b: Sequence[int],
-                       D: int) -> Optional[int]:
-    """Index of the first functional with z . b != 0 mod D."""
-    for i, z in enumerate(kernel):
-        if _dot(z, b) % D:
-            return i
-    return None
-
-
 def _back_substitute(ech: Echelon, b: Sequence[int], D: int) -> Tuple[List[int], int]:
     """(x, den): x solves E x = T b in Q/Z, as numerators over den, a multiple
     of D, given b as numerators over D."""
@@ -699,22 +689,24 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     """(witness or None, obstruction index or None) for a degree-n target,
     n in (2, 3), given as numerators b over D like the rows of d^(n-1).  A
     witness x is returned only after A x = b in Q/Z is checked on every row
-    (module docstring); None only after the obstruction functional z,
-    ``_factor(group, n - 1, "echelon").kernel[i]`` for the index i returned,
-    is checked to satisfy z A = 0.
+    (module docstring); None only after the obstruction functional z named by
+    the index i returned, ``_factor(group, n - 1, "echelon").kernel[i]`` or a
+    row of d^3 (below), is checked to satisfy z A = 0.
 
     For n = 3 back-substitution gives A_S x = b_S, hence A x = b when b is a
     cocycle.  So a witness that fails the check proves b is not a cocycle,
     and the first row of d^3 with first argument in S that does not vanish
     on b is the obstruction (z A = 0 as d d = 0, and by the lemma they all
-    vanish exactly on cocycles).  Those rows are appended to the kernel, once;
-    they reach rows of d^2 outside A_S, so their check reads the full d^2.
+    vanish exactly on cocycles).  The matrix-free core finds it; the k-th
+    such row, in ``product(S, elems, elems, elems)`` order, has index
+    ``len(kernel) + k``, and only it and the at most n + 2 rows of d^2 it
+    reaches are built to check it.
     """
     if not any(v % D for v in b):
         return zero_cochain(group, n - 1), None
 
     ech = _factor(group, n - 1, "echelon")
-    i = _first_obstruction(ech.kernel, b, D)
+    i = next((i for i, z in enumerate(ech.kernel) if _dot(z, b) % D), None)
     if i is None:
         x, den = _back_substitute(ech, b, D)
         scale = den // D
@@ -723,15 +715,21 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
         if not any((v - t * scale) % den for v, t in zip(dx, b)):
             f = {(d1.cols if n == 2 else d1.rows)[j]: QZ(v, den) for j, v in enumerate(x) if v}
             return Cochain(group, n - 1, f), None
-        if n >= 3 and not ech.extended:
-            ech.kernel.extend(_factored_rows(group, n).values())
-            ech.extended = True
-            i = _first_obstruction(ech.kernel, b, D)
-        if i is None:  # b passes every functional: a corrupt factorization
+        # a failed witness for a cocycle b (any b if n = 2): a corrupt factorization
+        S = generators(group)
+        db = _coboundary_numerators(group, n, b, S) if n == 3 else ()
+        k = next((k for k, v in enumerate(db) if v % D), None)
+        if k is None:
             raise InternalInvariantBroken("coboundary witness failed verification")
-    z, rows = ech.kernel[i], _factored_rows(group, n - 1)
-    if n >= 3 and any(k not in rows for k, _ in z):
-        rows = coboundary_matrix(group, n - 1).sparse
+        elems = [a for a in group.elements() if a != group.identity]
+        args = next(islice(product(S, *[elems] * n), k, None))
+        faces = [args[1:], args[:-1]] + [
+            args[:j] + (group.table[args[j]][args[j + 1]],) + args[j + 2:] for j in range(n)]
+        [z] = _coboundary_rows(group, n, [args]).values()
+        rows = _coboundary_rows(group, n - 1, [t for t in faces if group.identity not in t])
+        i = len(ech.kernel) + k
+    else:
+        z, rows = ech.kernel[i], _factored_rows(group, n - 1)
     if not _in_left_kernel(z, rows):
         raise InternalInvariantBroken("obstruction functional failed verification")
     return None, i
@@ -749,7 +747,7 @@ def solve_coboundary(target: Cochain) -> Optional[Cochain]:
     """A cochain f with df = target, or None when the class is nontrivial.
 
     Witnesses are re-verified by the integer coboundary product before being
-    returned, and obstructions are checked against the coboundary matrix.
+    returned, and obstructions are checked against the rows of d they read.
     """
     witness, _ = _solve_cochain(target)
     return witness
@@ -784,8 +782,8 @@ class ClassSignature:
 def image_obstruction(target: Cochain) -> Optional[int]:
     """Index of the functional certifying target is not a coboundary (None if
     it is one): a kernel row of the factorization that _solve uses, or, for a
-    degree-3 target that is not a cocycle, possibly a row of d^3 appended
-    after them (see _solve)."""
+    degree-3 target that is not a cocycle, len(kernel) + k for the k-th row of
+    d^3 with first argument in ``generators(G)``, in lexicographic order."""
     _, row = _solve_cochain(target)
     return row
 

@@ -10,7 +10,8 @@ from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     admissible_subgroups, big_omega, classify, coboundary,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
-                    kp_category, report_from_json, report_to_json, restrict,
+                    generators, kp_category, nonidentity_tuples, report_from_json,
+                    report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
@@ -318,6 +319,21 @@ def test_checks_use_no_qz_cochain_arithmetic(monkeypatch):
     assert len(cohomology.h2_representatives(fresh_view)) == 2
 
 
+def test_report_from_json_checks_each_pair_once(monkeypatch):
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    module, calls = importlib.import_module("modcat.classify"), []
+    real = module.validate_pair
+
+    def counted(cat, H, psi):
+        calls.append(H.members)
+        return real(cat, H, psi)
+
+    monkeypatch.setattr(module, "validate_pair", counted)
+    report = report_from_json(data, kp.category)
+    assert len(calls) == len(report.pairs) == 10
+
+
 @pytest.mark.parametrize("key", ["group", "omega", "pairs", "classes"])
 def test_report_from_json_missing_or_mistyped_key_is_parse_error(key):
     from modcat import ParseError
@@ -447,8 +463,9 @@ def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
 
 def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
     """Factorizations read only the generator rows of d^2, and every full-row
-    check runs matrix-free, so classify, verify, H^2 and solves on cocycle
-    targets never build a coboundary matrix of degree 2 or more."""
+    check runs matrix-free, so classify, verify, H^2 and solves never build a
+    coboundary matrix of degree 2 or more, not even for a target that is not
+    a cocycle."""
     real = cohomology.CoboundaryMatrix.__init__
 
     def init(self, group, degree):
@@ -468,6 +485,13 @@ def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
         witnesses = [cohomology.solve_coboundary(t) for t in targets]
         assert witnesses[1] is not None and (witnesses[0] is None) == (witnesses[2] is None)
         assert all(w is None or coboundary(w) == t for w, t in zip(witnesses, targets))
+        # changed at a tuple whose first argument is not a generator, so it
+        # passes every kernel functional and is caught by a row of d^3
+        S = set(generators(G))
+        t = next(t for t in nonidentity_tuples(G, 3) if t[0] not in S)
+        bad = combine(exact, Cochain(G, 3, {t: QZ(1, 2)}), (1, 1))
+        row = cohomology.image_obstruction(bad)
+        assert row >= len(cohomology._factor(G, 2, "echelon").kernel)
 
 
 # --- verify() checks the partition -------------------------------------------

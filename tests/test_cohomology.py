@@ -434,9 +434,13 @@ def test_h2_order_matches_the_homology_oracle_on_small_views(G):
     assert len(checked) > 3
 
 
-@pytest.mark.parametrize("G", [kp_group(), cyclic_group(12), dihedral_group(12)],
+# the obstruction indices below are those the solver gave when it still
+# appended every generator row of d^3 to the memoized degree-2 kernel
+@pytest.mark.parametrize("G, pinned", [(kp_group(), [0, 62, 252, 268]),
+                                       (cyclic_group(12), [0, 607, 995, 468]),
+                                       (dihedral_group(12), [0, 849, 1237, 589])],
                          ids=["kp", "Z12", "D12"])
-def test_non_cocycle_degree_3_targets_are_certified_non_coboundaries(G):
+def test_non_cocycle_degree_3_targets_are_certified_non_coboundaries(G, pinned):
     rng = random.Random(G.order + 3)
     S = set(generators(G))
     eliminated = len(cohomology._factor(G, 2, "echelon").kernel)
@@ -456,3 +460,18 @@ def test_non_cocycle_degree_3_targets_are_certified_non_coboundaries(G):
         assert obstruction_holds(target, rows[-1])
     # the changed coboundaries were caught by rows of d^3, after the kernel
     assert all(row >= eliminated for row in rows[1:])
+    assert rows == pinned
+
+
+def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
+    G = direct_product(dihedral_group(8), cyclic_group(2))
+    exact = coboundary(random_cochain(G, 2, random.Random(5), den=4))
+    witness = solve_coboundary(exact)
+    assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
+    S = set(generators(G))
+    t = next(t for t in nonidentity_tuples(G, 3) if t[0] not in S)
+    bad = combine(exact, Cochain(G, 3, {t: QZ(1, 4)}), (1, 1))
+    assert not is_cocycle(bad) and image_obstruction(bad) >= 465
+    assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
+    assert solve_coboundary(exact) == witness and coboundary(witness) == exact
+    assert ("dmat", 2) not in G._cache
