@@ -17,9 +17,9 @@ import hashlib
 from math import lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cochains import Cochain, cochain_from_json, combine, restrict
-from .cohomology import (ClassSignature, _solve, coboundary_matrix,
-                         h2_representatives, integer_coboundary, numerators)
+from .cochains import Cochain, cochain_from_json, restrict
+from .cohomology import (_class_signature, _h2_vectors, _solve, coboundary_matrix,
+                         integer_coboundary, numerators)
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
@@ -70,12 +70,17 @@ def admissible_subgroups(cat: PointedCategory) -> List[Tuple[Subgroup, Cochain]]
 
 def enumerate_pairs(cat: PointedCategory) -> List[AlgebraPair]:
     """All pairs (H, psi0 + r) over admissible H and H^2 representatives r,
-    valid by linearity: the solver checks its witness d(psi0) = omega|_H once
-    per subgroup, and h2_representatives checks d(r) = 0."""
+    summed as integers, valid by linearity: the solver checks its witness
+    d(psi0) = omega|_H once per subgroup, and _h2_vectors checks d(r) = 0."""
     out = []
     for H, psi0 in admissible_subgroups(cat):
-        for rep in h2_representatives(H.as_group()):
-            out.append(AlgebraPair(cat, H, combine(psi0, rep, (1, 1))))
+        view = H.as_group()
+        D = lcm(view.order, *(v.den for v in psi0.values.values()))
+        base, tuples = numerators(psi0, D), coboundary_matrix(view, 1).rows
+        for vec in _h2_vectors(view):
+            psi = ((a + D // view.order * r) % D for a, r in zip(base, vec))
+            out.append(AlgebraPair(cat, H, Cochain(view, 2, {
+                t: QZ(v, D) for t, v in zip(tuples, psi) if v})))
     return out
 
 
@@ -245,8 +250,8 @@ def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
 def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
     """The orbits of G on the pairs, as sorted index lists.
 
-    A pair (H, psi) is keyed by (H.members, sig_H(psi)), with sig_H the exact
-    ClassSignature of H over one common denominator D.  Each pair not yet
+    A pair (H, psi) is keyed by (H.members, sig_H(psi)), with sig_H the
+    _class_signature of H over one common denominator D.  Each pair not yet
     placed is moved by every g in G to psi^g + big_omega(g)|_L on L = g^-1 H g;
     its class is every pair whose key an image hits.  The moves come from the
     category's table (_move), whose ``fixed`` flag skips a g moving nothing.
@@ -263,7 +268,7 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
             classes += [[i] for i in todo]
             continue
         for S in block:
-            sig = sigs[S.members] = ClassSignature(S.as_group())
+            sig = sigs[S.members] = _class_signature(S.as_group())
             for i in on.get(S.members, ()):
                 vecs[i] = numerators(pairs[i].psi, D)
                 key_of[i] = (S.members, sig(vecs[i], D))

@@ -116,10 +116,6 @@ def load_pair(spec: str, cat: PointedCategory):
     return validate_pair(cat, H, psi)
 
 
-def _element(group: Group, token: str) -> int:
-    return group.element_index(token)
-
-
 def _check_limit(group: Group, limit: int):
     if group.order > limit:
         raise SizeLimitExceeded(
@@ -226,7 +222,7 @@ def cmd_omega_g(args) -> int:
     G = load_group(args.group)
     _check_limit(G, args.size_limit)
     cat = load_category(args.omega, G)
-    g = _element(G, args.g)
+    g = G.element_index(args.g)
     tw = big_omega(cat, g)
     if args.restrict:
         members = _ints(args.restrict.split(","), "--restrict")

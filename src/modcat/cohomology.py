@@ -30,8 +30,8 @@ H^2 comes from A_S by sparse elimination on unit pivots, which splits a 1
 off the Smith form per pivot, followed by a dense Smith normal form (V only)
 of the few rows and columns that are left.  Its invariant factors give the
 order of H^2(G, Q/Z); its V columns, lifted back through the unit pivots,
-give one 2-cocycle per cyclic factor.  The kernel functionals of the
-degree-1 matrix tell the H^2 classes apart.
+give one 2-cocycle per cyclic factor.  A few kernel functionals of the
+degree-1 matrix, at most log2 |H^2| of them, tell its classes apart.
 
 Factorizations are memoized, write-once, per (group, kind, degree) on the group.
 """
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice, product
-from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm, prod
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _tuple_index, combine,
                        nonidentity_tuples, numerators, zero_cochain)
@@ -314,7 +314,7 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
     return SNF(nrows, ncols, diag, U, V)
 
 
-class Echelon:
+class Echelon(NamedTuple):
     """T * A = E for a unimodular T, kept sparse; T is never built densely.
 
     ``pivots`` lists the nonzero rows of E in elimination order as tuples
@@ -330,13 +330,10 @@ class Echelon:
     answers every later solve the same way.
     """
 
-    __slots__ = ("nrows", "ncols", "pivots", "kernel")
-
-    def __init__(self, nrows: int, ncols: int, pivots, kernel):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.pivots = pivots
-        self.kernel = kernel
+    nrows: int
+    ncols: int
+    pivots: list
+    kernel: List[Sparse]
 
 
 # columns with a unit entry examined per pivot choice (a Markowitz search
@@ -757,22 +754,19 @@ class ClassSignature:
     """An exact invariant of 2-cochains on a group, modulo coboundaries.
 
     A cochain is given as integer numerators over a common denominator D,
-    indexed like ``matrix.rows`` (the rows of the degree-1 coboundary matrix
-    A).  Its signature pairs it with every kernel functional z of the
-    degree-1 echelon form, mod D.  Because Q/Z is divisible, two cochains have
-    equal signatures exactly when their difference is a coboundary: the test
-    _solve applies.  Every functional is checked to satisfy z A = 0 before it
-    is used, so a corrupt factorization can raise here but never tell a
-    coboundary apart from zero.
+    indexed like the rows of the degree-1 coboundary matrix A.  Its signature
+    pairs it, mod D, with ``kernel``: integer 2-cycles z, each checked to
+    satisfy z A = 0 before it is used, so a corrupt factorization can raise
+    here but never tell a coboundary apart from zero.  As H^2(G, Q/Z) =
+    Hom(H_2(G, Z), Q/Z), a few cycles tell every class apart (_h2_vectors).
     """
 
-    __slots__ = ("matrix", "kernel")
+    __slots__ = ("kernel",)
 
-    def __init__(self, group: Group):
-        self.matrix = coboundary_matrix(group, 1)
-        self.kernel = _factor(group, 1, "echelon").kernel if group.order > 1 else []
+    def __init__(self, group: Group, kernel: Sequence[Sparse]):
+        rows, self.kernel = coboundary_matrix(group, 1).sparse, tuple(kernel)
         for z in self.kernel:
-            if not _in_left_kernel(z, self.matrix.sparse):
+            if not _in_left_kernel(z, rows):
                 raise InternalInvariantBroken("kernel functional failed verification")
 
     def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
@@ -799,33 +793,43 @@ def h2_order(group: Group) -> int:
     Equals the torsion order of the cokernel of the degree-3 boundary map,
     read off the invariant factors of the degree-2 coboundary matrix.
     """
-    if group.order == 1:
-        return 1
-    out = 1
-    for d in _factor(group, 2, "smith").torsion:
-        out *= d
-    return out
+    return prod(_factor(group, 2, "smith").torsion)
 
 
-def h2_representatives(group: Group) -> List[Cochain]:
-    """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first.
+def _h2_vectors(group: Group) -> List[Tuple[int, ...]]:
+    """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first, as
+    numerators in [0, M) over M = |group| laid out like ``numerators``.
 
     The candidates are the sums of multiples m_k < d_k of the class generators
-    of the degree-2 "smith" factorization, numerators over M = |group|, each
-    checked to be a cocycle mod M at every triple by the matrix-free integer
-    coboundary.  Their
-    ClassSignatures (checked functionals) must all differ, which proves no two
-    cohomologous, and count the order of H^2, which proves the list complete.
+    of the degree-2 "smith" factorization: each generator is checked to be a
+    cocycle mod M at every triple by the matrix-free integer coboundary, so
+    every candidate is one.  Their signatures must all differ, which proves no
+    two cohomologous, and count the order of H^2, which proves the list
+    complete.  Their cycles are the kernel functionals of the degree-1 echelon
+    form that, in index order, still split the candidates; each at least
+    halves those left unsplit, so at most log2 |H^2| are kept.  Memoized, the
+    signature keys the orbit pass (_class_signature).
     """
-    if group.order == 1:
-        return [zero_cochain(group, 2)]
-    M = group.order
-    sig = ClassSignature(group)
-    pairs = sig.matrix.rows  # == coboundary_matrix(group, 2).cols
+    M, ncols, gens = group.order, (group.order - 1) ** 2, []
     basis = _factor(group, 2, "smith")
-    classes = [((0,) * len(pairs), sig((0,) * len(pairs), M))]
     for gen, d in zip(basis.generators, basis.torsion):
-        g = [dict(gen).get(p, 0) for p in range(len(pairs))]
+        entries = dict(gen)
+        g = [entries.get(j, 0) for j in range(ncols)]
+        if any(v % M for v in _coboundary_numerators(group, 2, g)):
+            raise InternalInvariantBroken("candidate representative is not a cocycle")
+        gens.append((g, d))
+    kept, unsplit = [], list(product(*(range(d) for _, d in gens)))
+    for z in _factor(group, 1, "echelon").kernel if len(unsplit) > 1 else ():
+        zg = [_dot(z, g) % M for g, _ in gens]
+        still = [m for m in unsplit if sum(a * b for a, b in zip(m, zg)) % M == 0]
+        if len(still) < len(unsplit):
+            kept.append(z)
+            unsplit = still
+            if len(unsplit) == 1:
+                break
+    sig = ClassSignature(group, kept)
+    classes = [((0,) * ncols, sig((0,) * ncols, M))]
+    for g, d in gens:
         gsig = sig(g, M)
         classes = [(tuple((a + m * b) % M for a, b in zip(vec, g)),
                     tuple((a + m * b) % M for a, b in zip(vsig, gsig)))
@@ -834,11 +838,20 @@ def h2_representatives(group: Group) -> List[Cochain]:
     if found != expected:
         raise InternalInvariantBroken(
             f"found {found} cohomology classes, invariant factors give {expected}")
-
-    reps = []
+    group._cache.setdefault("signature", sig)
     # numerators in [0, M) order like the QZ values they stand for
-    for vec, _ in sorted(classes, key=lambda c: (any(c[0]), c[0])):
-        if any(v % M for v in _coboundary_numerators(group, 2, vec)):
-            raise InternalInvariantBroken("candidate representative is not a cocycle")
-        reps.append(Cochain(group, 2, {t: QZ(v, M) for t, v in zip(pairs, vec) if v}))
-    return reps
+    return sorted((vec for vec, _ in classes), key=lambda vec: (any(vec), vec))
+
+
+def _class_signature(group: Group) -> ClassSignature:
+    """The memoized ClassSignature proved by _h2_vectors to tell H^2 apart."""
+    if "signature" not in group._cache:
+        _h2_vectors(group)
+    return group._cache["signature"]
+
+
+def h2_representatives(group: Group) -> List[Cochain]:
+    """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first."""
+    pairs, M = list(nonidentity_tuples(group, 2)), group.order
+    return [Cochain(group, 2, {t: QZ(v, M) for t, v in zip(pairs, vec) if v})
+            for vec in _h2_vectors(group)]

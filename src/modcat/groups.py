@@ -60,9 +60,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}."""
         t = self.table
@@ -143,10 +140,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @property
-    def index(self) -> int:
-        return self.parent.order // len(self.members)
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -347,19 +340,17 @@ def builtin_group(spec: str) -> Group:
 
 
 def _closure(G: Group, seed: Iterable[int]) -> tuple:
-    """Smallest subgroup containing ``seed``, as a sorted member tuple."""
-    mem = {G.identity}
-    frontier = [x for x in set(seed) if x not in mem]
-    mem.update(frontier)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(mem):
-                for p in (G.table[a][b], G.table[b][a]):
-                    if p not in mem:
-                        mem.add(p)
-                        new.append(p)
-        frontier = new
+    """Smallest subgroup containing ``seed``, as a sorted member tuple: every
+    element reached from the identity by right multiplication with seed
+    elements (positive words suffice in a finite group)."""
+    table, gens = G.table, set(seed)
+    mem, todo = {G.identity}, [G.identity]
+    while todo:
+        row = table[todo.pop()]
+        for s in gens:
+            if row[s] not in mem:
+                mem.add(row[s])
+                todo.append(row[s])
     return tuple(sorted(mem))
 
 
@@ -383,7 +374,9 @@ def generators(G: Group) -> tuple:
 
 
 def subgroups(G: Group) -> list:
-    """All subgroups, by breadth-first closure of generator extensions.
+    """All subgroups, by breadth-first extension of each subgroup H found,
+    kept with a generating tuple, by one g of each right coset Hg other than
+    H itself: <H, hg> = <H, g>.
 
     Ordered by size then lexicographic member tuple; complete and
     duplicate-free at this scale.
@@ -391,20 +384,19 @@ def subgroups(G: Group) -> list:
     cached = G._cache.get("subgroups")
     if cached is not None:
         return list(cached)
-    trivial = (G.identity,)
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        new = []
-        for mem in frontier:
-            for g in G.elements():
-                if g in mem:
-                    continue
-                ext = _closure(G, mem + (g,))
-                if ext not in found:
-                    found.add(ext)
-                    new.append(ext)
-        frontier = new
+    found = {(G.identity,): ()}  # members -> a generating tuple
+    todo = [(G.identity,)]
+    for mem in todo:  # breadth first: todo grows as it is read
+        tried = set(mem)
+        for g in G.elements():
+            if g in tried:
+                continue
+            tried.update(G.table[h][g] for h in mem)
+            gens = found[mem] + (g,)
+            ext = _closure(G, gens)
+            if ext not in found:
+                found[ext] = gens
+                todo.append(ext)
     ordered = sorted(found, key=lambda m: (len(m), m))
     result = [Subgroup(G, m, _checked=True) for m in ordered]
     G._cache["subgroups"] = tuple(result)
@@ -427,19 +419,13 @@ def subgroup_conjugacy_classes(G: Group) -> list:
     """
     cached = G._cache.get("subgroup_classes")
     if cached is None:
-        all_subs = subgroups(G)
-        seen = set()
-        blocks = []
-        for S in all_subs:
-            if S.members in seen:
-                continue
-            orbit = {conjugate_subgroup(G, S, g).members for g in G.elements()}
-            seen.update(orbit)
-            block = [Subgroup(G, m, _checked=True) for m in sorted(orbit)]
-            blocks.append(block)
-        blocks.sort(key=lambda blk: (blk[0].order, blk[0].members))
-        cached = tuple(tuple(b) for b in blocks)
-        G._cache["subgroup_classes"] = cached
+        seen, blocks = set(), []
+        for S in subgroups(G):  # by size, then members: blocks come out ordered
+            if S.members not in seen:
+                orbit = sorted({conjugate_subgroup(G, S, g).members for g in G.elements()})
+                seen.update(orbit)
+                blocks.append(tuple(Subgroup(G, m, _checked=True) for m in orbit))
+        cached = G._cache["subgroup_classes"] = tuple(blocks)
     return [list(b) for b in cached]
 
 

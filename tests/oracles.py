@@ -30,6 +30,22 @@ def brute_subgroups(G):
     return sorted(out, key=lambda m: (len(m), m))
 
 
+def lagrange_subgroups(G):
+    """All subgroups by filtering the subsets that hold the identity and whose
+    size divides |G| (Lagrange): 6,907 subsets at order 16, all closure-checked."""
+    others = [x for x in G.elements() if x != G.identity]
+    out = []
+    for r in range(1, G.order + 1):
+        if G.order % r:
+            continue
+        for rest in combinations(others, r - 1):
+            s = set(rest) | {G.identity}
+            if all(G.inverse[a] in s for a in s) and \
+                    all(G.table[a][b] in s for a in s for b in s):
+                out.append(tuple(sorted(s)))
+    return sorted(out, key=lambda m: (len(m), m))
+
+
 def brute_coboundary_witness(target, den):
     """Search all 1-cochains with values k/den for one whose coboundary is target.
 

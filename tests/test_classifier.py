@@ -461,6 +461,44 @@ def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
             classify(kp_category().category)
 
 
+KEPT_CYCLE_CASES = {
+    "kp": lambda: kp_category().category,
+    "D8xZ2": lambda: trivial_category(direct_product(dihedral_group(8), cyclic_group(2))),
+    "Z4xZ4": lambda: trivial_category(direct_product(cyclic_group(4), cyclic_group(4))),
+    "Z2^4": lambda: trivial_category(direct_product(klein_group(), klein_group())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_CYCLE_CASES))
+def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
+    """A kept cycle z of a view's signature plus |H| times a unit vector pairs
+    with every H^2 candidate like z, mod |H|, so the greedy choice keeps it in
+    z's place; it is not a cycle, and classify must raise, for every kept
+    cycle of every view that carries pairs (one per multiplication table)."""
+    cases = {}
+    for H in {p.H for p in classify(KEPT_CYCLE_CASES[name]()).pairs}:
+        view = H.as_group()
+        kernel = cohomology._factor(view, 1, "echelon").kernel
+        for z in cohomology._class_signature(view).kernel:
+            cases.setdefault((view.table, kernel.index(z)), (view, z))
+    assert cases
+    real = cohomology.echelon_form
+    for (_, k), (view, z) in cases.items():
+        (j, c), *rest = z
+        bad = ((j, c + view.order), *rest)
+        rows = cohomology.coboundary_matrix(view, 1).sparse
+        assert not cohomology._in_left_kernel(bad, rows)
+
+        def tampered(rows_in, ncols, k=k, bad=bad, rows=rows):
+            ech = real(rows_in, ncols)
+            if rows_in == rows:  # d^1 of every view with this table
+                ech.kernel[k] = bad
+            return ech
+        monkeypatch.setattr(cohomology, "echelon_form", tampered)
+        with pytest.raises(InternalInvariantBroken, match="kernel functional"):
+            classify(KEPT_CYCLE_CASES[name]())
+
+
 def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
     """Factorizations read only the generator rows of d^2, and every full-row
     check runs matrix-free, so classify, verify, H^2 and solves never build a

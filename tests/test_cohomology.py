@@ -475,3 +475,49 @@ def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
     assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
     assert solve_coboundary(exact) == witness and coboundary(witness) == exact
     assert ("dmat", 2) not in G._cache
+
+
+# --- H^2 at its true size ------------------------------------------------------
+# Each class generator is checked once (a sum of integer cocycles mod M is a
+# cocycle), and a view's signature keeps only the cycles that split H^2.
+
+def test_h2_representatives_check_each_generator_once(monkeypatch):
+    G = z2_to_the_4()
+    basis = cohomology._factor(G, 2, "smith")
+    real, calls = cohomology._coboundary_numerators, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "_coboundary_numerators", counted)
+    assert len(h2_representatives(G)) == h2_order(G) == 64
+    assert calls == [2] * len(basis.generators) == [2] * 6
+    # the first generator plus M/d at one pair is no cocycle, and is caught
+    # though no candidate is checked on its own
+    M, d = G.order, basis.torsion[0]
+    bad = dict(basis.generators[0])
+    bad[0] = (bad.get(0, 0) + M // d) % M
+    G._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, [
+        tuple((j, v) for j, v in sorted(bad.items()) if v), *basis.generators[1:]])
+    with pytest.raises(InternalInvariantBroken, match="candidate representative is not a cocycle"):
+        h2_representatives(G)
+
+
+@pytest.mark.parametrize("G", [kp_group(), direct_product(dihedral_group(8), cyclic_group(2)),
+                               direct_product(cyclic_group(4), cyclic_group(4)), z2_to_the_4()],
+                         ids=["kp", "D8xZ2", "Z4xZ4", "Z2^4"])
+def test_signatures_keep_only_cycles_that_split_h2(monkeypatch, G):
+    real = cohomology.ClassSignature
+    for H in subgroups(G):
+        view = H.as_group()
+        kept = cohomology._class_signature(view).kernel
+        assert 2 ** len(kept) <= h2_order(view) and bool(kept) == (h2_order(view) > 1)
+        assert all(z in cohomology._factor(view, 1, "echelon").kernel for z in kept)
+        for i in range(len(kept)):  # one cycle too few no longer tells H^2 apart
+            monkeypatch.setattr(cohomology, "ClassSignature",
+                                lambda group, kernel, i=i: real(group, kernel[:i] + kernel[i + 1:]))
+            with pytest.raises(InternalInvariantBroken, match="cohomology classes"):
+                h2_representatives(view)
+            monkeypatch.setattr(cohomology, "ClassSignature", real)
+        assert cohomology._class_signature(view).kernel is kept  # memoized, write-once

@@ -7,7 +7,7 @@ from modcat import (BadDimensions, NotAGroup, NotAnAction, Subgroup,
                     dihedral_group, direct_product, from_table,
                     group_from_json, group_to_json, kp_group,
                     semidirect_product, subgroup_conjugacy_classes, subgroups)
-from oracles import brute_subgroups
+from oracles import brute_subgroups, lagrange_subgroups
 
 
 def test_trivial_group():
@@ -108,6 +108,29 @@ def test_subgroup_counts():
 def test_subgroups_match_brute_force(G):
     got = [S.members for S in subgroups(G)]
     assert got == brute_subgroups(G)
+
+
+def z2_to_the_4():
+    Z2 = cyclic_group(2)
+    return direct_product(direct_product(Z2, Z2), direct_product(Z2, Z2))
+
+
+@pytest.mark.parametrize("G", [direct_product(dihedral_group(8), cyclic_group(2)),
+                               direct_product(cyclic_group(4), cyclic_group(4)),
+                               dihedral_group(16), z2_to_the_4()],
+                         ids=["D8xZ2", "Z4xZ4", "dihedral16", "Z2^4"])
+def test_subgroups_match_the_lagrange_oracle_at_order_16(G):
+    got = [S.members for S in subgroups(G)]
+    assert got == lagrange_subgroups(G)
+
+
+@pytest.mark.parametrize("n, count", [(16, 36), (32, 69)])
+def test_dihedral_subgroup_count_is_tau_plus_sigma(n, count):
+    """The dihedral group of order 2n has tau(n) + sigma(n) subgroups: one
+    cyclic subgroup per divisor d of n, and n/d dihedral ones of order 2d."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert len(divisors) + sum(divisors) == count
+    assert len(subgroups(dihedral_group(2 * n))) == count
 
 
 def test_lagrange(_groups=(cyclic_group(12), dihedral_group(8), kp_group())):
