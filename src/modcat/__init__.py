@@ -20,12 +20,11 @@ from .groups import (Group, Subgroup, builtin_group, conjugate_subgroup,
 from .cochains import (Cochain, coboundary, cochain_from_json, cochain_to_json,
                        combine, conjugate_cochain, cyclic_3cocycle, is_cocycle,
                        nonidentity_tuples, restrict, zero_cochain)
-from .cohomology import (CoboundaryMatrix, Echelon, SNF, coboundary_matrix,
-                         echelon_form, h2_order, h2_representatives,
+from .cohomology import (Echelon, SNF, echelon_form, h2_order, h2_representatives,
                          image_obstruction, is_cohomologous, smith_normal_form,
                          solve_coboundary)
 from .pointed import (AlgebraPair, PointedCategory, alpha_g, big_omega,
-                      conjugate_pair, gamma_cochain, validate_pair)
+                      gamma_cochain, validate_pair)
 from .kac_paljutkin import KPData, kp_category, kp_group, kp_omega, kp_sigma, kp_tau
 from .classify import (ClassificationReport, EquivalenceWitness,
                        admissible_subgroups, classify, criterion_cochain,

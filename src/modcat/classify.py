@@ -17,9 +17,9 @@ import hashlib
 from math import lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cochains import Cochain, cochain_from_json, restrict
-from .cohomology import (_class_signature, _h2_vectors, _solve, coboundary_matrix,
-                         integer_coboundary, numerators)
+from .cochains import (Cochain, _coboundary_numerators, cochain_from_json,
+                       nonidentity_tuples, restrict)
+from .cohomology import _class_signature, _h2_vectors, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
@@ -76,7 +76,7 @@ def enumerate_pairs(cat: PointedCategory) -> List[AlgebraPair]:
     for H, psi0 in admissible_subgroups(cat):
         view = H.as_group()
         D = lcm(view.order, *(v.den for v in psi0.values.values()))
-        base, tuples = numerators(psi0, D), coboundary_matrix(view, 1).rows
+        base, tuples = numerators(psi0, D), list(nonidentity_tuples(view, 2))
         for vec in _h2_vectors(view):
             psi = ((a + D // view.order * r) % D for a, r in zip(base, vec))
             out.append(AlgebraPair(cat, H, Cochain(view, 2, {
@@ -128,7 +128,7 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
         raise GroupMismatch("g does not conjugate L onto H")
     D, L = _denominator(cat, a.psi, b.psi), b.H.as_group()
     vec = _criterion(move, cat.den, numerators(a.psi, D), numerators(b.psi, D), D)
-    return Cochain(L, 2, {t: QZ(v, D) for t, v in zip(coboundary_matrix(L, 1).rows, vec)})
+    return Cochain(L, 2, {t: QZ(v, D) for t, v in zip(nonidentity_tuples(L, 2), vec)})
 
 
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
@@ -176,8 +176,9 @@ class ClassificationReport:
     def verify(self):
         """Re-check every pair condition, that the classes partition the pairs
         with one witness from each non-representative member and the rank
-        [G:H], and every stored witness, bit-exactly, by integer products with
-        coboundary matrices built from the group table, not by the solver.
+        [G:H], and every stored witness, bit-exactly, on every row, by the
+        matrix-free integer coboundary from the group table, not by the solver
+        or the rows of d^1 that it memoizes and factors.
 
         Each witness's criterion comes from a move built afresh from the group
         table and omega (_action), never from the category's move table, which
@@ -207,7 +208,7 @@ class ClassificationReport:
                 D = _denominator(cat, pair.psi, rep.psi, f)
                 crit = _criterion(_action(cat, pair.H, w.g), cat.den,
                                   numerators(pair.psi, D), numerators(rep.psi, D), D)
-                df = integer_coboundary(coboundary_matrix(L, 1), numerators(f, D))
+                df = _coboundary_numerators(L, 1, numerators(f, D))
                 if any((u - v) % D for u, v in zip(df, crit)):
                     raise InternalInvariantBroken("witness coboundary mismatch")
 
@@ -222,14 +223,14 @@ def _action(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     e, base = view.identity, view.order - 1
     # each element's place among the identity-free ones, as _tuple_index counts
     place = [k - (k > e) for k in (pos[G.conj(g, x)] for x in Lm)]
-    rows = coboundary_matrix(L.as_group(), 1).rows
-    perm = tuple(place[x] * base + place[y] for x, y in rows)
+    ids = [k for k, x in enumerate(Lm) if x != G.identity]  # L's rows: pairs of these
+    perm = tuple(place[x] * base + place[y] for x in ids for y in ids)
     vals = big_omega(cat, g).values
     twist = None
     if vals:
         zero = QZ(0, 1)
         twist = tuple(v.num * (den // v.den)
-                      for v in (vals.get((Lm[x], Lm[y]), zero) for x, y in rows))
+                      for v in (vals.get((Lm[x], Lm[y]), zero) for x in ids for y in ids))
         if not any(twist):
             twist = None
     fixed = Lm == H.members and twist is None and perm == tuple(range(len(perm)))

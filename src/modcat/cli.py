@@ -18,8 +18,9 @@ from .cochains import (Cochain, cochain_from_json, cochain_to_json,
                        cyclic_3cocycle, is_cocycle, restrict, zero_cochain)
 from .cohomology import _solve_cochain, h2_representatives
 from .errors import ModcatError, ParseError, SizeLimitExceeded
-from .groups import (Group, Subgroup, builtin_group, group_from_json,
-                     group_to_json, subgroup_conjugacy_classes, subgroups)
+from .groups import (Group, Subgroup, _declared_order, builtin_group,
+                     group_from_json, group_to_json, subgroup_conjugacy_classes,
+                     subgroups)
 from .pointed import PointedCategory, big_omega, validate_pair
 from .qz import root_of_unity_str
 
@@ -40,10 +41,18 @@ def _read_json_file(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_group(spec: str) -> Group:
-    if spec.startswith("@"):
-        return group_from_json(_read_json_file(spec[1:]))
-    return builtin_group(spec)
+def _group(ref, limit: int) -> Group:
+    """The group that a builtin spec string or group JSON names, built only once
+    the order it declares is within --size-limit, so no larger table is made."""
+    order = _declared_order(ref)
+    if order > limit:
+        raise SizeLimitExceeded(f"group order {order} exceeds --size-limit {limit}")
+    return builtin_group(ref) if isinstance(ref, str) else group_from_json(ref)
+
+
+def load_group(spec: str, limit: int) -> Group:
+    """The group of a --group spec, builtin or @file.json, within the limit."""
+    return _group(_read_json_file(spec[1:]) if spec.startswith("@") else spec, limit)
 
 
 def _ints(tokens, what: str):
@@ -116,20 +125,13 @@ def load_pair(spec: str, cat: PointedCategory):
     return validate_pair(cat, H, psi)
 
 
-def _check_limit(group: Group, limit: int):
-    if group.order > limit:
-        raise SizeLimitExceeded(
-            f"group order {group.order} exceeds --size-limit {limit}")
-
-
 def _cochain_lines(c: Cochain):
     return [f"  {tuple(c.group.names[a] for a in args)} -> {v}"
             for args, v in c.items()]
 
 
 def cmd_group_info(args) -> int:
-    G = load_group(args.group)
-    _check_limit(G, args.size_limit)
+    G = load_group(args.group, args.size_limit)
     subs = subgroups(G)
     classes = subgroup_conjugacy_classes(G)
     index_of = {S.members: i for i, S in enumerate(subs)}
@@ -156,8 +158,7 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_cocycle_check(args) -> int:
-    G = load_group(args.group)
-    _check_limit(G, args.size_limit)
+    G = load_group(args.group, args.size_limit)
     if args.cocycle.startswith("@"):
         c = cochain_from_json(_read_json_file(args.cocycle[1:]), group=G,
                               expect_degree=args.degree)
@@ -180,9 +181,12 @@ def cmd_solve(args) -> int:
     data = _read_json_file(args.target[1:]) if args.target.startswith("@") else None
     if data is None:
         raise ParseError("--target must be @file.json")
-    group = load_group(args.group) if args.group else None
+    if args.group:
+        group = load_group(args.group, args.size_limit)
+    else:  # the target's own group; cochain_from_json says if it is missing
+        own = data.get("group") if isinstance(data, dict) else None
+        group = None if own is None else _group(own, args.size_limit)
     target = cochain_from_json(data, group=group)
-    _check_limit(target.group, args.size_limit)
     witness, row = _solve_cochain(target)
     if witness is None:
         if args.format == "json":
@@ -202,8 +206,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_h2(args) -> int:
-    G = load_group(args.group)
-    _check_limit(G, args.size_limit)
+    G = load_group(args.group, args.size_limit)
     reps = h2_representatives(G)
     if args.format == "json":
         _emit_json({"count": len(reps),
@@ -219,8 +222,7 @@ def cmd_h2(args) -> int:
 
 
 def cmd_omega_g(args) -> int:
-    G = load_group(args.group)
-    _check_limit(G, args.size_limit)
+    G = load_group(args.group, args.size_limit)
     cat = load_category(args.omega, G)
     g = G.element_index(args.g)
     tw = big_omega(cat, g)
@@ -242,8 +244,7 @@ def cmd_omega_g(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    G = load_group(args.group)
-    _check_limit(G, args.size_limit)
+    G = load_group(args.group, args.size_limit)
     cat = load_category(args.omega, G)
     a = load_pair(args.pair1, cat)
     b = load_pair(args.pair2, cat)
@@ -265,12 +266,11 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    G = load_group(args.group)
-    _check_limit(G, args.size_limit)
+    G = load_group(args.group, args.size_limit)
     cat = load_category(args.omega, G)
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-    report = classify(cat, size_limit=args.size_limit, jobs=args.jobs,
-                      omega_source=args.omega, progress=progress)
+    report = classify(cat, size_limit=args.size_limit, omega_source=args.omega,
+                      progress=progress)
     if args.format == "json":
         _emit_json(report_to_json(report))
     else:
@@ -337,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full classification report")
     common(p)
     p.add_argument("--omega", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_classify)
 
     return parser

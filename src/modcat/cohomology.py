@@ -12,8 +12,8 @@ Q/Z.  Every answer is re-checked without trusting the factorization, on
 integer numerators over a common denominator D: a witness x must satisfy
 A x = b mod D on every row, computed by the matrix-free
 ``cochains._coboundary_numerators`` from degree 2 on (which also checks pair
-conditions and H^2 representatives) and by the memoized d^1 matrix below,
-and the functional z behind a "no" must satisfy z A = 0.
+conditions and H^2 representatives) and by the memoized rows of d^1 at
+degree 1, and the functional z behind a "no" must satisfy z A = 0.
 
 Questions about degree-3 targets and H^2 are decided on A_S, the rows of
 A = d^2 whose first argument lies in the generating set S = ``generators(G)``,
@@ -24,7 +24,7 @@ coefficients; applied to e = A x - b for a cocycle target b, it shows that
 A_S x = b_S implies A x = b.  A target that is not a cocycle is caught by a
 row of d^3 with first argument in S, built alone when needed.  A_S holds
 |S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of order
-16); no coboundary matrix of degree 2 or more is built (``_factored_rows``).
+16); no other row of d^2 is memoized (``_factored_rows``).
 
 H^2 comes from A_S by sparse elimination on unit pivots, which splits a 1
 off the Smith form per pivot, followed by a dense Smith normal form (V only)
@@ -51,14 +51,11 @@ from .qz import QZ
 
 __all__ = [
     "ClassSignature",
-    "CoboundaryMatrix",
     "SNF",
     "Echelon",
     "smith_normal_form",
     "echelon_form",
-    "coboundary_matrix",
     "numerators",
-    "integer_coboundary",
     "solve_coboundary",
     "image_obstruction",
     "is_cohomologous",
@@ -71,33 +68,6 @@ CACHE_ENV = "MODCAT_SNF_CACHE"
 
 # a sparse integer vector: (index, nonzero coefficient) pairs in index order
 Sparse = Tuple[Tuple[int, int], ...]
-
-
-class CoboundaryMatrix:
-    """Integer matrix of d^n: rows are (n+1)-tuples, columns are n-tuples.
-
-    Tuples run over non-identity elements in lexicographic order; entries are
-    the signed incidence coefficients, with terms that hit the identity
-    dropped (normalization).  ``sparse`` holds each row as a sparse vector;
-    ``entries`` is the dense form, built on first use.
-    """
-
-    __slots__ = ("group", "degree", "rows", "cols", "sparse", "_entries")
-
-    def __init__(self, group: Group, degree: int):
-        self.group = group
-        self.degree = degree
-        self.rows = list(nonidentity_tuples(group, degree + 1))
-        self.cols = list(nonidentity_tuples(group, degree))
-        self.sparse = list(_coboundary_rows(group, degree, self.rows).values())
-        self._entries = None
-
-    @property
-    def entries(self) -> List[List[int]]:
-        if self._entries is None:
-            self._entries = [[dict(row).get(j, 0) for j in range(len(self.cols))]
-                             for row in self.sparse]
-        return self._entries
 
 
 def _coboundary_rows(group: Group, degree: int, tuples) -> Dict[int, Sparse]:
@@ -594,21 +564,21 @@ def _dot(z: Sparse, vec: Sequence[int]) -> int:
     return s
 
 
-def integer_coboundary(mat: CoboundaryMatrix, x: Sequence[int]) -> List[int]:
-    """A x: the coboundary of numerators x over some D, indexed like
-    ``mat.cols``, as exact numerators over the same D, indexed like ``mat.rows``;
-    it checks degree-1 witnesses, and ``cochains._coboundary_numerators`` gives
-    the same values without a matrix.  On the cyclic group of order 3,
-    df(a, b) = f(b) - f(ab) + f(a), and a term at the identity vanishes:
+def _matvec(rows: Dict[int, Sparse], x: Sequence[int]) -> List[int]:
+    """A x for the rows of A given by index, in index order.  With the rows of
+    d^1 it is the coboundary of numerators x, laid out like ``numerators``, at
+    the 2-tuples in lexicographic order; it checks degree-1 witnesses.  On the
+    cyclic group of order 3, df(a, b) = f(b) - f(ab) + f(a), and a term at the
+    identity vanishes:
 
     >>> from modcat.groups import cyclic_group
-    >>> mat = coboundary_matrix(cyclic_group(3), 1)
-    >>> mat.cols, mat.rows
+    >>> G = cyclic_group(3)
+    >>> list(nonidentity_tuples(G, 1)), list(nonidentity_tuples(G, 2))
     ([(1,), (2,)], [(1, 1), (1, 2), (2, 1), (2, 2)])
-    >>> integer_coboundary(mat, [1, 0])
+    >>> _matvec(_factored_rows(G, 1), [1, 0])
     [2, 1, 1, -1]
     """
-    return [_dot(row, x) for row in mat.sparse]
+    return [_dot(row, x) for row in rows.values()]
 
 
 def _in_left_kernel(z: Sparse, rows) -> bool:
@@ -623,29 +593,17 @@ def _in_left_kernel(z: Sparse, rows) -> bool:
 # ----------------------------------------------------------------------------
 # memoized factorizations
 
-def coboundary_matrix(group: Group, degree: int) -> CoboundaryMatrix:
-    """The (memoized) matrix of d^degree on this group."""
-    key = ("dmat", degree)
-    mat = group._cache.get(key)
-    if mat is None:
-        mat = CoboundaryMatrix(group, degree)
-        group._cache[key] = mat
-    return mat
-
-
-def _factored_rows(group: Group, degree: int):
-    """The rows of d^degree that its factorizations eliminate, by row index:
-    for degree 1 all, as ``coboundary_matrix(group, 1).sparse``; for degree 2
-    a memoized dict of those whose first argument lies in S, built from the
-    table (A_S, see the module docstring)."""
-    if degree == 1:
-        return coboundary_matrix(group, 1).sparse
+def _factored_rows(group: Group, degree: int) -> Dict[int, Sparse]:
+    """The memoized rows of d^degree that its factorizations eliminate, by row
+    index, built from the table: for degree 1 all of them, for degree 2 those
+    whose first argument lies in S (A_S, see the module docstring)."""
     key = ("rows", degree)
     rows = group._cache.get(key)
     if rows is None:
         elems = [x for x in group.elements() if x != group.identity]
+        firsts = elems if degree == 1 else generators(group)
         rows = group._cache[key] = _coboundary_rows(
-            group, degree, product(generators(group), *[elems] * degree))
+            group, degree, product(firsts, *[elems] * degree))
     return rows
 
 
@@ -707,10 +665,10 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     if i is None:
         x, den = _back_substitute(ech, b, D)
         scale = den // D
-        d1 = coboundary_matrix(group, 1)  # its columns and rows: the 1- and 2-tuples
-        dx = integer_coboundary(d1, x) if n == 2 else _coboundary_numerators(group, 2, x)
+        dx = _matvec(_factored_rows(group, 1), x) if n == 2 else \
+            _coboundary_numerators(group, 2, x)
         if not any((v - t * scale) % den for v, t in zip(dx, b)):
-            f = {(d1.cols if n == 2 else d1.rows)[j]: QZ(v, den) for j, v in enumerate(x) if v}
+            f = {t: QZ(v, den) for t, v in zip(nonidentity_tuples(group, n - 1), x) if v}
             return Cochain(group, n - 1, f), None
         # a failed witness for a cocycle b (any b if n = 2): a corrupt factorization
         S = generators(group)
@@ -764,7 +722,7 @@ class ClassSignature:
     __slots__ = ("kernel",)
 
     def __init__(self, group: Group, kernel: Sequence[Sparse]):
-        rows, self.kernel = coboundary_matrix(group, 1).sparse, tuple(kernel)
+        rows, self.kernel = _factored_rows(group, 1), tuple(kernel)
         for z in self.kernel:
             if not _in_left_kernel(z, rows):
                 raise InternalInvariantBroken("kernel functional failed verification")

@@ -323,20 +323,36 @@ def semidirect_product(n_group: Group, c_group: Group,
     return from_table(order, table, names)
 
 
-def builtin_group(spec: str) -> Group:
-    """Resolve a builtin group spec string: "cyclic:N", "dihedral:N", "kp"."""
-    spec = spec.strip()
-    if spec.startswith("builtin:"):
-        spec = spec[len("builtin:"):]
-    parts = spec.split(":")
-    if parts[0] == "cyclic" and len(parts) == 2 and parts[1].isdigit():
-        return cyclic_group(int(parts[1]))
-    if parts[0] == "dihedral" and len(parts) == 2 and parts[1].isdigit():
-        return dihedral_group(int(parts[1]))
+def _builtin(spec: str):
+    """(order, constructor) for a builtin group spec string, nothing built."""
+    spec = spec.strip().removeprefix("builtin:")
+    kind, _, n = spec.partition(":")
+    if kind in ("cyclic", "dihedral") and n.isdecimal():  # what int() reads
+        return int(n), lambda: (cyclic_group if kind == "cyclic" else dihedral_group)(int(n))
     if spec == "kp":
         from .kac_paljutkin import kp_group
-        return kp_group()
+        return 8, kp_group
     raise ParseError(f"unknown builtin group spec {spec!r}")
+
+
+def builtin_group(spec: str) -> Group:
+    """Resolve a builtin group spec string: "cyclic:N", "dihedral:N", "kp"."""
+    return _builtin(spec)[1]()
+
+
+def _json_order(data) -> int:
+    if not isinstance(data, dict):
+        raise ParseError("group JSON must be an object")
+    try:
+        return int(data["order"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"group JSON missing or malformed field: {exc}") from exc
+
+
+def _declared_order(ref) -> int:
+    """The order that a builtin spec string or group JSON declares, read
+    without building the group: N of cyclic:N or dihedral:N, 8 for kp."""
+    return _builtin(ref)[0] if isinstance(ref, str) else _json_order(ref)
 
 
 def _closure(G: Group, seed: Iterable[int]) -> tuple:
@@ -436,12 +452,10 @@ def group_to_json(G: Group) -> dict:
 
 
 def group_from_json(data) -> Group:
-    if not isinstance(data, dict):
-        raise ParseError("group JSON must be an object")
+    order = _json_order(data)
     try:
-        order = int(data["order"])
         table = data["table"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"group JSON missing or malformed field: {exc}") from exc
     names = data.get("names")
     try:

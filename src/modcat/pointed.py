@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cochains import (Cochain, _coboundary_numerators, combine, conjugate_cochain,
-                       is_cocycle, nonidentity_tuples, numerators, restrict)
+from .cochains import (Cochain, _coboundary_numerators, is_cocycle,
+                       nonidentity_tuples, numerators, restrict)
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
 from .groups import Group, Subgroup, conjugate_subgroup
@@ -23,7 +23,6 @@ __all__ = [
     "big_omega",
     "gamma_cochain",
     "validate_pair",
-    "conjugate_pair",
     "alpha_g",
 ]
 
@@ -163,26 +162,6 @@ def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPai
             raise NotCompatible(
                 f"d(psi) differs from the restricted 3-cocycle at {t}", witness=t)
     return AlgebraPair(cat, H, psi)
-
-
-def conjugate_pair(pair: AlgebraPair, g: int) -> AlgebraPair:
-    """The pair labeling the conjugated algebra: (gHg', psi twisted by g').
-
-    The new cochain is the g'-conjugate of psi plus the restriction of
-    big_omega(g') to gHg', with g' = g^{-1}.
-    """
-    cat = pair.category
-    G = cat.group
-    ginv = G.inverse[g]
-    target = conjugate_subgroup(G, pair.H, g)
-    moved = conjugate_cochain(pair.psi, ginv)
-    twist = restrict(big_omega(cat, ginv), target)
-    new_psi = combine(moved, twist, (1, 1))
-    try:
-        return validate_pair(cat, target, new_psi)
-    except NotCompatible as exc:
-        raise InternalInvariantBroken(
-            f"conjugated pair failed validation: {exc}") from exc
 
 
 def alpha_g(psi_pair: AlgebraPair, xi_pair: AlgebraPair, g: int) -> Cochain:

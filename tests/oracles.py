@@ -1,16 +1,59 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the production solver paths: subgroup
-enumeration by raw subset filtering, coboundary solving by exhaustive search
-over bounded denominators, homology orders from a kernel-basis computation,
-and a no-twist classifier for the trivial-cocycle reduction.
+enumeration by raw subset filtering, coboundary matrices built from the group
+table by their defining formula, coboundary solving by exhaustive search over
+bounded denominators, homology orders from a kernel-basis computation, and a
+no-twist classifier for the trivial-cocycle reduction.
 """
 
 from itertools import combinations, product
 
 from modcat import (Cochain, QZ, coboundary, is_cohomologous,
                     nonidentity_tuples, smith_normal_form)
-from modcat.cohomology import coboundary_matrix
+
+
+def coboundary_incidence(G, n):
+    """(rows, cols, sparse) of the integer matrix of d^n on normalized
+    cochains: rows are the identity-free (n+1)-tuples and cols the n-tuples,
+    both in lexicographic order, and sparse[i] is row i as (col, coeff) pairs
+    with nonzero coefficients, in column order.  Row (g_1, ..., g_{n+1}) sums
+    the faces of
+        (df)(g_1, ..., g_{n+1}) = f(g_2, ..., g_{n+1})
+            + sum_i (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{n+1})
+            + (-1)^{n+1} f(g_1, ..., g_n),
+    dropping the faces that hold the identity, where f vanishes."""
+    e = G.identity
+    elems = [x for x in G.elements() if x != e]
+    cols = list(product(elems, repeat=n))
+    col = {t: j for j, t in enumerate(cols)}
+    rows, sparse = list(product(elems, repeat=n + 1)), []
+    for args in rows:
+        faces = [(args[1:], 1), (args[:n], (-1) ** (n + 1))] + [
+            (args[:i] + (G.table[args[i]][args[i + 1]],) + args[i + 2:], (-1) ** (i + 1))
+            for i in range(n)]
+        row = {}
+        for t, sign in faces:
+            if e not in t:
+                row[col[t]] = row.get(col[t], 0) + sign
+        sparse.append(tuple((j, c) for j, c in sorted(row.items()) if c))
+    return rows, cols, sparse
+
+
+def dense(sparse, ncols):
+    """The dense rows of a matrix given by sparse rows."""
+    out = []
+    for row in sparse:
+        full = [0] * ncols
+        for j, c in row:
+            full[j] = c
+        out.append(full)
+    return out
+
+
+def incidence_product(sparse, x):
+    """A x for the matrix A with these sparse rows."""
+    return [sum(c * x[j] for j, c in row) for row in sparse]
 
 
 def brute_subgroups(G):
@@ -143,11 +186,12 @@ def h2_order_homology(G):
     """
     if G.order == 1:
         return 1
-    D1 = coboundary_matrix(G, 1)
-    D2 = coboundary_matrix(G, 2)
-    P, S, T = len(D1.rows), len(D1.cols), len(D2.rows)
+    rows1, cols1, sparse1 = coboundary_incidence(G, 1)
+    rows2, _, sparse2 = coboundary_incidence(G, 2)
+    P, S, T = len(rows1), len(cols1), len(rows2)
+    D1, D2 = dense(sparse1, S), dense(sparse2, P)
 
-    b2 = [[D1.entries[p][s] for p in range(P)] for s in range(S)]  # S x P
+    b2 = [[D1[p][s] for p in range(P)] for s in range(S)]  # S x P
     snf_b2 = smith_normal_form(b2, S, P, need_U=False, need_V=True)
     rank_b2 = sum(1 for d in snf_b2.diag if d)
     kernel = [[snf_b2.V[p][j] for j in range(rank_b2, P)] for p in range(P)]
@@ -159,7 +203,7 @@ def h2_order_homology(G):
 
     Y = []  # k x T, columns of boundary_3 in kernel coordinates
     for t in range(T):
-        col = [D2.entries[t][p] for p in range(P)]  # boundary_3 column
+        col = D2[t]  # boundary_3 column
         w = [sum(Uk[i][p] * col[p] for p in range(P)) for i in range(P)]
         assert all(w[i] == 0 for i in range(k, P)), "column outside the kernel"
         y = [None] * k

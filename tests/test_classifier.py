@@ -442,18 +442,18 @@ def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
     kp = kp_category()
     assert classify(kp.category).class_count == 6
     view = kp.L.as_group()
-    mat = cohomology.coboundary_matrix(view, 1)
+    d1 = cohomology._factored_rows(view, 1)
     kernel = cohomology._factor(view, 1, "echelon").kernel
     assert kernel
     real = cohomology.echelon_form
     for k, z in enumerate(kernel):
         (j, c), *rest = z
         bad = ((j, c + (1 if c > 0 else -1)), *rest)  # z A + (row j of A), never 0
-        assert not cohomology._in_left_kernel(bad, mat.sparse)
+        assert not cohomology._in_left_kernel(bad, d1)
 
         def tampered(rows, ncols, k=k, bad=bad):
             ech = real(rows, ncols)
-            if rows == mat.sparse:  # d^1 of every group with L's table
+            if rows == d1:  # d^1 of every group with L's table
                 ech.kernel[k] = bad
             return ech
         monkeypatch.setattr(cohomology, "echelon_form", tampered)
@@ -486,7 +486,7 @@ def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
     for (_, k), (view, z) in cases.items():
         (j, c), *rest = z
         bad = ((j, c + view.order), *rest)
-        rows = cohomology.coboundary_matrix(view, 1).sparse
+        rows = cohomology._factored_rows(view, 1)
         assert not cohomology._in_left_kernel(bad, rows)
 
         def tampered(rows_in, ncols, k=k, bad=bad, rows=rows):
@@ -501,17 +501,20 @@ def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
 
 def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
     """Factorizations read only the generator rows of d^2, and every full-row
-    check runs matrix-free, so classify, verify, H^2 and solves never build a
-    coboundary matrix of degree 2 or more, not even for a target that is not
-    a cocycle."""
-    real = cohomology.CoboundaryMatrix.__init__
+    check runs matrix-free, so classify, verify, H^2 and solves never build
+    more than |S| (|G| - 1)^n rows of d^n for n >= 2, S = generators(G), in
+    one call, not even for a target that is not a cocycle."""
+    real, built = cohomology._coboundary_rows, []
 
-    def init(self, group, degree):
-        if degree >= 2:
-            raise AssertionError(f"a degree-{degree} coboundary matrix was built")
-        real(self, group, degree)
+    def rows(group, degree, tuples):
+        tuples = list(tuples)
+        bound = len(generators(group)) * (group.order - 1) ** degree
+        if degree >= 2 and len(tuples) > bound:
+            raise AssertionError(f"{len(tuples)} rows of d^{degree} were built")
+        built.append((degree, len(tuples) == bound))
+        return real(group, degree, tuples)
 
-    monkeypatch.setattr(cohomology.CoboundaryMatrix, "__init__", init)
+    monkeypatch.setattr(cohomology, "_coboundary_rows", rows)
     rng = random.Random(3)
     for name in ("kp", "cyclic12-2", "dihedral12-sign", "D8xZ2"):
         cat = ORACLE_CASES[name]()
@@ -530,6 +533,8 @@ def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
         bad = combine(exact, Cochain(G, 3, {t: QZ(1, 2)}), (1, 1))
         row = cohomology.image_obstruction(bad)
         assert row >= len(cohomology._factor(G, 2, "echelon").kernel)
+    # the generator rows of d^2 were built, and single rows of d^3
+    assert (2, True) in built and (3, False) in built
 
 
 # --- verify() checks the partition -------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from modcat import (cli, cochain_from_json, cochain_to_json, cohomology,
-                    group_to_json, image_obstruction, kp_category,
+                    group_to_json, groups, image_obstruction, kp_category,
                     report_from_json, solve_coboundary)
 from modcat.cli import main
 from modcat.groups import cyclic_group, direct_product
@@ -203,8 +203,9 @@ def test_malformed_psi_json_is_input_error(capsys, psi):
      "--pair1", "H=5;psi=zero", "--pair2", "full:zero"],
     ["equiv", "--group", "kp", "--omega", "trivial",
      "--pair1", "H=[0, true];psi=zero", "--pair2", "full:zero"],
+    ["group-info", "--group", "cyclic:\u00b2"],  # a digit that int() does not read
 ], ids=["omega-cyclic-n", "cocycle-cyclic-q", "restrict-token", "members-int",
-        "members-bool"])
+        "members-bool", "group-superscript-digit"])
 def test_malformed_spec_is_input_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error:" in err
@@ -224,9 +225,6 @@ def test_classify_kp_json_and_determinism(capsys):
     code, out2, _ = run(capsys, "classify", "--group", "kp", "--omega", "kp",
                         "--format", "json")
     assert out1 == out2
-    code, out3, _ = run(capsys, "classify", "--group", "kp", "--omega", "kp",
-                        "--format", "json", "--jobs", "4")
-    assert out1 == out3
     data = json.loads(out1)
     assert data["class_count"] == 6
     assert data["omega"]["source"] == "kp"
@@ -319,6 +317,38 @@ def test_omega_g_size_limit(capsys):
     code, _, _ = run(capsys, "omega-g", "--group", "kp", "--omega", "kp",
                      "--g", "x", "--size-limit", "8")
     assert code == 0
+
+
+def order_400_file(tmp_path):
+    """A group file that declares order 400; its table is not a group's."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"order": 400, "table": [[0]]}))
+    return f"@{path}"
+
+
+def embedded_cyclic_400(tmp_path):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"group": "cyclic:400", "degree": 2, "values": []}))
+    return f"@{path}"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["group-info", "--group", "cyclic:400"],
+    lambda tmp: ["group-info", "--group", "dihedral:400"],
+    lambda tmp: ["group-info", "--group", order_400_file(tmp)],
+    lambda tmp: ["solve", "--target", embedded_cyclic_400(tmp)],
+], ids=["cyclic", "dihedral", "file", "solve-embedded"])
+def test_size_limit_is_checked_before_the_group_is_built(capsys, monkeypatch,
+                                                         tmp_path, argv):
+    """The order a spec declares is checked before any table is allocated or
+    checked for associativity, which takes seconds at order 400."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group over the limit was built")
+
+    monkeypatch.setattr(groups, "from_table", refuse)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 2 and out == ""
+    assert "exceeds --size-limit 16" in err
 
 
 def test_snf_cache_variable_is_inert(capsys, monkeypatch, tmp_path):

@@ -11,10 +11,10 @@ from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
                     kp_category, kp_group, nonidentity_tuples, restrict,
                     smith_normal_form, solve_coboundary, subgroups, zero_cochain)
 from modcat.cochains import _coboundary_numerators
-from modcat.cohomology import (coboundary_matrix, image_obstruction,
-                               integer_coboundary, numerators)
-from oracles import (bareiss_det, brute_coboundary_witness,
-                     enumerate_2cocycles_int, h2_order_homology, random_cochain)
+from modcat.cohomology import image_obstruction, numerators
+from oracles import (bareiss_det, brute_coboundary_witness, coboundary_incidence,
+                     enumerate_2cocycles_int, h2_order_homology, incidence_product,
+                     random_cochain)
 from test_solver import obstruction_holds
 
 
@@ -41,7 +41,7 @@ def nontrivial_klein_cocycle(view):
     return Cochain(view, 2, vals)
 
 
-# --- coboundary matrix ------------------------------------------------------
+# --- coboundary rows ----------------------------------------------------------
 
 @pytest.mark.parametrize("G,degree", [
     (cyclic_group(4), 1), (cyclic_group(4), 2),
@@ -49,14 +49,21 @@ def nontrivial_klein_cocycle(view):
     (kp_group(), 1), (kp_group(), 2),
 ])
 def test_matrix_reproduces_coboundary(G, degree):
+    """The memoized rows of d^degree, all of them at degree 1 and those whose
+    first argument is a generator at degree 2, are the oracle's rows under the
+    same index, and their product reproduces the coboundary there."""
     rng = random.Random(degree + G.order)
-    mat = coboundary_matrix(G, degree)
+    rows = cohomology._factored_rows(G, degree)
+    tuples, _, sparse = coboundary_incidence(G, degree)
+    S = generators(G)
+    assert list(rows) == [k for k, t in enumerate(tuples) if degree == 1 or t[0] in S]
+    assert all(row == sparse[k] for k, row in rows.items())
     f = random_cochain(G, degree, rng)
     df = coboundary(f)
     D = lcm(*(v.den for v in f.values.values()))
-    applied = [QZ(v, D) for v in integer_coboundary(mat, numerators(f, D))]
-    for row_tuple, got in zip(mat.rows, applied):
-        assert got == df.value(row_tuple)
+    applied = cohomology._matvec(rows, numerators(f, D))
+    for k, got in zip(rows, applied):
+        assert QZ(got, D) == df.value(tuples[k])
 
 
 def mixed_denominator_cochain(G, degree, rng):
@@ -74,18 +81,24 @@ def mixed_denominator_cochain(G, degree, rng):
                          ids=["kp", "D6", "Z2^3"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_integer_coboundary_matches_coboundary(G, degree):
+    """The matrix-free integer coboundary, on all rows and on the generator
+    rows, and coboundary() and is_cocycle() built on it, against the product
+    with the oracle's d^degree, built from the group table."""
     rng = random.Random(17 * degree + G.order)
-    mat = coboundary_matrix(G, degree)
+    rows, cols, sparse = coboundary_incidence(G, degree)
+    S = generators(G)
     for _ in range(3):
         f = mixed_denominator_cochain(G, degree, rng)
         D = lcm(*(v.den for v in f.values.values()))
         x = numerators(f, D)
-        assert x == [f.value(t).scaled_num(D) for t in mat.cols]
-        got = Cochain(G, degree + 1, {t: QZ(v, D) for t, v in
-                                      zip(mat.rows, integer_coboundary(mat, x))})
+        assert x == [f.value(t).scaled_num(D) for t in cols]
+        dx = incidence_product(sparse, x)
+        assert _coboundary_numerators(G, degree, x) == dx
+        assert _coboundary_numerators(G, degree, x, S) == [
+            v for t, v in zip(rows, dx) if t[0] in S]
+        got = Cochain(G, degree + 1, {t: QZ(v, D) for t, v in zip(rows, dx)})
         assert got == coboundary(f)
-        assert is_cocycle(f) == (not any(v % D for v in integer_coboundary(mat, x)))
-        assert _coboundary_numerators(G, degree, x) == integer_coboundary(mat, x)
+        assert is_cocycle(f) == (not any(v % D for v in dx))
 
 
 def test_tampered_smith_generator_makes_h2_representatives_raise():
@@ -93,15 +106,15 @@ def test_tampered_smith_generator_makes_h2_representatives_raise():
     assert len(h2_representatives(view)) == 2
     basis = cohomology._factor(view, 2, "smith")
     [gen], [d] = basis.generators, basis.torsion
-    M, mat = view.order, coboundary_matrix(view, 2)
+    M, (_, cols, d2) = view.order, coboundary_incidence(view, 2)
     messages = set()
-    for p in range(len(mat.cols)):
+    for p in range(len(cols)):
         # the generator plus (M/d) at one pair: still a multiple of M/d below M,
         # like a true generator, but never a cocycle
         bad = dict(gen)
         bad[p] = (bad.get(p, 0) + M // d) % M
-        x = [bad.get(j, 0) for j in range(len(mat.cols))]
-        assert any(v % M for v in integer_coboundary(mat, x))
+        x = [bad.get(j, 0) for j in range(len(cols))]
+        assert any(v % M for v in incidence_product(d2, x))
         view._cache[("smith", 2)] = cohomology.H2Basis(
             [d], [tuple((j, bad[j]) for j in sorted(bad) if bad[j])])
         with pytest.raises(InternalInvariantBroken) as exc:
@@ -332,9 +345,8 @@ def test_h2_with_and_without_a_residual_smith_form(monkeypatch, G, order, residu
     monkeypatch.setattr(cohomology, "smith_normal_form", recorded)
     assert h2_order(G) == order
     [(nrows, ncols)] = shapes  # one Smith form, on what unit pivots leave
-    mat = coboundary_matrix(G, 2)
     assert (nrows * ncols > 0) == residual
-    assert nrows < len(mat.rows) // 10 and ncols < len(mat.cols) // 10
+    assert nrows < (G.order - 1) ** 3 // 10 and ncols < (G.order - 1) ** 2 // 10
     assert_complete_representatives(G)
 
 
@@ -474,7 +486,9 @@ def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
     assert not is_cocycle(bad) and image_obstruction(bad) >= 465
     assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
     assert solve_coboundary(exact) == witness and coboundary(witness) == exact
-    assert ("dmat", 2) not in G._cache
+    # the d^3 row and the d^2 rows it reaches were built alone, not memoized
+    assert [k for k in G._cache if isinstance(k, tuple) and k[0] == "rows"] == [("rows", 2)]
+    assert len(cohomology._factored_rows(G, 2)) == len(S) * 15 ** 2
 
 
 # --- H^2 at its true size ------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from modcat import (CategoryMismatch, Cochain, NotCompatible,
                     PointedCategory, QZ, Subgroup, alpha_g, big_omega,
                     builtin_group, coboundary, combine, conjugate_cochain,
-                    conjugate_pair, cyclic_3cocycle, cyclic_group,
+                    cyclic_3cocycle, cyclic_group,
                     dihedral_group, gamma_cochain, h2_representatives,
                     is_cocycle, is_cohomologous, kp_category, restrict,
                     solve_coboundary, validate_pair, zero_cochain)
@@ -172,37 +172,6 @@ def test_validate_pair_rejects_full_kp_group(kp):
     assert exc.value.witness is not None
     # omega itself is nonzero at (x, x, t), so no psi with d(psi) = 0 can work
     assert kp.category.omega.value((4, 4, 2)) == QZ(1, 4)
-
-
-# --- conjugate_pair ---------------------------------------------------------
-
-def test_conjugate_pair_identity(kp):
-    pair = validate_pair(kp.category, kp.L, zero_cochain(kp.L.as_group(), 2))
-    same = conjugate_pair(pair, kp.category.group.identity)
-    assert same.H == pair.H and same.psi == pair.psi
-
-
-def test_conjugate_pair_trivial_omega_abelian():
-    G = cyclic_group(6)
-    cat = trivial_category(G)
-    from modcat import subgroups
-    for H in subgroups(G):
-        pair = validate_pair(cat, H, zero_cochain(H.as_group(), 2))
-        for g in G.elements():
-            moved = conjugate_pair(pair, g)
-            assert moved.H == pair.H and moved.psi == pair.psi
-
-
-def test_conjugate_pair_kp_klein(kp):
-    cat = kp.category
-    G = cat.group
-    pair = validate_pair(cat, kp.L, zero_cochain(kp.L.as_group(), 2))
-    moved = conjugate_pair(pair, kp.x)
-    assert moved.H == kp.L  # L is normal
-    xinv = G.inverse[kp.x]
-    assert moved.psi == restrict(big_omega(cat, xinv), kp.L)
-    # that twist restriction is a valid cochain for the pair: d = 0 = omega|_L
-    assert coboundary(moved.psi).is_zero()
 
 
 # --- alpha_g ----------------------------------------------------------------

@@ -11,10 +11,10 @@ from modcat import (Cochain, InternalInvariantBroken, ModcatError,
                     conjugate_subgroup, cyclic_3cocycle, cyclic_group,
                     dihedral_group, direct_product, echelon_form, from_table,
                     h2_order, h2_representatives, image_obstruction, is_cocycle,
-                    kp_category, kp_group, restrict, smith_normal_form,
-                    solve_coboundary, subgroups, zero_cochain)
-from modcat.cohomology import coboundary_matrix
-from oracles import bareiss_det, brute_coboundary_witness, random_cochain
+                    kp_category, kp_group, nonidentity_tuples, restrict,
+                    smith_normal_form, solve_coboundary, subgroups, zero_cochain)
+from oracles import (bareiss_det, brute_coboundary_witness, coboundary_incidence,
+                     random_cochain)
 
 
 def left_product(z, A, ncols):
@@ -30,23 +30,28 @@ def obstruction_holds(target, index):
     """The functional behind a "no": z A = 0 and z . target != 0.  Below the
     kernel's length z is a kernel row; past it, for a degree-3 target, z is
     the (index - len(kernel))-th row of d^3 with first argument in
-    ``generators(G)``, rows in lexicographic order, taken from the full d^3."""
+    ``generators(G)``, rows in lexicographic order, taken from the full d^3.
+    Both matrices come from the oracle, built from the group table."""
     G, n = target.group, target.degree
-    mat = coboundary_matrix(G, n - 1)
+    rows, cols, sparse = coboundary_incidence(G, n - 1)
     kernel = cohomology._factor(G, n - 1, "echelon").kernel
     if index < len(kernel):
         z = kernel[index]
     else:
         assert n == 3
-        d3 = coboundary_matrix(G, 3)
-        at = {t: row for t, row in zip(d3.rows, d3.sparse)}
+        d3_rows, _, d3 = coboundary_incidence(G, 3)
+        at = dict(zip(d3_rows, d3))
         elems = [x for x in G.elements() if x != G.identity]
         firsts = product(cohomology.generators(G), elems, elems, elems)
         z = at[next(islice(firsts, index - len(kernel), None))]
-    assert not any(left_product(z, mat.entries, len(mat.cols)))
+    zA = [0] * len(cols)
+    for k, c in z:
+        for j, v in sparse[k]:
+            zA[j] += c * v
+    assert not any(zA)
     acc = QZ(0)
     for k, c in z:
-        acc = acc + c * target.value(mat.rows[k])
+        acc = acc + c * target.value(rows[k])
     return bool(acc)
 
 
@@ -182,8 +187,8 @@ def test_pivot_choice_matches_the_sorting_reference(monkeypatch):
         echelon_form([tuple((j, v) for j, v in enumerate(row) if v) for row in A], ncols)
     G = direct_product(dihedral_group(8), cyclic_group(2))
     for H in subgroups(G):
-        mat = coboundary_matrix(H.as_group(), 2)
-        echelon_form(mat.sparse, len(mat.cols))
+        _, cols, sparse = coboundary_incidence(H.as_group(), 2)
+        echelon_form(sparse, len(cols))
         cohomology._h2_basis(H.as_group())
     # both kinds of pivot were chosen, many times
     assert sum(unit for _, _, unit in choices) > 1000
@@ -239,8 +244,7 @@ def d6_coboundary():
 
 def test_altered_kernel_row_raises_instead_of_answering_no():
     target = d6_coboundary()
-    mat = coboundary_matrix(target.group, 1)
-    k = next(i for i, t in enumerate(mat.rows) if target.value(t))
+    k = next(i for i, t in enumerate(nonidentity_tuples(target.group, 2)) if target.value(t))
     # the unit functional at a row where the target is nonzero is not in the kernel
     bad = tampered(target, lambda pivots, kernel: kernel.__setitem__(0, ((k, 1),)))
     with pytest.raises(InternalInvariantBroken, match="obstruction"):
@@ -341,14 +345,14 @@ def test_smith_entry_holds_only_invariant_factors_and_generators():
     G = direct_product(cyclic_group(2), cyclic_group(4))
     reps = h2_representatives(G)
     basis = cohomology._factor(G, 2, "smith")
-    mat = coboundary_matrix(G, 2)
+    _, _, d2 = coboundary_incidence(G, 2)
     assert cohomology.H2Basis.__slots__ == ("torsion", "generators")
     assert basis.torsion == [2] and len(reps) == 2
     # one generator, a 2-cocycle with values in (1/2)Z/Z: A g = 0 mod 8
     [gen] = basis.generators
     g = dict(gen)
     assert g and set(g.values()) == {4}
-    assert all(sum(c * g.get(j, 0) for j, c in row) % 8 == 0 for row in mat.sparse)
+    assert all(sum(c * g.get(j, 0) for j, c in row) % 8 == 0 for row in d2)
 
 
 def flat_form(basis):
@@ -372,7 +376,7 @@ def add_coboundary(d):
     """Add to generator 0 of D8 the coboundary of the 1-cochain that is 1/2 at
     the first non-identity element: same class, other values."""
     g = dict(zip(d["generators"][0][::2], d["generators"][0][1::2]))
-    for p, row in enumerate(coboundary_matrix(dihedral_group(8), 1).sparse):
+    for p, row in enumerate(coboundary_incidence(dihedral_group(8), 1)[2]):
         g[p] = (g.get(p, 0) + 4 * dict(row).get(0, 0)) % 8
     d["generators"][0] = [x for p in sorted(g) if g[p] for x in (p, g[p])]
 
