@@ -178,13 +178,15 @@ def cmd_cocycle_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    data = _read_json_file(args.target[1:]) if args.target.startswith("@") else None
-    if data is None:
+    if not args.target.startswith("@"):
         raise ParseError("--target must be @file.json")
+    data = _read_json_file(args.target[1:])
+    if not isinstance(data, dict):
+        raise ParseError(f"{args.target[1:]} does not hold a target object")
     if args.group:
         group = load_group(args.group, args.size_limit)
     else:  # the target's own group; cochain_from_json says if it is missing
-        own = data.get("group") if isinstance(data, dict) else None
+        own = data.get("group")
         group = None if own is None else _group(own, args.size_limit)
     target = cochain_from_json(data, group=group)
     witness, row = _solve_cochain(target)

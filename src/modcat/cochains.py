@@ -122,6 +122,16 @@ def _tuple_index(group: Group, args: tuple) -> int:
     return i
 
 
+def _index_tuple(group: Group, i: int, n: int) -> tuple:
+    """The identity-free n-tuple at lexicographic index i, the inverse of
+    ``_tuple_index``."""
+    e, base, out = group.identity, group.order - 1, []
+    for _ in range(n):
+        i, a = divmod(i, base)
+        out.append(a + (a >= e))
+    return tuple(reversed(out))
+
+
 def numerators(c: Cochain, D: int) -> List[int]:
     """c as integer numerators over D, a multiple of its denominators, on the
     identity-free tuples in lexicographic order (its coboundary's columns)."""

@@ -33,7 +33,10 @@ order of H^2(G, Q/Z); its V columns, lifted back through the unit pivots,
 give one 2-cocycle per cyclic factor.  A few kernel functionals of the
 degree-1 matrix, at most log2 |H^2| of them, tell its classes apart.
 
-Factorizations are memoized, write-once, per (group, kind, degree) on the group.
+Factorizations, the rows they eliminate and the H^2 signature are memoized,
+write-once, per (table, kind, degree): they are pure functions of the
+multiplication table, so subgroup views of one group with equal tables share
+them through a store on that group (``groups._table_memo``).
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from itertools import islice, product
 from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cochains import (Cochain, _coboundary_numerators, _tuple_index, combine,
-                       nonidentity_tuples, numerators, zero_cochain)
+from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _tuple_index,
+                       combine, nonidentity_tuples, numerators, zero_cochain)
 from .errors import DegreeMismatch, InternalInvariantBroken
-from .groups import Group, generators
+from .groups import Group, _table_memo, generators
 from .qz import QZ
 
 __all__ = [
@@ -597,28 +600,21 @@ def _factored_rows(group: Group, degree: int) -> Dict[int, Sparse]:
     """The memoized rows of d^degree that its factorizations eliminate, by row
     index, built from the table: for degree 1 all of them, for degree 2 those
     whose first argument lies in S (A_S, see the module docstring)."""
-    key = ("rows", degree)
-    rows = group._cache.get(key)
-    if rows is None:
+    def make():
         elems = [x for x in group.elements() if x != group.identity]
         firsts = elems if degree == 1 else generators(group)
-        rows = group._cache[key] = _coboundary_rows(
-            group, degree, product(firsts, *[elems] * degree))
-    return rows
+        return _coboundary_rows(group, degree, product(firsts, *[elems] * degree))
+    return _table_memo(group, ("rows", degree), make)
 
 
 def _factor(group: Group, degree: int, kind: str):
     """The memoized factorization of d^degree: "echelon" (an Echelon of
     ``_factored_rows``) or "smith" (an H2Basis, for degree 2)."""
-    key = (kind, degree)
-    got = group._cache.get(key)
-    if got is None:
+    def make():
         if kind == "echelon":
-            got = echelon_form(_factored_rows(group, degree), (group.order - 1) ** degree)
-        else:
-            got = _h2_basis(group)
-        group._cache[key] = got
-    return got
+            return echelon_form(_factored_rows(group, degree), (group.order - 1) ** degree)
+        return _h2_basis(group)
+    return _table_memo(group, (kind, degree), make)
 
 
 # ----------------------------------------------------------------------------
@@ -668,7 +664,11 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
         dx = _matvec(_factored_rows(group, 1), x) if n == 2 else \
             _coboundary_numerators(group, 2, x)
         if not any((v - t * scale) % den for v, t in zip(dx, b)):
-            f = {t: QZ(v, den) for t, v in zip(nonidentity_tuples(group, n - 1), x) if v}
+            if n == 2:  # entry j of a 1-cochain sits at element j, or j + 1 past e
+                e = group.identity
+                f = {(j + (j >= e),): QZ(v, den) for j, v in enumerate(x) if v}
+            else:
+                f = {_index_tuple(group, j, 2): QZ(v, den) for j, v in enumerate(x) if v}
             return Cochain(group, n - 1, f), None
         # a failed witness for a cocycle b (any b if n = 2): a corrupt factorization
         S = generators(group)
@@ -796,16 +796,18 @@ def _h2_vectors(group: Group) -> List[Tuple[int, ...]]:
     if found != expected:
         raise InternalInvariantBroken(
             f"found {found} cohomology classes, invariant factors give {expected}")
-    group._cache.setdefault("signature", sig)
+    _table_memo(group, "signature", lambda: sig)
     # numerators in [0, M) order like the QZ values they stand for
     return sorted((vec for vec, _ in classes), key=lambda vec: (any(vec), vec))
 
 
 def _class_signature(group: Group) -> ClassSignature:
-    """The memoized ClassSignature proved by _h2_vectors to tell H^2 apart."""
-    if "signature" not in group._cache:
-        _h2_vectors(group)
-    return group._cache["signature"]
+    """The ClassSignature proved by _h2_vectors to tell H^2 apart, memoized
+    write-once per table (``groups._table_memo``)."""
+    def make():
+        _h2_vectors(group)  # memoizes the signature it proves
+        return group._cache["signature"]
+    return _table_memo(group, "signature", make)
 
 
 def h2_representatives(group: Group) -> List[Cochain]:

@@ -370,14 +370,34 @@ def _closure(G: Group, seed: Iterable[int]) -> tuple:
     return tuple(sorted(mem))
 
 
+def _table_memo(G: Group, key, make):
+    """The entry ``key`` of G, a pure function of its multiplication table,
+    computed by ``make()`` at most once per table of one ambient group.
+
+    G's own ``_cache`` is read first.  On a miss, a subgroup view looks in the
+    store that its parent keeps for its table, shared by every view of that
+    parent with an equal table; any other group's store is its own
+    ``_cache``.  The store lives and dies with the parent.
+    """
+    got = G._cache.get(key)
+    if got is None:
+        P = G.parent
+        store = G._cache if P is None else \
+            P._cache.setdefault("tables", {}).setdefault(G.table, {})
+        got = store.get(key)
+        if got is None:
+            got = store[key] = make()
+        G._cache[key] = got
+    return got
+
+
 def generators(G: Group) -> tuple:
     """A generating set in index order, chosen deterministically: elements
     are taken by descending element order, then by index, skipping any
-    already in the closure of those taken.  Cached; the closure is checked to
-    be all of G.
+    already in the closure of those taken.  Memoized per table
+    (``_table_memo``); the closure is checked to be all of G.
     """
-    got = G._cache.get("generators")
-    if got is None:
+    def make():
         taken, closure = [], {G.identity}
         for g in sorted(G.elements(), key=lambda g: (-G.element_order(g), g)):
             if g not in closure:
@@ -385,8 +405,8 @@ def generators(G: Group) -> tuple:
                 closure = set(_closure(G, taken))
         if len(closure) != G.order:
             raise InternalInvariantBroken("the chosen generators do not generate the group")
-        got = G._cache["generators"] = tuple(sorted(taken))
-    return got
+        return tuple(sorted(taken))
+    return _table_memo(G, "generators", make)
 
 
 def subgroups(G: Group) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cochains import (Cochain, _coboundary_numerators, is_cocycle,
+from .cochains import (Cochain, _coboundary_numerators, _index_tuple, is_cocycle,
                        nonidentity_tuples, numerators, restrict)
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
@@ -155,12 +155,14 @@ def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPai
     if psi.group != view:
         raise NotCompatible("psi does not live on the subgroup view")
     D = lcm(cat.den, *(v.den for v in psi.values.values()))
-    dpsi = _coboundary_numerators(view, 2, numerators(psi, D))
-    for t, u, w in zip(nonidentity_tuples(view, 3), dpsi,
-                       numerators(restrict(cat.omega, H), D)):
-        if (u - w) % D:
-            raise NotCompatible(
-                f"d(psi) differs from the restricted 3-cocycle at {t}", witness=t)
+    dpsi = [u % D for u in _coboundary_numerators(view, 2, numerators(psi, D))]
+    # omega's numerators lie in [0, D), like dpsi's residues
+    omega = numerators(restrict(cat.omega, H), D) if cat.omega.values else [0] * len(dpsi)
+    if dpsi != omega:
+        t = _index_tuple(view, next(k for k, (u, w) in enumerate(zip(dpsi, omega))
+                                    if u != w), 3)
+        raise NotCompatible(f"d(psi) differs from the restricted 3-cocycle at {t}",
+                            witness=t)
     return AlgebraPair(cat, H, psi)
 
 

@@ -130,6 +130,20 @@ def test_solve_finds_witness(capsys, tmp_path):
     assert data["witness"] == [{"args": [1], "val": "1/4"}]
 
 
+@pytest.mark.parametrize("content", ["null", "[]", '"cyclic:2"'],
+                         ids=["null", "list", "string"])
+@pytest.mark.parametrize("group", [[], ["--group", "cyclic:2"]], ids=["own", "given"])
+def test_solve_target_file_without_an_object_is_input_error(capsys, tmp_path,
+                                                            content, group):
+    target = tmp_path / "target.json"
+    target.write_text(content)
+    code, out, err = run(capsys, "solve", "--target", f"@{target}", *group)
+    assert code == 2 and out == ""
+    assert f"{target} does not hold a target object" in err
+    code, _, err = run(capsys, "solve", "--target", str(target))
+    assert code == 2 and "--target must be @file.json" in err
+
+
 def test_h2_klein(capsys, tmp_path):
     path = klein_file(tmp_path)
     code, out, _ = run(capsys, "h2", "--group", f"@{path}", "--format", "json")

@@ -164,6 +164,25 @@ def test_validate_pair_reports_the_least_failing_triple(kp):
         assert exc.value.witness == triple
 
 
+def test_validate_pair_pins_the_triple_of_a_tampered_order_32_pair():
+    # d(kappa) = omega on all 29,791 triples; kappa moved by 1/8 at (5, 9)
+    # first fails where r * r^4 = r^5 reads that value, as a direct
+    # evaluation of d(psi) - omega triple by triple, in order, confirms
+    G = builtin_group("dihedral:32")
+    kappa = random_cochain(G, 2, random.Random(7), den=4)
+    cat, full = PointedCategory(G, coboundary(kappa)), Subgroup(G, range(32))
+    assert validate_pair(cat, full, kappa).psi == kappa
+    bad = corrupted(kappa, (5, 9), QZ(1, 8))
+    with pytest.raises(NotCompatible) as exc:
+        validate_pair(cat, full, bad)
+    assert exc.value.witness == (1, 4, 9)
+    t, om = G.table, cat.omega
+    first = next((a, b, c) for a in range(1, 32) for b in range(1, 32) for c in range(1, 32)
+                 if bad.value((b, c)) - bad.value((t[a][b], c)) + bad.value((a, t[b][c]))
+                 - bad.value((a, b)) != om.value((a, b, c)))
+    assert first == (1, 4, 9)
+
+
 def test_validate_pair_rejects_full_kp_group(kp):
     G = kp.category.group
     full = Subgroup(G, range(G.order))

@@ -9,7 +9,7 @@ import modcat.cohomology as cohomology
 from modcat import (Cochain, InternalInvariantBroken, ModcatError,
                     PointedCategory, QZ, big_omega, classify, coboundary, combine,
                     conjugate_subgroup, cyclic_3cocycle, cyclic_group,
-                    dihedral_group, direct_product, echelon_form, from_table,
+                    dihedral_group, direct_product, echelon_form, from_table, generators,
                     h2_order, h2_representatives, image_obstruction, is_cocycle,
                     kp_category, kp_group, nonidentity_tuples, restrict,
                     smith_normal_form, solve_coboundary, subgroups, zero_cochain)
@@ -195,17 +195,34 @@ def test_pivot_choice_matches_the_sorting_reference(monkeypatch):
     assert sum(not unit for _, _, unit in choices) > 50
 
 
-# --- one factorization per (view, degree) ------------------------------------
+# --- one factorization per table ---------------------------------------------
+# Subgroup views of one group with equal multiplication tables share every
+# entry that the table determines, through a store on the parent group.
 
-def test_classify_factors_each_view_and_degree_at_most_once(monkeypatch):
+TABLE_KEYS = [("rows", 1), ("rows", 2), ("echelon", 1), ("echelon", 2), ("smith", 2),
+              "signature", "generators"]
+
+
+def trivial_d8xz2():
+    G = direct_product(dihedral_group(8), cyclic_group(2))
+    return PointedCategory(G, zero_cochain(G, 3))
+
+
+def views_of(G):
+    return [H.as_group() for H in subgroups(G)]
+
+
+def test_classify_factors_each_table_kind_and_degree_once(monkeypatch):
     computed, calls = [], []
     real_factor = cohomology._factor
     real_snf, real_ech = cohomology.smith_normal_form, cohomology.echelon_form
 
     def factor(group, degree, kind):
-        if (kind, degree) not in group._cache:
-            computed.append((id(group), degree))
-        return real_factor(group, degree, kind)
+        before = len(calls)
+        got = real_factor(group, degree, kind)
+        if len(calls) > before:
+            computed.append((group.table, kind, degree, len(calls) - before))
+        return got
 
     def counted(real):
         def wrapper(*args, **kwargs):
@@ -216,13 +233,111 @@ def test_classify_factors_each_view_and_degree_at_most_once(monkeypatch):
     monkeypatch.setattr(cohomology, "_factor", factor)
     monkeypatch.setattr(cohomology, "smith_normal_form", counted(real_snf))
     monkeypatch.setattr(cohomology, "echelon_form", counted(real_ech))
-    G = direct_product(dihedral_group(8), cyclic_group(2))
-    classify(PointedCategory(G, zero_cochain(G, 3)))
-    # every factorization computed went through a cache miss, and no
-    # (view, degree) missed twice, whatever the kind of factorization
-    assert len(calls) == len(computed) > 0
-    assert len(computed) == len(set(computed))
+    cat = trivial_d8xz2()
+    classify(cat)
+    views = views_of(cat.group)
+    used = [(v.table, *key) for v in views for key in v._cache
+            if isinstance(key, tuple) and key[0] in ("echelon", "smith")]
+    # each factorization computed was one echelon or Smith form, and no
+    # (table, kind, degree) was computed twice: exactly one per distinct
+    # triple among the views, far fewer than the views that read one
+    assert all(n == 1 for *_, n in computed) and len(calls) == len(computed)
+    triples = [t[:3] for t in computed]
+    assert len(triples) == len(set(triples)) == len(set(used)) == 13
+    assert set(triples) == set(used) and len(used) == 56
+    assert len({v.table for v in views}) == 8 < len(views) == 35
     assert real_ech in calls and real_snf in calls
+
+
+def test_views_with_equal_tables_share_their_entries():
+    cat = trivial_d8xz2()
+    classify(cat)
+    views = views_of(cat.group)
+    for v in views:  # fill every entry on every view
+        for degree in (1, 2):
+            cohomology._factored_rows(v, degree)
+            cohomology._factor(v, degree, "echelon")
+        cohomology._factor(v, 2, "smith")
+        generators(v)
+        cohomology._class_signature(v)
+        subgroups(v)
+    for a in views:
+        for b in views:
+            for key in TABLE_KEYS:
+                assert (a._cache[key] is b._cache[key]) == (a.table == b.table), key
+            # subgroups of a view have the view as parent: never shared
+            assert (a._cache["subgroups"] is b._cache["subgroups"]) == (a is b)
+
+
+@pytest.mark.parametrize("G", [direct_product(dihedral_group(8), cyclic_group(2)),
+                               dihedral_group(16)], ids=["D8xZ2", "dihedral16"])
+def test_shared_h2_representatives_match_a_standalone_group(G):
+    for v in views_of(G):
+        alone = from_table(v.order, v.table)
+        assert [c.values for c in h2_representatives(v)] == \
+            [c.values for c in h2_representatives(alone)]
+        assert cohomology._class_signature(v).kernel == \
+            cohomology._class_signature(alone).kernel
+
+
+def klein_store(G):
+    """A Klein four view of G whose table other views share, and the empty
+    store its parent keeps for that table."""
+    views = views_of(G)
+    view = next(v for v in views if v.order == 4 and not v._cache
+                and sum(w.table == v.table for w in views) > 1
+                and h2_order(from_table(4, v.table)) == 2)
+    return view, G._cache.setdefault("tables", {}).setdefault(view.table, {})
+
+
+def off_cocycle_smith(alone):
+    basis = cohomology._factor(alone, 2, "smith")
+    [gen], [d] = basis.generators, basis.torsion
+    bad = dict(gen)
+    bad[0] = (bad.get(0, 0) + alone.order // d) % alone.order
+    return cohomology.H2Basis([d], [tuple(sorted((j, v) for j, v in bad.items() if v))])
+
+
+def non_cycle_echelon(alone):
+    ech = cohomology._factor(alone, 1, "echelon")
+    return cohomology.Echelon(ech.nrows, ech.ncols, ech.pivots,
+                              [((0, 1),)] + list(ech.kernel[1:]))
+
+
+def blind_signature(alone):
+    sig = object.__new__(cohomology.ClassSignature)
+    sig.kernel = ()  # tells no class apart
+    return sig
+
+
+SHARED_TAMPERS = {
+    "smith-not-a-cocycle": (("smith", 2), off_cocycle_smith),
+    "echelon-kernel-row": (("echelon", 1), non_cycle_echelon),
+    "signature-without-cycles": ("signature", blind_signature),
+}
+
+
+@pytest.mark.parametrize("key, make", SHARED_TAMPERS.values(), ids=SHARED_TAMPERS.keys())
+def test_tampered_shared_entry_makes_classify_raise(key, make):
+    cat = trivial_d8xz2()
+    view, store = klein_store(cat.group)
+    store[key] = make(from_table(4, view.table))
+    with pytest.raises(InternalInvariantBroken):
+        classify(cat)
+    # the view had no entry of its own: the tampered one reached it through
+    # the store, and was caught instead of deciding a class
+    assert view._cache.get(key) is store[key]
+
+
+def test_fresh_copies_of_a_group_share_nothing():
+    cats = [trivial_d8xz2(), trivial_d8xz2()]
+    for cat in cats:
+        classify(cat)
+    a, b = [cat.group for cat in cats]
+    assert a._cache["tables"] is not b._cache["tables"]
+    ids = [{id(v._cache[k]) for v in views_of(G) for k in TABLE_KEYS
+            if v._cache.get(k, ()) != ()} for G in (a, b)]
+    assert ids[0] and not ids[0] & ids[1]
 
 
 # --- certified answers from a tampered factorization --------------------------
