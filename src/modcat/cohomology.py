@@ -24,14 +24,21 @@ coefficients; applied to e = A x - b for a cocycle target b, it shows that
 A_S x = b_S implies A x = b.  A target that is not a cocycle is caught by a
 row of d^3 with first argument in S, built alone when needed.  A_S holds
 |S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of order
-16); no other row of d^2 is memoized (``_factored_rows``).
+16); the degree-3 solves memoize it (``_factored_rows``), and no other row
+of d^2.
 
-H^2 comes from A_S by sparse elimination on unit pivots, which splits a 1
-off the Smith form per pivot, followed by a dense Smith normal form (V only)
-of the few rows and columns that are left.  Its invariant factors give the
-order of H^2(G, Q/Z); its V columns, lifted back through the unit pivots,
-give one 2-cocycle per cyclic factor.  A few kernel functionals of the
-degree-1 matrix, at most log2 |H^2| of them, tell its classes apart.
+H^2 is read off A_S without building it.  A breadth-first spanning tree of
+the Cayley graph of (G, S) gives every column (g, b) with g outside S u {e}
+a unit pivot in a known row, so a normalized 2-cocycle is fixed by its
+values on the |S|(|G| - 1) edge columns (s, b), s in S.  Only R, the other
+rows of A_S rewritten on those columns, is factored: sparse elimination on
+unit pivots splits a 1 off the Smith form per pivot, and a dense Smith
+normal form (V only) takes the few rows and columns that are left (for the
+dihedral group of order 16, R is 142 x 30 and the dense part 1 x 15).  Its
+invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
+through the unit pivots and the tree, give one 2-cocycle per cyclic factor.
+A few kernel functionals of the degree-1 matrix, at most log2 |H^2| of them,
+tell its classes apart.
 
 Factorizations, the rows they eliminate and the H^2 signature are memoized,
 write-once, per (table, kind, degree): they are pure functions of the
@@ -514,24 +521,97 @@ class H2Basis:
         self.generators = generators
 
 
+def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
+    """{g: (s, a)} with s a generator and s a = g, for every g outside
+    S u {e}, S = ``generators(G)``: the edges of a breadth-first spanning
+    tree of the Cayley graph, grown from e by left multiplication, visiting
+    the a in breadth-first order and the s in order of S.  Each a is e, in S,
+    or a key earlier in the dict (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 4.1).
+    """
+    table, S = group.table, generators(group)
+    seen, layer, tree = {group.identity, *S}, list(S), {}
+    while layer:
+        grown = []
+        for a in layer:
+            for s in S:
+                g = table[s][a]
+                if g not in seen:
+                    seen.add(g)
+                    tree[g] = (s, a)
+                    grown.append(g)
+        layer = grown
+    return tree
+
+
 def _h2_basis(group: Group) -> H2Basis:
     """Invariant factors and class generators of H^2 from d^2, kept sparse.
 
-    Only A_S is eliminated: it has the kernel of A over Q/Z (module
-    docstring), hence the same invariant factors above 1, and every generator
-    below is a cocycle of the full A.
+    Only A_S is used: it has the kernel of A over Q/Z (module docstring),
+    hence the same invariant factors above 1, and every generator below is a
+    cocycle of the full A.  It is never built.  For each tree edge (s, a) of
+    g (``_schreier_tree``), the row (s, a, b) of A_S is -1 at column (g, b),
+    and its other columns have first argument s or a: on the kernel,
 
-    The unit pivots of _eliminate, without T, each split a 1 off the Smith
-    form, so Smith(A_S) = 1^u + Smith(S) for the rows S left (Dumas, Saunders
-    and Villard, 2001).  Only S, nonzero on a few columns, goes through the
-    dense smith_normal_form, with V.  For each invariant factor d_j > 1 of S,
-    V_S[:, j] * (M / d_j) solves S x = 0 mod M and is lifted to the pivot
-    columns by back-substitution in reverse pivot order.  Columns with d_j = 0,
-    and columns left free, give integer cocycles: coboundaries over Q/Z, since
-    H^2(G, Q) = 0, so they are not kept.
+        psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a),
+
+    terms at e dropped.  In breadth-first order this writes every column as
+    an integer combination of the |S|(M - 1) edge columns (s, b), s in S.
+    Those rows, on the columns (g, b), form a triangular block with -1 on
+    its diagonal, so eliminating them is unimodular: Smith(A_S) =
+    1^((M-1)(M-1-|S|)) + Smith(R), where R holds the other rows of A_S with
+    every column substituted (zero rows and rows equal up to sign dropped).
+
+    The unit pivots of _eliminate on R, without T, each split a 1 off the
+    Smith form (Dumas, Saunders and Villard, 2001), and only the rows left,
+    nonzero on a few columns, go through the dense smith_normal_form, with
+    V.  For each invariant factor d_j > 1 there, V[:, j] * (M / d_j) solves
+    the residual mod M; back-substitution in reverse pivot order lifts it to
+    R's pivot columns, and the tree substitution to every column.  Columns
+    with d_j = 0, and columns left free, give integer cocycles: coboundaries
+    over Q/Z, since H^2(G, Q) = 0, so they are not kept.  For the same
+    reason rank R = (|S| - 1)(M - 1), the rank of A_S over Q less the tree
+    pivots; a factorization that misses it raises.
     """
-    M = group.order
-    pivots, work, colrows, _ = _eliminate(_factored_rows(group, 2), (M - 1) ** 2,
+    M, e, table = group.order, group.identity, group.table
+    S, tree = generators(group), _schreier_tree(group)
+    n, elems = M - 1, [x for x in group.elements() if x != e]
+    pos = {s: i * n for i, s in enumerate(S)}
+
+    def edge(s, x):
+        return pos[s] + x - (x > e)
+
+    # sub[g][j]: column (g, elems[j]) as an integer combination of edge columns
+    sub = {s: [{edge(s, b): 1} for b in elems] for s in S}
+
+    def through(s, a, j, b):
+        """psi(a, b) + psi(s, ab) - psi(s, a) on the edge columns, b = elems[j]."""
+        x = dict(sub[a][j])
+        x[edge(s, a)] = x.get(edge(s, a), 0) - 1
+        ab = table[a][b]
+        if ab != e:
+            x[edge(s, ab)] = x.get(edge(s, ab), 0) + 1
+        return x
+
+    for g, (s, a) in tree.items():
+        sub[g] = [{c: v for c, v in through(s, a, j, b).items() if v}
+                  for j, b in enumerate(elems)]
+
+    rows = set()
+    for s, a in product(S, elems):
+        g = table[s][a]
+        if tree.get(g) == (s, a):
+            continue
+        for j, b in enumerate(elems):
+            row = through(s, a, j, b)
+            if g != e:
+                for c, v in sub[g][j].items():
+                    row[c] = row.get(c, 0) - v
+            row = sorted((c, v) for c, v in row.items() if v)
+            if row:
+                sign = 1 if row[0][1] > 0 else -1
+                rows.add(tuple((c, sign * v) for c, v in row))
+    pivots, work, colrows, _ = _eliminate(dict(enumerate(sorted(rows))), len(S) * n,
                                           track=False)
     # the residual, on its own columns, with repeated rows (up to sign) dropped
     live = sorted(c for c, rs in enumerate(colrows) if rs)
@@ -544,6 +624,10 @@ def _h2_basis(group: Group) -> H2Basis:
     residual = sorted(residual)
     snf = smith_normal_form(residual, len(residual), len(live),
                             need_U=False, need_V=True)
+    rank = len(pivots) + sum(1 for d in snf.diag if d)
+    if rank != (len(S) - 1) * n:
+        raise InternalInvariantBroken(
+            f"relation matrix has rank {rank}, expected {(len(S) - 1) * n}")
 
     torsion, gens = [], []
     for k, d in enumerate(snf.diag):
@@ -554,8 +638,14 @@ def _h2_basis(group: Group) -> H2Basis:
         x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(live)}
         for c, p, rest, _ in reversed(pivots):
             x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
+        gen = []
+        for i, g in enumerate(elems):
+            for j, combo in enumerate(sub[g]):
+                v = sum(c * x.get(col, 0) for col, c in combo.items()) % M
+                if v:
+                    gen.append((i * n + j, v))
         torsion.append(d)
-        gens.append(tuple((j, v) for j, v in sorted(x.items()) if v))
+        gens.append(tuple(gen))
     return H2Basis(torsion, gens)
 
 

@@ -4,13 +4,16 @@ Everything here deliberately avoids the production solver paths: subgroup
 enumeration by raw subset filtering, coboundary matrices built from the group
 table by their defining formula, coboundary solving by exhaustive search over
 bounded denominators, homology orders from a kernel-basis computation, and a
-no-twist classifier for the trivial-cocycle reduction.
+no-twist classifier for the trivial-cocycle reduction.  The one exception is
+``h2_torsion_by_generator_rows``, the earlier H^2 algorithm of the package,
+kept as the reference that the Schreier-tree one is compared against.
 """
 
 from itertools import combinations, product
 
-from modcat import (Cochain, QZ, coboundary, is_cohomologous,
+from modcat import (Cochain, QZ, coboundary, from_table, is_cohomologous,
                     nonidentity_tuples, smith_normal_form)
+from modcat import cohomology
 
 
 def coboundary_incidence(G, n):
@@ -282,3 +285,33 @@ def bareiss_det(A):
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def relabel(G, rng):
+    """G with its elements renumbered by a random permutation."""
+    perm = list(G.elements())
+    rng.shuffle(perm)
+    inv = [0] * G.order
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return from_table(G.order, [[inv[G.table[perm[i]][perm[j]]] for j in range(G.order)]
+                                for i in range(G.order)])
+
+
+def h2_torsion_by_generator_rows(G):
+    """The invariant factors above 1 of d^2, found as the package found them
+    before its Schreier tree: unit-pivot elimination, without a transform, of
+    every row of d^2 whose first argument is a generator, then a dense Smith
+    form of the distinct rows (up to sign) left on the columns left."""
+    _, work, colrows, _ = cohomology._eliminate(cohomology._factored_rows(G, 2),
+                                                (G.order - 1) ** 2, track=False)
+    live = sorted(c for c, rs in enumerate(colrows) if rs)
+    residual = set()
+    for row in work.values():
+        dense = [row.get(c, 0) for c in live]
+        if next(v for v in dense if v) < 0:
+            dense = [-v for v in dense]
+        residual.add(tuple(dense))
+    snf = smith_normal_form(sorted(residual), len(residual), len(live),
+                            need_U=False, need_V=False)
+    return [d for d in snf.diag if d > 1]

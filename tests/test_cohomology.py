@@ -10,11 +10,11 @@ from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
                     is_cohomologous,
                     kp_category, kp_group, nonidentity_tuples, restrict,
                     smith_normal_form, solve_coboundary, subgroups, zero_cochain)
-from modcat.cochains import _coboundary_numerators
+from modcat.cochains import _coboundary_numerators, _tuple_index
 from modcat.cohomology import image_obstruction, numerators
 from oracles import (bareiss_det, brute_coboundary_witness, coboundary_incidence,
-                     enumerate_2cocycles_int, h2_order_homology, incidence_product,
-                     random_cochain)
+                     enumerate_2cocycles_int, h2_order_homology, h2_torsion_by_generator_rows,
+                     incidence_product, random_cochain, relabel)
 from test_solver import obstruction_holds
 
 
@@ -365,15 +365,7 @@ def test_h2_representatives_contract():
 def test_h2_count_invariant_under_relabeling():
     rng = random.Random(23)
     for G in (klein_group(), kp_group()):
-        perm = list(G.elements())
-        rng.shuffle(perm)
-        inv = [0] * G.order
-        for i, p in enumerate(perm):
-            inv[p] = i
-        table = [[inv[G.table[perm[i]][perm[j]]] for j in range(G.order)]
-                 for i in range(G.order)]
-        H = from_table(G.order, table)
-        assert len(h2_representatives(H)) == len(h2_representatives(G))
+        assert len(h2_representatives(relabel(G, rng))) == len(h2_representatives(G))
 
 
 # --- the generator-row lemma --------------------------------------------------
@@ -535,3 +527,78 @@ def test_signatures_keep_only_cycles_that_split_h2(monkeypatch, G):
                 h2_representatives(view)
             monkeypatch.setattr(cohomology, "ClassSignature", real)
         assert cohomology._class_signature(view).kernel is kept  # memoized, write-once
+
+
+# --- H^2 on a Schreier tree -----------------------------------------------------
+# The columns (g, b) of d^2 with g outside S u {e} are substituted away along a
+# breadth-first spanning tree of the Cayley graph; only the relations among the
+# edge columns (s, b), s in S, are factored.
+
+def d8xz2():
+    return direct_product(dihedral_group(8), cyclic_group(2))
+
+
+@pytest.mark.parametrize("G", [kp_group(), d8xz2(), dihedral_group(12), z2_to_the_4(),
+                               cyclic_group(9)],
+                         ids=["kp", "D8xZ2", "dihedral12", "Z2^4", "cyclic9"])
+def test_schreier_tree_rows_pivot_on_their_columns(G):
+    e, S, tree = G.identity, generators(G), cohomology._schreier_tree(G)
+    assert set(tree) == set(G.elements()) - set(S) - {e}
+    earlier = {e, *S}
+    for g, (s, a) in tree.items():
+        assert s in S and G.table[s][a] == g and a in earlier
+        earlier.add(g)
+        for b in G.elements():
+            if b != e:
+                [row] = cohomology._coboundary_rows(G, 2, [(s, a, b)]).values()
+                assert dict(row)[_tuple_index(G, (g, b))] == -1
+
+
+def test_h2_builds_no_rows_of_d2():
+    G = d8xz2()
+    assert h2_order(G) == 8
+    assert ("rows", 2) not in G._cache
+
+
+H2_GROUPS = {"D8xZ2": d8xz2(), "Z4xZ4": direct_product(cyclic_group(4), cyclic_group(4)),
+             "dihedral16": dihedral_group(16), "cyclic16": cyclic_group(16),
+             "Z2^4": z2_to_the_4(), "kp": kp_group(), "dihedral12": dihedral_group(12)}
+
+
+@pytest.mark.parametrize("G", H2_GROUPS.values(), ids=H2_GROUPS.keys())
+def test_h2_torsion_matches_the_generator_row_elimination(monkeypatch, G):
+    relations, real = [], cohomology._eliminate
+
+    def recorded(rows, ncols, track=True):
+        relations.append(len(rows))
+        return real(rows, ncols, track)
+
+    monkeypatch.setattr(cohomology, "_eliminate", recorded)
+    rng = random.Random(G.order)
+    tables = {v.table: v for v in (H.as_group() for H in subgroups(G))}
+    groups = list(tables.values()) + [relabel(G, rng) for _ in range(3)]
+    for view in groups:
+        relations.clear()
+        torsion = cohomology._h2_basis(view).torsion
+        # the trivial group and cyclic groups have no relations at all
+        assert (relations == [0]) == (len(generators(view)) < 2)
+        assert torsion == h2_torsion_by_generator_rows(view)
+    assert any(len(generators(v)) == 1 for v in groups)
+    assert any(v.order == 1 for v in groups)
+
+
+def test_relation_matrix_of_the_wrong_rank_raises(monkeypatch):
+    real = cohomology.smith_normal_form
+
+    def lossy(*args, **kwargs):
+        snf = real(*args, **kwargs)
+        k = max(i for i, d in enumerate(snf.diag) if d)
+        snf.diag[k] = 0
+        return snf
+
+    G = d8xz2()
+    monkeypatch.setattr(cohomology, "smith_normal_form", lossy)
+    with pytest.raises(InternalInvariantBroken, match="rank"):
+        cohomology._h2_basis(G)
+    monkeypatch.setattr(cohomology, "smith_normal_form", real)
+    assert cohomology._h2_basis(G).torsion == [2, 2, 2]

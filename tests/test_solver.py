@@ -187,9 +187,12 @@ def test_pivot_choice_matches_the_sorting_reference(monkeypatch):
         echelon_form([tuple((j, v) for j, v in enumerate(row) if v) for row in A], ncols)
     G = direct_product(dihedral_group(8), cyclic_group(2))
     for H in subgroups(G):
-        _, cols, sparse = coboundary_incidence(H.as_group(), 2)
+        view = H.as_group()
+        _, cols, sparse = coboundary_incidence(view, 2)
         echelon_form(sparse, len(cols))
-        cohomology._h2_basis(H.as_group())
+        # the generator rows of d^2, eliminated without T up to the first
+        # column without a unit entry, as H^2 did before its Schreier tree
+        cohomology._eliminate(cohomology._factored_rows(view, 2), len(cols), track=False)
     # both kinds of pivot were chosen, many times
     assert sum(unit for _, _, unit in choices) > 1000
     assert sum(not unit for _, _, unit in choices) > 50
