@@ -17,8 +17,8 @@ from math import lcm
 from typing import List, Mapping, Optional, Tuple
 
 from .errors import DegreeMismatch, GroupMismatch, NotASubgroup, ParseError
-from .groups import (Group, Subgroup, builtin_group, generators, group_from_json,
-                     group_to_json)
+from .groups import (Group, Subgroup, _json_int, builtin_group, generators,
+                     group_from_json, group_to_json)
 from .qz import QZ, ZERO, qz
 
 __all__ = [
@@ -312,17 +312,10 @@ def cochain_from_json(data, group: Optional[Group] = None,
         group = builtin_group(ref) if isinstance(ref, str) else group_from_json(ref)
     else:
         ref = data.get("group")
-        if isinstance(ref, dict):
-            try:
-                order = int(ref.get("order", group.order))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"cochain JSON group order malformed: {exc}") from exc
-            if order != group.order:
+        if isinstance(ref, dict) and "order" in ref:
+            if _json_int(ref, "order", "cochain group") != group.order:
                 raise ParseError("cochain JSON group order does not match")
-    try:
-        degree = int(data["degree"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"cochain JSON degree missing or malformed: {exc}") from exc
+    degree = _json_int(data, "degree", "cochain")
     if expect_degree is not None and degree != expect_degree:
         raise DegreeMismatch(f"expected degree {expect_degree}, file has {degree}")
     entries = data.get("values", [])

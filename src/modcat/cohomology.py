@@ -24,23 +24,25 @@ coefficients; applied to e = A x - b for a cocycle target b, it shows that
 A_S x = b_S implies A x = b.  A target that is not a cocycle is caught by a
 row of d^3 with first argument in S, built alone when needed.  A_S holds
 |S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of order
-16); the degree-3 solves memoize it (``_factored_rows``), and no other row
-of d^2.
+16), and it is never eliminated as a whole.
 
-H^2 is read off A_S without building it.  A breadth-first spanning tree of
-the Cayley graph of (G, S) gives every column (g, b) with g outside S u {e}
-a unit pivot in a known row, so a normalized 2-cocycle is fixed by its
-values on the |S|(|G| - 1) edge columns (s, b), s in S.  Only R, the other
-rows of A_S rewritten on those columns, is factored: sparse elimination on
-unit pivots splits a 1 off the Smith form per pivot, and a dense Smith
-normal form (V only) takes the few rows and columns that are left (for the
-dihedral group of order 16, R is 142 x 30 and the dense part 1 x 15).  Its
+A breadth-first spanning tree of the Cayley graph of (G, S) gives every
+column (g, b) with g outside S u {e} a unit pivot in a known row of A_S,
+its tree row, so a normalized 2-cocycle is fixed by its values on the
+|S|(|G| - 1) edge columns (s, b), s in S.  Only R, the other rows of A_S
+rewritten on those columns, is eliminated (for the dihedral group of order
+16, 255 rows on 30 columns).  The degree-3 solves use the tree rows as
+pivots as they stand, followed by the echelon form of R, its T lifted back
+to rows of A_S along the tree (``_d2_echelon``).  H^2 takes the distinct
+rows of R: sparse elimination on unit pivots splits a 1 off the Smith form
+per pivot, and a dense Smith normal form (V only) takes the few rows and
+columns that are left (1 x 15 for the dihedral group of order 16).  Its
 invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
 through the unit pivots and the tree, give one 2-cocycle per cyclic factor.
 A few kernel functionals of the degree-1 matrix, at most log2 |H^2| of them,
 tell its classes apart.
 
-Factorizations, the rows they eliminate and the H^2 signature are memoized,
+Factorizations, the rows of d^1 and the H^2 signature are memoized,
 write-once, per (table, kind, degree): they are pure functions of the
 multiplication table, so subgroup views of one group with equal tables share
 them through a store on that group (``groups._table_memo``).
@@ -48,7 +50,6 @@ them through a store on that group (``groups._table_memo``).
 
 from __future__ import annotations
 
-import heapq
 from itertools import islice, product
 from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -302,12 +303,13 @@ class Echelon(NamedTuple):
     sparse entries ``rest``, and ``u`` is the row of T that produced it.
     Column ``col`` is zero in every later pivot row, so back-substitution in
     reverse order solves E x = T b.  ``kernel`` holds the rows of T whose E row
-    is zero, in original row order: an integer basis of {z : z A = 0}.
+    is zero, in the order of the rows they came from: an integer basis of
+    {z : z A = 0}.
 
     A factorization of some rows of A, given by row index, keeps A's row
     indices, so z A = 0 and u A = E hold for the full A.  That of A_S for d^2
-    is one.  Nothing changes an Echelon after it is built: a memoized one
-    answers every later solve the same way.
+    is one (``_d2_echelon``).  Nothing changes an Echelon after it is built:
+    a memoized one answers every later solve the same way.
     """
 
     nrows: int
@@ -321,83 +323,37 @@ class Echelon(NamedTuple):
 _SEARCH_COLUMNS = 3
 
 
-class _Columns:
-    """The row sets of a sparse matrix's columns during elimination, with a
-    lazy heap of (count, column) entries for visiting them sparsest first.
-
-    Elimination marks every column whose count it may change as dirty, and
-    ``ascending`` pushes the true count of each dirty column before it pops.
-    So every nonempty column has an entry at its true place; entries whose
-    count is no longer true are dropped as they surface.
-    """
-
-    __slots__ = ("rows", "heap", "dirty")
-
-    def __init__(self, rows: List[set]):
-        self.rows = rows
-        self.heap = [(len(rs), c) for c, rs in enumerate(rows) if rs]
-        heapq.heapify(self.heap)
-        self.dirty = set()
-
-    def ascending(self):
-        """Nonempty columns as (count, col) in ascending order, each once.
-
-        Each column visited must be pushed back with ``restore``.
-        """
-        heap, rows, seen = self.heap, self.rows, set()
-        for c in self.dirty:
-            if rows[c]:
-                heapq.heappush(heap, (len(rows[c]), c))
-        self.dirty.clear()
-        while heap:
-            count, c = heapq.heappop(heap)
-            if count == len(rows[c]) and c not in seen:
-                seen.add(c)
-                yield count, c
-
-    def restore(self, visited) -> None:
-        for item in visited:
-            heapq.heappush(self.heap, item)
-
-
-def _axpy(dst: dict, src: dict, q: int, cols: Optional[_Columns] = None,
-          rid=None) -> None:
+def _axpy(dst: dict, src: dict, q: int, colrows=None, rid=None) -> None:
     """dst += q * src on sparse dict rows, keeping column occupancy current."""
-    if cols is not None:
-        cols.dirty.update(src)
-        colrows = cols.rows
     for j, v in src.items():
         nv = dst.get(j, 0) + q * v
         if nv:
-            if cols is not None and j not in dst:
+            if colrows is not None and j not in dst:
                 colrows[j].add(rid)
             dst[j] = nv
         elif j in dst:
             del dst[j]
-            if cols is not None:
+            if colrows is not None:
                 colrows[j].discard(rid)
 
 
 def _mix(d1: dict, d2: dict, x: int, y: int, s: int, t: int,
-         cols: Optional[_Columns] = None, r1=None, r2=None) -> None:
+         colrows=None, r1=None, r2=None) -> None:
     """(d1, d2) <- (x d1 + y d2, s d1 + t d2) on sparse dict rows."""
-    touched = sorted(set(d1) | set(d2))
-    if cols is not None:
-        cols.dirty.update(touched)
-    for j in touched:
+    for j in sorted(set(d1) | set(d2)):
         a, b = d1.get(j, 0), d2.get(j, 0)
         for d, v, rid in ((d1, x * a + y * b, r1), (d2, s * a + t * b, r2)):
             if v:
-                if cols is not None and j not in d:
-                    cols.rows[j].add(rid)
+                if colrows is not None and j not in d:
+                    colrows[j].add(rid)
                 d[j] = v
             elif j in d:
                 del d[j]
-                if cols is not None:
-                    cols.rows[j].discard(rid)
+                if colrows is not None:
+                    colrows[j].discard(rid)
 
 
-def _choose_pivot(work, cols: _Columns, urow=None):
+def _choose_pivot(work, colrows, urow=None):
     """(row, col, unit) for the next pivot.
 
     Unit entries come first, chosen by the Markowitz cost (row length - 1) *
@@ -406,10 +362,9 @@ def _choose_pivot(work, cols: _Columns, urow=None):
     index).  Without any unit entry, the sparsest column is taken with its
     entry of least magnitude.
     """
-    colrows = cols.rows
-    best, seen, visited = None, 0, []
-    for count, c in cols.ascending():
-        visited.append((count, c))
+    cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
+    best, seen = None, 0
+    for count, c in cands:
         found = False
         for r in colrows[c]:
             row = work[r]
@@ -423,10 +378,9 @@ def _choose_pivot(work, cols: _Columns, urow=None):
             seen += 1
             if seen == _SEARCH_COLUMNS or best[0][0] == 0:
                 break
-    cols.restore(visited)
     if best is not None:
         return best[1], best[2], True
-    c = visited[0][1]
+    c = cands[0][1]
     r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]),
                                        0 if urow is None else len(urow[r]), r))
     return r, c, False
@@ -450,21 +404,20 @@ def _eliminate(rows: Dict[int, Sparse], ncols: int, track: bool = True):
                 colrows[j].add(i)
         else:
             zero.append(i)
-    cols = _Columns(colrows)
     pivots = []
     while work:
-        r, c, unit = _choose_pivot(work, cols, urow if track else None)
+        r, c, unit = _choose_pivot(work, colrows, urow if track else None)
         if not unit:
             if not track:
                 break
             for r2 in sorted(colrows[c] - {r}):
                 a, b = work[r][c], work[r2][c]
                 if b % a == 0:
-                    _axpy(work[r2], work[r], -(b // a), cols, r2)
+                    _axpy(work[r2], work[r], -(b // a), colrows, r2)
                     _axpy(urow[r2], urow[r], -(b // a))
                 else:
                     x, y, g = _xgcd(a, b)
-                    _mix(work[r], work[r2], x, y, -b // g, a // g, cols, r, r2)
+                    _mix(work[r], work[r2], x, y, -b // g, a // g, colrows, r, r2)
                     _mix(urow[r], urow[r2], x, y, -b // g, a // g)
                 if not work[r2]:
                     del work[r2]
@@ -473,10 +426,9 @@ def _eliminate(rows: Dict[int, Sparse], ncols: int, track: bool = True):
         p = prow[c]
         for j in prow:
             colrows[j].discard(r)
-        cols.dirty.update(prow)
         for r2 in sorted(colrows[c]):  # none left after the gcd combines
             q = work[r2][c] * p
-            _axpy(work[r2], prow, -q, cols, r2)
+            _axpy(work[r2], prow, -q, colrows, r2)
             if track:
                 _axpy(urow[r2], pu, -q)
             if not work[r2]:
@@ -544,34 +496,19 @@ def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
     return tree
 
 
-def _h2_basis(group: Group) -> H2Basis:
-    """Invariant factors and class generators of H^2 from d^2, kept sparse.
-
-    Only A_S is used: it has the kernel of A over Q/Z (module docstring),
-    hence the same invariant factors above 1, and every generator below is a
-    cocycle of the full A.  It is never built.  For each tree edge (s, a) of
-    g (``_schreier_tree``), the row (s, a, b) of A_S is -1 at column (g, b),
-    and its other columns have first argument s or a: on the kernel,
+def _relations(group: Group):
+    """(sub, R) for the Schreier tree (``_schreier_tree``), built from the
+    table and not memoized.  For each tree edge (s, a) of g, the row
+    (s, a, b) of A_S is -1 at column (g, b), and on the kernel
 
         psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a),
 
-    terms at e dropped.  In breadth-first order this writes every column as
-    an integer combination of the |S|(M - 1) edge columns (s, b), s in S.
-    Those rows, on the columns (g, b), form a triangular block with -1 on
-    its diagonal, so eliminating them is unimodular: Smith(A_S) =
-    1^((M-1)(M-1-|S|)) + Smith(R), where R holds the other rows of A_S with
-    every column substituted (zero rows and rows equal up to sign dropped).
-
-    The unit pivots of _eliminate on R, without T, each split a 1 off the
-    Smith form (Dumas, Saunders and Villard, 2001), and only the rows left,
-    nonzero on a few columns, go through the dense smith_normal_form, with
-    V.  For each invariant factor d_j > 1 there, V[:, j] * (M / d_j) solves
-    the residual mod M; back-substitution in reverse pivot order lifts it to
-    R's pivot columns, and the tree substitution to every column.  Columns
-    with d_j = 0, and columns left free, give integer cocycles: coboundaries
-    over Q/Z, since H^2(G, Q) = 0, so they are not kept.  For the same
-    reason rank R = (|S| - 1)(M - 1), the rank of A_S over Q less the tree
-    pivots; a factorization that misses it raises.
+    terms at e dropped.  In breadth-first order this writes each column
+    (g, elems[j]) as ``sub[g][j]``, an integer combination of the |S|(M - 1)
+    edge columns (s, b), s in S, numbered s-major.  ``R`` maps the index of
+    every other row of A_S to that row so substituted, zero rows included:
+    as rows of A, R's row (s, a, b) is row (s, a, b) plus the tree rows at
+    last argument b on a's path back to S, less those on sa's path.
     """
     M, e, table = group.order, group.identity, group.table
     S, tree = generators(group), _schreier_tree(group)
@@ -581,7 +518,6 @@ def _h2_basis(group: Group) -> H2Basis:
     def edge(s, x):
         return pos[s] + x - (x > e)
 
-    # sub[g][j]: column (g, elems[j]) as an integer combination of edge columns
     sub = {s: [{edge(s, b): 1} for b in elems] for s in S}
 
     def through(s, a, j, b):
@@ -597,20 +533,94 @@ def _h2_basis(group: Group) -> H2Basis:
         sub[g] = [{c: v for c, v in through(s, a, j, b).items() if v}
                   for j, b in enumerate(elems)]
 
-    rows = set()
+    R = {}
     for s, a in product(S, elems):
         g = table[s][a]
         if tree.get(g) == (s, a):
             continue
+        first = _tuple_index(group, (s, a)) * n  # the index of row (s, a, elems[0])
         for j, b in enumerate(elems):
             row = through(s, a, j, b)
             if g != e:
                 for c, v in sub[g][j].items():
                     row[c] = row.get(c, 0) - v
-            row = sorted((c, v) for c, v in row.items() if v)
-            if row:
-                sign = 1 if row[0][1] > 0 else -1
-                rows.add(tuple((c, sign * v) for c, v in row))
+            R[first + j] = tuple(sorted((c, v) for c, v in row.items() if v))
+    return sub, R
+
+
+def _d2_echelon(group: Group) -> Echelon:
+    """The echelon form of A_S, by row indices of A = d^2.  The tree rows
+    (``_relations``) come first, in reverse breadth-first order, each its own
+    pivot row, -1 at (g, b); then the pivot rows of R.  R's T rows, pivot and
+    kernel, are lifted to rows of A_S, so u A = E and z A = 0 hold for A, and
+    the kernel has |S|(M - 1)^2 - rank A rows.  Back-substitution, in
+    reverse, solves the edge columns from R, then each (g, b) in breadth-first
+    order from columns already solved.
+    """
+    e, table, S, tree = group.identity, group.table, generators(group), _schreier_tree(group)
+    n, elems = group.order - 1, [x for x in group.elements() if x != e]
+    pivots = []
+    tree_rows = _coboundary_rows(group, 2, (
+        (s, a, b) for s, a in reversed(tree.values()) for b in elems))
+    for k, row in tree_rows.items():
+        s, a, b = _index_tuple(group, k, 3)
+        c = _tuple_index(group, (table[s][a], b))
+        pivots.append((c, -1, tuple(jv for jv in row if jv[0] != c), ((k, 1),)))
+
+    paths = {}  # g: the index of each tree row (s, a, elems[0]) on g's path back to S
+    for g, (s, a) in tree.items():
+        paths[g] = [_tuple_index(group, (s, a)) * n, *paths.get(a, ())]
+    _, R = _relations(group)
+    lifted = {}  # R's row k = (s, a, elems[j]) as rows of A_S
+    for k in R:
+        (s, a), j = _index_tuple(group, k // n, 2), k % n
+        lifted[k] = [(k, 1), *((p + j, 1) for p in paths.get(a, ())),
+                     *((p + j, -1) for p in paths.get(table[s][a], ()))]
+
+    def lift(u: Sparse) -> Sparse:
+        acc = {}
+        for k, c in u:
+            for r, v in lifted[k]:
+                acc[r] = acc.get(r, 0) + c * v
+        return tuple(sorted((r, v) for r, v in acc.items() if v))
+
+    column = [_tuple_index(group, (s, b)) for s in S for b in elems]  # R's, in A
+    ech = echelon_form(R, len(S) * n)
+    for c, p, rest, u in ech.pivots:
+        pivots.append((column[c], p, tuple((column[j], v) for j, v in rest), lift(u)))
+    return Echelon(len(S) * n * n, n * n, pivots, [lift(z) for z in ech.kernel])
+
+
+def _h2_basis(group: Group) -> H2Basis:
+    """Invariant factors and class generators of H^2 from d^2, kept sparse.
+
+    Only A_S is used: it has the kernel of A over Q/Z (module docstring),
+    hence the same invariant factors above 1, and every generator below is a
+    cocycle of the full A.  It is never built.  Its tree rows (``_relations``),
+    on the columns (g, b), form a triangular block with -1 on its diagonal,
+    so eliminating them is unimodular: Smith(A_S) = 1^((M-1)(M-1-|S|)) +
+    Smith(R), and only R's distinct nonzero rows, up to sign, are factored.
+
+    The unit pivots of _eliminate on R, without T, each split a 1 off the
+    Smith form (Dumas, Saunders and Villard, 2001), and only the rows left,
+    nonzero on a few columns, go through the dense smith_normal_form, with
+    V.  For each invariant factor d_j > 1 there, V[:, j] * (M / d_j) solves
+    the residual mod M; back-substitution in reverse pivot order lifts it to
+    R's pivot columns, and the tree substitution to every column.  Columns
+    with d_j = 0, and columns left free, give integer cocycles: coboundaries
+    over Q/Z, since H^2(G, Q) = 0, so they are not kept.  For the same
+    reason rank R = (|S| - 1)(M - 1), the rank of A_S over Q less the tree
+    pivots; a factorization that misses it raises.
+    """
+    M, e = group.order, group.identity
+    S, n = generators(group), M - 1
+    elems = [x for x in group.elements() if x != e]
+    sub, R = _relations(group)
+    rows = set()
+    for row in R.values():
+        if row:
+            sign = 1 if row[0][1] > 0 else -1
+            rows.add(tuple((c, sign * v) for c, v in row))
     pivots, work, colrows, _ = _eliminate(dict(enumerate(sorted(rows))), len(S) * n,
                                           track=False)
     # the residual, on its own columns, with repeated rows (up to sign) dropped
@@ -657,23 +667,6 @@ def _dot(z: Sparse, vec: Sequence[int]) -> int:
     return s
 
 
-def _matvec(rows: Dict[int, Sparse], x: Sequence[int]) -> List[int]:
-    """A x for the rows of A given by index, in index order.  With the rows of
-    d^1 it is the coboundary of numerators x, laid out like ``numerators``, at
-    the 2-tuples in lexicographic order; it checks degree-1 witnesses.  On the
-    cyclic group of order 3, df(a, b) = f(b) - f(ab) + f(a), and a term at the
-    identity vanishes:
-
-    >>> from modcat.groups import cyclic_group
-    >>> G = cyclic_group(3)
-    >>> list(nonidentity_tuples(G, 1)), list(nonidentity_tuples(G, 2))
-    ([(1,), (2,)], [(1, 1), (1, 2), (2, 1), (2, 2)])
-    >>> _matvec(_factored_rows(G, 1), [1, 0])
-    [2, 1, 1, -1]
-    """
-    return [_dot(row, x) for row in rows.values()]
-
-
 def _in_left_kernel(z: Sparse, rows) -> bool:
     """z A = 0, by one sparse vector-matrix product; ``rows[k]`` is row k of A."""
     acc = {}
@@ -686,24 +679,34 @@ def _in_left_kernel(z: Sparse, rows) -> bool:
 # ----------------------------------------------------------------------------
 # memoized factorizations
 
-def _factored_rows(group: Group, degree: int) -> Dict[int, Sparse]:
-    """The memoized rows of d^degree that its factorizations eliminate, by row
-    index, built from the table: for degree 1 all of them, for degree 2 those
-    whose first argument lies in S (A_S, see the module docstring)."""
+def _factored_rows(group: Group) -> Dict[int, Sparse]:
+    """The memoized rows of d^1, by row index, built from the table: all of
+    them, as its echelon form eliminates them.  On the cyclic group of order
+    3, df(a, b) = f(b) - f(ab) + f(a), and a term at the identity vanishes:
+
+    >>> from modcat.groups import cyclic_group
+    >>> G = cyclic_group(3)
+    >>> list(nonidentity_tuples(G, 1)), list(nonidentity_tuples(G, 2))
+    ([(1,), (2,)], [(1, 1), (1, 2), (2, 1), (2, 2)])
+    >>> _factored_rows(G)
+    {0: ((0, 2), (1, -1)), 1: ((0, 1), (1, 1)), 2: ((0, 1), (1, 1)), 3: ((0, -1), (1, 2))}
+    """
     def make():
         elems = [x for x in group.elements() if x != group.identity]
-        firsts = elems if degree == 1 else generators(group)
-        return _coboundary_rows(group, degree, product(firsts, *[elems] * degree))
-    return _table_memo(group, ("rows", degree), make)
+        return _coboundary_rows(group, 1, product(elems, elems))
+    return _table_memo(group, ("rows", 1), make)
 
 
 def _factor(group: Group, degree: int, kind: str):
-    """The memoized factorization of d^degree: "echelon" (an Echelon of
-    ``_factored_rows``) or "smith" (an H2Basis, for degree 2)."""
+    """The memoized factorization of d^degree: "echelon" (an Echelon, of
+    ``_factored_rows`` for degree 1 and of A_S for degree 2) or "smith" (an
+    H2Basis, for degree 2)."""
     def make():
-        if kind == "echelon":
-            return echelon_form(_factored_rows(group, degree), (group.order - 1) ** degree)
-        return _h2_basis(group)
+        if kind == "smith":
+            return _h2_basis(group)
+        if degree == 1:
+            return echelon_form(_factored_rows(group), group.order - 1)
+        return _d2_echelon(group)
     return _table_memo(group, (kind, degree), make)
 
 
@@ -732,7 +735,8 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     witness x is returned only after A x = b in Q/Z is checked on every row
     (module docstring); None only after the obstruction functional z named by
     the index i returned, ``_factor(group, n - 1, "echelon").kernel[i]`` or a
-    row of d^3 (below), is checked to satisfy z A = 0.
+    row of d^3 (below), is checked to satisfy z A = 0 on the rows of A that
+    z reaches.
 
     For n = 3 back-substitution gives A_S x = b_S, hence A x = b when b is a
     cocycle.  So a witness that fails the check proves b is not a cocycle,
@@ -751,7 +755,7 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     if i is None:
         x, den = _back_substitute(ech, b, D)
         scale = den // D
-        dx = _matvec(_factored_rows(group, 1), x) if n == 2 else \
+        dx = [_dot(row, x) for row in _factored_rows(group).values()] if n == 2 else \
             _coboundary_numerators(group, 2, x)
         if not any((v - t * scale) % den for v, t in zip(dx, b)):
             if n == 2:  # entry j of a 1-cochain sits at element j, or j + 1 past e
@@ -767,14 +771,12 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
         if k is None:
             raise InternalInvariantBroken("coboundary witness failed verification")
         elems = [a for a in group.elements() if a != group.identity]
-        args = next(islice(product(S, *[elems] * n), k, None))
-        faces = [args[1:], args[:-1]] + [
-            args[:j] + (group.table[args[j]][args[j + 1]],) + args[j + 2:] for j in range(n)]
-        [z] = _coboundary_rows(group, n, [args]).values()
-        rows = _coboundary_rows(group, n - 1, [t for t in faces if group.identity not in t])
+        [z] = _coboundary_rows(group, n, islice(product(S, *[elems] * n), k, k + 1)).values()
         i = len(ech.kernel) + k
     else:
-        z, rows = ech.kernel[i], _factored_rows(group, n - 1)
+        z = ech.kernel[i]
+    rows = _factored_rows(group) if n == 2 else _coboundary_rows(
+        group, 2, (_index_tuple(group, j, 3) for j, _ in z))
     if not _in_left_kernel(z, rows):
         raise InternalInvariantBroken("obstruction functional failed verification")
     return None, i
@@ -812,7 +814,7 @@ class ClassSignature:
     __slots__ = ("kernel",)
 
     def __init__(self, group: Group, kernel: Sequence[Sparse]):
-        rows, self.kernel = _factored_rows(group, 1), tuple(kernel)
+        rows, self.kernel = _factored_rows(group), tuple(kernel)
         for z in self.kernel:
             if not _in_left_kernel(z, rows):
                 raise InternalInvariantBroken("kernel functional failed verification")
@@ -823,9 +825,11 @@ class ClassSignature:
 
 def image_obstruction(target: Cochain) -> Optional[int]:
     """Index of the functional certifying target is not a coboundary (None if
-    it is one): a kernel row of the factorization that _solve uses, or, for a
-    degree-3 target that is not a cocycle, len(kernel) + k for the k-th row of
-    d^3 with first argument in ``generators(G)``, in lexicographic order."""
+    it is one): a kernel row of the factorization that _solve uses (for a
+    degree-3 target, of the echelon form of A_S that the Schreier tree gives,
+    ``_d2_echelon``), or, for a degree-3 target that is not a cocycle,
+    len(kernel) + k for the k-th row of d^3 with first argument in
+    ``generators(G)``, in lexicographic order."""
     _, row = _solve_cochain(target)
     return row
 

@@ -340,19 +340,21 @@ def builtin_group(spec: str) -> Group:
     return _builtin(spec)[1]()
 
 
-def _json_order(data) -> int:
+def _json_int(data, key: str, what: str) -> int:
+    """data[key] of a JSON object, required to be a JSON integer: not a bool,
+    float or string."""
     if not isinstance(data, dict):
-        raise ParseError("group JSON must be an object")
-    try:
-        return int(data["order"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"group JSON missing or malformed field: {exc}") from exc
+        raise ParseError(f"{what} JSON must be an object")
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} JSON {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _declared_order(ref) -> int:
     """The order that a builtin spec string or group JSON declares, read
     without building the group: N of cyclic:N or dihedral:N, 8 for kp."""
-    return _builtin(ref)[0] if isinstance(ref, str) else _json_order(ref)
+    return _builtin(ref)[0] if isinstance(ref, str) else _json_int(ref, "order", "group")
 
 
 def _closure(G: Group, seed: Iterable[int]) -> tuple:
@@ -472,7 +474,7 @@ def group_to_json(G: Group) -> dict:
 
 
 def group_from_json(data) -> Group:
-    order = _json_order(data)
+    order = _json_int(data, "order", "group")
     try:
         table = data["table"]
     except KeyError as exc:

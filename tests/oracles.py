@@ -11,7 +11,7 @@ kept as the reference that the Schreier-tree one is compared against.
 
 from itertools import combinations, product
 
-from modcat import (Cochain, QZ, coboundary, from_table, is_cohomologous,
+from modcat import (Cochain, QZ, coboundary, from_table, generators, is_cohomologous,
                     nonidentity_tuples, smith_normal_form)
 from modcat import cohomology
 
@@ -301,10 +301,13 @@ def relabel(G, rng):
 def h2_torsion_by_generator_rows(G):
     """The invariant factors above 1 of d^2, found as the package found them
     before its Schreier tree: unit-pivot elimination, without a transform, of
-    every row of d^2 whose first argument is a generator, then a dense Smith
-    form of the distinct rows (up to sign) left on the columns left."""
-    _, work, colrows, _ = cohomology._eliminate(cohomology._factored_rows(G, 2),
-                                                (G.order - 1) ** 2, track=False)
+    every row of d^2 whose first argument is a generator (A_S, built here by
+    ``coboundary_incidence``), then a dense Smith form of the distinct rows
+    (up to sign) left on the columns left."""
+    S = set(generators(G))
+    tuples, cols, sparse = coboundary_incidence(G, 2)
+    A_S = {k: row for k, (t, row) in enumerate(zip(tuples, sparse)) if t[0] in S}
+    _, work, colrows, _ = cohomology._eliminate(A_S, len(cols), track=False)
     live = sorted(c for c, rs in enumerate(colrows) if rs)
     residual = set()
     for row in work.values():

@@ -442,7 +442,7 @@ def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
     kp = kp_category()
     assert classify(kp.category).class_count == 6
     view = kp.L.as_group()
-    d1 = cohomology._factored_rows(view, 1)
+    d1 = cohomology._factored_rows(view)
     kernel = cohomology._factor(view, 1, "echelon").kernel
     assert kernel
     real = cohomology.echelon_form
@@ -486,7 +486,7 @@ def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
     for (_, k), (view, z) in cases.items():
         (j, c), *rest = z
         bad = ((j, c + view.order), *rest)
-        rows = cohomology._factored_rows(view, 1)
+        rows = cohomology._factored_rows(view)
         assert not cohomology._in_left_kernel(bad, rows)
 
         def tampered(rows_in, ncols, k=k, bad=bad, rows=rows):
@@ -500,18 +500,20 @@ def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
 
 
 def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
-    """Factorizations read only the generator rows of d^2, and every full-row
-    check runs matrix-free, so classify, verify, H^2 and solves never build
-    more than |S| (|G| - 1)^n rows of d^n for n >= 2, S = generators(G), in
-    one call, not even for a target that is not a cocycle."""
+    """Factorizations of d^2 eliminate only the relation matrix, and every
+    full-row check runs matrix-free, so classify, verify, H^2 and solves never
+    build as many as |S| (|G| - 1)^n rows of d^n for n >= 2, S = generators(G),
+    in one call, not even for a target that is not a cocycle, unless that is
+    one row: on a group of order 2 the one kernel functional of d^2 is its
+    one row."""
     real, built = cohomology._coboundary_rows, []
 
     def rows(group, degree, tuples):
         tuples = list(tuples)
         bound = len(generators(group)) * (group.order - 1) ** degree
-        if degree >= 2 and len(tuples) > bound:
+        if degree >= 2 and len(tuples) >= bound > 1:
             raise AssertionError(f"{len(tuples)} rows of d^{degree} were built")
-        built.append((degree, len(tuples) == bound))
+        built.append(degree)
         return real(group, degree, tuples)
 
     monkeypatch.setattr(cohomology, "_coboundary_rows", rows)
@@ -533,8 +535,9 @@ def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
         bad = combine(exact, Cochain(G, 3, {t: QZ(1, 2)}), (1, 1))
         row = cohomology.image_obstruction(bad)
         assert row >= len(cohomology._factor(G, 2, "echelon").kernel)
-    # the generator rows of d^2 were built, and single rows of d^3
-    assert (2, True) in built and (3, False) in built
+    # rows of d^2 were built, the tree rows and those an obstruction reads,
+    # and single rows of d^3
+    assert 2 in built and 3 in built
 
 
 # --- verify() checks the partition -------------------------------------------

@@ -130,6 +130,18 @@ def test_solve_finds_witness(capsys, tmp_path):
     assert data["witness"] == [{"args": [1], "val": "1/4"}]
 
 
+@pytest.mark.parametrize("target", [
+    {"group": "cyclic:2", "degree": 2.7, "values": []},
+    {"group": "cyclic:2", "degree": "2", "values": []},
+    {"group": {"order": 2.9, "table": [[0, 1], [1, 0]]}, "degree": 2, "values": []},
+], ids=["degree-float", "degree-string", "order-float"])
+def test_solve_target_with_a_non_integer_field_is_input_error(capsys, tmp_path, target):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(target))
+    code, out, err = run(capsys, "solve", "--target", f"@{path}", "--format", "json")
+    assert code == 2 and out == "" and "must be an integer" in err
+
+
 @pytest.mark.parametrize("content", ["null", "[]", '"cyclic:2"'],
                          ids=["null", "list", "string"])
 @pytest.mark.parametrize("group", [[], ["--group", "cyclic:2"]], ids=["own", "given"])

@@ -178,3 +178,25 @@ def test_json_parse_errors():
         cochain_from_json({"degree": 1, "values": []}, group=G, expect_degree=2)
     with pytest.raises(ParseError):
         cochain_from_json({"degree": 1, "values": []})  # no group anywhere
+
+
+@pytest.mark.parametrize("degree", [2.7, 2.0, "2", True, None],
+                         ids=["float", "integral-float", "string", "bool", "null"])
+def test_json_degree_must_be_an_integer(degree):
+    G = cyclic_group(2)
+    values = [{"args": [1, 1], "val": "1/2"}]
+    assert cochain_from_json({"degree": 2, "values": values}, group=G).degree == 2
+    with pytest.raises(ParseError, match="integer"):
+        cochain_from_json({"degree": degree, "values": values}, group=G)
+    with pytest.raises(ParseError, match="integer"):
+        cochain_from_json({"group": "cyclic:2", "degree": degree, "values": values})
+
+
+@pytest.mark.parametrize("order", [2.0, 2.5, "2", True])
+def test_json_embedded_group_order_must_be_an_integer(order):
+    G = cyclic_group(2)
+    data = {"group": {"order": 2}, "degree": 2, "values": []}
+    assert cochain_from_json(data, group=G).degree == 2
+    data["group"]["order"] = order
+    with pytest.raises(ParseError, match="integer"):
+        cochain_from_json(data, group=G)

@@ -49,19 +49,19 @@ def nontrivial_klein_cocycle(view):
     (kp_group(), 1), (kp_group(), 2),
 ])
 def test_matrix_reproduces_coboundary(G, degree):
-    """The memoized rows of d^degree, all of them at degree 1 and those whose
-    first argument is a generator at degree 2, are the oracle's rows under the
-    same index, and their product reproduces the coboundary there."""
+    """The rows of d^degree, the memoized ones at degree 1 and those built for
+    every tuple at degree 2, are the oracle's rows under the same index, and
+    their product reproduces the coboundary there."""
     rng = random.Random(degree + G.order)
-    rows = cohomology._factored_rows(G, degree)
     tuples, _, sparse = coboundary_incidence(G, degree)
-    S = generators(G)
-    assert list(rows) == [k for k, t in enumerate(tuples) if degree == 1 or t[0] in S]
+    rows = cohomology._factored_rows(G) if degree == 1 else \
+        cohomology._coboundary_rows(G, degree, tuples)
+    assert list(rows) == list(range(len(tuples)))
     assert all(row == sparse[k] for k, row in rows.items())
     f = random_cochain(G, degree, rng)
     df = coboundary(f)
     D = lcm(*(v.den for v in f.values.values()))
-    applied = cohomology._matvec(rows, numerators(f, D))
+    applied = incidence_product(rows.values(), numerators(f, D))
     for k, got in zip(rows, applied):
         assert QZ(got, D) == df.value(tuples[k])
 
@@ -478,9 +478,9 @@ def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
     assert not is_cocycle(bad) and image_obstruction(bad) >= 465
     assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
     assert solve_coboundary(exact) == witness and coboundary(witness) == exact
-    # the d^3 row and the d^2 rows it reaches were built alone, not memoized
-    assert [k for k in G._cache if isinstance(k, tuple) and k[0] == "rows"] == [("rows", 2)]
-    assert len(cohomology._factored_rows(G, 2)) == len(S) * 15 ** 2
+    # the d^3 row and the d^2 rows it reaches were built alone, and no rows
+    # of d^2 are memoized
+    assert [k for k in G._cache if isinstance(k, tuple) and k[0] == "rows"] == []
 
 
 # --- H^2 at its true size ------------------------------------------------------
@@ -602,3 +602,49 @@ def test_relation_matrix_of_the_wrong_rank_raises(monkeypatch):
         cohomology._h2_basis(G)
     monkeypatch.setattr(cohomology, "smith_normal_form", real)
     assert cohomology._h2_basis(G).torsion == [2, 2, 2]
+
+
+# --- the echelon form of A_S from the Schreier tree -----------------------------
+# Tree rows are unit pivots of their own, and the T rows of the relation matrix
+# are lifted back along the tree to rows of d^2.
+
+ECHELON_GROUPS = {"kp": kp_group(), "dihedral12": dihedral_group(12), "D8xZ2": d8xz2(),
+                  "Z4xZ4": direct_product(cyclic_group(4), cyclic_group(4)),
+                  "cyclic9": cyclic_group(9), "Z2^4": z2_to_the_4()}
+
+
+@pytest.mark.parametrize("G", ECHELON_GROUPS.values(), ids=ECHELON_GROUPS.keys())
+def test_d2_echelon_against_the_full_matrix(G):
+    """On every distinct subgroup table, against the oracle's full d^2: each
+    pivot row is u A, its column cleared in every later pivot row; each
+    kernel row z has z A = 0; and there are |S| (M - 1)^2 - rank of them,
+    rank d^2 = (M - 1)(M - 2) over Q as H^1(G, Q) = H^2(G, Q) = 0."""
+    tables = {v.table: v for v in (H.as_group() for H in subgroups(G))}
+    for view in tables.values():
+        M, S = view.order, generators(view)
+        tuples, cols, sparse = coboundary_incidence(view, 2)
+        ech = cohomology._factor(view, 2, "echelon")
+
+        def times_A(z):
+            acc = [0] * len(cols)
+            for k, c in z:
+                assert tuples[k][0] in S  # a combination of rows of A_S
+                for j, v in sparse[k]:
+                    acc[j] += c * v
+            return acc
+
+        done = set()
+        for c, p, rest, u in ech.pivots:
+            row = [0] * len(cols)
+            row[c] = p
+            for j, v in rest:
+                row[j] = v
+            assert times_A(u) == row
+            assert p and c not in done and not done & {j for j, _ in rest}
+            done.add(c)
+        for z in ech.kernel:
+            assert z and not any(times_A(z))
+        rank = (M - 1) * (M - 2)
+        assert len(ech.pivots) == rank
+        assert len(ech.kernel) == len(S) * (M - 1) ** 2 - rank
+    assert len(tables) > 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from modcat import (BadDimensions, NotAGroup, NotAnAction, Subgroup,
+from modcat import (BadDimensions, NotAGroup, NotAnAction, ParseError, Subgroup,
                     builtin_group, conjugate_subgroup, cyclic_group,
                     dihedral_group, direct_product, from_table,
                     group_from_json, group_to_json, kp_group,
@@ -209,6 +209,17 @@ def test_group_json_round_trip():
     data = group_to_json(G)
     H = group_from_json(data)
     assert H == G
+
+
+@pytest.mark.parametrize("order", [3.9, 3.0, "3", True, None],
+                         ids=["float", "integral-float", "string", "bool", "null"])
+def test_group_json_order_must_be_an_integer(order):
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    assert group_from_json({"order": 3, "table": table}).order == 3
+    with pytest.raises(ParseError, match="integer"):
+        group_from_json({"order": order, "table": table})
+    with pytest.raises(ParseError, match="integer"):
+        group_from_json({"order": order, "table": [[0]]})
 
 
 def test_subgroup_view_indexing():

@@ -141,68 +141,11 @@ def test_solver_agrees_with_brute_force_on_the_klein_view():
             assert obstruction_holds(c, image_obstruction(c))
 
 
-# --- the pivot choice --------------------------------------------------------
-
-def sorting_choose_pivot(work, colrows, urow=None):
-    """The pivot choice as first written, re-sorting every nonempty column by
-    count on each call: the reference for the heap-ordered choice."""
-    cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
-    best, seen = None, 0
-    for count, c in cands:
-        found = False
-        for r in colrows[c]:
-            row = work[r]
-            if row[c] == 1 or row[c] == -1:
-                tlen = 0 if urow is None else len(urow[r])
-                key = ((len(row) - 1) * (count - 1), tlen, r)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-                found = True
-        if found:
-            seen += 1
-            if seen == 3 or best[0][0] == 0:
-                break
-    if best is not None:
-        return best[1], best[2], True
-    c = cands[0][1]
-    r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]),
-                                       0 if urow is None else len(urow[r]), r))
-    return r, c, False
-
-
-def test_pivot_choice_matches_the_sorting_reference(monkeypatch):
-    real, choices = cohomology._choose_pivot, []
-
-    def checked(work, cols, urow=None):
-        want = sorting_choose_pivot(work, cols.rows, urow)
-        got = real(work, cols, urow)
-        assert got == want
-        choices.append(got)
-        return got
-
-    monkeypatch.setattr(cohomology, "_choose_pivot", checked)
-    rng = random.Random(71)
-    for k in range(60):
-        A, _, ncols = random_sparse_matrix(rng, units=k % 3 != 0)
-        echelon_form([tuple((j, v) for j, v in enumerate(row) if v) for row in A], ncols)
-    G = direct_product(dihedral_group(8), cyclic_group(2))
-    for H in subgroups(G):
-        view = H.as_group()
-        _, cols, sparse = coboundary_incidence(view, 2)
-        echelon_form(sparse, len(cols))
-        # the generator rows of d^2, eliminated without T up to the first
-        # column without a unit entry, as H^2 did before its Schreier tree
-        cohomology._eliminate(cohomology._factored_rows(view, 2), len(cols), track=False)
-    # both kinds of pivot were chosen, many times
-    assert sum(unit for _, _, unit in choices) > 1000
-    assert sum(not unit for _, _, unit in choices) > 50
-
-
 # --- one factorization per table ---------------------------------------------
 # Subgroup views of one group with equal multiplication tables share every
 # entry that the table determines, through a store on the parent group.
 
-TABLE_KEYS = [("rows", 1), ("rows", 2), ("echelon", 1), ("echelon", 2), ("smith", 2),
+TABLE_KEYS = [("rows", 1), ("echelon", 1), ("echelon", 2), ("smith", 2),
               "signature", "generators"]
 
 
@@ -257,8 +200,8 @@ def test_views_with_equal_tables_share_their_entries():
     classify(cat)
     views = views_of(cat.group)
     for v in views:  # fill every entry on every view
+        cohomology._factored_rows(v)
         for degree in (1, 2):
-            cohomology._factored_rows(v, degree)
             cohomology._factor(v, degree, "echelon")
         cohomology._factor(v, 2, "smith")
         generators(v)
@@ -369,6 +312,24 @@ def test_altered_kernel_row_raises_instead_of_answering_no():
         solve_coboundary(bad)
 
 
+def test_altered_degree_3_kernel_row_raises_instead_of_answering_no():
+    kp = kp_category().category
+    G = from_table(8, kp.group.table)
+    omega = Cochain(G, 3, kp.omega.values)
+    ech = cohomology._factor(G, 2, "echelon")
+    i = image_obstruction(omega)
+    assert i < len(ech.kernel)
+    # the unit functional at a generator row of d^2 where omega is nonzero:
+    # it pairs nonzero with omega, but is not in the kernel
+    S = generators(G)
+    k = next(k for k, t in enumerate(nonidentity_tuples(G, 3)) if t[0] in S and omega.value(t))
+    kernel = list(ech.kernel)
+    kernel[i] = ((k, 1),)
+    G._cache[("echelon", 2)] = cohomology.Echelon(ech.nrows, ech.ncols, ech.pivots, kernel)
+    with pytest.raises(InternalInvariantBroken, match="obstruction"):
+        solve_coboundary(omega)
+
+
 def test_dropped_kernel_rows_never_give_a_wrong_answer():
     target = tampered(d6_coboundary(), lambda pivots, kernel: kernel.clear())
     w = solve_coboundary(target)  # a real coboundary still solves
@@ -443,9 +404,9 @@ def verdicts(targets):
 
 
 def test_generator_rows_answer_as_the_full_rows(monkeypatch):
-    # the indices on the generator rows, as the solver gave them when it still
-    # appended every generator row of d^3 to the memoized kernel
-    pinned = ([27, None, 3, 300], [None, None, 0, 1220], [None, None, 0, 1341])
+    # the indices on the generator rows: kernel rows of the echelon form that
+    # the Schreier tree gives A_S, then rows of d^3 past the kernel's length
+    pinned = ([0, None, 0, 300], [None, None, 0, 1220], [None, None, 0, 1341])
     for G, rows in zip((kp_group(), cyclic_group(12), dihedral_group(12)), pinned):
         targets = degree_3_targets(G)
         with monkeypatch.context() as m:
