@@ -17,14 +17,14 @@ import hashlib
 from math import lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cochains import (Cochain, _coboundary_numerators, cochain_from_json,
-                       nonidentity_tuples, restrict)
+from .cochains import (Cochain, _coboundary_numerators, _numerators_on,
+                       cochain_from_json, nonidentity_tuples)
 from .cohomology import _class_signature, _h2_vectors, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
                      group_to_json, subgroup_conjugacy_classes, subgroups)
-from .pointed import AlgebraPair, PointedCategory, big_omega, validate_pair
+from .pointed import AlgebraPair, PointedCategory, _twist, validate_pair
 from .qz import QZ
 
 __all__ = [
@@ -62,7 +62,7 @@ def admissible_subgroups(cat: PointedCategory) -> List[Tuple[Subgroup, Cochain]]
     """Subgroups on which omega restricts to a coboundary, with a base witness."""
     out, D = [], cat.den
     for H in subgroups(cat.group):
-        psi0, _ = _solve(H.as_group(), 3, numerators(restrict(cat.omega, H), D), D)
+        psi0, _ = _solve(H.as_group(), 3, _numerators_on(cat.omega, H.members, D), D)
         if psi0 is not None:
             out.append((H, psi0))
     return out
@@ -214,10 +214,10 @@ class ClassificationReport:
 
 
 def _action(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
-    """How g acts on 2-cochains on H, built from the group table and omega.
-    The twist is None wherever big_omega(g) vanishes on L, so always for a
-    trivial omega."""
-    G, den = cat.group, cat.den
+    """How g acts on 2-cochains on H, built from the group table and omega
+    (``_twist``).  The twist is None wherever big_omega(g) vanishes on L, so
+    always for a trivial omega."""
+    G = cat.group
     L = conjugate_subgroup(G, H, G.inverse[g])
     Lm, pos, view = L.members, {h: k for k, h in enumerate(H.members)}, H.as_group()
     e, base = view.identity, view.order - 1
@@ -225,16 +225,9 @@ def _action(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     place = [k - (k > e) for k in (pos[G.conj(g, x)] for x in Lm)]
     ids = [k for k, x in enumerate(Lm) if x != G.identity]  # L's rows: pairs of these
     perm = tuple(place[x] * base + place[y] for x in ids for y in ids)
-    vals = big_omega(cat, g).values
-    twist = None
-    if vals:
-        zero = QZ(0, 1)
-        twist = tuple(v.num * (den // v.den)
-                      for v in (vals.get((Lm[x], Lm[y]), zero) for x in ids for y in ids))
-        if not any(twist):
-            twist = None
-    fixed = Lm == H.members and twist is None and perm == tuple(range(len(perm)))
-    return _Move(Lm, perm, twist, fixed)
+    twist = tuple(_twist(cat, g, Lm))
+    fixed = Lm == H.members and not any(twist) and perm == tuple(range(len(perm)))
+    return _Move(Lm, perm, twist if any(twist) else None, fixed)
 
 
 def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
@@ -248,21 +241,21 @@ def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     return move
 
 
-def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
+def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int) -> List[List[int]]:
     """The orbits of G on the pairs, as sorted index lists.
 
     A pair (H, psi) is keyed by (H.members, sig_H(psi)), with sig_H the
-    _class_signature of H over one common denominator D.  Each pair not yet
-    placed is moved by every g in G to psi^g + big_omega(g)|_L on L = g^-1 H g;
-    its class is every pair whose key an image hits.  The moves come from the
-    category's table (_move), whose ``fixed`` flag skips a g moving nothing.
+    _class_signature of H and psi given as ``vecs[i]``, numerators over the
+    common denominator D of all pairs and omega.  Each pair not yet placed is
+    moved by every g in G to psi^g + big_omega(g)|_L on L = g^-1 H g; its class
+    is every pair whose key an image hits.  The moves come from the category's
+    table (_move), whose ``fixed`` flag skips a g moving nothing.
     """
     G = cat.group
-    D = _denominator(cat, *(p.psi for p in pairs))
     on = {}
     for i, p in enumerate(pairs):
         on.setdefault(p.H.members, []).append(i)
-    sigs, vecs, key_of, keyed, classes = {}, {}, {}, {}, []
+    sigs, key_of, keyed, classes = {}, {}, {}, []
     for block in subgroup_conjugacy_classes(G):
         todo = [i for S in block for i in on.get(S.members, ())]
         if len(todo) < 2:
@@ -271,7 +264,6 @@ def _orbit_classes(cat: PointedCategory, pairs) -> List[List[int]]:
         for S in block:
             sig = sigs[S.members] = _class_signature(S.as_group())
             for i in on.get(S.members, ()):
-                vecs[i] = numerators(pairs[i].psi, D)
                 key_of[i] = (S.members, sig(vecs[i], D))
                 keyed.setdefault(key_of[i], []).append(i)
         left = set(todo)
@@ -304,7 +296,9 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
 
     The classes are the orbits of G on the pairs, computed in one pass over
     exact H^2 signatures (see _orbit_classes).  Each class's representative
-    is its pair of least key(); every other member carries the witness that
+    is its pair of least (H.members, psi's numerators over one denominator),
+    which orders psi as its Q/Z values do, and the classes are sorted by their
+    representatives; every other member carries the witness that
     equivalent_pairs finds towards it, and the finished report is verified.
     ``jobs`` is accepted for compatibility and has no effect: the pass is
     serial, and the report is byte-identical for any value.
@@ -317,16 +311,18 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
     pairs = enumerate_pairs(cat)
     say(f"{len(pairs)} pairs on {len(subgroup_conjugacy_classes(G))} "
         "conjugacy classes of subgroups")
+    D = _denominator(cat, *(p.psi for p in pairs))
+    keys = [(p.H.members, numerators(p.psi, D)) for p in pairs]
     blocks = []
-    for members in _orbit_classes(cat, pairs):
-        rep = min(members, key=lambda i: pairs[i].key())
+    for members in _orbit_classes(cat, pairs, [vec for _, vec in keys], D):
+        rep = min(members, key=keys.__getitem__)
         witnesses = [(m, equivalent_pairs(pairs[m], pairs[rep]))
                      for m in members if m != rep]
         if any(w is None for _, w in witnesses):
             raise InternalInvariantBroken("a pair has no witness to its representative")
         blocks.append({"representative": rep, "members": members,
                        "rank": pairs[rep].rank, "witnesses": witnesses})
-    blocks.sort(key=lambda blk: pairs[blk["representative"]].key())
+    blocks.sort(key=lambda blk: keys[blk["representative"]])
     report = ClassificationReport(cat, pairs, blocks, omega_source)
     report.verify()
     return report

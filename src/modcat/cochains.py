@@ -87,10 +87,6 @@ class Cochain:
         """Nonzero (args, value) pairs in lexicographic argument order."""
         return sorted(self.values.items())
 
-    def value_sequence(self):
-        """All values on identity-free tuples in lexicographic order."""
-        return tuple(self.value(t) for t in nonidentity_tuples(self.group, self.degree))
-
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
@@ -204,18 +200,24 @@ def combine(f: Cochain, g: Cochain, signs: Tuple[int, int]) -> Cochain:
     return Cochain(f.group, f.degree, out)
 
 
+def _numerators_on(c: Cochain, members, D: int) -> List[int]:
+    """c restricted to the subgroup with these ascending members, as numerators
+    over D, a multiple of its denominators, laid out as by ``numerators`` on its
+    view: c's values read by index at the identity-free tuples, or zeros at once."""
+    ids = [x for x in members if x != c.group.identity]
+    if not c.values:
+        return [0] * len(ids) ** c.degree
+    return [0 if v is None else v.num * (D // v.den)
+            for v in map(c.values.get, product(ids, repeat=c.degree))]
+
+
 def restrict(f: Cochain, H: Subgroup) -> Cochain:
     """Restriction to a subgroup, reindexed to H's own element indices."""
     if H.parent != f.group:
         raise NotASubgroup("subgroup does not live in the cochain's group")
-    view = H.as_group()
-    memset = frozenset(H.members)
-    pos = {p: i for i, p in enumerate(H.members)}
-    out = {}
-    for args, v in f.values.items():
-        if all(a in memset for a in args):
-            out[tuple(pos[a] for a in args)] = v
-    return Cochain(view, f.degree, out)
+    view, D = H.as_group(), lcm(*(v.den for v in f.values.values()))
+    return Cochain(view, f.degree, {t: QZ(v, D) for t, v in zip(
+        nonidentity_tuples(view, f.degree), _numerators_on(f, H.members, D)) if v})
 
 
 def _embedding(group: Group):

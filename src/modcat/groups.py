@@ -474,14 +474,14 @@ def group_to_json(G: Group) -> dict:
 
 
 def group_from_json(data) -> Group:
-    order = _json_int(data, "order", "group")
+    """Parse the group JSON format: the table must be a list of rows, each a
+    list of JSON integers (not bools, floats or strings)."""
+    order, table = _json_int(data, "order", "group"), data.get("table")
+    if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in table):
+        raise ParseError("group JSON table must be a list of rows of JSON integers")
     try:
-        table = data["table"]
-    except KeyError as exc:
-        raise ParseError(f"group JSON missing or malformed field: {exc}") from exc
-    names = data.get("names")
-    try:
-        return from_table(order, table, names)
+        return from_table(order, table, data.get("names"))
     except (BadDimensions, NotAGroup):
         raise
     except (TypeError, ValueError) as exc:

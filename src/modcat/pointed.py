@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cochains import (Cochain, _coboundary_numerators, _index_tuple, is_cocycle,
-                       nonidentity_tuples, numerators, restrict)
+from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _numerators_on,
+                       is_cocycle, nonidentity_tuples, numerators)
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
 from .groups import Group, Subgroup, conjugate_subgroup
+from .qz import QZ
 
 __all__ = [
     "PointedCategory",
@@ -32,11 +33,11 @@ class PointedCategory:
     with ``is_cocycle`` on construction; ``den``, the lcm of omega's
     denominators, also clears every twist big_omega(g).
 
-    ``_twists`` memoizes big_omega per g, and ``_moves`` is the G-action on
-    2-cochains over subgroups (see ``classify._move``), keyed by
-    (H.members, g); both live and die with the category."""
+    ``_moves`` is the G-action on 2-cochains over subgroups (see
+    ``classify._move``), keyed by (H.members, g); it lives and dies with the
+    category."""
 
-    __slots__ = ("group", "omega", "den", "_twists", "_moves")
+    __slots__ = ("group", "omega", "den", "_moves")
 
     def __init__(self, group: Group, omega: Cochain):
         if omega.group != group or omega.degree != 3:
@@ -46,7 +47,6 @@ class PointedCategory:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "den", lcm(*(v.den for v in omega.values.values())))
-        object.__setattr__(self, "_twists", {})
         object.__setattr__(self, "_moves", {})
 
     def __setattr__(self, name, value):
@@ -85,10 +85,6 @@ class AlgebraPair:
     def rank(self) -> int:
         return self.category.group.order // self.H.order
 
-    def key(self):
-        """Canonical sort key: subgroup members, then psi value sequence."""
-        return (self.H.members, self.psi.value_sequence())
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraPair):
             return NotImplemented
@@ -102,28 +98,34 @@ class AlgebraPair:
         return f"AlgebraPair(H={list(self.H.members)}, {len(self.psi.values)} psi entries)"
 
 
+def _twist(cat: PointedCategory, g: int, members) -> list:
+    """big_omega(g) at the identity-free pairs of these ascending members, in
+    lexicographic order, as numerators over ``cat.den`` in [0, den): its
+    formula on omega's values, read by index; zeros at once for a zero omega."""
+    G, vals, den = cat.group, cat.omega.values, cat.den
+    ids = [x for x in members if x != G.identity]
+    if not vals:
+        return [0] * len(ids) ** 2
+
+    def om(*args):
+        v = vals.get(args)
+        return 0 if v is None else v.num * (den // v.den)
+
+    moved = [G.conj(g, x) for x in ids]
+    return [(om(ca, cb, g) + om(g, a, b) - om(ca, g, b)) % den
+            for a, ca in zip(ids, moved) for b, cb in zip(ids, moved)]
+
+
 def big_omega(cat: PointedCategory, g: int) -> Cochain:
     """The 2-cochain measuring how conjugation by g twists omega.
 
     big_omega(g)(a, b) = omega(gag', gbg', g) + omega(g, a, b) - omega(gag', g, b)
     with g' = g^{-1}; its coboundary equals omega minus the conjugate of omega.
-    Memoized per category and g.
+    Computed on all of G by ``_twist``.
     """
-    got = cat._twists.get(g)
-    if got is not None:
-        return got
-    G, om = cat.group, cat.omega
-    val = om.value
-    conj = G.conj
-    out = {}
-    for a, b in nonidentity_tuples(G, 2) if om.values else ():  # zero omega: zero twist
-        ca, cb = conj(g, a), conj(g, b)
-        v = val((ca, cb, g)) + val((g, a, b)) - val((ca, g, b))
-        if v:
-            out[(a, b)] = v
-    res = Cochain(G, 2, out)
-    cat._twists[g] = res
-    return res
+    G = cat.group
+    return Cochain(G, 2, {t: QZ(v, cat.den) for t, v in zip(
+        nonidentity_tuples(G, 2), _twist(cat, g, G.elements())) if v})
 
 
 def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
@@ -152,12 +154,11 @@ def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPai
     if psi.degree != 2:
         raise DegreeMismatch("psi must have degree 2")
     view = H.as_group()
-    if psi.group != view:
-        raise NotCompatible("psi does not live on the subgroup view")
+    if psi.group != view or H.parent != cat.group:
+        raise NotCompatible("psi does not live on a subgroup view of the category")
     D = lcm(cat.den, *(v.den for v in psi.values.values()))
     dpsi = [u % D for u in _coboundary_numerators(view, 2, numerators(psi, D))]
-    # omega's numerators lie in [0, D), like dpsi's residues
-    omega = numerators(restrict(cat.omega, H), D) if cat.omega.values else [0] * len(dpsi)
+    omega = _numerators_on(cat.omega, H.members, D)  # in [0, D), like dpsi
     if dpsi != omega:
         t = _index_tuple(view, next(k for k, (u, w) in enumerate(zip(dpsi, omega))
                                     if u != w), 3)

@@ -4,15 +4,17 @@ Everything here deliberately avoids the production solver paths: subgroup
 enumeration by raw subset filtering, coboundary matrices built from the group
 table by their defining formula, coboundary solving by exhaustive search over
 bounded denominators, homology orders from a kernel-basis computation, and a
-no-twist classifier for the trivial-cocycle reduction.  The one exception is
+no-twist classifier for the trivial-cocycle reduction.  The exceptions are
 ``h2_torsion_by_generator_rows``, the earlier H^2 algorithm of the package,
-kept as the reference that the Schreier-tree one is compared against.
+kept as the reference that the Schreier-tree one is compared against, and
+``restrict_qz`` and ``big_omega_qz``, the package's earlier Q/Z restriction
+and twist, kept as references for the integer ones read by index.
 """
 
 from itertools import combinations, product
 
-from modcat import (Cochain, QZ, coboundary, from_table, generators, is_cohomologous,
-                    nonidentity_tuples, smith_normal_form)
+from modcat import (Cochain, NotASubgroup, QZ, coboundary, from_table, generators,
+                    is_cohomologous, nonidentity_tuples, smith_normal_form)
 from modcat import cohomology
 
 
@@ -318,3 +320,35 @@ def h2_torsion_by_generator_rows(G):
     snf = smith_normal_form(sorted(residual), len(residual), len(live),
                             need_U=False, need_V=False)
     return [d for d in snf.diag if d > 1]
+
+
+def restrict_qz(f, H):
+    """Restriction of f to the subgroup H, reindexed to H's own element
+    indices, as the package computed it on Q/Z values before it read
+    cochains by index as integers."""
+    if H.parent != f.group:
+        raise NotASubgroup("subgroup does not live in the cochain's group")
+    view = H.as_group()
+    memset = frozenset(H.members)
+    pos = {p: i for i, p in enumerate(H.members)}
+    out = {}
+    for args, v in f.values.items():
+        if all(a in memset for a in args):
+            out[tuple(pos[a] for a in args)] = v
+    return Cochain(view, f.degree, out)
+
+
+def big_omega_qz(cat, g):
+    """big_omega(g)(a, b) = omega(gag', gbg', g) + omega(g, a, b) - omega(gag', g, b)
+    on all of G, summed on Q/Z values as the package did before it read omega
+    by index as integers.  Reads only ``cat.group`` and ``cat.omega``."""
+    G, om = cat.group, cat.omega
+    val = om.value
+    conj = G.conj
+    out = {}
+    for a, b in nonidentity_tuples(G, 2) if om.values else ():  # zero omega: zero twist
+        ca, cb = conj(g, a), conj(g, b)
+        v = val((ca, cb, g)) + val((g, a, b)) - val((ca, g, b))
+        if v:
+            out[(a, b)] = v
+    return Cochain(G, 2, out)

@@ -2,12 +2,13 @@ import importlib
 import json
 import random
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
 from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     PointedCategory, SizeLimitExceeded, Subgroup,
-                    admissible_subgroups, big_omega, classify, coboundary,
+                    admissible_subgroups, classify, coboundary,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
                     generators, kp_category, nonidentity_tuples, report_from_json,
@@ -16,8 +17,11 @@ from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
 from modcat.classify import DEFAULT_SIZE_LIMIT, _apply, _move
+from modcat.cochains import _numerators_on
 from modcat.cohomology import numerators
-from oracles import brute_trivial_omega_classes, random_cochain
+from modcat.pointed import _twist
+from oracles import (big_omega_qz, brute_trivial_omega_classes, random_cochain,
+                     restrict_qz)
 
 
 def trivial_category(G):
@@ -311,7 +315,7 @@ def test_checks_use_no_qz_cochain_arithmetic(monkeypatch):
     # by module name: the package attribute ``modcat.classify`` is the function
     for name in ("classify", "pointed", "cohomology"):
         module = importlib.import_module(f"modcat.{name}")
-        for attr in ("coboundary", "combine", "conjugate_cochain"):
+        for attr in ("coboundary", "combine", "conjugate_cochain", "restrict", "big_omega"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, forbidden)
     report.verify()
@@ -436,6 +440,22 @@ def test_orbit_partition_matches_pairwise_search(name):
         assert any(len(c) > len(s) for c, s in zip(got, subgroups_of))
     if name == "dihedral16":  # pairs on conjugate subgroups merge
         assert any(len(s) > 1 for s in subgroups_of)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_representatives_and_blocks_follow_the_qz_order(name):
+    # each class's representative is its least member by (H.members, psi's
+    # Q/Z values at the identity-free tuples), and the blocks are sorted by
+    # their representatives in that order
+    report = classify(ORACLE_CASES[name]())
+
+    def key(i):
+        p = report.pairs[i]
+        return p.H.members, tuple(p.psi.value(t) for t in nonidentity_tuples(p.H.as_group(), 2))
+
+    reps = [blk["representative"] for blk in report.classes]
+    assert reps == [min(blk["members"], key=key) for blk in report.classes]
+    assert [key(i) for i in reps] == sorted(key(i) for i in reps)
 
 
 def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
@@ -624,13 +644,46 @@ def test_memoized_moves_match_the_qz_definition(name):
             L, perm, twist, fixed = move
             moved = conjugate_cochain(psi, g)
             assert moved.group.members == L
-            twist_on_L = restrict(big_omega(cat, g), Subgroup(G, L))
+            twist_on_L = restrict_qz(big_omega_qz(cat, g), Subgroup(G, L))
             want = combine(moved, twist_on_L, (1, 1))
             assert [v % D for v in _apply(move, cat.den, x, D)] == \
                 [v % D for v in numerators(want, D)]
             assert (twist is None) == twist_on_L.is_zero()
             assert fixed == (L == H.members and twist is None
                              and list(perm) == sorted(perm))
+
+
+def qz_numerators(c, D):
+    """c's Q/Z values at the identity-free tuples of its group, in
+    lexicographic order, as numerators over D."""
+    return [c.value(t).scaled_num(D) for t in nonidentity_tuples(c.group, c.degree)]
+
+
+def random_3cochain_on_z4xz4():
+    """A random normalized 3-cochain on Z4xZ4, not a cocycle, so no category:
+    ``_twist`` and ``big_omega_qz`` read only the group, omega and den."""
+    G = direct_product(cyclic_group(4), cyclic_group(4))
+    omega = random_cochain(G, 3, random.Random(5), den=8)
+    return SimpleNamespace(group=G, omega=omega,
+                           den=lcm(*(v.den for v in omega.values.values())))
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_CASES) + ["Z4xZ4-random"])
+def test_reads_by_index_match_the_qz_oracles(name):
+    # omega and a random 2-cochain restricted to every subgroup, over twice a
+    # common denominator, and every twist on every subgroup, over cat.den and
+    # in [0, den), against the package's earlier Q/Z restriction and twist
+    cat = MOVE_CASES.get(name, random_3cochain_on_z4xz4)()
+    G = cat.group
+    for c in (random_cochain(G, 2, random.Random(13), den=6), cat.omega):
+        D = 2 * lcm(*(v.den for v in c.values.values()))
+        for H in subgroups(G):
+            assert _numerators_on(c, H.members, D) == qz_numerators(restrict_qz(c, H), D)
+    for g in G.elements():
+        twist = big_omega_qz(cat, g)
+        for H in subgroups(G):
+            assert _twist(cat, g, H.members) == \
+                qz_numerators(restrict_qz(twist, H), cat.den)
 
 
 def witness_moves(report):

@@ -54,6 +54,15 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [1, 0.5]], [[0, True], [1, "0"]]],
+                         ids=["float-entry", "bool-and-string-entries"])
+def test_group_file_with_a_non_integer_entry_is_input_error(capsys, tmp_path, table):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"order": 2, "table": table}))
+    code, out, err = run(capsys, "classify", "--group", f"@{path}", "--omega", "trivial")
+    assert code == 2 and "table" in err and not out
+
+
 def test_unknown_builtin_is_input_error(capsys):
     code, _, err = run(capsys, "group-info", "--group", "sporadic:monster")
     assert code == 2 and "error:" in err

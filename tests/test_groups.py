@@ -222,6 +222,17 @@ def test_group_json_order_must_be_an_integer(order):
         group_from_json({"order": order, "table": [[0]]})
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 0.5]], [[0, 1], [1, 0.0]], [[0, True], [1, "0"]], [[0, 1], [1, None]],
+    [(0, 1), (1, 0)], [[0, 1], "10"], {"0": [0, 1]}, None,
+], ids=["float", "integral-float", "bool-and-string", "null", "row-not-list",
+        "row-string", "table-object", "no-table"])
+def test_group_json_table_entries_must_be_integers(table):
+    assert group_from_json({"order": 2, "table": [[0, 1], [1, 0]]}).order == 2
+    with pytest.raises(ParseError, match="table"):
+        group_from_json({"order": 2, "table": table})
+
+
 def test_subgroup_view_indexing():
     G = kp_group()
     L = Subgroup(G, [0, 1, 2, 3])

@@ -79,8 +79,7 @@ def test_classification_merges_both_klein_choices():
     report = classify(kp.category, omega_source="kp")
     pair_zero = validate_pair(kp.category, kp.L, zero_cochain(kp.L.as_group(), 2))
     pair_xi = validate_pair(kp.category, kp.L, kp.xi_nontrivial)
-    idx = {p.key(): i for i, p in enumerate(report.pairs)}
-    i0, i1 = idx[pair_zero.key()], idx[pair_xi.key()]
+    i0, i1 = report.pairs.index(pair_zero), report.pairs.index(pair_xi)
     blocks = {i: tuple(blk["members"]) for blk in report.classes
               for i in blk["members"]}
     assert blocks[i0] == blocks[i1]

@@ -29,15 +29,22 @@ def kp():
 
 # --- big_omega and gamma ----------------------------------------------------
 
-def test_big_omega_trivial_omega(monkeypatch):
+class Unreadable(dict):
+    """An empty mapping of cochain values whose every read fails the test."""
+
+    def get(self, *args):
+        pytest.fail("a value of the zero omega was read")
+
+    __getitem__ = __contains__ = get
+
+
+def test_big_omega_trivial_omega():
     G = dihedral_group(8)
     cat = trivial_category(G)
     # a zero omega gives zero twists without reading a single omega value
-    monkeypatch.setattr(Cochain, "value", lambda self, args: pytest.fail(
-        "big_omega read a value of the zero omega"))
+    object.__setattr__(cat.omega, "values", Unreadable())
     for g in G.elements():
         assert big_omega(cat, g).is_zero()
-        assert big_omega(cat, g) is big_omega(cat, g)  # memoized
 
 
 def test_big_omega_identity_element(kp):
@@ -191,6 +198,14 @@ def test_validate_pair_rejects_full_kp_group(kp):
     assert exc.value.witness is not None
     # omega itself is nonzero at (x, x, t), so no psi with d(psi) = 0 can work
     assert kp.category.omega.value((4, 4, 2)) == QZ(1, 4)
+
+
+def test_validate_pair_rejects_a_subgroup_of_another_group(kp):
+    # omega is read at H's member indices, which must be the category's
+    H = Subgroup(dihedral_group(8), [0, 2])
+    for cat in (kp.category, trivial_category(kp.category.group)):
+        with pytest.raises(NotCompatible, match="category"):
+            validate_pair(cat, H, zero_cochain(H.as_group(), 2))
 
 
 # --- alpha_g ----------------------------------------------------------------
