@@ -6,7 +6,7 @@ g conjugates one subgroup onto the other and the combination
 are the orbits of G acting on pairs up to coboundaries.  The classifier
 enumerates all pairs (admissible subgroups times second-cohomology
 representatives), keys each by an exact signature of its class in H^2,
-computes the orbits in one pass of G over those keys, and emits a
+walks the orbits of G over those keys once, and emits a
 deterministic, re-verifiable report.  Every check is a sparse integer
 product on numerators over a common denominator.
 """
@@ -122,6 +122,8 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
     Only meaningful when g conjugates L onto a's subgroup; the result is then
     a 2-cocycle on L whose triviality decides equivalence.
     """
+    if a.category != b.category:
+        raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
     move = _move(cat, a.H, g)
     if b.H.parent != cat.group or move.L != b.H.members:
@@ -232,8 +234,8 @@ def _action(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
 
 def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     """_action(cat, H, g), memoized in the category's move table under
-    (H.members, g).  The orbit pass, equivalent_pairs and criterion_cochain
-    share its entries; ClassificationReport.verify never reads them."""
+    (H.members, g).  Every reader of moves shares its entries, except
+    ClassificationReport.verify, which never reads them."""
     key = (H.members, g)
     move = cat._moves.get(key)
     if move is None:
@@ -241,52 +243,47 @@ def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     return move
 
 
-def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int) -> List[List[int]]:
-    """The orbits of G on the pairs, as sorted index lists.
+def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
+    """The orbits of G on the pairs, as (representative, {member: w}) in
+    representative order, with w the least element carrying the member onto
+    the representative: the g that equivalent_pairs(member, rep) finds.
 
-    A pair (H, psi) is keyed by (H.members, sig_H(psi)), with sig_H the
-    _class_signature of H and psi given as ``vecs[i]``, numerators over the
-    common denominator D of all pairs and omega.  Each pair not yet placed is
-    moved by every g in G to psi^g + big_omega(g)|_L on L = g^-1 H g; its class
-    is every pair whose key an image hits.  The moves come from the category's
-    table (_move), whose ``fixed`` flag skips a g moving nothing.
+    Pair i is keyed by (H.members, sig_H(vecs[i])), with sig_H the
+    _class_signature of H and vecs[i] its psi over D, the common denominator
+    of all pairs and omega.  The walk visits pairs in (H.members, psi) order,
+    so the first not yet placed is the least of its orbit.  It is moved by
+    w^-1 for w in index order (_move; ``fixed`` skips a w moving nothing),
+    and the first image to hit a member's key gives that member's w.
     """
-    G = cat.group
-    on = {}
+    G, sigs, keyed, left, classes = cat.group, {}, {}, {}, []
+    block_of = {S.members: k for k, block in enumerate(subgroup_conjugacy_classes(G))
+                for S in block}
     for i, p in enumerate(pairs):
-        on.setdefault(p.H.members, []).append(i)
-    sigs, key_of, keyed, classes = {}, {}, {}, []
-    for block in subgroup_conjugacy_classes(G):
-        todo = [i for S in block for i in on.get(S.members, ())]
-        if len(todo) < 2:
-            classes += [[i] for i in todo]
+        sig = sigs[p.H.members] = _class_signature(p.H.as_group())
+        keyed.setdefault((p.H.members, sig(vecs[i], D)), []).append(i)
+        left.setdefault(block_of[p.H.members], set()).add(i)
+    for rep in sorted(range(len(pairs)), key=lambda i: (pairs[i].H.members, vecs[i])):
+        H = pairs[rep].H
+        todo = left[block_of[H.members]]  # unplaced pairs of H's block
+        if rep not in todo:
             continue
-        for S in block:
-            sig = sigs[S.members] = _class_signature(S.as_group())
-            for i in on.get(S.members, ()):
-                key_of[i] = (S.members, sig(vecs[i], D))
-                keyed.setdefault(key_of[i], []).append(i)
-        left = set(todo)
-        for a in sorted(todo):
-            if a not in left:
+        found = dict.fromkeys(keyed[H.members, sigs[H.members](vecs[rep], D)], G.identity)
+        for w in G.elements():
+            if len(found) == len(todo):
+                break
+            move = _move(cat, H, G.inverse[w])
+            if move.fixed:
                 continue
-            H, orbit = pairs[a].H, set(keyed[key_of[a]])
-            for g in G.elements():
-                if len(orbit) == len(left):
-                    break
-                move = _move(cat, H, g)
-                if move.fixed:
-                    continue
-                L = move.L
-                hits = keyed.get((L, sigs[L](_apply(move, cat.den, vecs[a], D), D)))
-                if hits is None:
-                    raise InternalInvariantBroken("an image matches no pair")
-                orbit.update(hits)
-            if not orbit <= left:
-                raise InternalInvariantBroken("the orbits of two pairs overlap")
-            left -= orbit
-            classes.append(sorted(orbit))
-    return sorted(classes)
+            hits = keyed.get((move.L, sigs[move.L](_apply(move, cat.den, vecs[rep], D), D)))
+            if hits is None:
+                raise InternalInvariantBroken("an image matches no pair")
+            for m in hits:
+                found.setdefault(m, w)
+        if not found.keys() <= todo:
+            raise InternalInvariantBroken("the orbits of two pairs overlap")
+        todo.difference_update(found)
+        classes.append((rep, found))
+    return classes
 
 
 def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
@@ -294,14 +291,13 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
              progress=None) -> ClassificationReport:
     """Partition all pairs of the category into equivalence classes.
 
-    The classes are the orbits of G on the pairs, computed in one pass over
-    exact H^2 signatures (see _orbit_classes).  Each class's representative
-    is its pair of least (H.members, psi's numerators over one denominator),
-    which orders psi as its Q/Z values do, and the classes are sorted by their
-    representatives; every other member carries the witness that
-    equivalent_pairs finds towards it, and the finished report is verified.
-    ``jobs`` is accepted for compatibility and has no effect: the pass is
-    serial, and the report is byte-identical for any value.
+    The classes are the orbits of G on the pairs, found in one walk over
+    exact H^2 signatures (_orbit_classes) and sorted by representative, the
+    least pair by (H.members, psi's numerators over one denominator, which
+    order psi as its Q/Z values do).  The walk gives every other member m the
+    least w carrying m onto the representative; one solve at w gives m's
+    witness, and the report is verified.  ``jobs`` is accepted for
+    compatibility and has no effect: the report is the same for any value.
     """
     G = cat.group
     if G.order > size_limit:
@@ -312,17 +308,18 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
     say(f"{len(pairs)} pairs on {len(subgroup_conjugacy_classes(G))} "
         "conjugacy classes of subgroups")
     D = _denominator(cat, *(p.psi for p in pairs))
-    keys = [(p.H.members, numerators(p.psi, D)) for p in pairs]
+    vecs = [numerators(p.psi, D) for p in pairs]
     blocks = []
-    for members in _orbit_classes(cat, pairs, [vec for _, vec in keys], D):
-        rep = min(members, key=keys.__getitem__)
-        witnesses = [(m, equivalent_pairs(pairs[m], pairs[rep]))
-                     for m in members if m != rep]
-        if any(w is None for _, w in witnesses):
-            raise InternalInvariantBroken("a pair has no witness to its representative")
-        blocks.append({"representative": rep, "members": members,
+    for rep, found in _orbit_classes(cat, pairs, vecs, D):
+        L, witnesses = pairs[rep].H.as_group(), []
+        for m in sorted(found.keys() - {rep}):
+            move = _move(cat, pairs[m].H, found[m])
+            f, _ = _solve(L, 2, _criterion(move, cat.den, vecs[m], vecs[rep], D), D)
+            if f is None:
+                raise InternalInvariantBroken("a pair has no witness to its representative")
+            witnesses.append((m, EquivalenceWitness(found[m], f)))
+        blocks.append({"representative": rep, "members": sorted(found),
                        "rank": pairs[rep].rank, "witnesses": witnesses})
-    blocks.sort(key=lambda blk: keys[blk["representative"]])
     report = ClassificationReport(cat, pairs, blocks, omega_source)
     report.verify()
     return report

@@ -474,14 +474,17 @@ def group_to_json(G: Group) -> dict:
 
 
 def group_from_json(data) -> Group:
-    """Parse the group JSON format: the table must be a list of rows, each a
-    list of JSON integers (not bools, floats or strings)."""
+    """Parse the group JSON format: a table of rows of JSON integers (not
+    bools, floats or strings) and optional names, a list of JSON strings."""
     order, table = _json_int(data, "order", "group"), data.get("table")
     if not isinstance(table, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in table):
         raise ParseError("group JSON table must be a list of rows of JSON integers")
+    names = data.get("names")
+    if "names" in data and not (isinstance(names, list) and all(type(s) is str for s in names)):
+        raise ParseError("group JSON names must be a list of JSON strings")
     try:
-        return from_table(order, table, data.get("names"))
+        return from_table(order, table, names)
     except (BadDimensions, NotAGroup):
         raise
     except (TypeError, ValueError) as exc:

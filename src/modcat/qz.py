@@ -102,8 +102,8 @@ _FRACTION_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 def qz(value) -> QZ:
     """Parse a QZ value from a string "p/q" (or "p"), an int, or a QZ.
 
-    Rejects anything inexact; in particular JSON floats are refused, since a
-    float cannot certify a torsion value.
+    Rejects anything inexact or with a zero denominator; in particular JSON
+    floats are refused, since a float cannot certify a torsion value.
     """
     if isinstance(value, QZ):
         return value
@@ -113,7 +113,7 @@ def qz(value) -> QZ:
         return QZ(value)
     if isinstance(value, str):
         m = _FRACTION_RE.match(value.strip())
-        if m:
+        if m and int(m.group(2) or 1):
             return QZ(int(m.group(1)), int(m.group(2) or 1))
         raise ParseError(f"cannot parse Q/Z value from {value!r}")
     raise ParseError(

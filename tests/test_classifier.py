@@ -8,7 +8,7 @@ import pytest
 
 from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
                     PointedCategory, SizeLimitExceeded, Subgroup,
-                    admissible_subgroups, classify, coboundary,
+                    admissible_subgroups, classify, coboundary, criterion_cochain,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
                     generators, kp_category, nonidentity_tuples, report_from_json,
@@ -110,6 +110,18 @@ def test_equivalent_pairs_rejects_mixed_categories():
     b = enumerate_pairs(trivial_category(klein_group()))[0]
     with pytest.raises(CategoryMismatch):
         equivalent_pairs(a, b)
+
+
+@pytest.mark.parametrize("query", [equivalent_pairs,
+                                   lambda a, b: criterion_cochain(a, b, a.H.parent.identity)],
+                         ids=["equivalent_pairs", "criterion_cochain"])
+def test_pairs_over_two_omegas_on_one_group_are_not_mixed(query):
+    from modcat import CategoryMismatch
+    G = cyclic_group(4)
+    a, b = (next(p for p in enumerate_pairs(cat) if p.H.order == 2)
+            for cat in (trivial_category(G), PointedCategory(G, cyclic_3cocycle(G, 2))))
+    with pytest.raises(CategoryMismatch):
+        query(a, b)
 
 
 def test_different_orders_never_equivalent():
@@ -363,6 +375,7 @@ def test_report_from_json_malformed_nested_fields_are_parse_errors():
         lambda d: d["classes"][0].update(members=[0, -1]),
         lambda d: d["classes"][0].pop("rank"),
         lambda d: d["classes"][0].update(witnesses=None),
+        lambda d: next(p for p in d["pairs"] if p["psi"])["psi"][0].update(val="1/0"),
     ]
     for tamper in cases:
         bad = json.loads(json.dumps(data))
@@ -456,6 +469,44 @@ def test_representatives_and_blocks_follow_the_qz_order(name):
     reps = [blk["representative"] for blk in report.classes]
     assert reps == [min(blk["members"], key=key) for blk in report.classes]
     assert [key(i) for i in reps] == sorted(key(i) for i in reps)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_stored_witnesses_are_those_equivalent_pairs_finds(name):
+    report = classify(ORACLE_CASES[name]())
+    pairs, checked = report.pairs, 0
+    for blk in report.classes:
+        rep = pairs[blk["representative"]]
+        for m, w in blk["witnesses"]:
+            want = equivalent_pairs(pairs[m], rep)
+            assert (w.g, w.coboundary_witness) == (want.g, want.coboundary_witness)
+            checked += 1
+    assert checked == len(pairs) - report.class_count
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_classify_solves_once_per_subgroup_and_per_witness(monkeypatch, name):
+    # one admissibility solve per subgroup and one solve per non-representative
+    # member, at the element the orbit walk found: no trial solves, and no
+    # equivalent_pairs search
+    module, calls = importlib.import_module("modcat.classify"), []
+    real = module._solve
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("classify searched for a witness")
+
+    monkeypatch.setattr(module, "_solve", counted)
+    monkeypatch.setattr(module, "equivalent_pairs", forbidden)
+    cat = ORACLE_CASES[name]()
+    report = classify(cat)
+    others = len(report.pairs) - report.class_count
+    assert calls == [3] * len(subgroups(cat.group)) + [2] * others
+    if name == "D8xZ2":
+        assert len(calls) == 51
 
 
 def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
@@ -731,7 +782,7 @@ def test_swapped_move_entries_never_give_a_wrong_report():
             outcomes.add("same" if report_to_json(report) == report_to_json(clean)
                          else "other witnesses")
     cat._moves[H.members, g] = entry
-    assert "other witnesses" in outcomes  # the swaps did reach the search
+    assert "raised" in outcomes  # the swaps did reach the witness solve
 
 
 def fresh_pair(pair):

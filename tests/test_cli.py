@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -61,6 +62,15 @@ def test_group_file_with_a_non_integer_entry_is_input_error(capsys, tmp_path, ta
     path.write_text(json.dumps({"order": 2, "table": table}))
     code, out, err = run(capsys, "classify", "--group", f"@{path}", "--omega", "trivial")
     assert code == 2 and "table" in err and not out
+
+
+@pytest.mark.parametrize("names", ["ab", {"x": 1, "y": 2}, [1, 2], [None, [0]], [True, False]],
+                         ids=["string", "object", "ints", "null-and-list", "bools"])
+def test_group_file_with_names_not_json_strings_is_input_error(capsys, tmp_path, names):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 0]], "names": names}))
+    code, out, err = run(capsys, "group-info", "--group", f"@{path}")
+    assert code == 2 and "names" in err and not out
 
 
 def test_unknown_builtin_is_input_error(capsys):
@@ -137,6 +147,14 @@ def test_solve_finds_witness(capsys, tmp_path):
     data = json.loads(out)
     assert data["solvable"] is True
     assert data["witness"] == [{"args": [1], "val": "1/4"}]
+
+
+def test_solve_target_with_a_zero_denominator_is_input_error(capsys, tmp_path):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"group": "cyclic:2", "degree": 2,
+                                "values": [{"args": [1, 1], "val": "1/0"}]}))
+    code, out, err = run(capsys, "solve", "--target", f"@{path}")
+    assert code == 2 and out == "" and "'1/0'" in err
 
 
 @pytest.mark.parametrize("target", [
@@ -223,7 +241,9 @@ def test_equiv_kp_merging(capsys, tmp_path):
     '{"values": [{"args": [1.0, 1], "val": "1/2"}]}',
     '{"values": {"args": [1, 1], "val": "1/2"}}',
     '{"group": {"order": "eight"}, "values": []}',
-], ids=["args-int", "args-str", "args-float", "values-object", "order-str"])
+    '{"values": [{"args": [1, 1], "val": "1/0"}]}',
+], ids=["args-int", "args-str", "args-float", "values-object", "order-str",
+        "zero-denominator"])
 def test_malformed_psi_json_is_input_error(capsys, psi):
     code, _, err = run(capsys, "equiv", "--group", "kp", "--omega", "trivial",
                        "--pair1", "full:zero", "--pair2", "full:" + psi)
@@ -444,3 +464,33 @@ def test_solve_runs_the_solver_once(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, *text, "--verbose")
     assert (code, out, err) == (1, "nontrivial class\n", f"obstruction at row {row}\n")
     assert len(calls) == 1
+
+
+# sha256 of the stdout of ``classify --format json`` for each spec that CI
+# also runs under two hash seeds: the report bytes are the contract
+CLASSIFY_REPORT_SHA256 = [
+    ("kp --omega kp",
+     "f97af4cb93f9212d4975a78681b25d921832d55bb57cf330cd84565627260d06"),
+    ("cyclic:12 --omega cyclic:12:2",
+     "f108b05c35b9bd7d86042592a36dcf726b82c6499b57dc8ccd3502b3e96c622a"),
+    ("dihedral:16 --omega trivial",
+     "6f3517bc29b82abce44a2e0438b482f4883cc09ed7adce4737a281df49bc39b1"),
+    ("dihedral:32 --omega trivial --size-limit 32",
+     "b04c223575a41b140485a9e09cb6dfd5541c913bb07ccb45b1f7cedb7e33db93"),
+    ("dihedral:64 --omega trivial --size-limit 64",
+     "6b7cec6be3e2b64235367f32933b08bee625ae685cf0219f4f6e246972f5329d"),
+    ("cyclic:16 --omega cyclic:16:1",
+     "b73379daba998310714130465d54911d8a4dc3d8680b0f8944edcf961f84bd3c"),
+    ("cyclic:32 --omega cyclic:32:3 --size-limit 32",
+     "1f42dad22768dde44efa5988e22ec5da72ab85d1a3d17bae404eb2c0a3bb6c53"),
+    ("cyclic:64 --omega cyclic:64:1 --size-limit 64",
+     "7cfa2b6d367032c7aaafe802cf1ee3066cfffc47ae882c0c8b250ce0a3e1699f"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", CLASSIFY_REPORT_SHA256,
+                         ids=[spec.split()[0] for spec, _ in CLASSIFY_REPORT_SHA256])
+def test_classify_report_bytes_are_pinned(capsys, spec, digest):
+    code, out, _ = run(capsys, "classify", "--group", *spec.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -233,6 +233,16 @@ def test_group_json_table_entries_must_be_integers(table):
         group_from_json({"order": 2, "table": table})
 
 
+@pytest.mark.parametrize("names", [
+    "ab", {"x": 1, "y": 2}, [1, 2], [None, [0]], [True, False], None,
+], ids=["string", "object", "ints", "null-and-list", "bools", "null"])
+def test_group_json_names_must_be_json_strings(names):
+    table = [[0, 1], [1, 0]]
+    assert group_from_json({"order": 2, "table": table, "names": ["e", "a"]}).names == ("e", "a")
+    with pytest.raises(ParseError, match="names"):
+        group_from_json({"order": 2, "table": table, "names": names})
+
+
 def test_subgroup_view_indexing():
     G = kp_group()
     L = Subgroup(G, [0, 1, 2, 3])

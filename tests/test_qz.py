@@ -65,7 +65,8 @@ def test_parse_forms():
     assert qz(QZ(1, 3)) == QZ(1, 3)
 
 
-@pytest.mark.parametrize("bad", [0.5, "a/b", "1/2/3", "", None, True, [1, 2]])
+@pytest.mark.parametrize("bad", [0.5, "a/b", "1/2/3", "", None, True, [1, 2],
+                                 "1/0", "-3/00"])
 def test_parse_rejects_inexact(bad):
     with pytest.raises(ParseError):
         qz(bad)
