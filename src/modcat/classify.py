@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _numerators_on,
                        cochain_from_json, nonidentity_tuples)
-from .cohomology import _class_signature, _h2_vectors, _solve, numerators
+from .cohomology import _class_signature, _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
@@ -68,20 +68,49 @@ def admissible_subgroups(cat: PointedCategory) -> List[Tuple[Subgroup, Cochain]]
     return out
 
 
+class _Entry(NamedTuple):
+    """The pairs over one admissible subgroup H as psi = psi0 + sum_k m_k r_k:
+    ``psi0`` the solver's witness to d(psi0) = omega|_H, and ``gens`` the
+    class generators (r_k, d_k) of H^2(H, Q/Z) as _h2_classes checks them, r_k
+    numerators over |H|.  A parsed pair is its own entry, with no generators."""
+
+    H: Subgroup
+    psi0: Cochain
+    gens: tuple
+
+
+def _decomposed_pairs(cat: PointedCategory):
+    """(D, [(pair, entry, m, psi)]) for every pair, over admissible H and the
+    H^2 classes m in the order of _h2_classes, with psi = psi0 + sum_k m_k r_k
+    as numerators over D, the lcm of omega's denominators, of the subgroups'
+    orders and of every psi0's denominators.  The pair of the zero class
+    holds psi0 itself."""
+    admissible = admissible_subgroups(cat)
+    D = lcm(cat.den, *(H.order for H, _ in admissible),
+            *(v.den for _, psi0 in admissible for v in psi0.values.values()))
+    out = []
+    for H, psi0 in admissible:
+        view = H.as_group()
+        h2, tuples = _h2_classes(view), list(nonidentity_tuples(view, 2))
+        entry, base, s = _Entry(H, psi0, h2.gens), numerators(psi0, D), D // view.order
+        for m, vec in h2.classes:
+            if not any(m):  # the zero class: psi0 itself
+                out.append((AlgebraPair(cat, H, psi0), entry, m, base))
+                continue
+            psi = [(a + s * r) % D for a, r in zip(base, vec)]
+            pair = AlgebraPair(cat, H, Cochain(view, 2, {
+                t: QZ(v, D) for t, v in zip(tuples, psi) if v}))
+            out.append((pair, entry, m, psi))
+    return D, out
+
+
 def enumerate_pairs(cat: PointedCategory) -> List[AlgebraPair]:
     """All pairs (H, psi0 + r) over admissible H and H^2 representatives r,
-    summed as integers, valid by linearity: the solver checks its witness
-    d(psi0) = omega|_H once per subgroup, and _h2_vectors checks d(r) = 0."""
-    out = []
-    for H, psi0 in admissible_subgroups(cat):
-        view = H.as_group()
-        D = lcm(view.order, *(v.den for v in psi0.values.values()))
-        base, tuples = numerators(psi0, D), list(nonidentity_tuples(view, 2))
-        for vec in _h2_vectors(view):
-            psi = ((a + D // view.order * r) % D for a, r in zip(base, vec))
-            out.append(AlgebraPair(cat, H, Cochain(view, 2, {
-                t: QZ(v, D) for t, v in zip(tuples, psi) if v})))
-    return out
+    summed as integers.  Each is valid by linearity: the solver checks its
+    witness d(psi0) = omega|_H once per subgroup, and _h2_classes checks
+    d(r_k) = 0 once per class generator r_k and table; classify keeps that
+    decomposition for ClassificationReport.verify."""
+    return [pair for pair, *_ in _decomposed_pairs(cat)[1]]
 
 
 def _denominator(cat: PointedCategory, *cochains: Cochain) -> int:
@@ -160,16 +189,18 @@ class ClassificationReport:
     ``classes`` is a list of blocks; each block holds the canonical
     representative index, all member indices, the rank [G:H] shared by the
     class, and a verified witness from every non-representative member to the
-    representative.
+    representative.  ``parts`` gives each pair its decomposition (entry, m):
+    psi = entry.psi0 + sum_k m_k r_k over the generators of the _Entry.
     """
 
-    __slots__ = ("category", "pairs", "classes", "omega_source")
+    __slots__ = ("category", "pairs", "classes", "omega_source", "parts")
 
-    def __init__(self, category, pairs, classes, omega_source):
+    def __init__(self, category, pairs, classes, omega_source, parts):
         self.category = category
         self.pairs = pairs
         self.classes = classes
         self.omega_source = omega_source
+        self.parts = parts
 
     @property
     def class_count(self) -> int:
@@ -182,13 +213,48 @@ class ClassificationReport:
         matrix-free integer coboundary from the group table, not by the solver
         or the rows of d^1 that it memoizes and factors.
 
+        Pairs are checked by linearity, through their decompositions
+        (``parts``): d(psi0) = omega|_H on every row once per entry
+        (validate_pair), d(r_k) = 0 mod |H| on every row once per class
+        generator and table, and each pair's psi against psi0 + sum_k m_k r_k
+        by an exact comparison of numerators, unless the pair's psi is psi0
+        itself and m = 0.  As d is linear, d(psi) = omega|_H follows exactly.
+        A parsed report's pairs are their own entries, so each of them gets
+        the full-row check.
+
         Each witness's criterion comes from a move built afresh from the group
         table and omega (_action), never from the category's move table, which
         the classification itself read: a corrupt table entry must not be
         confirmed by the check meant to catch it."""
-        cat, pairs = self.category, self.pairs
-        for pair in pairs:
-            validate_pair(cat, pair.H, pair.psi)
+        cat, pairs, parts = self.category, self.pairs, self.parts
+        if len(parts) != len(pairs):
+            raise InternalInvariantBroken("a pair has no decomposition")
+        cocycles = set()
+        for entry in {id(e): e for e, _ in parts}.values():
+            view, M = entry.H.as_group(), entry.H.order
+            validate_pair(cat, entry.H, entry.psi0)
+            for r, _ in entry.gens:
+                if (view.table, r) not in cocycles:
+                    if any(v % M for v in _coboundary_numerators(view, 2, r)):
+                        raise InternalInvariantBroken("a class generator is not a cocycle")
+                    cocycles.add((view.table, r))
+        for pair, (entry, m) in zip(pairs, parts):
+            if (pair.H != entry.H or len(m) != len(entry.gens)
+                    or any(not 0 <= mk < d for mk, (_, d) in zip(m, entry.gens))):
+                raise InternalInvariantBroken("a pair does not match its decomposition")
+            if pair.psi is entry.psi0 and not any(m):
+                continue  # psi0 itself, checked above
+            M = entry.H.order
+            D = lcm(M, *(v.den for v in entry.psi0.values.values()))
+            psi = numerators(entry.psi0, D)
+            for mk, (r, _) in zip(m, entry.gens):
+                if mk:
+                    c = D // M * mk
+                    psi = [a + c * b for a, b in zip(psi, r)]
+            if (pair.psi.group != entry.psi0.group or pair.psi.degree != 2
+                    or any(D % v.den for v in pair.psi.values.values())
+                    or numerators(pair.psi, D) != [a % D for a in psi]):
+                raise InternalInvariantBroken("a pair is not psi0 + sum_k m_k r_k")
         members = [m for blk in self.classes for m in blk["members"]]
         if sorted(members) != list(range(len(pairs))):
             raise InternalInvariantBroken("the classes do not partition the pairs")
@@ -294,21 +360,22 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
     The classes are the orbits of G on the pairs, found in one walk over
     exact H^2 signatures (_orbit_classes) and sorted by representative, the
     least pair by (H.members, psi's numerators over one denominator, which
-    order psi as its Q/Z values do).  The walk gives every other member m the
-    least w carrying m onto the representative; one solve at w gives m's
-    witness, and the report is verified.  ``jobs`` is accepted for
-    compatibility and has no effect: the report is the same for any value.
+    order psi as its Q/Z values do), summed as psi0 + sum_k m_k r_k
+    (_decomposed_pairs).  The walk gives every other member m the least w
+    carrying m onto the representative; one solve at w gives m's witness,
+    and the report, which keeps each pair's decomposition, is verified.
+    ``jobs`` is accepted for compatibility and has no effect: the report is
+    the same for any value.
     """
     G = cat.group
     if G.order > size_limit:
         raise SizeLimitExceeded(f"group order {G.order} exceeds the limit {size_limit}")
     say = progress or (lambda msg: None)
     say("enumerating pairs")
-    pairs = enumerate_pairs(cat)
+    D, decomposed = _decomposed_pairs(cat)
+    pairs, vecs = [pair for pair, *_ in decomposed], [psi for *_, psi in decomposed]
     say(f"{len(pairs)} pairs on {len(subgroup_conjugacy_classes(G))} "
         "conjugacy classes of subgroups")
-    D = _denominator(cat, *(p.psi for p in pairs))
-    vecs = [numerators(p.psi, D) for p in pairs]
     blocks = []
     for rep, found in _orbit_classes(cat, pairs, vecs, D):
         L, witnesses = pairs[rep].H.as_group(), []
@@ -320,7 +387,8 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
             witnesses.append((m, EquivalenceWitness(found[m], f)))
         blocks.append({"representative": rep, "members": sorted(found),
                        "rank": pairs[rep].rank, "witnesses": witnesses})
-    report = ClassificationReport(cat, pairs, blocks, omega_source)
+    report = ClassificationReport(cat, pairs, blocks, omega_source,
+                                  [(entry, m) for _, entry, m, _ in decomposed])
     report.verify()
     return report
 
@@ -420,6 +488,7 @@ def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
                        "witnesses": witnesses})
     if _field(data, "class_count", int, "report") != len(blocks):
         raise ParseError("report JSON: class_count does not match the classes")
-    report = ClassificationReport(cat, pairs, blocks, source)
+    report = ClassificationReport(cat, pairs, blocks, source,
+                                  [(_Entry(p.H, p.psi, ()), ()) for p in pairs])
     report.verify()
     return report

@@ -45,7 +45,9 @@ tell its classes apart.
 Factorizations, the rows of d^1 and the H^2 signature are memoized,
 write-once, per (table, kind, degree): they are pure functions of the
 multiplication table, so subgroup views of one group with equal tables share
-them through a store on that group (``groups._table_memo``).
+them through a store on that group (``groups._table_memo``).  The checked H^2
+classes are memoized there with the factorizations they were checked from,
+and answer only while those are the ones read (``_h2_classes``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _tuple_ind
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, _table_memo, generators
 from .qz import QZ
+from .smith import SNF, _xgcd, smith_normal_form
 
 __all__ = [
     "ClassSignature",
@@ -102,197 +105,6 @@ def _coboundary_rows(group: Group, degree: int, tuples) -> Dict[int, Sparse]:
         sparse[_tuple_index(group, args)] = tuple(sorted(
             shared.setdefault(jc, jc) for jc in row.items() if jc[1]))
     return sparse
-
-
-class SNF:
-    """U * A * V = D with U, V unimodular and diagonal d_i | d_{i+1}.
-
-    ``diag`` lists the diagonal of D (nonzero invariant factors first, then
-    zeros).  U or V may be None when the factorization was computed without
-    tracking that side.
-    """
-
-    __slots__ = ("nrows", "ncols", "diag", "U", "V")
-
-    def __init__(self, nrows, ncols, diag, U, V):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.diag = diag
-        self.U = U
-        self.V = V
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
-def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
-                      need_U: bool = True, need_V: bool = True) -> SNF:
-    """Exact integer Smith normal form with optional transform tracking."""
-    D = [list(row) for row in A]
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if need_U else None
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if need_V else None
-
-    def swap_rows(i1, i2):
-        if i1 == i2:
-            return
-        D[i1], D[i2] = D[i2], D[i1]
-        if U is not None:
-            U[i1], U[i2] = U[i2], U[i1]
-
-    def swap_cols(j1, j2):
-        if j1 == j2:
-            return
-        for row in D:
-            row[j1], row[j2] = row[j2], row[j1]
-        if V is not None:
-            for row in V:
-                row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        rd, rs = D[dst], D[src]
-        for j in range(ncols):
-            if rs[j]:
-                rd[j] += q * rs[j]
-        if U is not None:
-            ud, us = U[dst], U[src]
-            for j in range(nrows):
-                if us[j]:
-                    ud[j] += q * us[j]
-
-    def add_col(dst, src, q):
-        for row in D:
-            if row[src]:
-                row[dst] += q * row[src]
-        if V is not None:
-            for row in V:
-                if row[src]:
-                    row[dst] += q * row[src]
-
-    def combine_rows(i1, i2, j):
-        # make D[i1][j] = gcd, D[i2][j] = 0, via a unimodular 2x2 transform
-        a, b = D[i1][j], D[i2][j]
-        if b == 0:
-            return
-        if a and b % a == 0:
-            add_row(i2, i1, -(b // a))
-            return
-        if a == 0:
-            swap_rows(i1, i2)
-            return
-        x, y, g = _xgcd(a, b)
-        mbg, ag = -b // g, a // g
-        r1, r2 = D[i1], D[i2]
-        for jj in range(ncols):
-            aa, bb = r1[jj], r2[jj]
-            if aa or bb:
-                r1[jj] = x * aa + y * bb
-                r2[jj] = mbg * aa + ag * bb
-        if U is not None:
-            u1, u2 = U[i1], U[i2]
-            for jj in range(nrows):
-                aa, bb = u1[jj], u2[jj]
-                if aa or bb:
-                    u1[jj] = x * aa + y * bb
-                    u2[jj] = mbg * aa + ag * bb
-
-    def combine_cols(j1, j2, i):
-        a, b = D[i][j1], D[i][j2]
-        if b == 0:
-            return
-        if a and b % a == 0:
-            add_col(j2, j1, -(b // a))
-            return
-        if a == 0:
-            swap_cols(j1, j2)
-            return
-        x, y, g = _xgcd(a, b)
-        mbg, ag = -b // g, a // g
-        for row in D:
-            aa, bb = row[j1], row[j2]
-            if aa or bb:
-                row[j1] = x * aa + y * bb
-                row[j2] = mbg * aa + ag * bb
-        if V is not None:
-            for row in V:
-                aa, bb = row[j1], row[j2]
-                if aa or bb:
-                    row[j1] = x * aa + y * bb
-                    row[j2] = mbg * aa + ag * bb
-
-    def find_pivot(k):
-        best = None
-        for i in range(k, nrows):
-            row = D[i]
-            for j in range(k, ncols):
-                v = row[j]
-                if v:
-                    if v == 1 or v == -1:
-                        return i, j
-                    if best is None or abs(v) < abs(D[best[0]][best[1]]):
-                        best = (i, j)
-        return best
-
-    rank = 0
-    for k in range(min(nrows, ncols)):
-        piv = find_pivot(k)
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        while True:
-            for i in range(k + 1, nrows):
-                if D[i][k]:
-                    combine_rows(k, i, k)
-            if all(D[k][j] == 0 for j in range(k + 1, ncols)):
-                break
-            for j in range(k + 1, ncols):
-                if D[k][j]:
-                    combine_cols(k, j, k)
-            if all(D[i][k] == 0 for i in range(k + 1, nrows)):
-                break
-        rank = k + 1
-
-    for i in range(rank):
-        if D[i][i] < 0:
-            for j in range(ncols):
-                D[i][j] = -D[i][j]
-            if U is not None:
-                for j in range(nrows):
-                    U[i][j] = -U[i][j]
-
-    # enforce d_i | d_{i+1} by repeated 2x2 fixes
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if b % a:
-                add_col(i, i + 1, 1)          # block [[a, 0], [b, b]]
-                combine_rows(i, i + 1, i)     # diag gcd, fill at (i, i+1)
-                if D[i][i + 1]:
-                    add_col(i + 1, i, -(D[i][i + 1] // D[i][i]))
-                if D[i][i] < 0 or D[i + 1][i + 1] < 0:
-                    for (r, neg) in ((i, D[i][i] < 0), (i + 1, D[i + 1][i + 1] < 0)):
-                        if neg:
-                            for j in range(ncols):
-                                D[r][j] = -D[r][j]
-                            if U is not None:
-                                for j in range(nrows):
-                                    U[r][j] = -U[r][j]
-                changed = True
-
-    diag = [D[i][i] for i in range(min(nrows, ncols))]
-    return SNF(nrows, ncols, diag, U, V)
 
 
 class Echelon(NamedTuple):
@@ -808,7 +620,7 @@ class ClassSignature:
     pairs it, mod D, with ``kernel``: integer 2-cycles z, each checked to
     satisfy z A = 0 before it is used, so a corrupt factorization can raise
     here but never tell a coboundary apart from zero.  As H^2(G, Q/Z) =
-    Hom(H_2(G, Z), Q/Z), a few cycles tell every class apart (_h2_vectors).
+    Hom(H_2(G, Z), Q/Z), a few cycles tell every class apart (_check_h2).
     """
 
     __slots__ = ("kernel",)
@@ -848,30 +660,49 @@ def h2_order(group: Group) -> int:
     return prod(_factor(group, 2, "smith").torsion)
 
 
-def _h2_vectors(group: Group) -> List[Tuple[int, ...]]:
-    """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first, as
-    numerators in [0, M) over M = |group| laid out like ``numerators``.
+class H2Classes(NamedTuple):
+    """H^2(group, Q/Z) as _h2_classes checks it, with the factorizations it
+    was checked from: the "smith" ``basis`` and the degree-1 ``echelon`` form,
+    None where H^2 is trivial and no cycle is needed.
+
+    ``gens`` pairs each class generator r_k of the basis, as dense numerators
+    over M = |group| laid out like ``numerators`` and checked to be a cocycle
+    mod M at every triple, with its order d_k.  ``classes`` holds one (m, vec)
+    per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
+    laid out like the r_k.  The zero class comes first, then the others in the
+    order of vec, which orders them as their QZ values do.  ``signature``
+    tells the classes apart.
+    """
+
+    basis: H2Basis
+    echelon: Echelon
+    gens: tuple
+    signature: ClassSignature
+    classes: list
+
+
+def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
+    """The classes of H^2 from this basis, each part checked.
 
     The candidates are the sums of multiples m_k < d_k of the class generators
-    of the degree-2 "smith" factorization: each generator is checked to be a
-    cocycle mod M at every triple by the matrix-free integer coboundary, so
-    every candidate is one.  Their signatures must all differ, which proves no
-    two cohomologous, and count the order of H^2, which proves the list
-    complete.  Their cycles are the kernel functionals of the degree-1 echelon
-    form that, in index order, still split the candidates; each at least
-    halves those left unsplit, so at most log2 |H^2| are kept.  Memoized, the
-    signature keys the orbit pass (_class_signature).
+    of ``basis``: each generator is checked to be a cocycle mod M at every
+    triple by the matrix-free integer coboundary, so every candidate is one.
+    Their signatures must all differ, which proves no two cohomologous, and
+    count the order of H^2, which proves the list complete.  Their cycles are
+    the kernel functionals of the degree-1 echelon form that, in index order,
+    still split the candidates; each at least halves those left unsplit, so
+    at most log2 |H^2| are kept.
     """
     M, ncols, gens = group.order, (group.order - 1) ** 2, []
-    basis = _factor(group, 2, "smith")
     for gen, d in zip(basis.generators, basis.torsion):
         entries = dict(gen)
-        g = [entries.get(j, 0) for j in range(ncols)]
+        g = tuple(entries.get(j, 0) for j in range(ncols))
         if any(v % M for v in _coboundary_numerators(group, 2, g)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
         gens.append((g, d))
     kept, unsplit = [], list(product(*(range(d) for _, d in gens)))
-    for z in _factor(group, 1, "echelon").kernel if len(unsplit) > 1 else ():
+    ech = _factor(group, 1, "echelon") if len(unsplit) > 1 else None
+    for z in ech.kernel if ech else ():
         zg = [_dot(z, g) % M for g, _ in gens]
         still = [m for m in unsplit if sum(a * b for a, b in zip(m, zg)) % M == 0]
         if len(still) < len(unsplit):
@@ -880,32 +711,43 @@ def _h2_vectors(group: Group) -> List[Tuple[int, ...]]:
             if len(unsplit) == 1:
                 break
     sig = ClassSignature(group, kept)
-    classes = [((0,) * ncols, sig((0,) * ncols, M))]
+    classes = [((), (0,) * ncols, sig((0,) * ncols, M))]
     for g, d in gens:
         gsig = sig(g, M)
-        classes = [(tuple((a + m * b) % M for a, b in zip(vec, g)),
-                    tuple((a + m * b) % M for a, b in zip(vsig, gsig)))
-                   for vec, vsig in classes for m in range(d)]
-    found, expected = len({vsig for _, vsig in classes}), h2_order(group)
+        classes = [(m + (k,), tuple((a + k * b) % M for a, b in zip(vec, g)),
+                    tuple((a + k * b) % M for a, b in zip(vsig, gsig)))
+                   for m, vec, vsig in classes for k in range(d)]
+    found, expected = len({vsig for *_, vsig in classes}), prod(basis.torsion)
     if found != expected:
         raise InternalInvariantBroken(
             f"found {found} cohomology classes, invariant factors give {expected}")
-    _table_memo(group, "signature", lambda: sig)
-    # numerators in [0, M) order like the QZ values they stand for
-    return sorted((vec for vec, _ in classes), key=lambda vec: (any(vec), vec))
+    classes.sort(key=lambda c: (any(c[1]), c[1]))
+    return H2Classes(basis, ech, tuple(gens), sig, [(m, vec) for m, vec, _ in classes])
+
+
+def _h2_classes(group: Group) -> H2Classes:
+    """The checked classes of H^2(group, Q/Z) (_check_h2), memoized per table
+    (``groups._table_memo``) together with the factorizations they were
+    checked from.  The memo answers only while ``_factor`` still returns those
+    same objects: an entry that a view holds of its own is checked afresh,
+    not memoized.
+    """
+    basis = _factor(group, 2, "smith")
+    got = _table_memo(group, "h2", lambda: _check_h2(group, basis))
+    if got.basis is basis and (got.echelon is None
+                               or got.echelon is _factor(group, 1, "echelon")):
+        return got
+    return _check_h2(group, basis)
 
 
 def _class_signature(group: Group) -> ClassSignature:
-    """The ClassSignature proved by _h2_vectors to tell H^2 apart, memoized
-    write-once per table (``groups._table_memo``)."""
-    def make():
-        _h2_vectors(group)  # memoizes the signature it proves
-        return group._cache["signature"]
-    return _table_memo(group, "signature", make)
+    """The ClassSignature proved by _h2_classes to tell H^2 apart, memoized
+    write-once per table (``groups._table_memo``) to key the orbit pass."""
+    return _table_memo(group, "signature", lambda: _h2_classes(group).signature)
 
 
 def h2_representatives(group: Group) -> List[Cochain]:
     """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first."""
     pairs, M = list(nonidentity_tuples(group, 2)), group.order
     return [Cochain(group, 2, {t: QZ(v, M) for t, v in zip(pairs, vec) if v})
-            for vec in _h2_vectors(group)]
+            for _, vec in _h2_classes(group).classes]

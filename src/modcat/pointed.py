@@ -53,6 +53,8 @@ class PointedCategory:
         raise AttributeError("PointedCategory objects are immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PointedCategory):
             return NotImplemented
         return self.group == other.group and self.omega == other.omega

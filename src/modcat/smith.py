@@ -1,0 +1,201 @@
+"""Exact integer Smith normal form of a small dense matrix.
+
+``cohomology._h2_basis`` eliminates the relation matrix of H^2 sparsely on
+unit pivots and hands the few rows and columns left to ``smith_normal_form``;
+``cohomology`` re-exports both names.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+
+class SNF:
+    """U * A * V = D with U, V unimodular and diagonal d_i | d_{i+1}.
+
+    ``diag`` lists the diagonal of D (nonzero invariant factors first, then
+    zeros).  U or V may be None when the factorization was computed without
+    tracking that side.
+    """
+
+    __slots__ = ("nrows", "ncols", "diag", "U", "V")
+
+    def __init__(self, nrows, ncols, diag, U, V):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.diag = diag
+        self.U = U
+        self.V = V
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
+                      need_U: bool = True, need_V: bool = True) -> SNF:
+    """Exact integer Smith normal form with optional transform tracking."""
+    D = [list(row) for row in A]
+    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if need_U else None
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if need_V else None
+
+    def swap_rows(i1, i2):
+        if i1 == i2:
+            return
+        D[i1], D[i2] = D[i2], D[i1]
+        if U is not None:
+            U[i1], U[i2] = U[i2], U[i1]
+
+    def swap_cols(j1, j2):
+        if j1 == j2:
+            return
+        for row in D:
+            row[j1], row[j2] = row[j2], row[j1]
+        if V is not None:
+            for row in V:
+                row[j1], row[j2] = row[j2], row[j1]
+
+    def add_row(dst, src, q):
+        # row_dst += q * row_src
+        rd, rs = D[dst], D[src]
+        for j in range(ncols):
+            if rs[j]:
+                rd[j] += q * rs[j]
+        if U is not None:
+            ud, us = U[dst], U[src]
+            for j in range(nrows):
+                if us[j]:
+                    ud[j] += q * us[j]
+
+    def add_col(dst, src, q):
+        for row in D:
+            if row[src]:
+                row[dst] += q * row[src]
+        if V is not None:
+            for row in V:
+                if row[src]:
+                    row[dst] += q * row[src]
+
+    def combine_rows(i1, i2, j):
+        # make D[i1][j] = gcd, D[i2][j] = 0, via a unimodular 2x2 transform
+        a, b = D[i1][j], D[i2][j]
+        if b == 0:
+            return
+        if a and b % a == 0:
+            add_row(i2, i1, -(b // a))
+            return
+        if a == 0:
+            swap_rows(i1, i2)
+            return
+        x, y, g = _xgcd(a, b)
+        mbg, ag = -b // g, a // g
+        r1, r2 = D[i1], D[i2]
+        for jj in range(ncols):
+            aa, bb = r1[jj], r2[jj]
+            if aa or bb:
+                r1[jj] = x * aa + y * bb
+                r2[jj] = mbg * aa + ag * bb
+        if U is not None:
+            u1, u2 = U[i1], U[i2]
+            for jj in range(nrows):
+                aa, bb = u1[jj], u2[jj]
+                if aa or bb:
+                    u1[jj] = x * aa + y * bb
+                    u2[jj] = mbg * aa + ag * bb
+
+    def combine_cols(j1, j2, i):
+        a, b = D[i][j1], D[i][j2]
+        if b == 0:
+            return
+        if a and b % a == 0:
+            add_col(j2, j1, -(b // a))
+            return
+        if a == 0:
+            swap_cols(j1, j2)
+            return
+        x, y, g = _xgcd(a, b)
+        mbg, ag = -b // g, a // g
+        for row in D:
+            aa, bb = row[j1], row[j2]
+            if aa or bb:
+                row[j1] = x * aa + y * bb
+                row[j2] = mbg * aa + ag * bb
+        if V is not None:
+            for row in V:
+                aa, bb = row[j1], row[j2]
+                if aa or bb:
+                    row[j1] = x * aa + y * bb
+                    row[j2] = mbg * aa + ag * bb
+
+    def find_pivot(k):
+        best = None
+        for i in range(k, nrows):
+            row = D[i]
+            for j in range(k, ncols):
+                v = row[j]
+                if v:
+                    if v == 1 or v == -1:
+                        return i, j
+                    if best is None or abs(v) < abs(D[best[0]][best[1]]):
+                        best = (i, j)
+        return best
+
+    rank = 0
+    for k in range(min(nrows, ncols)):
+        piv = find_pivot(k)
+        if piv is None:
+            break
+        swap_rows(k, piv[0])
+        swap_cols(k, piv[1])
+        while True:
+            for i in range(k + 1, nrows):
+                if D[i][k]:
+                    combine_rows(k, i, k)
+            if all(D[k][j] == 0 for j in range(k + 1, ncols)):
+                break
+            for j in range(k + 1, ncols):
+                if D[k][j]:
+                    combine_cols(k, j, k)
+            if all(D[i][k] == 0 for i in range(k + 1, nrows)):
+                break
+        rank = k + 1
+
+    for i in range(rank):
+        if D[i][i] < 0:
+            for j in range(ncols):
+                D[i][j] = -D[i][j]
+            if U is not None:
+                for j in range(nrows):
+                    U[i][j] = -U[i][j]
+
+    # enforce d_i | d_{i+1} by repeated 2x2 fixes
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            a, b = D[i][i], D[i + 1][i + 1]
+            if b % a:
+                add_col(i, i + 1, 1)          # block [[a, 0], [b, b]]
+                combine_rows(i, i + 1, i)     # diag gcd, fill at (i, i+1)
+                if D[i][i + 1]:
+                    add_col(i + 1, i, -(D[i][i + 1] // D[i][i]))
+                if D[i][i] < 0 or D[i + 1][i + 1] < 0:
+                    for (r, neg) in ((i, D[i][i] < 0), (i + 1, D[i + 1][i + 1] < 0)):
+                        if neg:
+                            for j in range(ncols):
+                                D[r][j] = -D[r][j]
+                            if U is not None:
+                                for j in range(nrows):
+                                    U[r][j] = -U[r][j]
+                changed = True
+
+    diag = [D[i][i] for i in range(min(nrows, ncols))]
+    return SNF(nrows, ncols, diag, U, V)

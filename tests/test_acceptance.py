@@ -228,3 +228,11 @@ def test_criterion_6_property_suites():
             got = sorted(sorted(blk["members"])
                          for blk in classify(tcat).classes)
             assert got == brute_trivial_omega_classes(tcat, tpairs)
+
+
+def test_criterion_7_order_32_trivial_omega():
+    with criterion(7, "D8xZ2xZ2 with trivial omega", 5.0):
+        z2 = cyclic_group(2)
+        G = direct_product(direct_product(dihedral_group(8), z2), z2)
+        report = classify(PointedCategory(G, zero_cochain(G, 3)), size_limit=32)
+        assert (len(report.pairs), report.class_count) == (726, 534)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from modcat import (QZ, Cochain, InternalInvariantBroken, ParseError,
+from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseError,
                     PointedCategory, SizeLimitExceeded, Subgroup,
                     admissible_subgroups, classify, coboundary, criterion_cochain,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
@@ -348,6 +348,135 @@ def test_report_from_json_checks_each_pair_once(monkeypatch):
     monkeypatch.setattr(module, "validate_pair", counted)
     report = report_from_json(data, kp.category)
     assert len(calls) == len(report.pairs) == 10
+
+
+# --- verify by linearity -------------------------------------------------------
+# classify keeps each pair as psi0 + sum_k m_k r_k over its subgroup's entry;
+# verify checks psi0 and every r_k on every row, once, and each pair against
+# its decomposition exactly.
+
+def kp_report_and_split_pair():
+    """A fresh kp report and the index of a pair with m != 0, on an entry
+    with a class generator."""
+    report = classify(kp_category().category)
+    return report, next(i for i, (_, m) in enumerate(report.parts) if any(m))
+
+
+def replace_entry(report, i, **fields):
+    """Give every pair sharing pair i's entry that entry with these fields."""
+    old = report.parts[i][0]
+    new = old._replace(**fields)
+    report.parts = [(new if e is old else e, m) for e, m in report.parts]
+
+
+def shifted(c, k, delta):
+    """The cochain c with delta added to its k-th value in tuple order."""
+    t = list(nonidentity_tuples(c.group, c.degree))[k]
+    return Cochain(c.group, c.degree, {**c.values, t: c.value(t) + delta})
+
+
+def test_verify_rejects_a_tampered_psi0():
+    report, i = kp_report_and_split_pair()
+    entry = report.parts[i][0]
+    view = entry.H.as_group()
+    # off the cocycle condition: d(psi0) != omega|_H
+    replace_entry(report, i, psi0=shifted(entry.psi0, 0, QZ(1, 3)))
+    with pytest.raises(NotCompatible):
+        report.verify()
+    # a valid psi0 the pairs were not built from
+    report, i = kp_report_and_split_pair()
+    f = Cochain(view, 1, {(1,): QZ(1, 4)})
+    replace_entry(report, i, psi0=combine(entry.psi0, coboundary(f), (1, 1)))
+    with pytest.raises(InternalInvariantBroken, match="psi0 \\+ sum"):
+        report.verify()
+
+
+def test_verify_rejects_a_tampered_class_generator():
+    report, i = kp_report_and_split_pair()
+    entry = report.parts[i][0]
+    [(r, d)] = entry.gens
+    M, view = entry.H.order, entry.H.as_group()
+    # a multiple of M/d below M, like a true generator, but no cocycle
+    replace_entry(report, i, gens=((((r[0] + M // d) % M, *r[1:]), d),))
+    with pytest.raises(InternalInvariantBroken, match="class generator is not a cocycle"):
+        report.verify()
+    # a cocycle, but not the generator the pairs were built from
+    report, i = kp_report_and_split_pair()
+    shift = numerators(coboundary(Cochain(view, 1, {(1,): QZ(1, 2)})), M)
+    replace_entry(report, i, gens=((tuple((a + b) % M for a, b in zip(r, shift)), d),))
+    with pytest.raises(InternalInvariantBroken, match="psi0 \\+ sum"):
+        report.verify()
+
+
+# 1/5 at an entry where psi is 0 has no numerator over psi's denominator 4
+@pytest.mark.parametrize("delta", [QZ(1, 4), QZ(1, 3), QZ(1, 2), QZ(1, 5)])
+def test_verify_rejects_a_psi_entry_off_its_decomposition(delta):
+    report, i = kp_report_and_split_pair()
+    pair = report.pairs[i]
+    for k in range(len(list(nonidentity_tuples(pair.H.as_group(), 2)))):
+        report.pairs[i] = AlgebraPair(pair.category, pair.H, shifted(pair.psi, k, delta))
+        with pytest.raises(InternalInvariantBroken, match="psi0 \\+ sum"):
+            report.verify()
+    report.pairs[i] = pair
+    report.verify()
+
+
+def test_verify_rejects_an_altered_m():
+    report, i = kp_report_and_split_pair()
+    entry, m = report.parts[i]
+    d = [d for _, d in entry.gens]
+    # zero; the same class with m_k out of range; too long; too short
+    for bad in ((0,) * len(m), tuple(a + b for a, b in zip(m, d)), m + (0,), ()):
+        report.parts[i] = (entry, bad)
+        with pytest.raises(InternalInvariantBroken):
+            report.verify()
+    report.parts[i] = (entry, m)
+    report.verify()
+
+
+def test_verify_checks_each_entry_and_generator_once(monkeypatch):
+    cat = ORACLE_CASES["D8xZ2"]()
+    report = classify(cat)
+    module, checked, rows = importlib.import_module("modcat.classify"), [], []
+    real_pair, real_rows = module.validate_pair, module._coboundary_numerators
+
+    def pair_check(cat, H, psi):
+        checked.append(H.members)
+        return real_pair(cat, H, psi)
+
+    def full_rows(group, n, x, *args):
+        rows.append((group.table, n, tuple(x)))
+        return real_rows(group, n, x, *args)
+
+    monkeypatch.setattr(module, "validate_pair", pair_check)
+    monkeypatch.setattr(module, "_coboundary_numerators", full_rows)
+    report.verify()
+    # one psi0 check per subgroup, far fewer than the pairs
+    assert sorted(checked) == sorted(S.members for S in subgroups(cat.group))
+    assert len(checked) == 35 < len(report.pairs) == 74
+    # one cocycle check per distinct (table, generator), and the witnesses'
+    # degree-1 checks
+    gens = [r for r in rows if r[1] == 2]
+    assert len(gens) == len(set(gens)) == len({
+        (e.H.as_group().table, r) for e, _ in report.parts for r, _ in e.gens})
+    witnesses = sum(len(blk["witnesses"]) for blk in report.classes)
+    assert len(rows) - len(gens) == witnesses
+
+
+@pytest.mark.parametrize("name", ["kp", "D8xZ2"])
+def test_parsed_pairs_are_their_own_entries(name):
+    cat = ORACLE_CASES[name]()
+    data = report_to_json(classify(cat))
+    parsed = report_from_json(json.loads(json.dumps(data)), cat)
+    assert all(e.psi0 is p.psi and e.gens == () and m == ()
+               for p, (e, m) in zip(parsed.pairs, parsed.parts))
+    parsed.verify()
+    assert report_to_json(parsed) == data
+    # one value of one psi off, on a subgroup where that breaks d(psi) = omega|_H
+    entry = next(p for p in data["pairs"] if len(p["H"]) >= 4 and p["psi"])["psi"][0]
+    entry["val"] = str(qz(entry["val"]) + QZ(1, 3))
+    with pytest.raises(NotCompatible):
+        report_from_json(data, cat)
 
 
 @pytest.mark.parametrize("key", ["group", "omega", "pairs", "classes"])

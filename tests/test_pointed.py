@@ -30,12 +30,13 @@ def kp():
 # --- big_omega and gamma ----------------------------------------------------
 
 class Unreadable(dict):
-    """An empty mapping of cochain values whose every read fails the test."""
+    """An empty mapping of cochain values whose every read, or comparison,
+    fails the test."""
 
     def get(self, *args):
         pytest.fail("a value of the zero omega was read")
 
-    __getitem__ = __contains__ = get
+    __getitem__ = __contains__ = __eq__ = get
 
 
 def test_big_omega_trivial_omega():
@@ -45,6 +46,12 @@ def test_big_omega_trivial_omega():
     object.__setattr__(cat.omega, "values", Unreadable())
     for g in G.elements():
         assert big_omega(cat, g).is_zero()
+
+
+def test_a_category_equals_itself_without_reading_omega():
+    cat = trivial_category(dihedral_group(8))
+    object.__setattr__(cat.omega, "values", Unreadable())
+    assert cat == cat and not cat != cat
 
 
 def test_big_omega_identity_element(kp):

@@ -275,6 +275,33 @@ def test_tampered_shared_entry_makes_classify_raise(key, make):
     assert view._cache.get(key) is store[key]
 
 
+def test_h2_classes_are_checked_once_per_table(monkeypatch):
+    cat = trivial_d8xz2()
+    real, checked = cohomology._coboundary_numerators, []
+
+    def counted(group, n, x, *args):
+        checked.append(group.table)
+        return real(group, n, x, *args)
+
+    monkeypatch.setattr(cohomology, "_coboundary_numerators", counted)
+    classify(cat)  # a zero omega: no degree-3 witness to check
+    views = views_of(cat.group)
+    gens = {v.table: len(cohomology._factor(v, 2, "smith").torsion) for v in views}
+    # each class generator of each distinct table once, not once per view
+    assert sorted(checked) == sorted(t for t, k in gens.items() for _ in range(k))
+    assert len(checked) < sum(len(cohomology._factor(v, 2, "smith").torsion) for v in views)
+    # a view given an entry of its own, equal but a fresh object, is checked
+    # afresh, and the shared memo is left as it was
+    view = next(v for v in views if gens[v.table])
+    shared = view._cache["h2"]
+    basis = cohomology._factor(view, 2, "smith")
+    view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators)
+    checked.clear()
+    assert len(h2_representatives(view)) == h2_order(view)
+    assert checked == [view.table] * gens[view.table]
+    assert cat.group._cache["tables"][view.table]["h2"] is shared
+
+
 def test_fresh_copies_of_a_group_share_nothing():
     cats = [trivial_d8xz2(), trivial_d8xz2()]
     for cat in cats:
