@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .classify import (DEFAULT_SIZE_LIMIT, classify, equivalent_pairs,
                        report_to_json)
@@ -285,7 +286,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="modcat",
         description="Classify module categories over pointed fusion categories "

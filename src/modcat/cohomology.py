@@ -38,16 +38,16 @@ rows of R: sparse elimination on unit pivots splits a 1 off the Smith form
 per pivot, and a dense Smith normal form (V only) takes the few rows and
 columns that are left (1 x 15 for the dihedral group of order 16).  Its
 invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
-through the unit pivots and the tree, give one 2-cocycle per cyclic factor.
-A few kernel functionals of the degree-1 matrix, at most log2 |H^2| of them,
-tell its classes apart.
+through the unit pivots and the tree, give one 2-cocycle per cyclic factor,
+and the matching rows of V^-1 one dual integer 2-cycle each: as H^2(G, Q/Z)
+= Hom(H_2(G, Z), Q/Z), pairing with them tells the classes apart.
 
 Factorizations, the rows of d^1 and the H^2 signature are memoized,
 write-once, per (table, kind, degree): they are pure functions of the
 multiplication table, so subgroup views of one group with equal tables share
 them through a store on that group (``groups._table_memo``).  The checked H^2
-classes are memoized there with the factorizations they were checked from,
-and answer only while those are the ones read (``_h2_classes``).
+classes are memoized there with the Smith entry they were checked from, and
+answer only while it is the one read (``_h2_classes``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _tuple_ind
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, _table_memo, generators
 from .qz import QZ
-from .smith import SNF, _xgcd, smith_normal_form
+from .smith import SNF, _xgcd, smith_normal_form, unimodular_inverse
 
 __all__ = [
     "ClassSignature",
@@ -275,14 +275,15 @@ class H2Basis:
     ``torsion`` lists the invariant factors d_k > 1 of the matrix, each
     dividing M, and ``generators[k]`` is a sparse 2-cocycle, numerators over M
     reduced mod M and all multiples of M / d_k, whose class has order d_k:
-    H^2 is the direct sum of the cyclic groups they generate.
+    H^2 is the direct sum of the cyclic groups they generate.  ``cycles[k]``
+    is a sparse integer 2-cycle z_k, by ``_tuple_index`` of the pairs, with
+    <z_k, generators[j]> = M / d_k if j = k and 0 otherwise, mod M.
     """
 
-    __slots__ = ("torsion", "generators")
+    __slots__ = ("torsion", "generators", "cycles")
 
-    def __init__(self, torsion, generators):
-        self.torsion = torsion
-        self.generators = generators
+    def __init__(self, torsion, generators, cycles):
+        self.torsion, self.generators, self.cycles = torsion, generators, cycles
 
 
 def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
@@ -423,6 +424,10 @@ def _h2_basis(group: Group) -> H2Basis:
     over Q/Z, since H^2(G, Q) = 0, so they are not kept.  For the same
     reason rank R = (|S| - 1)(M - 1), the rank of A_S over Q less the tree
     pivots; a factorization that misses it raises.
+
+    Row k of V^-1 on the live edge columns (s, b) is the cycle z_k: the edge
+    values x of a coboundary lie in ker R, so (V^-1 x_live)_k = 0 wherever
+    d_k != 0, and V^-1 V = I gives <z_k, r_j> = delta_jk M / d_k mod M.
     """
     M, e = group.order, group.identity
     S, n = generators(group), M - 1
@@ -451,7 +456,8 @@ def _h2_basis(group: Group) -> H2Basis:
         raise InternalInvariantBroken(
             f"relation matrix has rank {rank}, expected {(len(S) - 1) * n}")
 
-    torsion, gens = [], []
+    torsion, gens, cycles = [], [], []
+    inverse = unimodular_inverse(snf.V) if any(d > 1 for d in snf.diag) else None
     for k, d in enumerate(snf.diag):
         if d <= 1:
             continue
@@ -468,7 +474,9 @@ def _h2_basis(group: Group) -> H2Basis:
                     gen.append((i * n + j, v))
         torsion.append(d)
         gens.append(tuple(gen))
-    return H2Basis(torsion, gens)
+        cycles.append(tuple((_tuple_index(group, (S[c // n], elems[c % n])), v)
+                            for c, v in zip(live, inverse[k]) if v))
+    return H2Basis(torsion, gens, cycles)
 
 
 def _dot(z: Sparse, vec: Sequence[int]) -> int:
@@ -618,17 +626,23 @@ class ClassSignature:
     A cochain is given as integer numerators over a common denominator D,
     indexed like the rows of the degree-1 coboundary matrix A.  Its signature
     pairs it, mod D, with ``kernel``: integer 2-cycles z, each checked to
-    satisfy z A = 0 before it is used, so a corrupt factorization can raise
-    here but never tell a coboundary apart from zero.  As H^2(G, Q/Z) =
-    Hom(H_2(G, Z), Q/Z), a few cycles tell every class apart (_check_h2).
+    satisfy z A = 0 before it is used, from the table, as df(a, b) = f(b) -
+    f(ab) + f(a); so a corrupt factorization can raise here but never tell a
+    coboundary apart from zero.  As H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), the
+    cycles of the Smith entry tell every class apart (_check_h2).
     """
 
     __slots__ = ("kernel",)
 
     def __init__(self, group: Group, kernel: Sequence[Sparse]):
-        rows, self.kernel = _factored_rows(group), tuple(kernel)
+        self.kernel, table = tuple(kernel), group.table
         for z in self.kernel:
-            if not _in_left_kernel(z, rows):
+            acc = {}
+            for k, c in z:
+                a, b = _index_tuple(group, k, 2)
+                for x, v in ((a, c), (b, c), (table[a][b], -c)):
+                    acc[x] = acc.get(x, 0) + v
+            if any(v for x, v in acc.items() if x != group.identity):
                 raise InternalInvariantBroken("kernel functional failed verification")
 
     def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
@@ -661,21 +675,19 @@ def h2_order(group: Group) -> int:
 
 
 class H2Classes(NamedTuple):
-    """H^2(group, Q/Z) as _h2_classes checks it, with the factorizations it
-    was checked from: the "smith" ``basis`` and the degree-1 ``echelon`` form,
-    None where H^2 is trivial and no cycle is needed.
+    """H^2(group, Q/Z) as _h2_classes checks it, with the "smith" ``basis``
+    it was checked from.
 
     ``gens`` pairs each class generator r_k of the basis, as dense numerators
     over M = |group| laid out like ``numerators`` and checked to be a cocycle
     mod M at every triple, with its order d_k.  ``classes`` holds one (m, vec)
     per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
     laid out like the r_k.  The zero class comes first, then the others in the
-    order of vec, which orders them as their QZ values do.  ``signature``
-    tells the classes apart.
+    order of vec, which orders them as their QZ values do.  ``signature``,
+    the basis' cycles, tells the classes apart.
     """
 
     basis: H2Basis
-    echelon: Echelon
     gens: tuple
     signature: ClassSignature
     classes: list
@@ -687,11 +699,9 @@ def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
     The candidates are the sums of multiples m_k < d_k of the class generators
     of ``basis``: each generator is checked to be a cocycle mod M at every
     triple by the matrix-free integer coboundary, so every candidate is one.
-    Their signatures must all differ, which proves no two cohomologous, and
-    count the order of H^2, which proves the list complete.  Their cycles are
-    the kernel functionals of the degree-1 echelon form that, in index order,
-    still split the candidates; each at least halves those left unsplit, so
-    at most log2 |H^2| are kept.
+    Their signatures, pairings with the cycles of ``basis``, each checked to
+    be a cycle, must all differ, which proves no two cohomologous, and count
+    the order of H^2, which proves the list complete.
     """
     M, ncols, gens = group.order, (group.order - 1) ** 2, []
     for gen, d in zip(basis.generators, basis.torsion):
@@ -700,17 +710,7 @@ def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
         if any(v % M for v in _coboundary_numerators(group, 2, g)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
         gens.append((g, d))
-    kept, unsplit = [], list(product(*(range(d) for _, d in gens)))
-    ech = _factor(group, 1, "echelon") if len(unsplit) > 1 else None
-    for z in ech.kernel if ech else ():
-        zg = [_dot(z, g) % M for g, _ in gens]
-        still = [m for m in unsplit if sum(a * b for a, b in zip(m, zg)) % M == 0]
-        if len(still) < len(unsplit):
-            kept.append(z)
-            unsplit = still
-            if len(unsplit) == 1:
-                break
-    sig = ClassSignature(group, kept)
+    sig = ClassSignature(group, basis.cycles)
     classes = [((), (0,) * ncols, sig((0,) * ncols, M))]
     for g, d in gens:
         gsig = sig(g, M)
@@ -722,20 +722,19 @@ def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
         raise InternalInvariantBroken(
             f"found {found} cohomology classes, invariant factors give {expected}")
     classes.sort(key=lambda c: (any(c[1]), c[1]))
-    return H2Classes(basis, ech, tuple(gens), sig, [(m, vec) for m, vec, _ in classes])
+    return H2Classes(basis, tuple(gens), sig, [(m, vec) for m, vec, _ in classes])
 
 
 def _h2_classes(group: Group) -> H2Classes:
     """The checked classes of H^2(group, Q/Z) (_check_h2), memoized per table
-    (``groups._table_memo``) together with the factorizations they were
-    checked from.  The memo answers only while ``_factor`` still returns those
-    same objects: an entry that a view holds of its own is checked afresh,
-    not memoized.
+    (``groups._table_memo``) together with the Smith entry they were checked
+    from.  The memo answers only while ``_factor`` still returns that same
+    object: an entry that a view holds of its own is checked afresh, not
+    memoized.
     """
     basis = _factor(group, 2, "smith")
     got = _table_memo(group, "h2", lambda: _check_h2(group, basis))
-    if got.basis is basis and (got.echelon is None
-                               or got.echelon is _factor(group, 1, "echelon")):
+    if got.basis is basis:
         return got
     return _check_h2(group, basis)
 

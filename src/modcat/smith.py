@@ -1,8 +1,8 @@
 """Exact integer Smith normal form of a small dense matrix.
 
 ``cohomology._h2_basis`` eliminates the relation matrix of H^2 sparsely on
-unit pivots and hands the few rows and columns left to ``smith_normal_form``;
-``cohomology`` re-exports both names.
+unit pivots, hands the few rows and columns left to ``smith_normal_form``, and
+takes the dual cycles of H^2 from ``unimodular_inverse(V)``.
 """
 
 from __future__ import annotations
@@ -199,3 +199,30 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
 
     diag = [D[i][i] for i in range(min(nrows, ncols))]
     return SNF(nrows, ncols, diag, U, V)
+
+
+def unimodular_inverse(V: List[List[int]]) -> List[List[int]]:
+    """V^-1 for a square integer matrix V with determinant +-1, by integer row
+    operations on [V | I]: 2x2 extended-gcd combines bring the gcd of each
+    column, a unit, onto the diagonal, and that row then clears the column.
+
+    >>> unimodular_inverse([[2, 3], [1, 2]])
+    [[2, -3], [-1, 2]]
+    """
+    n = len(V)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(V)]
+    for k in range(n):
+        for i in range(k + 1, n):
+            a, b = A[k][k], A[i][k]
+            if b:
+                x, y, g = _xgcd(a, b)
+                A[k], A[i] = ([x * u + y * v for u, v in zip(A[k], A[i])],
+                              [(a // g) * v - (b // g) * u for u, v in zip(A[k], A[i])])
+        if A[k][k] not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        A[k] = [A[k][k] * u for u in A[k]]
+        for i in range(n):
+            q = A[i][k] if i != k else 0
+            if q:
+                A[i] = [v - q * u for u, v in zip(A[k], A[i])]
+    return [row[n:] for row in A]

@@ -672,29 +672,27 @@ KEPT_CYCLE_CASES = {
 @pytest.mark.parametrize("name", sorted(KEPT_CYCLE_CASES))
 def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
     """A kept cycle z of a view's signature plus |H| times a unit vector pairs
-    with every H^2 candidate like z, mod |H|, so the greedy choice keeps it in
-    z's place; it is not a cycle, and classify must raise, for every kept
-    cycle of every view that carries pairs (one per multiplication table)."""
+    with every H^2 candidate like z, mod |H|, so it still tells the classes
+    apart; it is not a cycle, and classify must raise, for every cycle of the
+    shared Smith entry of every view that carries pairs (one per table)."""
     cases = {}
     for H in {p.H for p in classify(KEPT_CYCLE_CASES[name]()).pairs}:
         view = H.as_group()
-        kernel = cohomology._factor(view, 1, "echelon").kernel
-        for z in cohomology._class_signature(view).kernel:
-            cases.setdefault((view.table, kernel.index(z)), (view, z))
+        for k, z in enumerate(cohomology._class_signature(view).kernel):
+            cases.setdefault((view.table, k), (view, z))
     assert cases
-    real = cohomology.echelon_form
-    for (_, k), (view, z) in cases.items():
+    real = cohomology._h2_basis
+    for (table, k), (view, z) in cases.items():
         (j, c), *rest = z
         bad = ((j, c + view.order), *rest)
-        rows = cohomology._factored_rows(view)
-        assert not cohomology._in_left_kernel(bad, rows)
+        assert not cohomology._in_left_kernel(bad, cohomology._factored_rows(view))
 
-        def tampered(rows_in, ncols, k=k, bad=bad, rows=rows):
-            ech = real(rows_in, ncols)
-            if rows_in == rows:  # d^1 of every view with this table
-                ech.kernel[k] = bad
-            return ech
-        monkeypatch.setattr(cohomology, "echelon_form", tampered)
+        def tampered(group, k=k, bad=bad, table=table):
+            basis = real(group)
+            if group.table == table:  # the Smith entry of every view with this table
+                basis.cycles[k] = bad
+            return basis
+        monkeypatch.setattr(cohomology, "_h2_basis", tampered)
         with pytest.raises(InternalInvariantBroken, match="kernel functional"):
             classify(KEPT_CYCLE_CASES[name]())
 

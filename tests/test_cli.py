@@ -273,6 +273,22 @@ def test_bad_pair_spec(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_repeated_calls_in_one_process_answer_as_the_first(capsys):
+    """main builds its parser once per process, and every later call of each
+    command prints what the first printed and returns the same status."""
+    commands = [("group-info", "--group", "kp"),
+                ("h2", "--group", "cyclic:4", "--format", "json"),
+                ("classify", "--group", "kp", "--omega", "kp", "--format", "json"),
+                ("equiv", "--group", "cyclic:2", "--omega", "trivial",
+                 "--pair1", "full:zero", "--pair2", "full:zero"),
+                ("group-info", "--group", "sporadic:monster")]
+    first = [run(capsys, *argv) for argv in commands]
+    assert [code for code, *_ in first] == [0, 0, 0, 0, 2]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in commands] == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_classify_kp_json_and_determinism(capsys):
     code, out1, _ = run(capsys, "classify", "--group", "kp", "--omega", "kp",
                         "--format", "json")

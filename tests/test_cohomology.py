@@ -116,7 +116,7 @@ def test_tampered_smith_generator_makes_h2_representatives_raise():
         x = [bad.get(j, 0) for j in range(len(cols))]
         assert any(v % M for v in incidence_product(d2, x))
         view._cache[("smith", 2)] = cohomology.H2Basis(
-            [d], [tuple((j, bad[j]) for j in sorted(bad) if bad[j])])
+            [d], [tuple((j, bad[j]) for j in sorted(bad) if bad[j])], basis.cycles)
         with pytest.raises(InternalInvariantBroken) as exc:
             h2_representatives(view)
         messages.add(str(exc.value))
@@ -485,7 +485,34 @@ def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
 
 # --- H^2 at its true size ------------------------------------------------------
 # Each class generator is checked once (a sum of integer cocycles mod M is a
-# cocycle), and a view's signature keeps only the cycles that split H^2.
+# cocycle), and a view's signature is the dual cycles of its Smith entry.
+
+def assert_dual_cycles(view):
+    """The Smith entry of view has one cycle z_k per invariant factor d_k:
+    z_k A = 0 on the oracle's rows A of d^1, and <z_k, r_j> = M / d_k if
+    j = k and 0 otherwise, mod M, on the class generators r_j."""
+    basis, M = cohomology._factor(view, 2, "smith"), view.order
+    _, _, d1 = coboundary_incidence(view, 1)
+    assert len(basis.cycles) == len(basis.torsion) == len(basis.generators)
+    for k, (z, d) in enumerate(zip(basis.cycles, basis.torsion)):
+        acc = {}
+        for j, c in z:
+            for col, v in d1[j]:
+                acc[col] = acc.get(col, 0) + c * v
+        assert z and not any(acc.values())
+        for i, gen in enumerate(basis.generators):
+            g = dict(gen)
+            assert sum(c * g.get(j, 0) for j, c in z) % M == (M // d if i == k else 0)
+
+
+@pytest.mark.parametrize("G", [kp_group(), direct_product(dihedral_group(8), cyclic_group(2)),
+                               direct_product(cyclic_group(4), cyclic_group(4)), z2_to_the_4(),
+                               dihedral_group(16)],
+                         ids=["kp", "D8xZ2", "Z4xZ4", "Z2^4", "dihedral16"])
+def test_smith_cycles_are_a_dual_basis_of_h2(G):
+    for H in subgroups(G):
+        assert_dual_cycles(H.as_group())
+
 
 def test_h2_representatives_check_each_generator_once(monkeypatch):
     G = z2_to_the_4()
@@ -505,7 +532,8 @@ def test_h2_representatives_check_each_generator_once(monkeypatch):
     bad = dict(basis.generators[0])
     bad[0] = (bad.get(0, 0) + M // d) % M
     G._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, [
-        tuple((j, v) for j, v in sorted(bad.items()) if v), *basis.generators[1:]])
+        tuple((j, v) for j, v in sorted(bad.items()) if v), *basis.generators[1:]],
+        basis.cycles)
     with pytest.raises(InternalInvariantBroken, match="candidate representative is not a cocycle"):
         h2_representatives(G)
 
@@ -519,14 +547,16 @@ def test_signatures_keep_only_cycles_that_split_h2(monkeypatch, G):
         view = H.as_group()
         kept = cohomology._class_signature(view).kernel
         assert 2 ** len(kept) <= h2_order(view) and bool(kept) == (h2_order(view) > 1)
-        assert all(z in cohomology._factor(view, 1, "echelon").kernel for z in kept)
         basis = cohomology._factor(view, 2, "smith")
+        assert kept == tuple(basis.cycles)  # cycles, dual to the generators
+        assert_dual_cycles(view)
         for i in range(len(kept)):  # one cycle too few no longer tells H^2 apart
             monkeypatch.setattr(cohomology, "ClassSignature",
                                 lambda group, kernel, i=i: real(group, kernel[:i] + kernel[i + 1:]))
             # a fresh entry object: the checked classes memoized with the old
             # one do not answer, so the check runs again
-            view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators)
+            view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
+                                                           basis.cycles)
             with pytest.raises(InternalInvariantBroken, match="cohomology classes"):
                 h2_representatives(view)
             monkeypatch.setattr(cohomology, "ClassSignature", real)

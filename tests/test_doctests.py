@@ -11,7 +11,7 @@ import pytest
 
 
 # imported by name: the package attribute ``modcat.qz`` is the function qz
-@pytest.mark.parametrize("name", ["modcat.qz", "modcat.cohomology"])
+@pytest.mark.parametrize("name", ["modcat.qz", "modcat.cohomology", "modcat.smith"])
 def test_docstring_examples(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.attempted > 0

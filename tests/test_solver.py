@@ -186,13 +186,52 @@ def test_classify_factors_each_table_kind_and_degree_once(monkeypatch):
             if isinstance(key, tuple) and key[0] in ("echelon", "smith")]
     # each factorization computed was one echelon or Smith form, and no
     # (table, kind, degree) was computed twice: exactly one per distinct
-    # triple among the views, far fewer than the views that read one
+    # triple among the views, far fewer than the views that read one.  The
+    # H^2 cycles come from the Smith entries, so a degree-1 echelon form is
+    # built only where a degree-2 solve has a nonzero target
     assert all(n == 1 for *_, n in computed) and len(calls) == len(computed)
     triples = [t[:3] for t in computed]
-    assert len(triples) == len(set(triples)) == len(set(used)) == 13
-    assert set(triples) == set(used) and len(used) == 56
+    assert len(triples) == len(set(triples)) == len(set(used)) == 10
+    assert set(triples) == set(used) and len(used) == 39
+    assert sorted(t[1:] for t in triples) == [("echelon", 1)] * 2 + [("smith", 2)] * 8
     assert len({v.table for v in views}) == 8 < len(views) == 35
     assert real_ech in calls and real_snf in calls
+
+
+def test_trivial_classify_factors_d1_only_for_nonzero_solves(monkeypatch):
+    """H^2's cycles come with its Smith entry: classifying the groups of the
+    trivial-omega benchmark, each once, builds an echelon form only for the
+    degree-2 solves with a nonzero target, and ClassSignature checks its
+    cycles from the table without reading the rows of d^1."""
+    real_ech, real_rows, real_sig = (cohomology.echelon_form, cohomology._factored_rows,
+                                     cohomology.ClassSignature)
+    echelons, inside, rows_read, built = [], [], [], []
+
+    def echelon(rows, ncols):
+        echelons.append(ncols)
+        return real_ech(rows, ncols)
+
+    def factored_rows(group):
+        rows_read.append(bool(inside))
+        return real_rows(group)
+
+    def signature(group, kernel):
+        inside.append(group)
+        built.append(group)
+        try:
+            return real_sig(group, kernel)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cohomology, "echelon_form", echelon)
+    monkeypatch.setattr(cohomology, "_factored_rows", factored_rows)
+    monkeypatch.setattr(cohomology, "ClassSignature", signature)
+    for G in (direct_product(dihedral_group(8), cyclic_group(2)),
+              direct_product(cyclic_group(4), cyclic_group(4)),
+              dihedral_group(16), cyclic_group(16)):
+        classify(PointedCategory(G, zero_cochain(G, 3)))
+    assert len(echelons) == 2
+    assert built and rows_read and not any(rows_read)
 
 
 def test_views_with_equal_tables_share_their_entries():
@@ -241,13 +280,14 @@ def off_cocycle_smith(alone):
     [gen], [d] = basis.generators, basis.torsion
     bad = dict(gen)
     bad[0] = (bad.get(0, 0) + alone.order // d) % alone.order
-    return cohomology.H2Basis([d], [tuple(sorted((j, v) for j, v in bad.items() if v))])
+    return cohomology.H2Basis([d], [tuple(sorted((j, v) for j, v in bad.items() if v))],
+                              basis.cycles)
 
 
-def non_cycle_echelon(alone):
-    ech = cohomology._factor(alone, 1, "echelon")
-    return cohomology.Echelon(ech.nrows, ech.ncols, ech.pivots,
-                              [((0, 1),)] + list(ech.kernel[1:]))
+def non_cycle_smith(alone):
+    basis = cohomology._factor(alone, 2, "smith")
+    return cohomology.H2Basis(basis.torsion, basis.generators,
+                              [((0, 1),)] + list(basis.cycles[1:]))
 
 
 def blind_signature(alone):
@@ -258,7 +298,7 @@ def blind_signature(alone):
 
 SHARED_TAMPERS = {
     "smith-not-a-cocycle": (("smith", 2), off_cocycle_smith),
-    "echelon-kernel-row": (("echelon", 1), non_cycle_echelon),
+    "smith-non-cycle": (("smith", 2), non_cycle_smith),
     "signature-without-cycles": ("signature", blind_signature),
 }
 
@@ -295,7 +335,8 @@ def test_h2_classes_are_checked_once_per_table(monkeypatch):
     view = next(v for v in views if gens[v.table])
     shared = view._cache["h2"]
     basis = cohomology._factor(view, 2, "smith")
-    view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators)
+    view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
+                                                   basis.cycles)
     checked.clear()
     assert len(h2_representatives(view)) == h2_order(view)
     assert checked == [view.table] * gens[view.table]
@@ -452,25 +493,30 @@ def test_smith_entry_holds_only_invariant_factors_and_generators():
     reps = h2_representatives(G)
     basis = cohomology._factor(G, 2, "smith")
     _, _, d2 = coboundary_incidence(G, 2)
-    assert cohomology.H2Basis.__slots__ == ("torsion", "generators")
+    assert cohomology.H2Basis.__slots__ == ("torsion", "generators", "cycles")
     assert basis.torsion == [2] and len(reps) == 2
     # one generator, a 2-cocycle with values in (1/2)Z/Z: A g = 0 mod 8
     [gen] = basis.generators
     g = dict(gen)
     assert g and set(g.values()) == {4}
     assert all(sum(c * g.get(j, 0) for j, c in row) % 8 == 0 for row in d2)
+    # and one cycle, which pairs with it as 8 / 2 = 4 mod 8
+    [z] = basis.cycles
+    assert sum(c * g.get(j, 0) for j, c in z) % 8 == 4
 
 
 def flat_form(basis):
-    """An H2Basis as {"torsion", "generators"}, each generator a flat
-    [index, value, index, value, ...] list, for the tampers below."""
+    """An H2Basis as {"torsion", "generators", "cycles"}, each generator a
+    flat [index, value, index, value, ...] list, for the tampers below; the
+    cycles are carried as they are."""
     return {"torsion": list(basis.torsion),
-            "generators": [[v for pair in g for v in pair] for g in basis.generators]}
+            "generators": [[v for pair in g for v in pair] for g in basis.generators],
+            "cycles": list(basis.cycles)}
 
 
 def from_flat(d):
     return cohomology.H2Basis(d["torsion"], [tuple(zip(f[::2], f[1::2]))
-                                             for f in d["generators"]])
+                                             for f in d["generators"]], d["cycles"])
 
 
 def bump(i, k):
@@ -517,3 +563,24 @@ def test_tampered_smith_entry_never_gives_a_wrong_class_count(tamper):
         return
     assert len(again) == 2 and all(is_cocycle(c) for c in again)
     assert h2_order(G) == 2
+
+
+CYCLE_TAMPERS = {
+    # one more at its first pair: never a cycle, as no unit 2-chain is one
+    "non-cycle": ("kernel functional", lambda zs: [((zs[0][0][0], zs[0][0][1] + 1),
+                                                    *zs[0][1:])]),
+    "dropped": ("cohomology classes", lambda zs: []),
+    # a cycle still, but it pairs with the generator as 2 * 4 = 0 mod 8
+    "doubled": ("cohomology classes", lambda zs: [tuple((j, 2 * c) for j, c in zs[0])]),
+}
+
+
+@pytest.mark.parametrize("match, tamper", CYCLE_TAMPERS.values(), ids=CYCLE_TAMPERS.keys())
+def test_tampered_smith_cycles_make_h2_representatives_raise(match, tamper):
+    G = dihedral_group(8)
+    basis = cohomology._factor(G, 2, "smith")
+    assert len(basis.cycles) == 1 and len(h2_representatives(G)) == 2
+    G._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
+                                                tamper(list(basis.cycles)))
+    with pytest.raises(InternalInvariantBroken, match=match):
+        h2_representatives(G)
