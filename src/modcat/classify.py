@@ -17,15 +17,14 @@ import hashlib
 from math import lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cochains import (Cochain, _coboundary_numerators, _numerators_on,
-                       cochain_from_json, nonidentity_tuples)
+from .cochains import (Cochain, _coboundary_numerators, _numerators_on, _of,
+                       cochain_from_json)
 from .cohomology import _class_signature, _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, conjugate_subgroup, group_from_json,
                      group_to_json, subgroup_conjugacy_classes, subgroups)
 from .pointed import AlgebraPair, PointedCategory, _twist, validate_pair
-from .qz import QZ
 
 __all__ = [
     "EquivalenceWitness",
@@ -87,20 +86,18 @@ def _decomposed_pairs(cat: PointedCategory):
     holds psi0 itself."""
     admissible = admissible_subgroups(cat)
     D = lcm(cat.den, *(H.order for H, _ in admissible),
-            *(v.den for _, psi0 in admissible for v in psi0.values.values()))
+            *(psi0.den for _, psi0 in admissible))
     out = []
     for H, psi0 in admissible:
         view = H.as_group()
-        h2, tuples = _h2_classes(view), list(nonidentity_tuples(view, 2))
+        h2 = _h2_classes(view)
         entry, base, s = _Entry(H, psi0, h2.gens), numerators(psi0, D), D // view.order
         for m, vec in h2.classes:
             if not any(m):  # the zero class: psi0 itself
                 out.append((AlgebraPair(cat, H, psi0), entry, m, base))
                 continue
             psi = [(a + s * r) % D for a, r in zip(base, vec)]
-            pair = AlgebraPair(cat, H, Cochain(view, 2, {
-                t: QZ(v, D) for t, v in zip(tuples, psi) if v}))
-            out.append((pair, entry, m, psi))
+            out.append((AlgebraPair(cat, H, _of(view, 2, psi, D)), entry, m, psi))
     return D, out
 
 
@@ -111,11 +108,6 @@ def enumerate_pairs(cat: PointedCategory) -> List[AlgebraPair]:
     d(r_k) = 0 once per class generator r_k and table; classify keeps that
     decomposition for ClassificationReport.verify."""
     return [pair for pair, *_ in _decomposed_pairs(cat)[1]]
-
-
-def _denominator(cat: PointedCategory, *cochains: Cochain) -> int:
-    """A common denominator of omega and the given cochains."""
-    return lcm(cat.den, *(v.den for c in cochains for v in c.values.values()))
 
 
 class _Move(NamedTuple):
@@ -157,9 +149,9 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
     move = _move(cat, a.H, g)
     if b.H.parent != cat.group or move.L != b.H.members:
         raise GroupMismatch("g does not conjugate L onto H")
-    D, L = _denominator(cat, a.psi, b.psi), b.H.as_group()
+    D = lcm(cat.den, a.psi.den, b.psi.den)
     vec = _criterion(move, cat.den, numerators(a.psi, D), numerators(b.psi, D), D)
-    return Cochain(L, 2, {t: QZ(v, D) for t, v in zip(nonidentity_tuples(L, 2), vec)})
+    return _of(b.H.as_group(), 2, vec, D)
 
 
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
@@ -171,7 +163,7 @@ def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitn
     if a.H.order != b.H.order:
         return None
     Lm, L = b.H.members, b.H.as_group()
-    D = _denominator(cat, a.psi, b.psi)
+    D = lcm(cat.den, a.psi.den, b.psi.den)
     psi, xi = numerators(a.psi, D), numerators(b.psi, D)
     for g in cat.group.elements():
         move = _move(cat, a.H, g)
@@ -245,15 +237,14 @@ class ClassificationReport:
             if pair.psi is entry.psi0 and not any(m):
                 continue  # psi0 itself, checked above
             M = entry.H.order
-            D = lcm(M, *(v.den for v in entry.psi0.values.values()))
+            D = lcm(M, entry.psi0.den)
             psi = numerators(entry.psi0, D)
             for mk, (r, _) in zip(m, entry.gens):
                 if mk:
                     c = D // M * mk
                     psi = [a + c * b for a, b in zip(psi, r)]
             if (pair.psi.group != entry.psi0.group or pair.psi.degree != 2
-                    or any(D % v.den for v in pair.psi.values.values())
-                    or numerators(pair.psi, D) != [a % D for a in psi]):
+                    or D % pair.psi.den or numerators(pair.psi, D) != [a % D for a in psi]):
                 raise InternalInvariantBroken("a pair is not psi0 + sum_k m_k r_k")
         members = [m for blk in self.classes for m in blk["members"]]
         if sorted(members) != list(range(len(pairs))):
@@ -273,7 +264,7 @@ class ClassificationReport:
                 if (conjugate_subgroup(cat.group, rep.H, w.g) != pair.H
                         or f.group != L or f.degree != 1):
                     raise InternalInvariantBroken("witness conjugation mismatch")
-                D = _denominator(cat, pair.psi, rep.psi, f)
+                D = lcm(cat.den, pair.psi.den, rep.psi.den, f.den)
                 crit = _criterion(_action(cat, pair.H, w.g), cat.den,
                                   numerators(pair.psi, D), numerators(rep.psi, D), D)
                 df = _coboundary_numerators(L, 1, numerators(f, D))

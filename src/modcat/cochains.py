@@ -1,9 +1,10 @@
 """Normalized n-cochains with values in Q/Z.
 
-A cochain assigns a QZ value to every n-tuple of group elements and vanishes
-whenever an argument is the identity.  Only nonzero values on identity-free
-tuples are stored; lookups of anything else return zero, so the stored dict
-is a canonical form and equality is structural.
+A cochain assigns a Q/Z value to every n-tuple of group elements and
+vanishes whenever an argument is the identity.  It is stored as integer
+numerators over one denominator, in a canonical form, so equality is
+structural.  Q/Z values appear only where a cochain is built from a mapping
+and where it is read or written; everything in between works on numerators.
 
 The multiplicative conventions of twisted group algebras translate to
 additive Q/Z throughout: a product of cochain values becomes a QZ sum, an
@@ -13,7 +14,7 @@ inverse becomes a negation.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import List, Mapping, Optional, Tuple
 
 from .errors import DegreeMismatch, GroupMismatch, NotASubgroup, ParseError
@@ -39,65 +40,101 @@ __all__ = [
 class Cochain:
     """A normalized n-cochain on a group, n >= 0.
 
-    ``values`` maps identity-free index tuples to nonzero QZ values; every
-    other tuple is implicitly zero.
+    ``nums[i]`` is the value at the identity-free n-tuple of index i
+    (``_tuple_index``, lexicographic order) as a numerator over ``den``, in
+    [0, den), and every other tuple is implicitly zero.  ``den`` is the lcm of
+    the reduced denominators of the values, so only the zero cochain has den
+    1.  The constructor takes a mapping from argument tuples to Q/Z values and
+    checks every tuple; ``values``, ``items()``, ``value`` and calls read the
+    numerators back as Q/Z values.
     """
 
-    __slots__ = ("group", "degree", "values")
+    __slots__ = ("group", "degree", "den", "nums")
 
     def __init__(self, group: Group, degree: int,
                  values: Optional[Mapping[tuple, QZ]] = None):
         if degree < 0:
             raise DegreeMismatch("cochain degree must be >= 0")
-        clean = {}
-        e = group.identity
+        e, order, clean = group.identity, group.order, {}
         for args, v in (values or {}).items():
             args = tuple(args)
             if len(args) != degree:
                 raise DegreeMismatch(
                     f"value tuple {args} has length {len(args)}, degree is {degree}")
-            if any(a < 0 or a >= group.order for a in args):
+            if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
+                raise ParseError(f"argument tuple {args} holds a non-integer")
+            if any(a < 0 or a >= order for a in args):
                 raise ParseError(f"argument tuple {args} out of range")
-            if not isinstance(v, QZ):
-                v = qz(v)
+            v = qz(v)
             if e in args:
                 if v:
                     raise ParseError(
                         f"nonzero value at identity-containing tuple {args}")
-                continue
-            if v:
-                clean[args] = v
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", clean)
+            elif v:
+                clean[_tuple_index(group, args)] = v
+        den, nums = lcm(*(v.den for v in clean.values())), [0] * (order - 1) ** degree
+        for i, v in clean.items():
+            nums[i] = v.num * (den // v.den)
+        self._store(group, degree, den, nums)
+
+    def _store(self, group: Group, degree: int, den: int, nums: List[int]) -> Cochain:
+        for name, value in zip(self.__slots__, (group, degree, den, nums)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain objects are immutable")
 
     def value(self, args: tuple) -> QZ:
-        return self.values.get(tuple(args), ZERO)
+        """The value at args, zero unless they are n identity-free elements."""
+        args, e, order = tuple(args), self.group.identity, self.group.order
+        if len(args) != self.degree or not all(
+                isinstance(a, int) and 0 <= a < order and a != e for a in args):
+            return ZERO
+        return QZ(self.nums[_tuple_index(self.group, args)], self.den)
 
     def __call__(self, *args) -> QZ:
-        return self.values.get(args, ZERO)
+        return self.value(args)
+
+    @property
+    def values(self) -> dict:
+        """The nonzero values, {identity-free tuple: QZ} in lexicographic
+        order, built from the numerators on each read."""
+        den = self.den
+        return {t: QZ(v, den) for t, v in
+                zip(nonidentity_tuples(self.group, self.degree), self.nums) if v}
 
     def is_zero(self) -> bool:
-        return not self.values
+        return self.den == 1
 
     def items(self):
         """Nonzero (args, value) pairs in lexicographic argument order."""
-        return sorted(self.values.items())
+        return list(self.values.items())
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (self.degree == other.degree and self.group == other.group
-                and self.values == other.values)
+        return (self.degree == other.degree and self.den == other.den
+                and self.group == other.group and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.values.items())))
+        return hash((self.degree, self.den, tuple(self.nums)))
 
     def __repr__(self):
-        return f"<Cochain deg {self.degree} on order-{self.group.order} group, {len(self.values)} nonzero>"
+        nonzero = len(self.nums) - self.nums.count(0)
+        return f"<Cochain deg {self.degree} on order-{self.group.order} group, {nonzero} nonzero>"
+
+
+def _of(group: Group, degree: int, nums, D: int) -> Cochain:
+    """The cochain with integer numerators ``nums`` over D, laid out by
+    ``_tuple_index``, reduced mod D and then by the gcd of D and all of them
+    into the canonical form.  The layout holds a value at every identity-free
+    tuple and nowhere else, so no tuple is checked."""
+    nums = [v % D for v in nums]
+    g = gcd(D, *nums)
+    if g > 1:
+        nums = [v // g for v in nums]
+    return Cochain.__new__(Cochain)._store(group, degree, D // g, nums)
 
 
 def zero_cochain(group: Group, degree: int) -> Cochain:
@@ -129,12 +166,12 @@ def _index_tuple(group: Group, i: int, n: int) -> tuple:
 
 
 def numerators(c: Cochain, D: int) -> List[int]:
-    """c as integer numerators over D, a multiple of its denominators, on the
-    identity-free tuples in lexicographic order (its coboundary's columns)."""
-    vec = [0] * (c.group.order - 1) ** c.degree
-    for t, v in c.values.items():
-        vec[_tuple_index(c.group, t)] = v.num * (D // v.den)
-    return vec
+    """c as integer numerators over D, a multiple of its denominator, laid out
+    by ``_tuple_index`` (its coboundary's columns)."""
+    if D % c.den:
+        raise ValueError(f"{D} is not a multiple of the denominator {c.den}")
+    s = D // c.den
+    return [v * s for v in c.nums]
 
 
 def _coboundary_numerators(group: Group, n: int, x, firsts=None) -> List[int]:
@@ -175,14 +212,10 @@ def coboundary(f: Cochain) -> Cochain:
                               + sum_i (-1)^i f(g_1, ..., g_i g_{i+1}, ..., g_{n+1})
                               + (-1)^{n+1} f(g_1, ..., g_n)
 
-    Computed on integer numerators over a common denominator by the
-    matrix-free ``_coboundary_numerators``.
+    Computed on f's numerators by the matrix-free ``_coboundary_numerators``.
     """
-    G, n = f.group, f.degree
-    D = lcm(*(v.den for v in f.values.values()))
-    dx = _coboundary_numerators(G, n, numerators(f, D))
-    return Cochain(G, n + 1, {t: QZ(v, D) for t, v in
-                              zip(nonidentity_tuples(G, n + 1), dx) if v % D})
+    return _of(f.group, f.degree + 1,
+               _coboundary_numerators(f.group, f.degree, f.nums), f.den)
 
 
 def combine(f: Cochain, g: Cochain, signs: Tuple[int, int]) -> Cochain:
@@ -191,40 +224,31 @@ def combine(f: Cochain, g: Cochain, signs: Tuple[int, int]) -> Cochain:
         raise DegreeMismatch(f"degree {f.degree} vs {g.degree}")
     if f.group != g.group:
         raise GroupMismatch("cochains live on different groups")
-    s0, s1 = signs
-    out = {}
-    for args in set(f.values) | set(g.values):
-        v = s0 * f.values.get(args, ZERO) + s1 * g.values.get(args, ZERO)
-        if v:
-            out[args] = v
-    return Cochain(f.group, f.degree, out)
+    D = lcm(f.den, g.den)
+    a, b = signs[0] * (D // f.den), signs[1] * (D // g.den)
+    return _of(f.group, f.degree, [a * x + b * y for x, y in zip(f.nums, g.nums)], D)
 
 
 def _numerators_on(c: Cochain, members, D: int) -> List[int]:
     """c restricted to the subgroup with these ascending members, as numerators
-    over D, a multiple of its denominators, laid out as by ``numerators`` on its
-    view: c's values read by index at the identity-free tuples, or zeros at once."""
-    ids = [x for x in members if x != c.group.identity]
-    if not c.values:
-        return [0] * len(ids) ** c.degree
-    return [0 if v is None else v.num * (D // v.den)
-            for v in map(c.values.get, product(ids, repeat=c.degree))]
+    over D, a multiple of its denominator, laid out as by ``_tuple_index`` on
+    its view: c's numerators read by index, or zeros at once."""
+    e, base = c.group.identity, c.group.order - 1
+    places = [x - (x > e) for x in members if x != e]
+    if c.den == 1:
+        return [0] * len(places) ** c.degree
+    idx = [0]
+    for _ in range(c.degree):
+        idx = [i * base + p for i in idx for p in places]
+    s, nums = D // c.den, c.nums
+    return [nums[i] * s for i in idx]
 
 
 def restrict(f: Cochain, H: Subgroup) -> Cochain:
     """Restriction to a subgroup, reindexed to H's own element indices."""
     if H.parent != f.group:
         raise NotASubgroup("subgroup does not live in the cochain's group")
-    view, D = H.as_group(), lcm(*(v.den for v in f.values.values()))
-    return Cochain(view, f.degree, {t: QZ(v, D) for t, v in zip(
-        nonidentity_tuples(view, f.degree), _numerators_on(f, H.members, D)) if v})
-
-
-def _embedding(group: Group):
-    """(parent, members) for a subgroup view; a full group embeds in itself."""
-    if group.parent is None:
-        return group, tuple(range(group.order))
-    return group.parent, group.members
+    return _of(H.as_group(), f.degree, _numerators_on(f, H.members, f.den), f.den)
 
 
 def conjugate_cochain(f: Cochain, g: int) -> Cochain:
@@ -233,21 +257,17 @@ def conjugate_cochain(f: Cochain, g: int) -> Cochain:
     For f on a subgroup H of G and any g in G, the result lives on the
     subgroup view of g^{-1} H g (on G itself when f does).
     """
-    P, members = _embedding(f.group)
-    ginv = P.inverse[g]
-    if f.group.parent is None:
-        target = f.group
-        tpos = None
-    else:
-        tmembers = tuple(sorted(P.conj(ginv, h) for h in members))
-        target = Subgroup(P, tmembers, _checked=True).as_group()
-        tpos = {p: i for i, p in enumerate(tmembers)}
-    out = {}
-    for args, v in f.values.items():
-        parent_args = (members[a] for a in args)
-        moved = tuple(P.conj(ginv, h) for h in parent_args)
-        out[moved if tpos is None else tuple(tpos[m] for m in moved)] = v
-    return Cochain(target, f.degree, out)
+    H = f.group
+    P, members = H.parent or H, H.members or range(H.order)
+    moved = [P.conj(P.inverse[g], h) for h in members]
+    tmembers = tuple(sorted(moved))
+    target = H if H.parent is None else Subgroup(P, tmembers, _checked=True).as_group()
+    pos = {p: i for i, p in enumerate(tmembers)}
+    out = [0] * len(f.nums)
+    for args, v in zip(nonidentity_tuples(H, f.degree), f.nums):
+        if v:
+            out[_tuple_index(target, tuple(pos[moved[a]] for a in args))] = v
+    return _of(target, f.degree, out, f.den)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -260,11 +280,10 @@ def is_cocycle(f: Cochain) -> bool:
     every x is a product of generators, so e(x, ...) = e(1, ...) = 0.  Here
     e = df, a cocycle because d d = 0.
     """
-    if not f.values:  # the zero cochain needs no generating set
+    if f.is_zero():  # the zero cochain needs no generating set
         return True
-    D = lcm(*(v.den for v in f.values.values()))
-    return not any(v % D for v in _coboundary_numerators(
-        f.group, f.degree, numerators(f, D), generators(f.group)))
+    return not any(v % f.den for v in _coboundary_numerators(
+        f.group, f.degree, f.nums, generators(f.group)))
 
 
 def cyclic_3cocycle(G: Group, q: int) -> Cochain:
@@ -276,10 +295,11 @@ def cyclic_3cocycle(G: Group, q: int) -> Cochain:
     n = G.order
     if any(G.table[i][j] != (i + j) % n for i in range(n) for j in range(n)):
         raise ParseError("cyclic 3-cocycle needs the builtin cyclic group layout")
-    vals = {}
-    for i, j, k in nonidentity_tuples(G, 3):
-        vals[(i, j, k)] = QZ(q * i * ((j + k) // n), n)
-    c = Cochain(G, 3, vals)
+    carry = [(j + k) // n for j in range(1, n) for k in range(1, n)]
+    nums = []  # the identity is 0, so a^i sits at place i - 1
+    for i in range(1, n):
+        nums += [q * i * c for c in carry]
+    c = _of(G, 3, nums, n)
     if not is_cocycle(c):
         raise ParseError("cyclic 3-cocycle failed its self-check")
     return c

@@ -53,14 +53,13 @@ answer only while it is the one read (``_h2_classes``).
 from __future__ import annotations
 
 from itertools import islice, product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _tuple_index,
+from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _of, _tuple_index,
                        combine, nonidentity_tuples, numerators, zero_cochain)
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, _table_memo, generators
-from .qz import QZ
 from .smith import SNF, _xgcd, smith_normal_form, unimodular_inverse
 
 __all__ = [
@@ -578,12 +577,7 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
         dx = [_dot(row, x) for row in _factored_rows(group).values()] if n == 2 else \
             _coboundary_numerators(group, 2, x)
         if not any((v - t * scale) % den for v, t in zip(dx, b)):
-            if n == 2:  # entry j of a 1-cochain sits at element j, or j + 1 past e
-                e = group.identity
-                f = {(j + (j >= e),): QZ(v, den) for j, v in enumerate(x) if v}
-            else:
-                f = {_index_tuple(group, j, 2): QZ(v, den) for j, v in enumerate(x) if v}
-            return Cochain(group, n - 1, f), None
+            return _of(group, n - 1, x, den), None
         # a failed witness for a cocycle b (any b if n = 2): a corrupt factorization
         S = generators(group)
         db = _coboundary_numerators(group, n, b, S) if n == 3 else ()
@@ -606,8 +600,7 @@ def _solve_cochain(target: Cochain):
     """_solve on a target given as a cochain of degree 2 or 3."""
     if target.degree not in (2, 3):
         raise DegreeMismatch("coboundary solving supports target degrees 2 and 3")
-    D = lcm(*(v.den for v in target.values.values()))
-    return _solve(target.group, target.degree, numerators(target, D), D)
+    return _solve(target.group, target.degree, target.nums, target.den)
 
 
 def solve_coboundary(target: Cochain) -> Optional[Cochain]:
@@ -747,6 +740,4 @@ def _class_signature(group: Group) -> ClassSignature:
 
 def h2_representatives(group: Group) -> List[Cochain]:
     """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first."""
-    pairs, M = list(nonidentity_tuples(group, 2)), group.order
-    return [Cochain(group, 2, {t: QZ(v, M) for t, v in zip(pairs, vec) if v})
-            for _, vec in _h2_classes(group).classes]
+    return [_of(group, 2, vec, group.order) for _, vec in _h2_classes(group).classes]

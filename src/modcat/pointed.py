@@ -12,11 +12,10 @@ from __future__ import annotations
 from math import lcm
 
 from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _numerators_on,
-                       is_cocycle, nonidentity_tuples, numerators)
+                       _of, is_cocycle, numerators)
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
 from .groups import Group, Subgroup, conjugate_subgroup
-from .qz import QZ
 
 __all__ = [
     "PointedCategory",
@@ -30,8 +29,8 @@ __all__ = [
 
 class PointedCategory:
     """A finite group together with a normalized 3-cocycle on it, checked
-    with ``is_cocycle`` on construction; ``den``, the lcm of omega's
-    denominators, also clears every twist big_omega(g).
+    with ``is_cocycle`` on construction; ``den``, omega's denominator, also
+    clears every twist big_omega(g).
 
     ``_moves`` is the G-action on 2-cochains over subgroups (see
     ``classify._move``), keyed by (H.members, g); it lives and dies with the
@@ -46,7 +45,7 @@ class PointedCategory:
             raise NotCompatible("omega is not a 3-cocycle")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "den", lcm(*(v.den for v in omega.values.values())))
+        object.__setattr__(self, "den", omega.den)
         object.__setattr__(self, "_moves", {})
 
     def __setattr__(self, name, value):
@@ -103,19 +102,23 @@ class AlgebraPair:
 def _twist(cat: PointedCategory, g: int, members) -> list:
     """big_omega(g) at the identity-free pairs of these ascending members, in
     lexicographic order, as numerators over ``cat.den`` in [0, den): its
-    formula on omega's values, read by index; zeros at once for a zero omega."""
-    G, vals, den = cat.group, cat.omega.values, cat.den
-    ids = [x for x in members if x != G.identity]
-    if not vals:
+    formula on omega's numerators, read by index; zeros at once, reading
+    none, for a zero omega or g = e."""
+    G, den, nums = cat.group, cat.den, cat.omega.nums
+    e, base = G.identity, G.order - 1
+    ids = [x for x in members if x != e]
+    if den == 1 or g == e:
         return [0] * len(ids) ** 2
-
-    def om(*args):
-        v = vals.get(args)
-        return 0 if v is None else v.num * (den // v.den)
-
-    moved = [G.conj(g, x) for x in ids]
-    return [(om(ca, cb, g) + om(g, a, b) - om(ca, g, b)) % den
-            for a, ca in zip(ids, moved) for b, cb in zip(ids, moved)]
+    # places among the identity-free elements, as _tuple_index counts them
+    places = [x - (x > e) for x in ids]
+    moved = [y - (y > e) for y in (G.conj(g, x) for x in ids)]
+    pg, out = g - (g > e), []
+    for a, ca in zip(places, moved):
+        # omega(ca, cb, g), omega(g, a, b) and omega(ca, g, b) start here
+        r1, r2, r3 = ca * base * base + pg, (pg * base + a) * base, (ca * base + pg) * base
+        out += [(nums[r1 + cb * base] + nums[r2 + b] - nums[r3 + b]) % den
+                for b, cb in zip(places, moved)]
+    return out
 
 
 def big_omega(cat: PointedCategory, g: int) -> Cochain:
@@ -125,9 +128,7 @@ def big_omega(cat: PointedCategory, g: int) -> Cochain:
     with g' = g^{-1}; its coboundary equals omega minus the conjugate of omega.
     Computed on all of G by ``_twist``.
     """
-    G = cat.group
-    return Cochain(G, 2, {t: QZ(v, cat.den) for t, v in zip(
-        nonidentity_tuples(G, 2), _twist(cat, g, G.elements())) if v})
+    return _of(cat.group, 2, _twist(cat, g, cat.group.elements()), cat.den)
 
 
 def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
@@ -136,16 +137,11 @@ def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
     gamma(g1,g2)(g) = omega(g1, g2, g) + omega(^{g1g2}g, g1, g2)
                       - omega(g1, ^{g2}g, g2)
     """
-    G, om = cat.group, cat.omega
-    val = om.value
+    G, val = cat.group, cat.omega.value
     g12 = G.mul(g1, g2)
-    out = {}
-    for (g,) in nonidentity_tuples(G, 1):
-        v = val((g1, g2, g)) + val((G.conj(g12, g), g1, g2)) \
-            - val((g1, G.conj(g2, g), g2))
-        if v:
-            out[(g,)] = v
-    return Cochain(G, 1, out)
+    return Cochain(G, 1, {(g,): val((g1, g2, g)) + val((G.conj(g12, g), g1, g2))
+                          - val((g1, G.conj(g2, g), g2))
+                          for g in G.elements() if g != G.identity})
 
 
 def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPair:
@@ -158,7 +154,7 @@ def validate_pair(cat: PointedCategory, H: Subgroup, psi: Cochain) -> AlgebraPai
     view = H.as_group()
     if psi.group != view or H.parent != cat.group:
         raise NotCompatible("psi does not live on a subgroup view of the category")
-    D = lcm(cat.den, *(v.den for v in psi.values.values()))
+    D = lcm(cat.den, psi.den)
     dpsi = [u % D for u in _coboundary_numerators(view, 2, numerators(psi, D))]
     omega = _numerators_on(cat.omega, H.members, D)  # in [0, D), like dpsi
     if dpsi != omega:
@@ -186,8 +182,7 @@ def alpha_g(psi_pair: AlgebraPair, xi_pair: AlgebraPair, g: int) -> Cochain:
     if psi_pair.category != xi_pair.category:
         raise CategoryMismatch("algebra pairs live over different categories")
     cat = psi_pair.category
-    G, om = cat.group, cat.omega
-    val = om.value
+    G, val = cat.group, cat.omega.value
     ginv = G.inverse[g]
     H = psi_pair.H
     conj_L = conjugate_subgroup(G, xi_pair.H, g)
@@ -201,8 +196,8 @@ def alpha_g(psi_pair: AlgebraPair, xi_pair: AlgebraPair, g: int) -> Cochain:
     def u(x):
         return val((G.mul(x, g), G.conj(ginv, x), G.conj(ginv, G.inverse[x])))
 
-    out = {}
-    mem = inter.members
+    out, mem = {}, inter.members
+    pos = {p: i for i, p in enumerate(mem)}
     for x in mem:
         if x == G.identity:
             continue
@@ -221,13 +216,8 @@ def alpha_g(psi_pair: AlgebraPair, xi_pair: AlgebraPair, g: int) -> Cochain:
             v += u(y) - u(xy) + u(x)
             v += val((cy, cy_inv, cx_inv))
             v -= val((cx, cy, G.conj(ginv, G.inverse[xy])))
-            if v:
-                out[(x, y)] = v
-
-    view = inter.as_group()
-    pos = {p: i for i, p in enumerate(inter.members)}
-    local = {(pos[x], pos[y]): v for (x, y), v in out.items()}
-    result = Cochain(view, 2, local)
+            out[(pos[x], pos[y])] = v
+    result = Cochain(inter.as_group(), 2, out)
     if not is_cocycle(result):
         raise InternalInvariantBroken("alpha_g output is not a 2-cocycle")
     return result

@@ -8,13 +8,15 @@ no-twist classifier for the trivial-cocycle reduction.  The exceptions are
 ``h2_torsion_by_generator_rows``, the earlier H^2 algorithm of the package,
 kept as the reference that the Schreier-tree one is compared against, and
 ``restrict_qz`` and ``big_omega_qz``, the package's earlier Q/Z restriction
-and twist, kept as references for the integer ones read by index.
+and twist, kept as references for the integer ones read by index, and
+``DictCochain``, its earlier cochain layout, kept as the reference for the
+integer numerators it stores now.
 """
 
 from itertools import combinations, product
 
-from modcat import (Cochain, NotASubgroup, QZ, coboundary, from_table, generators,
-                    is_cohomologous, nonidentity_tuples, smith_normal_form)
+from modcat import (ZERO, Cochain, NotASubgroup, QZ, coboundary, from_table, generators,
+                    is_cohomologous, nonidentity_tuples, qz, smith_normal_form)
 from modcat import cohomology
 
 
@@ -352,3 +354,36 @@ def big_omega_qz(cat, g):
         if v:
             out[(a, b)] = v
     return Cochain(G, 2, out)
+
+
+class DictCochain:
+    """A cochain as the package stored it before it kept integer numerators
+    over one denominator: a dict of the nonzero QZ values, keyed by
+    identity-free argument tuples, with every other tuple zero.  Takes only
+    valid input; the read methods are those of ``Cochain``."""
+
+    def __init__(self, group, degree, values):
+        self.group, self.degree = group, degree
+        self.values = {tuple(t): qz(v) for t, v in values.items() if qz(v)}
+
+    def value(self, args):
+        return self.values.get(tuple(args), ZERO)
+
+    def __call__(self, *args):
+        return self.values.get(args, ZERO)
+
+    def is_zero(self):
+        return not self.values
+
+    def items(self):
+        return sorted(self.values.items())
+
+    def __eq__(self, other):
+        return (self.degree == other.degree and self.group == other.group
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.degree, frozenset(self.values.items())))
+
+    def json_values(self):
+        return [{"args": list(args), "val": str(v)} for args, v in self.items()]

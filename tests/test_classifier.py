@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import random
@@ -11,7 +12,7 @@ from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseErro
                     admissible_subgroups, classify, coboundary, criterion_cochain,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
-                    generators, kp_category, nonidentity_tuples, report_from_json,
+                    from_table, generators, kp_category, nonidentity_tuples, report_from_json,
                     report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
@@ -791,6 +792,32 @@ def test_z2_to_the_4_with_trivial_omega_has_one_class_per_pair():
                 (S.order.bit_length() - 1 for S in subgroups(G)))
     report = classify(trivial_category(G))
     assert len(report.pairs) == report.class_count == schur == 270
+
+
+
+# sha256 of the report JSON, as ``classify --format json`` writes it, of the
+# benchmark's fixtures that no command line in test_cli names; their groups
+# are built from bare tables, with element names g0, g1, ...
+BENCH_REPORT_SHA256 = {
+    "D8xZ2": "ea1f617179aa66441708da0d613331a46e785630762238aa69958184530d46bb",
+    "Z4xZ4": "b8823e8aab1766420d8f42a158a66d5a95dbdfd44c831e46e629d71bfba35c2c",
+    "dihedral:12 sign": "99e75f65191ba1cfad9c2dfd9a9fda30dfa359b13eeb0841949d18055b4ca656",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_REPORT_SHA256))
+def test_bench_fixture_report_bytes_are_pinned(name):
+    if name == "dihedral:12 sign":  # the sign of D_12 pulled back from Z_2
+        G, refl = dihedral_group(12), range(6, 12)
+        omega = {(a, b, c): QZ(1, 2) for a in refl for b in refl for c in refl}
+    else:
+        a, b = (dihedral_group(8), cyclic_group(2)) if name == "D8xZ2" else \
+            (cyclic_group(4), cyclic_group(4))
+        G, omega = direct_product(a, b), {}
+    G = from_table(G.order, G.table)
+    report = classify(PointedCategory(G, Cochain(G, 3, omega)))
+    text = json.dumps(report_to_json(report), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_REPORT_SHA256[name]
 
 
 # --- the category's table of moves -------------------------------------------

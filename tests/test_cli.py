@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from modcat import (cli, cochain_from_json, cochain_to_json, cohomology,
-                    group_to_json, groups, image_obstruction, kp_category,
-                    report_from_json, solve_coboundary)
+from modcat import (QZ, Cochain, cli, coboundary, cochain_from_json, cochain_to_json,
+                    cohomology, dihedral_group, group_to_json, groups, image_obstruction,
+                    kp_category, report_from_json, solve_coboundary)
 from modcat.cli import main
 from modcat.groups import cyclic_group, direct_product
 
@@ -510,3 +510,37 @@ def test_classify_report_bytes_are_pinned(capsys, spec, digest):
     code, out, _ = run(capsys, "classify", "--group", *spec.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def pinned_commands(tmp_path):
+    """Commands whose JSON output is built from cochain numerators: H^2
+    representatives, a twist, a solve witness and an equivalence witness."""
+    f = Cochain(dihedral_group(8), 1, {(1,): QZ(1, 3), (2,): QZ(1, 4), (5,): QZ(5, 6)})
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(cochain_to_json(coboundary(f), "dihedral:8")))
+    xi = json.dumps({"values": cochain_to_json(kp_category().xi_nontrivial)["values"]})
+    return {
+        "h2-dihedral16": ["h2", "--group", "dihedral:16"],
+        "h2-kp": ["h2", "--group", "kp"],
+        "omega-g-kp": ["omega-g", "--group", "kp", "--omega", "kp", "--g", "x"],
+        "solve-degree-2": ["solve", "--target", f"@{target}"],
+        "equiv-kp": ["equiv", "--group", "kp", "--omega", "kp",
+                     "--pair1", "H=[0,1,2,3];psi=zero", "--pair2", "H=[0,1,2,3];psi=" + xi],
+    }
+
+
+# sha256 of the stdout of each command above with ``--format json``
+COMMAND_JSON_SHA256 = {
+    "h2-dihedral16": "d35a2eaa16d84092140a1b649203762cce8577574d76d3ddc959489e1ff7b39d",
+    "h2-kp": "588f72b648f1e7b5d1a10c15c739a7971ebce3399f1bf2bbc9bbfa4323bd2c75",
+    "omega-g-kp": "b12656a20589255e3fb72d966ffc1b62a60dc88ca183ff87054bdf7d5f4b4148",
+    "solve-degree-2": "e8d828ef557a6242d34743636d6fd95cd2d81c2c735f0347264f61c463212f1f",
+    "equiv-kp": "b3d8e345fb65a7779328224c0c157bf1b8cea326a23e0a49a0c217b5fee64f37",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_JSON_SHA256))
+def test_command_json_bytes_are_pinned(capsys, tmp_path, name):
+    code, out, _ = run(capsys, *pinned_commands(tmp_path)[name], "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_JSON_SHA256[name]

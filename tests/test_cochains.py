@@ -1,14 +1,17 @@
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modcat import (Cochain, DegreeMismatch, GroupMismatch, NotASubgroup,
                     ParseError, QZ, ZERO, Subgroup, coboundary,
                     cochain_from_json, cochain_to_json, combine,
                     conjugate_cochain, cyclic_group, cyclic_3cocycle,
-                    dihedral_group, is_cocycle, kp_category, kp_group,
-                    restrict, zero_cochain)
-from oracles import random_cochain
+                    dihedral_group, direct_product, is_cocycle, kp_category,
+                    kp_group, nonidentity_tuples, restrict, zero_cochain)
+from modcat.cochains import _of, numerators
+from oracles import DictCochain, random_cochain, relabel
 
 
 def test_normalization_enforced():
@@ -18,6 +21,13 @@ def test_normalization_enforced():
     # zero at identity slots is fine and dropped
     c = Cochain(G, 1, {(0,): ZERO, (1,): QZ(1, 3)})
     assert c.value((0,)) == ZERO and c.value((1,)) == QZ(1, 3)
+
+
+@pytest.mark.parametrize("args", [(1.5,), ("a",), (True,), (1.0,), (None,)],
+                         ids=["float", "string", "bool", "integral-float", "null"])
+def test_non_integer_arguments_are_parse_errors(args):
+    with pytest.raises(ParseError, match="non-integer"):
+        Cochain(cyclic_group(4), 1, {args: QZ(1, 2)})
 
 
 def test_degree_checked():
@@ -200,3 +210,60 @@ def test_json_embedded_group_order_must_be_an_integer(order):
     data["group"]["order"] = order
     with pytest.raises(ParseError, match="integer"):
         cochain_from_json(data, group=G)
+
+
+# groups of order 1 to 8; relabelled below, so the identity is anywhere
+SMALL_GROUPS = ([cyclic_group(n) for n in range(1, 9)]
+                + [dihedral_group(n) for n in (4, 6, 8)]
+                + [kp_group(), direct_product(cyclic_group(2), cyclic_group(2))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_layout_matches_a_dict_of_qz_values(data):
+    G = relabel(data.draw(st.sampled_from(SMALL_GROUPS)),
+                random.Random(data.draw(st.integers(0, 999))))
+    degree = data.draw(st.integers(0, 3))
+    tuples = list(nonidentity_tuples(G, degree))
+    qzs = st.builds(QZ, st.integers(-40, 40), st.integers(1, 12))
+    vals = data.draw(st.dictionaries(st.sampled_from(tuples), qzs, max_size=8)
+                     if tuples else st.just({}))
+    c, ref = Cochain(G, degree, vals), DictCochain(G, degree, vals)
+
+    assert c.values == ref.values and c.items() == ref.items()
+    assert list(c.values) == [t for t, _ in ref.items()]
+    assert c.is_zero() == ref.is_zero() == (c.den == 1)
+    assert c.den == lcm(*(v.den for v in ref.values.values()))
+    assert all(0 <= v < c.den for v in c.nums)
+    # reads off the identity-free tuples of G are zero, never a wrapped index
+    e, n = G.identity, G.order
+    probes = tuples + [(e,) * max(degree, 1), (1,) * (degree + 1), (-1,) * max(degree, 1),
+                       (n,) * max(degree, 1), (n + 5,) * max(degree, 1), (-n,) * max(degree, 1)]
+    if degree:
+        probes += [t[:-1] + (e,) for t in tuples[:3]] + [t[:-1] + (-1,) for t in tuples[:3]]
+    for t in probes:
+        assert c.value(t) == ref.value(t) == c(*t) == ref(*t)
+
+    same = Cochain(G, degree, dict(reversed(vals.items())))
+    assert same == c and hash(same) == hash(c)
+    if tuples:
+        t, delta = data.draw(st.sampled_from(tuples)), data.draw(qzs)
+        c2 = Cochain(G, degree, {**vals, t: c.value(t) + delta})
+        ref2 = DictCochain(G, degree, {**vals, t: ref.value(t) + delta})
+        assert (c == c2) == (ref == ref2) == (not delta)
+        assert c != c2 or hash(c) == hash(c2)
+
+    data_json = cochain_to_json(c)
+    assert data_json["values"] == ref.json_values()
+    assert cochain_from_json(data_json) == c
+
+    for k in (1, 2, 6):
+        D = k * c.den
+        nums = numerators(c, D)
+        assert nums == [c.value(t).scaled_num(D) for t in tuples]
+        for m in (1, 3):
+            again = _of(G, degree, [m * v for v in nums], m * D)
+            assert again == c and hash(again) == hash(c)
+    if c.den > 1:
+        with pytest.raises(ValueError):
+            numerators(c, c.den + 1)
