@@ -14,15 +14,15 @@ product on numerators over a common denominator.
 from __future__ import annotations
 
 import hashlib
-from math import lcm
+from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _numerators_on, _of,
-                       cochain_from_json)
+                       cochain_from_json, nonidentity_tuples)
 from .cohomology import _class_signature, _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
-from .groups import (Subgroup, conjugate_subgroup, group_from_json,
+from .groups import (Subgroup, _table_peek, conjugate_subgroup, group_from_json,
                      group_to_json, subgroup_conjugacy_classes, subgroups)
 from .pointed import AlgebraPair, PointedCategory, _twist, validate_pair
 
@@ -122,19 +122,14 @@ class _Move(NamedTuple):
     fixed: bool
 
 
-def _apply(move: _Move, den: int, psi, D: int) -> List[int]:
-    """psi^g + big_omega(g) on L, with psi on H and the result as numerators
-    over D, a multiple of den, the category's denominator."""
-    if move.twist is None:
-        return [psi[k] for k in move.perm]
-    s = D // den
-    return [psi[k] + s * t for k, t in zip(move.perm, move.twist)]
-
-
 def _criterion(move: _Move, den: int, psi, xi, D: int) -> List[int]:
-    """-xi + psi^g + big_omega(g) on L, as numerators over D, with psi on H
-    and xi on L given as numerators over D as well."""
-    return [u - x for u, x in zip(_apply(move, den, psi, D), xi)]
+    """-xi + psi^g + big_omega(g) on L, as numerators over D, a multiple of
+    den, the category's denominator, with psi on H and xi on L given as
+    numerators over D as well."""
+    if move.twist is None:
+        return [psi[k] - x for k, x in zip(move.perm, xi)]
+    s = D // den
+    return [psi[k] + s * t - x for k, t, x in zip(move.perm, move.twist, xi)]
 
 
 def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
@@ -156,7 +151,9 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
 
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
     """Scan g in index order; return the first verified witness, or None.
-    Each g's move on a's subgroup is read from the category's table."""
+    Each g's move on a's subgroup is read from the category's table.  Where
+    classify memoized L's ClassSignature, a g whose image pairs with it other
+    than xi does is not solved: its cycles pair every coboundary to 0."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
@@ -165,9 +162,13 @@ def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitn
     Lm, L = b.H.members, b.H.as_group()
     D = lcm(cat.den, a.psi.den, b.psi.den)
     psi, xi = numerators(a.psi, D), numerators(b.psi, D)
+    sig = _table_peek(L, "signature")
+    want = None if sig is None else sig(xi, D)
     for g in cat.group.elements():
         move = _move(cat, a.H, g)
         if move.L != Lm:
+            continue
+        if sig is not None and sig.moved(psi, move.perm, move.twist, D // cat.den, D) != want:
             continue
         witness, _ = _solve(L, 2, _criterion(move, cat.den, psi, xi, D), D)
         if witness is not None:
@@ -331,7 +332,8 @@ def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
             move = _move(cat, H, G.inverse[w])
             if move.fixed:
                 continue
-            hits = keyed.get((move.L, sigs[move.L](_apply(move, cat.den, vecs[rep], D), D)))
+            hits = keyed.get((move.L, sigs[move.L].moved(vecs[rep], move.perm, move.twist,
+                                                          D // cat.den, D)))
             if hits is None:
                 raise InternalInvariantBroken("an image matches no pair")
             for m in hits:
@@ -385,9 +387,16 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
 
 
 def omega_fingerprint(omega: Cochain) -> str:
-    h = hashlib.sha256()
+    """sha256 of omega's table, names and repr([(args, str(v))]) over its
+    nonzero values v in argument order, each v formatted as its QZ would be,
+    "num/den" reduced, straight from the numerators."""
+    h, den, text = hashlib.sha256(), omega.den, {}
     h.update(repr((omega.group.table, omega.group.names)).encode())
-    h.update(repr([(args, str(v)) for args, v in omega.items()]).encode())
+    for v in set(omega.nums):
+        g = gcd(v, den)
+        text[v] = f"{v // g}/{den // g}"
+    h.update(repr([(args, text[v]) for args, v in zip(
+        nonidentity_tuples(omega.group, omega.degree), omega.nums) if v]).encode())
     return h.hexdigest()
 
 

@@ -57,7 +57,8 @@ class Cochain:
             raise DegreeMismatch("cochain degree must be >= 0")
         e, order, clean = group.identity, group.order, {}
         for args, v in (values or {}).items():
-            args = tuple(args)
+            if not isinstance(args, tuple):
+                raise ParseError(f"argument key {args!r} is not a tuple")
             if len(args) != degree:
                 raise DegreeMismatch(
                     f"value tuple {args} has length {len(args)}, degree is {degree}")

@@ -622,14 +622,15 @@ class ClassSignature:
     satisfy z A = 0 before it is used, from the table, as df(a, b) = f(b) -
     f(ab) + f(a); so a corrupt factorization can raise here but never tell a
     coboundary apart from zero.  As H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), the
-    cycles of the Smith entry tell every class apart (_check_h2).
+    cycles of the Smith entry tell every class apart (_check_h2).  Once its
+    cycles are checked, a signature is immutable.
     """
 
     __slots__ = ("kernel",)
 
     def __init__(self, group: Group, kernel: Sequence[Sparse]):
-        self.kernel, table = tuple(kernel), group.table
-        for z in self.kernel:
+        kernel, table = tuple(kernel), group.table
+        for z in kernel:
             acc = {}
             for k, c in z:
                 a, b = _index_tuple(group, k, 2)
@@ -637,9 +638,29 @@ class ClassSignature:
                     acc[x] = acc.get(x, 0) + v
             if any(v for x, v in acc.items() if x != group.identity):
                 raise InternalInvariantBroken("kernel functional failed verification")
+        object.__setattr__(self, "kernel", kernel)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassSignature objects are immutable")
 
     def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
         return tuple(_dot(z, vec) % D for z in self.kernel)
+
+    def moved(self, vec: Sequence[int], perm: Sequence[int], twist, s: int,
+              D: int) -> Tuple[int, ...]:
+        """self(v, D) for v[k] = vec[perm[k]] + s * twist[k] (twist None for
+        zero), read through perm without building v."""
+        out = []
+        for z in self.kernel:
+            t = 0
+            if twist is None:
+                for k, c in z:
+                    t += c * vec[perm[k]]
+            else:
+                for k, c in z:
+                    t += c * (vec[perm[k]] + s * twist[k])
+            out.append(t % D)
+        return tuple(out)
 
 
 def image_obstruction(target: Cochain) -> Optional[int]:

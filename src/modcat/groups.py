@@ -393,6 +393,13 @@ def _table_memo(G: Group, key, make):
     return got
 
 
+def _table_peek(G: Group, key):
+    """The entry ``key`` that ``_table_memo`` would read for G, or None;
+    computes nothing and creates no entry."""
+    store = {} if G.parent is None else G.parent._cache.get("tables", {}).get(G.table, {})
+    return G._cache.get(key, store.get(key))
+
+
 def generators(G: Group) -> tuple:
     """A generating set in index order, chosen deterministically: elements
     are taken by descending element order, then by index, skipping any

@@ -10,14 +10,20 @@ kept as the reference that the Schreier-tree one is compared against, and
 ``restrict_qz`` and ``big_omega_qz``, the package's earlier Q/Z restriction
 and twist, kept as references for the integer ones read by index, and
 ``DictCochain``, its earlier cochain layout, kept as the reference for the
-integer numerators it stores now.
+integer numerators it stores now, ``solve_every_g``, its earlier
+``equivalent_pairs`` scan, kept as the reference for the one that skips a g
+by its H^2 signature, and ``omega_fingerprint_qz``, its earlier report hash
+of omega, read through one QZ per value.
 """
 
+import hashlib
 from itertools import combinations, product
+from math import lcm
 
 from modcat import (ZERO, Cochain, NotASubgroup, QZ, coboundary, from_table, generators,
                     is_cohomologous, nonidentity_tuples, qz, smith_normal_form)
 from modcat import cohomology
+from modcat.classify import EquivalenceWitness, _criterion, _move
 
 
 def coboundary_incidence(G, n):
@@ -387,3 +393,32 @@ class DictCochain:
 
     def json_values(self):
         return [{"args": list(args), "val": str(v)} for args, v in self.items()]
+
+
+def solve_every_g(a, b):
+    """The first g in index order that carries b's subgroup L onto a's, with
+    the coboundary witness a full degree-2 solve of the criterion finds there,
+    or None: one solve at every such g, as ``equivalent_pairs`` scanned
+    before it skipped a g by the H^2 signature."""
+    cat = a.category
+    if a.H.order != b.H.order:
+        return None
+    L = b.H.as_group()
+    D = lcm(cat.den, a.psi.den, b.psi.den)
+    psi, xi = cohomology.numerators(a.psi, D), cohomology.numerators(b.psi, D)
+    for g in cat.group.elements():
+        move = _move(cat, a.H, g)
+        if move.L == b.H.members:
+            witness, _ = cohomology._solve(L, 2, _criterion(move, cat.den, psi, xi, D), D)
+            if witness is not None:
+                return EquivalenceWitness(g, witness)
+    return None
+
+
+def omega_fingerprint_qz(omega):
+    """The report hash of omega as the package computed it through one QZ and
+    one str per nonzero value."""
+    h = hashlib.sha256()
+    h.update(repr((omega.group.table, omega.group.names)).encode())
+    h.update(repr([(args, str(v)) for args, v in omega.items()]).encode())
+    return h.hexdigest()

@@ -12,17 +12,19 @@ from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseErro
                     admissible_subgroups, classify, coboundary, criterion_cochain,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
-                    from_table, generators, kp_category, nonidentity_tuples, report_from_json,
+                    from_table, generators, kp_category, nonidentity_tuples,
+                    omega_fingerprint, report_from_json,
                     report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
-from modcat.classify import DEFAULT_SIZE_LIMIT, _apply, _move
+from modcat.classify import DEFAULT_SIZE_LIMIT, _criterion, _move
 from modcat.cochains import _numerators_on
 from modcat.cohomology import numerators
 from modcat.pointed import _twist
-from oracles import (big_omega_qz, brute_trivial_omega_classes, random_cochain,
-                     restrict_qz)
+from oracles import (big_omega_qz, brute_trivial_omega_classes, omega_fingerprint_qz,
+                     random_cochain, restrict_qz, solve_every_g)
+from test_solver import SHARED_TAMPERS
 
 
 def trivial_category(G):
@@ -851,7 +853,7 @@ def test_memoized_moves_match_the_qz_definition(name):
             assert moved.group.members == L
             twist_on_L = restrict_qz(big_omega_qz(cat, g), Subgroup(G, L))
             want = combine(moved, twist_on_L, (1, 1))
-            assert [v % D for v in _apply(move, cat.den, x, D)] == \
+            assert [v % D for v in _criterion(move, cat.den, x, [0] * len(move.perm), D)] == \
                 [v % D for v in numerators(want, D)]
             assert (twist is None) == twist_on_L.is_zero()
             assert fixed == (L == H.members and twist is None
@@ -964,3 +966,134 @@ def test_warm_and_fresh_tables_give_the_same_witnesses(name):
                 assert (warm.g, warm.coboundary_witness) == (fresh.g, fresh.coboundary_witness)
                 found += 1
     assert found > len(pairs)
+
+
+# --- equivalence queries filtered by the H^2 signature ------------------------
+
+def conjugacy_blocks(G):
+    """{subgroup members: the index of its conjugacy class}."""
+    return {S.members: k for k, blk in enumerate(subgroup_conjugacy_classes(G)) for S in blk}
+
+
+def scan_queries(cat, rng):
+    """Every ordered two of the enumerated pairs over conjugate subgroups, and
+    each pair over a nontrivial subgroup against a copy of it moved by a random
+    g and shifted by a random coboundary, (g^-1 H g, psi^g + big_omega(g) +
+    df), in both orders: the copy is equivalent to the pair."""
+    G, pairs = cat.group, enumerate_pairs(cat)
+    block_of = conjugacy_blocks(G)
+    queries = [(a, b) for a in pairs for b in pairs
+               if block_of[a.H.members] == block_of[b.H.members]]
+    for a in pairs:
+        if a.H.order > 1:
+            g = rng.randrange(G.order)
+            L = Subgroup(G, conjugate_cochain(a.psi, g).group.members)
+            moved = combine(conjugate_cochain(a.psi, g), restrict_qz(big_omega_qz(cat, g), L),
+                            (1, 1))
+            df = coboundary(random_cochain(L.as_group(), 1, rng, 6))
+            copy = validate_pair(cat, L, combine(moved, df, (1, 1)))
+            queries += [(a, copy), (copy, a)]
+    return queries
+
+
+def answer(w):
+    """A query's answer as g and the witness numerators over its denominator."""
+    return None if w is None else (w.g, w.coboundary_witness.den,
+                                   tuple(w.coboundary_witness.nums))
+
+
+def table_stores(G):
+    """Every table store of G and the own entries of each of its views."""
+    return [*G._cache.get("tables", {}).values(),
+            *(v._cache for v in G._cache.get("views", {}).values())]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_signature_scan_answers_as_the_solve_every_g_scan(name):
+    cat = ORACLE_CASES[name]()
+    queries = scan_queries(cat, random.Random(5))
+    want = [answer(solve_every_g(a, b)) for a, b in queries]
+    assert any(want)
+    if name in ("D8xZ2", "dihedral16", "dihedral8"):  # two classes on one block
+        assert None in want
+    if name == "kp":  # some answer's g has a twist on the subgroup it moves
+        assert any(cat._moves[a.H.members, w[0]].twist for (a, _), w in zip(queries, want)
+                   if w and w[0])
+    # cold: classify has memoized no signature, and the query computes none
+    assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
+    assert not any("signature" in store for store in table_stores(cat.group))
+    classify(cat)  # warm: each view's signature is memoized and read
+    assert any("signature" in store for store in table_stores(cat.group))
+    assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
+
+
+@pytest.mark.parametrize("name", ["kp", "dihedral12-sign", "D8xZ2"])
+def test_signature_without_cycles_changes_no_answer(name):
+    # a blind signature, kernel (), lets every g through to the solve
+    key, make = SHARED_TAMPERS["signature-without-cycles"]
+    cat = ORACLE_CASES[name]()
+    classify(cat)
+    queries = scan_queries(cat, random.Random(7))
+    want = [answer(solve_every_g(a, b)) for a, b in queries]
+    for store in table_stores(cat.group):
+        if key in store:
+            store[key] = make(None)
+    assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
+
+
+def test_warm_query_solves_only_where_it_finds_a_witness(monkeypatch):
+    module, calls = importlib.import_module("modcat.classify"), []
+    real = module._solve
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    cat = ORACLE_CASES["D8xZ2"]()
+    classify(cat)
+    queries = scan_queries(cat, random.Random(5))
+    monkeypatch.setattr(module, "_solve", counted)
+    found = 0
+    for a, b in queries:
+        calls.clear()
+        w = equivalent_pairs(a, b)
+        assert calls == ([] if w is None else [2])
+        found += w is not None
+    assert 0 < found < len(queries)
+
+
+def h2_entries(G):
+    return [(id(store), key) for store in table_stores(G) for key in store
+            if key in (("smith", 2), "signature", "h2")]
+
+
+def test_cold_query_computes_no_h2():
+    # D8xZ2, pairs built by hand: psi = 0 and a coboundary on every subgroup,
+    # queried against each other over conjugate subgroups; nothing asked for
+    # H^2, and no query does
+    cat, rng = ORACLE_CASES["D8xZ2"](), random.Random(3)
+    G = cat.group
+    pairs = [AlgebraPair(cat, H, psi) for H in subgroups(G) if H.order > 1
+             for psi in (zero_cochain(H.as_group(), 2),
+                         coboundary(random_cochain(H.as_group(), 1, rng, 4)))]
+    block_of = conjugacy_blocks(G)
+    found = [equivalent_pairs(a, b) for a in pairs for b in pairs
+             if block_of[a.H.members] == block_of[b.H.members]]
+    assert all(found) and h2_entries(G) == []
+    # kp: the fixture checks the Klein subgroup's H^2 itself, so its table
+    # holds a Smith entry; the twist by x merges xi with 0, and no query adds
+    # an entry
+    kp = kp_category()
+    before = h2_entries(kp.category.group)
+    zero = AlgebraPair(kp.category, kp.L, zero_cochain(kp.L.as_group(), 2))
+    assert equivalent_pairs(zero, AlgebraPair(kp.category, kp.L, kp.xi_nontrivial)).g == kp.x
+    assert h2_entries(kp.category.group) == before
+
+
+@pytest.mark.parametrize("name", ["kp", "cyclic12-2", "cyclic64-1", "dihedral12-sign"])
+def test_omega_fingerprint_matches_the_qz_formula(name):
+    omega = {"kp": lambda: kp_category().category.omega,
+             "cyclic12-2": lambda: cyclic_3cocycle(cyclic_group(12), 2),
+             "cyclic64-1": lambda: cyclic_3cocycle(cyclic_group(64), 1),
+             "dihedral12-sign": lambda: sign_category(12).omega}[name]()
+    assert omega_fingerprint(omega) == omega_fingerprint_qz(omega)

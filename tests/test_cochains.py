@@ -23,11 +23,17 @@ def test_normalization_enforced():
     assert c.value((0,)) == ZERO and c.value((1,)) == QZ(1, 3)
 
 
-@pytest.mark.parametrize("args", [(1.5,), ("a",), (True,), (1.0,), (None,)],
-                         ids=["float", "string", "bool", "integral-float", "null"])
-def test_non_integer_arguments_are_parse_errors(args):
-    with pytest.raises(ParseError, match="non-integer"):
+@pytest.mark.parametrize("args, match", [
+    ((1.5,), "non-integer"), (("a",), "non-integer"), ((True,), "non-integer"),
+    ((1.0,), "non-integer"), ((None,), "non-integer"), (1, "not a tuple"),
+    ("1", "not a tuple")],
+    ids=["float", "string", "bool", "integral-float", "null", "bare-int", "bare-string"])
+def test_non_integer_arguments_are_parse_errors(args, match):
+    with pytest.raises(ParseError, match=match):
         Cochain(cyclic_group(4), 1, {args: QZ(1, 2)})
+    if not isinstance(args, tuple):  # a bare key on a large group as well
+        with pytest.raises(ParseError, match=match):
+            Cochain(cyclic_group(64), 1, {args: QZ(1, 2)})
 
 
 def test_degree_checked():

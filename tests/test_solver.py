@@ -292,7 +292,7 @@ def non_cycle_smith(alone):
 
 def blind_signature(alone):
     sig = object.__new__(cohomology.ClassSignature)
-    sig.kernel = ()  # tells no class apart
+    object.__setattr__(sig, "kernel", ())  # tells no class apart
     return sig
 
 
