@@ -17,13 +17,13 @@ import hashlib
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cochains import (Cochain, _coboundary_numerators, _numerators_on, _of,
+from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _numerators_on, _of,
                        cochain_from_json, nonidentity_tuples)
 from .cohomology import _class_signature, _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
-from .groups import (Subgroup, _table_peek, conjugate_subgroup, group_from_json,
-                     group_to_json, subgroup_conjugacy_classes, subgroups)
+from .groups import (Subgroup, _choose_generators, _table_peek, conjugate_subgroup,
+                     group_from_json, group_to_json, subgroup_conjugacy_classes, subgroups)
 from .pointed import AlgebraPair, PointedCategory, _twist, validate_pair
 
 __all__ = [
@@ -104,8 +104,9 @@ def _decomposed_pairs(cat: PointedCategory):
 def enumerate_pairs(cat: PointedCategory) -> List[AlgebraPair]:
     """All pairs (H, psi0 + r) over admissible H and H^2 representatives r,
     summed as integers.  Each is valid by linearity: the solver checks its
-    witness d(psi0) = omega|_H once per subgroup, and _h2_classes checks
-    d(r_k) = 0 once per class generator r_k and table; classify keeps that
+    witness d(psi0) = omega|_H on every row once per subgroup, and
+    _h2_classes checks d(r_k) = 0 on the generator rows, which decides it,
+    once per class generator r_k and table; classify keeps that
     decomposition for ClassificationReport.verify."""
     return [pair for pair, *_ in _decomposed_pairs(cat)[1]]
 
@@ -152,8 +153,9 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
     """Scan g in index order; return the first verified witness, or None.
     Each g's move on a's subgroup is read from the category's table.  Where
-    classify memoized L's ClassSignature, a g whose image pairs with it other
-    than xi does is not solved: its cycles pair every coboundary to 0."""
+    L's ClassSignature is memoized, by classify or with the checked H^2
+    classes of L's table, a g whose image pairs with it other than xi does is
+    not solved: its cycles pair every coboundary to 0."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
@@ -162,7 +164,9 @@ def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitn
     Lm, L = b.H.members, b.H.as_group()
     D = lcm(cat.den, a.psi.den, b.psi.den)
     psi, xi = numerators(a.psi, D), numerators(b.psi, D)
-    sig = _table_peek(L, "signature")
+    sig, h2 = _table_peek(L, "signature"), _table_peek(L, "h2")
+    if sig is None and h2 is not None and h2.basis is _table_peek(L, ("smith", 2)):
+        sig = h2.signature  # checked by _h2_classes from the Smith entry L reads
     want = None if sig is None else sig(xi, D)
     for g in cat.group.elements():
         move = _move(cat, a.H, g)
@@ -202,14 +206,16 @@ class ClassificationReport:
     def verify(self):
         """Re-check every pair condition, that the classes partition the pairs
         with one witness from each non-representative member and the rank
-        [G:H], and every stored witness, bit-exactly, on every row, by the
-        matrix-free integer coboundary from the group table, not by the solver
-        or the rows of d^1 that it memoizes and factors.
+        [G:H], and every stored witness, bit-exactly, by the matrix-free
+        integer coboundary from the group table, not by the solver or the rows
+        of d^1 that it memoizes and factors.
 
         Pairs are checked by linearity, through their decompositions
         (``parts``): d(psi0) = omega|_H on every row once per entry
-        (validate_pair), d(r_k) = 0 mod |H| on every row once per class
-        generator and table, and each pair's psi against psi0 + sum_k m_k r_k
+        (validate_pair), d(r_k) = 0 mod |H| once per class generator and
+        table on the rows whose first argument lies in a generating set chosen
+        afresh from H's table, which decides it (``cochains._cocycle_on``),
+        and each pair's psi against psi0 + sum_k m_k r_k
         by an exact comparison of numerators, unless the pair's psi is psi0
         itself and m = 0.  As d is linear, d(psi) = omega|_H follows exactly.
         A parsed report's pairs are their own entries, so each of them gets
@@ -228,7 +234,7 @@ class ClassificationReport:
             validate_pair(cat, entry.H, entry.psi0)
             for r, _ in entry.gens:
                 if (view.table, r) not in cocycles:
-                    if any(v % M for v in _coboundary_numerators(view, 2, r)):
+                    if not _cocycle_on(view, 2, r, M, _choose_generators(view)):
                         raise InternalInvariantBroken("a class generator is not a cocycle")
                     cocycles.add((view.table, r))
         for pair, (entry, m) in zip(pairs, parts):

@@ -17,8 +17,9 @@ from itertools import product
 from math import gcd, lcm
 from typing import List, Mapping, Optional, Tuple
 
-from .errors import DegreeMismatch, GroupMismatch, NotASubgroup, ParseError
-from .groups import (Group, Subgroup, _json_int, builtin_group, generators,
+from .errors import (DegreeMismatch, GroupMismatch, InternalInvariantBroken, NotASubgroup,
+                     ParseError)
+from .groups import (Group, Subgroup, _closure, _json_int, builtin_group, generators,
                      group_from_json, group_to_json)
 from .qz import QZ, ZERO, qz
 
@@ -271,20 +272,28 @@ def conjugate_cochain(f: Cochain, g: int) -> Cochain:
     return _of(target, f.degree, out, f.den)
 
 
-def is_cocycle(f: Cochain) -> bool:
-    """Whether df = 0, evaluated only at the tuples whose first argument is
-    one of ``generators(G)``.  That decides it, by a lemma: a normalized
-    k-cochain e (k >= 2) with de = 0 that vanishes whenever its first argument
-    is a generator s is zero.  The cocycle identity at (s, b, x_3, ...) reads
-    e(sb, x_3, ...) = e(b, x_3, ...) + (terms whose first argument is s), so
-    e(x, ...) is unchanged when x is multiplied on the left by a generator;
-    every x is a product of generators, so e(x, ...) = e(1, ...) = 0.  Here
-    e = df, a cocycle because d d = 0.
+def _cocycle_on(group: Group, n: int, x, M: int, S) -> bool:
+    """Whether dx = 0 mod M, for numerators x of an n-cochain laid out as by
+    ``numerators``, read at the |S| (|G| - 1)^n rows whose first argument
+    lies in S, once S is checked from the table to generate the group.  That
+    decides it, by a lemma: a normalized k-cochain e (k >= 2) with de = 0
+    that vanishes whenever its first argument is in S is zero.  The cocycle
+    identity at (s, b, x_3, ...) reads e(sb, x_3, ...) = e(b, x_3, ...) +
+    (terms whose first argument is s), so e(x, ...) is unchanged when x is
+    multiplied on the left by an element of S; every x is a product of them,
+    so e(x, ...) = e(1, ...) = 0.  Here e = dx mod M, a cocycle whatever x is.
     """
+    if len(_closure(group, S)) != group.order:
+        raise InternalInvariantBroken("the generator rows do not come from a generating set")
+    return not any(v % M for v in _coboundary_numerators(group, n, x, S))
+
+
+def is_cocycle(f: Cochain) -> bool:
+    """Whether df = 0, decided on the rows whose first argument is one of
+    ``generators(G)`` (``_cocycle_on``)."""
     if f.is_zero():  # the zero cochain needs no generating set
         return True
-    return not any(v % f.den for v in _coboundary_numerators(
-        f.group, f.degree, f.nums, generators(f.group)))
+    return _cocycle_on(f.group, f.degree, f.nums, f.den, generators(f.group))
 
 
 def cyclic_3cocycle(G: Group, q: int) -> Cochain:

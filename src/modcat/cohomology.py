@@ -12,17 +12,19 @@ Q/Z.  Every answer is re-checked without trusting the factorization, on
 integer numerators over a common denominator D: a witness x must satisfy
 A x = b mod D on every row, computed by the matrix-free
 ``cochains._coboundary_numerators`` from degree 2 on (which also checks pair
-conditions and H^2 representatives) and by the memoized rows of d^1 at
-degree 1, and the functional z behind a "no" must satisfy z A = 0.
+conditions) and by the memoized rows of d^1 at degree 1, and the functional
+z behind a "no" must satisfy z A = 0.
 
 Questions about degree-3 targets and H^2 are decided on A_S, the rows of
 A = d^2 whose first argument lies in the generating set S = ``generators(G)``,
-by the lemma in ``cochains.is_cocycle``: a normalized k-cochain e, k >= 2,
+by the lemma in ``cochains._cocycle_on``: a normalized k-cochain e, k >= 2,
 with de = 0 that vanishes wherever its first argument lies in S is zero.
 Applied to e = A x, always a cocycle, this gives ker A_S = ker A over any
 coefficients; applied to e = A x - b for a cocycle target b, it shows that
 A_S x = b_S implies A x = b.  A target that is not a cocycle is caught by a
-row of d^3 with first argument in S, built alone when needed.  A_S holds
+row of d^3 with first argument in S, built alone when needed.  Each H^2
+class generator r is checked to be a cocycle by A_S r = 0 mod |G| alone
+(``_check_h2``), as e = A r mod |G| is a cocycle whatever r is.  A_S holds
 |S| / (|G| - 1) of the rows of A (2 of 15 for the dihedral group of order
 16), and it is never eliminated as a whole.
 
@@ -56,8 +58,8 @@ from itertools import islice, product
 from math import gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _of, _tuple_index,
-                       combine, nonidentity_tuples, numerators, zero_cochain)
+from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _index_tuple, _of,
+                       _tuple_index, combine, nonidentity_tuples, numerators, zero_cochain)
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, _table_memo, generators
 from .smith import SNF, _xgcd, smith_normal_form, unimodular_inverse
@@ -291,8 +293,8 @@ def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
     tree of the Cayley graph, grown from e by left multiplication, visiting
     the a in breadth-first order and the s in order of S.  Each a is e, in S,
     or a key earlier in the dict (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.1).
-    """
+    Computational Group Theory*, 2005, section 4.1).  Raises unless S
+    generates G."""
     table, S = group.table, generators(group)
     seen, layer, tree = {group.identity, *S}, list(S), {}
     while layer:
@@ -305,6 +307,8 @@ def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
                     tree[g] = (s, a)
                     grown.append(g)
         layer = grown
+    if len(seen) != group.order:
+        raise InternalInvariantBroken("the generators do not generate the group")
     return tree
 
 
@@ -694,8 +698,8 @@ class H2Classes(NamedTuple):
 
     ``gens`` pairs each class generator r_k of the basis, as dense numerators
     over M = |group| laid out like ``numerators`` and checked to be a cocycle
-    mod M at every triple, with its order d_k.  ``classes`` holds one (m, vec)
-    per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
+    mod M on the generator rows, with its order d_k.  ``classes`` holds one
+    (m, vec) per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
     laid out like the r_k.  The zero class comes first, then the others in the
     order of vec, which orders them as their QZ values do.  ``signature``,
     the basis' cycles, tells the classes apart.
@@ -711,8 +715,8 @@ def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
     """The classes of H^2 from this basis, each part checked.
 
     The candidates are the sums of multiples m_k < d_k of the class generators
-    of ``basis``: each generator is checked to be a cocycle mod M at every
-    triple by the matrix-free integer coboundary, so every candidate is one.
+    of ``basis``: each is checked to be a cocycle mod M on the generator rows,
+    which decides it (``cochains._cocycle_on``), so every candidate is one.
     Their signatures, pairings with the cycles of ``basis``, each checked to
     be a cycle, must all differ, which proves no two cohomologous, and count
     the order of H^2, which proves the list complete.
@@ -721,7 +725,7 @@ def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
     for gen, d in zip(basis.generators, basis.torsion):
         entries = dict(gen)
         g = tuple(entries.get(j, 0) for j in range(ncols))
-        if any(v % M for v in _coboundary_numerators(group, 2, g)):
+        if not _cocycle_on(group, 2, g, M, generators(group)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
         gens.append((g, d))
     sig = ClassSignature(group, basis.cycles)

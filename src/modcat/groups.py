@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (BadDimensions, InternalInvariantBroken, NotAGroup, NotAnAction,
-                     NotASubgroup, ParseError)
+from .errors import BadDimensions, NotAGroup, NotAnAction, NotASubgroup, ParseError
 
 __all__ = [
     "Group",
@@ -400,22 +399,22 @@ def _table_peek(G: Group, key):
     return G._cache.get(key, store.get(key))
 
 
+def _choose_generators(G: Group) -> tuple:
+    """A generating set in index order, chosen deterministically from the
+    table: elements are taken by descending element order, then by index,
+    skipping any already in the closure of those taken.  Not memoized."""
+    taken, closure = [], {G.identity}
+    for g in sorted(G.elements(), key=lambda g: (-G.element_order(g), g)):
+        if g not in closure:
+            taken.append(g)
+            closure = set(_closure(G, taken))
+    return tuple(sorted(taken))
+
+
 def generators(G: Group) -> tuple:
-    """A generating set in index order, chosen deterministically: elements
-    are taken by descending element order, then by index, skipping any
-    already in the closure of those taken.  Memoized per table
-    (``_table_memo``); the closure is checked to be all of G.
-    """
-    def make():
-        taken, closure = [], {G.identity}
-        for g in sorted(G.elements(), key=lambda g: (-G.element_order(g), g)):
-            if g not in closure:
-                taken.append(g)
-                closure = set(_closure(G, taken))
-        if len(closure) != G.order:
-            raise InternalInvariantBroken("the chosen generators do not generate the group")
-        return tuple(sorted(taken))
-    return _table_memo(G, "generators", make)
+    """``_choose_generators(G)``, memoized per table (``_table_memo``).  The
+    cocycle checks (``cochains._cocycle_on``) check that it generates G."""
+    return _table_memo(G, "generators", lambda: _choose_generators(G))
 
 
 def subgroups(G: Group) -> list:

@@ -12,7 +12,7 @@ from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseErro
                     admissible_subgroups, classify, coboundary, criterion_cochain,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
-                    from_table, generators, kp_category, nonidentity_tuples,
+                    from_table, generators, is_cocycle, kp_category, nonidentity_tuples,
                     omega_fingerprint, report_from_json,
                     report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
@@ -411,6 +411,57 @@ def test_verify_rejects_a_tampered_class_generator():
         report.verify()
 
 
+def tamper_generators(G, table, bad):
+    """Give the memoized generators of G's views with this table, in the store
+    they share and in each view's own entries, the tuple ``bad``."""
+    G._cache["tables"][table]["generators"] = bad
+    for view in G._cache["views"].values():
+        if view.table == table:
+            view._cache["generators"] = bad
+
+
+@pytest.mark.parametrize("smith_first", [False, True], ids=["cold", "smith-first"])
+@pytest.mark.parametrize("bad", [(), "one"])
+def test_generators_that_do_not_generate_are_caught(bad, smith_first):
+    """A memoized generating set that does not generate its view: factoring
+    H^2 with it raises, as its Schreier tree misses elements, and when the
+    Smith entry was built before, the class-generator check raises on its
+    own closure check."""
+    for call in (classify, lambda cat: cohomology.h2_representatives(view)):
+        cat = ORACLE_CASES["D8xZ2"]()
+        view = next(S.as_group() for S in subgroups(cat.group)
+                    if len(S.members) == 8 and not S.as_group().is_abelian())
+        S = generators(view)  # fills the store of view's table
+        if smith_first:
+            assert cohomology.h2_order(view) == 2
+        tamper_generators(cat.group, view.table, S[:1] if bad == "one" else bad)
+        with pytest.raises(InternalInvariantBroken):
+            call(cat)
+    # is_cocycle raises for every nonzero cochain, cocycle or not
+    cocycle = coboundary(Cochain(view, 1, {(1,): QZ(1, 4)}))
+    for f in (cocycle, combine(cocycle, Cochain(view, 2, {(1, 1): QZ(1, 4)}), (1, 1))):
+        with pytest.raises(InternalInvariantBroken, match="generating set"):
+            is_cocycle(f)
+    assert is_cocycle(zero_cochain(view, 2))
+
+
+def test_verify_chooses_its_own_generators():
+    # verify never reads the generators memo: with every table's memo made
+    # () it still accepts the report and still rejects a class generator that
+    # is not a cocycle
+    report, i = kp_report_and_split_pair()
+    G = report.category.group
+    for table in G._cache["tables"]:
+        tamper_generators(G, table, ())
+    report.verify()
+    entry = report.parts[i][0]
+    [(r, d)] = entry.gens
+    M = entry.H.order
+    replace_entry(report, i, gens=((((r[0] + M // d) % M, *r[1:]), d),))
+    with pytest.raises(InternalInvariantBroken, match="class generator is not a cocycle"):
+        report.verify()
+
+
 # 1/5 at an entry where psi is 0 has no numerator over psi's denominator 4
 @pytest.mark.parametrize("delta", [QZ(1, 4), QZ(1, 3), QZ(1, 2), QZ(1, 5)])
 def test_verify_rejects_a_psi_entry_off_its_decomposition(delta):
@@ -441,29 +492,43 @@ def test_verify_checks_each_entry_and_generator_once(monkeypatch):
     cat = ORACLE_CASES["D8xZ2"]()
     report = classify(cat)
     module, checked, rows = importlib.import_module("modcat.classify"), [], []
-    real_pair, real_rows = module.validate_pair, module._coboundary_numerators
+    cochains = importlib.import_module("modcat.cochains")
+    real_pair, real_rows = module.validate_pair, cochains._coboundary_numerators
 
     def pair_check(cat, H, psi):
         checked.append(H.members)
         return real_pair(cat, H, psi)
 
-    def full_rows(group, n, x, *args):
-        rows.append((group.table, n, tuple(x)))
-        return real_rows(group, n, x, *args)
+    def full_rows(group, n, x, firsts=None):
+        out = real_rows(group, n, x, firsts)
+        rows.append((group.table, n, tuple(x), firsts, len(out)))
+        return out
 
     monkeypatch.setattr(module, "validate_pair", pair_check)
-    monkeypatch.setattr(module, "_coboundary_numerators", full_rows)
+    monkeypatch.setattr(module, "_coboundary_numerators", full_rows)  # the witnesses
+    monkeypatch.setattr(cochains, "_coboundary_numerators", full_rows)  # _cocycle_on
     report.verify()
     # one psi0 check per subgroup, far fewer than the pairs
     assert sorted(checked) == sorted(S.members for S in subgroups(cat.group))
     assert len(checked) == 35 < len(report.pairs) == 74
     # one cocycle check per distinct (table, generator), and the witnesses'
     # degree-1 checks
-    gens = [r for r in rows if r[1] == 2]
+    gens = [r[:3] for r in rows if r[1] == 2]
     assert len(gens) == len(set(gens)) == len({
         (e.H.as_group().table, r) for e, _ in report.parts for r, _ in e.gens})
     witnesses = sum(len(blk["witnesses"]) for blk in report.classes)
     assert len(rows) - len(gens) == witnesses
+    # each generator check reads the |S| (|H| - 1)^2 generator rows alone, S
+    # chosen from the table as generators() chooses it; the witnesses, all rows
+    views = {S.as_group().table: S.as_group() for S in subgroups(cat.group)}
+    for table, n, _, firsts, read in rows:
+        view = views[table]
+        if n == 2:
+            assert firsts == generators(view)
+            assert read == len(firsts) * (view.order - 1) ** 2
+        else:
+            assert firsts is None and read == (view.order - 1) ** 2
+    assert any(n == 2 and len(firsts) < len(t) - 1 for t, n, _, firsts, _ in rows)
 
 
 @pytest.mark.parametrize("name", ["kp", "D8xZ2"])
@@ -807,6 +872,21 @@ BENCH_REPORT_SHA256 = {
 }
 
 
+# the same for D8 x Z2 x Z2 with a trivial omega (order 32: 726 pairs in 534
+# classes), where checking the H^2 class generators on the generator rows
+# alone saves most
+D8XZ2XZ2_REPORT_SHA256 = "cca61b49db26e69e16c61bd207e74e43f40b3a3ff10ea63ffa0d7b75f1a12ce6"
+
+
+def test_d8xz2xz2_report_bytes_are_pinned():
+    G = direct_product(direct_product(dihedral_group(8), cyclic_group(2)), cyclic_group(2))
+    G = from_table(G.order, G.table)
+    report = classify(trivial_category(G), size_limit=32)
+    assert (len(report.pairs), report.class_count) == (726, 534)
+    text = json.dumps(report_to_json(report), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == D8XZ2XZ2_REPORT_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_REPORT_SHA256))
 def test_bench_fixture_report_bytes_are_pinned(name):
     if name == "dihedral:12 sign":  # the sign of D_12 pulled back from Z_2
@@ -1019,7 +1099,9 @@ def test_signature_scan_answers_as_the_solve_every_g_scan(name):
     if name == "kp":  # some answer's g has a twist on the subgroup it moves
         assert any(cat._moves[a.H.members, w[0]].twist for (a, _), w in zip(queries, want)
                    if w and w[0])
-    # cold: classify has memoized no signature, and the query computes none
+    # after enumerate_pairs (in scan_queries): no signature is memoized, and
+    # the queries read that of the checked H^2 classes, memoizing none
+    assert any("h2" in store for store in table_stores(cat.group))
     assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
     assert not any("signature" in store for store in table_stores(cat.group))
     classify(cat)  # warm: each view's signature is memoized and read
@@ -1060,6 +1142,39 @@ def test_warm_query_solves_only_where_it_finds_a_witness(monkeypatch):
         assert calls == ([] if w is None else [2])
         found += w is not None
     assert 0 < found < len(queries)
+
+
+def test_query_after_enumerate_pairs_reads_the_h2_signature(monkeypatch):
+    # enumerate_pairs memoizes the checked H^2 classes of every view's table,
+    # and no "signature" entry; a query reads their signature, so a "no"
+    # makes no solve; a view holding a Smith entry of its own, not the one
+    # its classes were checked from, is queried cold
+    module, calls = importlib.import_module("modcat.classify"), []
+    real = module._solve
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    cat = ORACLE_CASES["D8xZ2"]()
+    queries = scan_queries(cat, random.Random(5))
+    want = [answer(solve_every_g(a, b)) for a, b in queries]
+    assert None in want and not any("signature" in s for s in table_stores(cat.group))
+    monkeypatch.setattr(module, "_solve", counted)
+    for (a, b), w in zip(queries, want):
+        calls.clear()
+        assert answer(equivalent_pairs(a, b)) == w
+        assert calls == ([] if w is None else [2])
+    for view in cat.group._cache["views"].values():
+        basis = cohomology._factor(view, 2, "smith")
+        view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
+                                                       basis.cycles)
+    cold = 0
+    for (a, b), w in zip(queries, want):
+        calls.clear()
+        assert answer(equivalent_pairs(a, b)) == w
+        cold += w is None and len(calls) > 0
+    assert cold
 
 
 def h2_entries(G):

@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+import modcat.cochains as cochains
 import modcat.cohomology as cohomology
 from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
                     cyclic_group, dihedral_group, direct_product, from_table,
@@ -15,6 +16,7 @@ from modcat.cohomology import image_obstruction, numerators
 from oracles import (bareiss_det, brute_coboundary_witness, coboundary_incidence,
                      enumerate_2cocycles_int, h2_order_homology, h2_torsion_by_generator_rows,
                      incidence_product, random_cochain, relabel)
+from test_classifier import ORACLE_CASES
 from test_solver import obstruction_holds
 
 
@@ -438,6 +440,36 @@ def test_h2_order_matches_the_homology_oracle_on_small_views(G):
     assert len(checked) > 3
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_generator_rows_decide_a_2_cocycle_mod_the_order(name):
+    """The lemma at degree 2 over Z/M, M = |H|, on every subgroup view: H^2
+    class generators, random coboundaries mod M, and each changed at one
+    pair whose first argument is not a generator, are cocycles mod M on the
+    generator rows exactly when they are on every row of the incidence
+    matrix of d^2."""
+    G, rng, incidence, verdicts = ORACLE_CASES[name]().group, random.Random(11), {}, []
+    for H in subgroups(G):
+        view, M = H.as_group(), H.order
+        if M == 1:
+            continue
+        S = generators(view)
+        d2 = incidence.setdefault(view.table, coboundary_incidence(view, 2)[2])
+        cases = [[dict(r).get(j, 0) for j in range((M - 1) ** 2)]
+                 for r in cohomology._factor(view, 2, "smith").generators]
+        cases += [numerators(coboundary(random_cochain(view, 1, rng, den=M)), M)
+                  for _ in range(2)]
+        outside = [k for k, (a, _) in enumerate(nonidentity_tuples(view, 2)) if a not in S]
+        for x in list(cases):
+            for k in rng.sample(outside, min(2, len(outside))):
+                cases.append([(v + rng.randrange(1, M)) % M if j == k else v
+                              for j, v in enumerate(x)])
+        for x in cases:
+            full = not any(v % M for v in incidence_product(d2, x))
+            assert cochains._cocycle_on(view, 2, x, M, S) == full
+            verdicts.append(full)
+    assert True in verdicts and False in verdicts
+
+
 # the obstruction indices below are those the solver gave when it still
 # appended every generator row of d^3 to the memoized degree-2 kernel
 @pytest.mark.parametrize("G, pinned", [(kp_group(), [0, 62, 252, 268]),
@@ -517,15 +549,19 @@ def test_smith_cycles_are_a_dual_basis_of_h2(G):
 def test_h2_representatives_check_each_generator_once(monkeypatch):
     G = z2_to_the_4()
     basis = cohomology._factor(G, 2, "smith")
-    real, calls = cohomology._coboundary_numerators, []
+    real, calls = cochains._coboundary_numerators, []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(group, n, x, firsts=None):
+        out = real(group, n, x, firsts)
+        calls.append((n, firsts, len(out)))
+        return out
 
-    monkeypatch.setattr(cohomology, "_coboundary_numerators", counted)
+    monkeypatch.setattr(cochains, "_coboundary_numerators", counted)  # as _cocycle_on reads it
     assert len(h2_representatives(G)) == h2_order(G) == 64
-    assert calls == [2] * len(basis.generators) == [2] * 6
+    # each generator is checked on the generator rows alone: |S| (|G| - 1)^2
+    # of the (|G| - 1)^3 rows, 900 of 3,375
+    S = generators(G)
+    assert calls == [(2, S, 900)] * len(basis.generators) == [(2, S, len(S) * 15 ** 2)] * 6
     # the first generator plus M/d at one pair is no cocycle, and is caught
     # though no candidate is checked on its own
     M, d = G.order, basis.torsion[0]

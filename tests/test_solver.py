@@ -317,14 +317,14 @@ def test_tampered_shared_entry_makes_classify_raise(key, make):
 
 def test_h2_classes_are_checked_once_per_table(monkeypatch):
     cat = trivial_d8xz2()
-    real, checked = cohomology._coboundary_numerators, []
+    real, checked = cohomology._cocycle_on, []
 
     def counted(group, n, x, *args):
         checked.append(group.table)
         return real(group, n, x, *args)
 
-    monkeypatch.setattr(cohomology, "_coboundary_numerators", counted)
-    classify(cat)  # a zero omega: no degree-3 witness to check
+    monkeypatch.setattr(cohomology, "_cocycle_on", counted)  # as _check_h2 reads it
+    classify(cat)
     views = views_of(cat.group)
     gens = {v.table: len(cohomology._factor(v, 2, "smith").torsion) for v in views}
     # each class generator of each distinct table once, not once per view
