@@ -14,12 +14,12 @@ product on numerators over a common denominator.
 from __future__ import annotations
 
 import hashlib
-from math import gcd, lcm
+from math import lcm
 from typing import List, NamedTuple, Optional, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _numerators_on, _of,
-                       cochain_from_json, nonidentity_tuples)
-from .cohomology import _class_signature, _h2_classes, _solve, numerators
+                       _value_texts, _values_json, cochain_from_json)
+from .cohomology import _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, _choose_generators, _table_peek, conjugate_subgroup,
@@ -153,9 +153,10 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
     """Scan g in index order; return the first verified witness, or None.
     Each g's move on a's subgroup is read from the category's table.  Where
-    L's ClassSignature is memoized, by classify or with the checked H^2
-    classes of L's table, a g whose image pairs with it other than xi does is
-    not solved: its cycles pair every coboundary to 0."""
+    the checked H^2 classes of L's table are memoized, by classify,
+    enumerate_pairs, h2_order or h2_representatives, a g whose image pairs
+    with their signature other than xi does is not solved: its cycles pair
+    every coboundary to 0.  Otherwise no H^2 is computed."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
@@ -164,9 +165,8 @@ def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitn
     Lm, L = b.H.members, b.H.as_group()
     D = lcm(cat.den, a.psi.den, b.psi.den)
     psi, xi = numerators(a.psi, D), numerators(b.psi, D)
-    sig, h2 = _table_peek(L, "signature"), _table_peek(L, "h2")
-    if sig is None and h2 is not None and h2.basis is _table_peek(L, ("smith", 2)):
-        sig = h2.signature  # checked by _h2_classes from the Smith entry L reads
+    h2 = _table_peek(L, "h2")
+    sig = None if h2 is None else h2.signature
     want = None if sig is None else sig(xi, D)
     for g in cat.group.elements():
         move = _move(cat, a.H, g)
@@ -312,18 +312,19 @@ def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
     representative order, with w the least element carrying the member onto
     the representative: the g that equivalent_pairs(member, rep) finds.
 
-    Pair i is keyed by (H.members, sig_H(vecs[i])), with sig_H the
-    _class_signature of H and vecs[i] its psi over D, the common denominator
-    of all pairs and omega.  The walk visits pairs in (H.members, psi) order,
-    so the first not yet placed is the least of its orbit.  It is moved by
-    w^-1 for w in index order (_move; ``fixed`` skips a w moving nothing),
-    and the first image to hit a member's key gives that member's w.
+    Pair i is keyed by (H.members, sig_H(vecs[i])), with sig_H the signature
+    of H's checked H^2 classes (_h2_classes) and vecs[i] its psi over D, the
+    common denominator of all pairs and omega.  The walk visits pairs in
+    (H.members, psi) order, so the first not yet placed is the least of its
+    orbit.  It is moved by w^-1 for w in index order (_move; ``fixed`` skips a
+    w moving nothing), and the first image to hit a member's key gives that
+    member's w.
     """
     G, sigs, keyed, left, classes = cat.group, {}, {}, {}, []
     block_of = {S.members: k for k, block in enumerate(subgroup_conjugacy_classes(G))
                 for S in block}
     for i, p in enumerate(pairs):
-        sig = sigs[p.H.members] = _class_signature(p.H.as_group())
+        sig = sigs[p.H.members] = _h2_classes(p.H.as_group()).signature
         keyed.setdefault((p.H.members, sig(vecs[i], D)), []).append(i)
         left.setdefault(block_of[p.H.members], set()).add(i)
     for rep in sorted(range(len(pairs)), key=lambda i: (pairs[i].H.members, vecs[i])):
@@ -394,20 +395,11 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
 
 def omega_fingerprint(omega: Cochain) -> str:
     """sha256 of omega's table, names and repr([(args, str(v))]) over its
-    nonzero values v in argument order, each v formatted as its QZ would be,
-    "num/den" reduced, straight from the numerators."""
-    h, den, text = hashlib.sha256(), omega.den, {}
+    nonzero values v in argument order (``cochains._value_texts``)."""
+    h = hashlib.sha256()
     h.update(repr((omega.group.table, omega.group.names)).encode())
-    for v in set(omega.nums):
-        g = gcd(v, den)
-        text[v] = f"{v // g}/{den // g}"
-    h.update(repr([(args, text[v]) for args, v in zip(
-        nonidentity_tuples(omega.group, omega.degree), omega.nums) if v]).encode())
+    h.update(repr(_value_texts(omega)).encode())
     return h.hexdigest()
-
-
-def _cochain_values_json(c: Cochain):
-    return [{"args": list(args), "val": str(v)} for args, v in c.items()]
 
 
 def report_to_json(report: ClassificationReport) -> dict:
@@ -417,13 +409,13 @@ def report_to_json(report: ClassificationReport) -> dict:
         "omega": {"hash": omega_fingerprint(cat.omega),
                   "source": report.omega_source},
         "pairs": [{"H": list(p.H.members),
-                   "psi": _cochain_values_json(p.psi)} for p in report.pairs],
+                   "psi": _values_json(p.psi)} for p in report.pairs],
         "classes": [{
             "representative": blk["representative"],
             "members": list(blk["members"]),
             "rank": blk["rank"],
             "witnesses": [{"from": member, "g": w.g,
-                           "f": _cochain_values_json(w.coboundary_witness)}
+                           "f": _values_json(w.coboundary_witness)}
                           for member, w in blk["witnesses"]],
         } for blk in report.classes],
         "class_count": len(report.classes),

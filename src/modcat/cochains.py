@@ -322,8 +322,25 @@ def cochain_to_json(f: Cochain, group_field=None) -> dict:
     return {
         "group": group_field,
         "degree": f.degree,
-        "values": [{"args": list(args), "val": str(v)} for args, v in f.items()],
+        "values": _values_json(f),
     }
+
+
+def _value_texts(c: Cochain) -> List[Tuple[tuple, str]]:
+    """(args, str(v)) for each nonzero value v of c, in argument order, each v
+    formatted as its QZ would be, "num/den" reduced, straight from the
+    numerators: one gcd per distinct numerator, and no QZ is built."""
+    den, text = c.den, {}
+    for v in set(c.nums):
+        g = gcd(v, den)
+        text[v] = f"{v // g}/{den // g}"
+    return [(args, text[v]) for args, v in zip(nonidentity_tuples(c.group, c.degree), c.nums)
+            if v]
+
+
+def _values_json(c: Cochain) -> List[dict]:
+    """The "values" list of ``cochain_to_json``."""
+    return [{"args": list(args), "val": text} for args, text in _value_texts(c)]
 
 
 def cochain_from_json(data, group: Optional[Group] = None,

@@ -44,18 +44,18 @@ through the unit pivots and the tree, give one 2-cocycle per cyclic factor,
 and the matching rows of V^-1 one dual integer 2-cycle each: as H^2(G, Q/Z)
 = Hom(H_2(G, Z), Q/Z), pairing with them tells the classes apart.
 
-Factorizations, the rows of d^1 and the H^2 signature are memoized,
-write-once, per (table, kind, degree): they are pure functions of the
-multiplication table, so subgroup views of one group with equal tables share
-them through a store on that group (``groups._table_memo``).  The checked H^2
-classes are memoized there with the Smith entry they were checked from, and
-answer only while it is the one read (``_h2_classes``).
+The echelon forms, the rows of d^1 and H^2 are memoized, write-once, per
+table: they are pure functions of the multiplication table, so subgroup views
+of one group with equal tables share them through a store on that group
+(``groups._table_memo``).  H^2 is one entry, "h2": the classes, checked
+together with the Smith form they come from (``_h2_classes``), which is not
+kept.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product
-from math import gcd, prod
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _index_tuple, _of,
@@ -520,17 +520,14 @@ def _factored_rows(group: Group) -> Dict[int, Sparse]:
     return _table_memo(group, ("rows", 1), make)
 
 
-def _factor(group: Group, degree: int, kind: str):
-    """The memoized factorization of d^degree: "echelon" (an Echelon, of
-    ``_factored_rows`` for degree 1 and of A_S for degree 2) or "smith" (an
-    H2Basis, for degree 2)."""
+def _factor(group: Group, degree: int) -> Echelon:
+    """The memoized echelon form of d^degree: of ``_factored_rows`` for degree
+    1 and of A_S for degree 2 (``_d2_echelon``)."""
     def make():
-        if kind == "smith":
-            return _h2_basis(group)
         if degree == 1:
             return echelon_form(_factored_rows(group), group.order - 1)
         return _d2_echelon(group)
-    return _table_memo(group, (kind, degree), make)
+    return _table_memo(group, ("echelon", degree), make)
 
 
 # ----------------------------------------------------------------------------
@@ -557,7 +554,7 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     n in (2, 3), given as numerators b over D like the rows of d^(n-1).  A
     witness x is returned only after A x = b in Q/Z is checked on every row
     (module docstring); None only after the obstruction functional z named by
-    the index i returned, ``_factor(group, n - 1, "echelon").kernel[i]`` or a
+    the index i returned, ``_factor(group, n - 1).kernel[i]`` or a
     row of d^3 (below), is checked to satisfy z A = 0 on the rows of A that
     z reaches.
 
@@ -573,7 +570,7 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     if not any(v % D for v in b):
         return zero_cochain(group, n - 1), None
 
-    ech = _factor(group, n - 1, "echelon")
+    ech = _factor(group, n - 1)
     i = next((i for i, z in enumerate(ech.kernel) if _dot(z, b) % D), None)
     if i is None:
         x, den = _back_substitute(ech, b, D)
@@ -626,8 +623,9 @@ class ClassSignature:
     satisfy z A = 0 before it is used, from the table, as df(a, b) = f(b) -
     f(ab) + f(a); so a corrupt factorization can raise here but never tell a
     coboundary apart from zero.  As H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), the
-    cycles of the Smith entry tell every class apart (_check_h2).  Once its
-    cycles are checked, a signature is immutable.
+    dual cycles of the Smith form tell every class apart; the "h2" entry of a
+    table holds them, with the pairing table that proves it (_check_h2).  Once
+    its cycles are checked, a signature is immutable.
     """
 
     __slots__ = ("kernel",)
@@ -684,28 +682,24 @@ def is_cohomologous(a: Cochain, b: Cochain) -> Optional[Cochain]:
 
 
 def h2_order(group: Group) -> int:
-    """Order of the second cohomology group with Q/Z coefficients.
-
-    Equals the torsion order of the cokernel of the degree-3 boundary map,
-    read off the invariant factors of the degree-2 coboundary matrix.
-    """
-    return prod(_factor(group, 2, "smith").torsion)
+    """Order of the second cohomology group with Q/Z coefficients: the number
+    of classes that _h2_classes checked, the product of the invariant factors
+    of the degree-2 coboundary matrix."""
+    return len(_h2_classes(group).classes)
 
 
 class H2Classes(NamedTuple):
-    """H^2(group, Q/Z) as _h2_classes checks it, with the "smith" ``basis``
-    it was checked from.
+    """H^2(group, Q/Z) as _check_h2 checks it: the "h2" entry of a table.
 
-    ``gens`` pairs each class generator r_k of the basis, as dense numerators
-    over M = |group| laid out like ``numerators`` and checked to be a cocycle
-    mod M on the generator rows, with its order d_k.  ``classes`` holds one
-    (m, vec) per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
+    ``gens`` pairs each class generator r_k, as dense numerators over M =
+    |group| laid out like ``numerators`` and checked to be a cocycle mod M on
+    the generator rows, with its order d_k.  ``classes`` holds one (m, vec)
+    per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
     laid out like the r_k.  The zero class comes first, then the others in the
-    order of vec, which orders them as their QZ values do.  ``signature``,
-    the basis' cycles, tells the classes apart.
+    order of vec, which orders them as their QZ values do.  ``signature``, the
+    dual cycles z_k, pairs the class m to (m_k M / d_k)_k.
     """
 
-    basis: H2Basis
     gens: tuple
     signature: ClassSignature
     classes: list
@@ -714,53 +708,48 @@ class H2Classes(NamedTuple):
 def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
     """The classes of H^2 from this basis, each part checked.
 
-    The candidates are the sums of multiples m_k < d_k of the class generators
-    of ``basis``: each is checked to be a cocycle mod M on the generator rows,
-    which decides it (``cochains._cocycle_on``), so every candidate is one.
-    Their signatures, pairings with the cycles of ``basis``, each checked to
-    be a cycle, must all differ, which proves no two cohomologous, and count
-    the order of H^2, which proves the list complete.
+    The basis must give one generator r_k and one cycle z_k per invariant
+    factor d_k, each d_k dividing M.  Each r_k is checked to be a cocycle mod
+    M on the generator rows, which decides it (``cochains._cocycle_on``), so
+    every sum of multiples m_k < d_k of them is one.  Each z_k is checked to
+    be a cycle, and the pairing table <z_k, r_j> mod M to be M / d_k if j = k
+    and 0 otherwise.  So the sum m pairs with z_k as m_k M / d_k, and no two
+    of the prod(d_k) sums are cohomologous; that there are no more classes is
+    the invariant factors' claim.
     """
-    M, ncols, gens = group.order, (group.order - 1) ** 2, []
-    for gen, d in zip(basis.generators, basis.torsion):
+    M, ncols, torsion = group.order, (group.order - 1) ** 2, list(basis.torsion)
+    if not len(basis.generators) == len(basis.cycles) == len(torsion):
+        raise InternalInvariantBroken(
+            f"{len(basis.generators)} generators and {len(basis.cycles)} cycles for "
+            f"{len(torsion)} invariant factors do not split the cohomology classes")
+    if any(d < 1 or M % d for d in torsion):
+        raise InternalInvariantBroken(f"invariant factors {torsion} do not all divide {M}")
+    gens = []
+    for gen, d in zip(basis.generators, torsion):
         entries = dict(gen)
         g = tuple(entries.get(j, 0) for j in range(ncols))
         if not _cocycle_on(group, 2, g, M, generators(group)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
         gens.append((g, d))
     sig = ClassSignature(group, basis.cycles)
-    classes = [((), (0,) * ncols, sig((0,) * ncols, M))]
+    for j, (g, _) in enumerate(gens):
+        if sig(g, M) != tuple(M // d if k == j else 0 for k, d in enumerate(torsion)):
+            raise InternalInvariantBroken(
+                "the cycles and generators do not pair as dual bases, so they do "
+                "not tell the cohomology classes apart")
+    classes = [((), (0,) * ncols)]
     for g, d in gens:
-        gsig = sig(g, M)
-        classes = [(m + (k,), tuple((a + k * b) % M for a, b in zip(vec, g)),
-                    tuple((a + k * b) % M for a, b in zip(vsig, gsig)))
-                   for m, vec, vsig in classes for k in range(d)]
-    found, expected = len({vsig for *_, vsig in classes}), prod(basis.torsion)
-    if found != expected:
-        raise InternalInvariantBroken(
-            f"found {found} cohomology classes, invariant factors give {expected}")
+        classes = [(m + (k,), tuple((a + k * b) % M for a, b in zip(vec, g)))
+                   for m, vec in classes for k in range(d)]
     classes.sort(key=lambda c: (any(c[1]), c[1]))
-    return H2Classes(basis, tuple(gens), sig, [(m, vec) for m, vec, _ in classes])
+    return H2Classes(tuple(gens), sig, classes)
 
 
 def _h2_classes(group: Group) -> H2Classes:
-    """The checked classes of H^2(group, Q/Z) (_check_h2), memoized per table
-    (``groups._table_memo``) together with the Smith entry they were checked
-    from.  The memo answers only while ``_factor`` still returns that same
-    object: an entry that a view holds of its own is checked afresh, not
-    memoized.
-    """
-    basis = _factor(group, 2, "smith")
-    got = _table_memo(group, "h2", lambda: _check_h2(group, basis))
-    if got.basis is basis:
-        return got
-    return _check_h2(group, basis)
-
-
-def _class_signature(group: Group) -> ClassSignature:
-    """The ClassSignature proved by _h2_classes to tell H^2 apart, memoized
-    write-once per table (``groups._table_memo``) to key the orbit pass."""
-    return _table_memo(group, "signature", lambda: _h2_classes(group).signature)
+    """The checked classes of H^2(group, Q/Z) (_check_h2), memoized write-once
+    per table (``groups._table_memo``) as "h2"; the Smith form they come from
+    is computed only to check them."""
+    return _table_memo(group, "h2", lambda: _check_h2(group, _h2_basis(group)))
 
 
 def h2_representatives(group: Group) -> List[Cochain]:

@@ -24,7 +24,7 @@ from modcat.cohomology import numerators
 from modcat.pointed import _twist
 from oracles import (big_omega_qz, brute_trivial_omega_classes, omega_fingerprint_qz,
                      random_cochain, restrict_qz, solve_every_g)
-from test_solver import SHARED_TAMPERS
+from test_solver import blind_signature, check_with_basis
 
 
 def trivial_category(G):
@@ -422,10 +422,10 @@ def tamper_generators(G, table, bad):
 
 @pytest.mark.parametrize("smith_first", [False, True], ids=["cold", "smith-first"])
 @pytest.mark.parametrize("bad", [(), "one"])
-def test_generators_that_do_not_generate_are_caught(bad, smith_first):
+def test_generators_that_do_not_generate_are_caught(monkeypatch, bad, smith_first):
     """A memoized generating set that does not generate its view: factoring
     H^2 with it raises, as its Schreier tree misses elements, and when the
-    Smith entry was built before, the class-generator check raises on its
+    Smith form was built before, the class-generator check raises on its
     own closure check."""
     for call in (classify, lambda cat: cohomology.h2_representatives(view)):
         cat = ORACLE_CASES["D8xZ2"]()
@@ -433,7 +433,9 @@ def test_generators_that_do_not_generate_are_caught(bad, smith_first):
                     if len(S.members) == 8 and not S.as_group().is_abelian())
         S = generators(view)  # fills the store of view's table
         if smith_first:
-            assert cohomology.h2_order(view) == 2
+            basis = cohomology._h2_basis(view)
+            assert basis.torsion == [2]
+            check_with_basis(monkeypatch, view, basis)
         tamper_generators(cat.group, view.table, S[:1] if bad == "one" else bad)
         with pytest.raises(InternalInvariantBroken):
             call(cat)
@@ -711,7 +713,7 @@ def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
     assert classify(kp.category).class_count == 6
     view = kp.L.as_group()
     d1 = cohomology._factored_rows(view)
-    kernel = cohomology._factor(view, 1, "echelon").kernel
+    kernel = cohomology._factor(view, 1).kernel
     assert kernel
     real = cohomology.echelon_form
     for k, z in enumerate(kernel):
@@ -746,7 +748,7 @@ def test_tampered_kept_cycle_makes_classify_raise(monkeypatch, name):
     cases = {}
     for H in {p.H for p in classify(KEPT_CYCLE_CASES[name]()).pairs}:
         view = H.as_group()
-        for k, z in enumerate(cohomology._class_signature(view).kernel):
+        for k, z in enumerate(cohomology._h2_classes(view).signature.kernel):
             cases.setdefault((view.table, k), (view, z))
     assert cases
     real = cohomology._h2_basis
@@ -800,7 +802,7 @@ def test_no_coboundary_matrix_above_degree_1_is_built(monkeypatch):
         t = next(t for t in nonidentity_tuples(G, 3) if t[0] not in S)
         bad = combine(exact, Cochain(G, 3, {t: QZ(1, 2)}), (1, 1))
         row = cohomology.image_obstruction(bad)
-        assert row >= len(cohomology._factor(G, 2, "echelon").kernel)
+        assert row >= len(cohomology._factor(G, 2).kernel)
     # rows of d^2 were built, the tree rows and those an obstruction reads,
     # and single rows of d^3
     assert 2 in built and 3 in built
@@ -878,6 +880,7 @@ BENCH_REPORT_SHA256 = {
 D8XZ2XZ2_REPORT_SHA256 = "cca61b49db26e69e16c61bd207e74e43f40b3a3ff10ea63ffa0d7b75f1a12ce6"
 
 
+@pytest.mark.pinned
 def test_d8xz2xz2_report_bytes_are_pinned():
     G = direct_product(direct_product(dihedral_group(8), cyclic_group(2)), cyclic_group(2))
     G = from_table(G.order, G.table)
@@ -887,6 +890,7 @@ def test_d8xz2xz2_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == D8XZ2XZ2_REPORT_SHA256
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(BENCH_REPORT_SHA256))
 def test_bench_fixture_report_bytes_are_pinned(name):
     if name == "dihedral:12 sign":  # the sign of D_12 pulled back from Z_2
@@ -1088,6 +1092,7 @@ def table_stores(G):
             *(v._cache for v in G._cache.get("views", {}).values())]
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_signature_scan_answers_as_the_solve_every_g_scan(name):
     cat = ORACLE_CASES[name]()
@@ -1099,27 +1104,26 @@ def test_signature_scan_answers_as_the_solve_every_g_scan(name):
     if name == "kp":  # some answer's g has a twist on the subgroup it moves
         assert any(cat._moves[a.H.members, w[0]].twist for (a, _), w in zip(queries, want)
                    if w and w[0])
-    # after enumerate_pairs (in scan_queries): no signature is memoized, and
-    # the queries read that of the checked H^2 classes, memoizing none
+    # after enumerate_pairs (in scan_queries) the checked H^2 classes are
+    # memoized, and the queries read their signature
     assert any("h2" in store for store in table_stores(cat.group))
     assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
-    assert not any("signature" in store for store in table_stores(cat.group))
-    classify(cat)  # warm: each view's signature is memoized and read
-    assert any("signature" in store for store in table_stores(cat.group))
+    classify(cat)  # reads the same "h2" entries, and memoizes no other H^2 entry
+    assert not any(key in store for store in table_stores(cat.group)
+                   for key in (("smith", 2), "signature"))
     assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
 
 
 @pytest.mark.parametrize("name", ["kp", "dihedral12-sign", "D8xZ2"])
 def test_signature_without_cycles_changes_no_answer(name):
     # a blind signature, kernel (), lets every g through to the solve
-    key, make = SHARED_TAMPERS["signature-without-cycles"]
     cat = ORACLE_CASES[name]()
     classify(cat)
     queries = scan_queries(cat, random.Random(7))
     want = [answer(solve_every_g(a, b)) for a, b in queries]
     for store in table_stores(cat.group):
-        if key in store:
-            store[key] = make(None)
+        if "h2" in store:
+            store["h2"] = blind_signature(store["h2"])
     assert [answer(equivalent_pairs(a, b)) for a, b in queries] == want
 
 
@@ -1145,10 +1149,9 @@ def test_warm_query_solves_only_where_it_finds_a_witness(monkeypatch):
 
 
 def test_query_after_enumerate_pairs_reads_the_h2_signature(monkeypatch):
-    # enumerate_pairs memoizes the checked H^2 classes of every view's table,
-    # and no "signature" entry; a query reads their signature, so a "no"
-    # makes no solve; a view holding a Smith entry of its own, not the one
-    # its classes were checked from, is queried cold
+    # enumerate_pairs memoizes the checked H^2 classes of every view's table;
+    # a query reads their signature, so a "no" makes no solve; once those
+    # entries are dropped, the queries are cold and compute none again
     module, calls = importlib.import_module("modcat.classify"), []
     real = module._solve
 
@@ -1165,16 +1168,14 @@ def test_query_after_enumerate_pairs_reads_the_h2_signature(monkeypatch):
         calls.clear()
         assert answer(equivalent_pairs(a, b)) == w
         assert calls == ([] if w is None else [2])
-    for view in cat.group._cache["views"].values():
-        basis = cohomology._factor(view, 2, "smith")
-        view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
-                                                       basis.cycles)
+    for store in table_stores(cat.group):
+        store.pop("h2", None)
     cold = 0
     for (a, b), w in zip(queries, want):
         calls.clear()
         assert answer(equivalent_pairs(a, b)) == w
         cold += w is None and len(calls) > 0
-    assert cold
+    assert cold and h2_entries(cat.group) == []
 
 
 def h2_entries(G):
@@ -1196,7 +1197,7 @@ def test_cold_query_computes_no_h2():
              if block_of[a.H.members] == block_of[b.H.members]]
     assert all(found) and h2_entries(G) == []
     # kp: the fixture checks the Klein subgroup's H^2 itself, so its table
-    # holds a Smith entry; the twist by x merges xi with 0, and no query adds
+    # holds an "h2" entry; the twist by x merges xi with 0, and no query adds
     # an entry
     kp = kp_category()
     before = h2_entries(kp.category.group)

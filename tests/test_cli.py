@@ -504,6 +504,7 @@ CLASSIFY_REPORT_SHA256 = [
 ]
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("spec, digest", CLASSIFY_REPORT_SHA256,
                          ids=[spec.split()[0] for spec, _ in CLASSIFY_REPORT_SHA256])
 def test_classify_report_bytes_are_pinned(capsys, spec, digest):
@@ -539,6 +540,7 @@ COMMAND_JSON_SHA256 = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(COMMAND_JSON_SHA256))
 def test_command_json_bytes_are_pinned(capsys, tmp_path, name):
     code, out, _ = run(capsys, *pinned_commands(tmp_path)[name], "--format", "json")

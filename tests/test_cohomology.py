@@ -17,7 +17,7 @@ from oracles import (bareiss_det, brute_coboundary_witness, coboundary_incidence
                      enumerate_2cocycles_int, h2_order_homology, h2_torsion_by_generator_rows,
                      incidence_product, random_cochain, relabel)
 from test_classifier import ORACLE_CASES
-from test_solver import obstruction_holds
+from test_solver import check_with_basis, obstruction_holds
 
 
 def klein_group():
@@ -103,10 +103,10 @@ def test_integer_coboundary_matches_coboundary(G, degree):
         assert is_cocycle(f) == (not any(v % D for v in dx))
 
 
-def test_tampered_smith_generator_makes_h2_representatives_raise():
+def test_tampered_smith_generator_makes_h2_representatives_raise(monkeypatch):
     view = kp_klein_view()[1]
     assert len(h2_representatives(view)) == 2
-    basis = cohomology._factor(view, 2, "smith")
+    basis = cohomology._h2_basis(view)
     [gen], [d] = basis.generators, basis.torsion
     M, (_, cols, d2) = view.order, coboundary_incidence(view, 2)
     messages = set()
@@ -117,8 +117,8 @@ def test_tampered_smith_generator_makes_h2_representatives_raise():
         bad[p] = (bad.get(p, 0) + M // d) % M
         x = [bad.get(j, 0) for j in range(len(cols))]
         assert any(v % M for v in incidence_product(d2, x))
-        view._cache[("smith", 2)] = cohomology.H2Basis(
-            [d], [tuple((j, bad[j]) for j in sorted(bad) if bad[j])], basis.cycles)
+        check_with_basis(monkeypatch, view, cohomology.H2Basis(
+            [d], [tuple((j, bad[j]) for j in sorted(bad) if bad[j])], basis.cycles))
         with pytest.raises(InternalInvariantBroken) as exc:
             h2_representatives(view)
         messages.add(str(exc.value))
@@ -455,7 +455,7 @@ def test_generator_rows_decide_a_2_cocycle_mod_the_order(name):
         S = generators(view)
         d2 = incidence.setdefault(view.table, coboundary_incidence(view, 2)[2])
         cases = [[dict(r).get(j, 0) for j in range((M - 1) ** 2)]
-                 for r in cohomology._factor(view, 2, "smith").generators]
+                 for r in cohomology._h2_basis(view).generators]
         cases += [numerators(coboundary(random_cochain(view, 1, rng, den=M)), M)
                   for _ in range(2)]
         outside = [k for k, (a, _) in enumerate(nonidentity_tuples(view, 2)) if a not in S]
@@ -479,7 +479,7 @@ def test_generator_rows_decide_a_2_cocycle_mod_the_order(name):
 def test_non_cocycle_degree_3_targets_are_certified_non_coboundaries(G, pinned):
     rng = random.Random(G.order + 3)
     S = set(generators(G))
-    eliminated = len(cohomology._factor(G, 2, "echelon").kernel)
+    eliminated = len(cohomology._factor(G, 2).kernel)
     # a coboundary changed at one tuple whose first argument is not a
     # generator agrees with a coboundary on every generator row, so it passes
     # every kernel functional of the generator rows
@@ -503,12 +503,12 @@ def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
     G = direct_product(dihedral_group(8), cyclic_group(2))
     exact = coboundary(random_cochain(G, 2, random.Random(5), den=4))
     witness = solve_coboundary(exact)
-    assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
+    assert len(cohomology._factor(G, 2).kernel) == 465
     S = set(generators(G))
     t = next(t for t in nonidentity_tuples(G, 3) if t[0] not in S)
     bad = combine(exact, Cochain(G, 3, {t: QZ(1, 4)}), (1, 1))
     assert not is_cocycle(bad) and image_obstruction(bad) >= 465
-    assert len(cohomology._factor(G, 2, "echelon").kernel) == 465
+    assert len(cohomology._factor(G, 2).kernel) == 465
     assert solve_coboundary(exact) == witness and coboundary(witness) == exact
     # the d^3 row and the d^2 rows it reaches were built alone, and no rows
     # of d^2 are memoized
@@ -517,13 +517,13 @@ def test_non_cocycle_targets_leave_the_memoized_kernel_as_it_was():
 
 # --- H^2 at its true size ------------------------------------------------------
 # Each class generator is checked once (a sum of integer cocycles mod M is a
-# cocycle), and a view's signature is the dual cycles of its Smith entry.
+# cocycle), and a view's signature is the dual cycles of its Smith form.
 
 def assert_dual_cycles(view):
-    """The Smith entry of view has one cycle z_k per invariant factor d_k:
+    """The Smith form of view has one cycle z_k per invariant factor d_k:
     z_k A = 0 on the oracle's rows A of d^1, and <z_k, r_j> = M / d_k if
     j = k and 0 otherwise, mod M, on the class generators r_j."""
-    basis, M = cohomology._factor(view, 2, "smith"), view.order
+    basis, M = cohomology._h2_basis(view), view.order
     _, _, d1 = coboundary_incidence(view, 1)
     assert len(basis.cycles) == len(basis.torsion) == len(basis.generators)
     for k, (z, d) in enumerate(zip(basis.cycles, basis.torsion)):
@@ -548,7 +548,7 @@ def test_smith_cycles_are_a_dual_basis_of_h2(G):
 
 def test_h2_representatives_check_each_generator_once(monkeypatch):
     G = z2_to_the_4()
-    basis = cohomology._factor(G, 2, "smith")
+    basis = cohomology._h2_basis(G)
     real, calls = cochains._coboundary_numerators, []
 
     def counted(group, n, x, firsts=None):
@@ -567,9 +567,9 @@ def test_h2_representatives_check_each_generator_once(monkeypatch):
     M, d = G.order, basis.torsion[0]
     bad = dict(basis.generators[0])
     bad[0] = (bad.get(0, 0) + M // d) % M
-    G._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, [
+    check_with_basis(monkeypatch, G, cohomology.H2Basis(basis.torsion, [
         tuple((j, v) for j, v in sorted(bad.items()) if v), *basis.generators[1:]],
-        basis.cycles)
+        basis.cycles))
     with pytest.raises(InternalInvariantBroken, match="candidate representative is not a cocycle"):
         h2_representatives(G)
 
@@ -581,22 +581,19 @@ def test_signatures_keep_only_cycles_that_split_h2(monkeypatch, G):
     real = cohomology.ClassSignature
     for H in subgroups(G):
         view = H.as_group()
-        kept = cohomology._class_signature(view).kernel
+        kept = cohomology._h2_classes(view).signature.kernel
         assert 2 ** len(kept) <= h2_order(view) and bool(kept) == (h2_order(view) > 1)
-        basis = cohomology._factor(view, 2, "smith")
+        basis = cohomology._h2_basis(view)
         assert kept == tuple(basis.cycles)  # cycles, dual to the generators
         assert_dual_cycles(view)
         for i in range(len(kept)):  # one cycle too few no longer tells H^2 apart
             monkeypatch.setattr(cohomology, "ClassSignature",
                                 lambda group, kernel, i=i: real(group, kernel[:i] + kernel[i + 1:]))
-            # a fresh entry object: the checked classes memoized with the old
-            # one do not answer, so the check runs again
-            view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
-                                                           basis.cycles)
+            # checked afresh, past the memo, which the failure leaves as it was
             with pytest.raises(InternalInvariantBroken, match="cohomology classes"):
-                h2_representatives(view)
+                cohomology._check_h2(view, basis)
             monkeypatch.setattr(cohomology, "ClassSignature", real)
-        assert cohomology._class_signature(view).kernel is kept  # memoized, write-once
+        assert cohomology._h2_classes(view).signature.kernel is kept  # memoized, write-once
 
 
 # --- H^2 on a Schreier tree -----------------------------------------------------
@@ -693,7 +690,7 @@ def test_d2_echelon_against_the_full_matrix(G):
     for view in tables.values():
         M, S = view.order, generators(view)
         tuples, cols, sparse = coboundary_incidence(view, 2)
-        ech = cohomology._factor(view, 2, "echelon")
+        ech = cohomology._factor(view, 2)
 
         def times_A(z):
             acc = [0] * len(cols)

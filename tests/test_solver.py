@@ -1,6 +1,7 @@
 """The sparse echelon solver and its certified answers."""
 
 import random
+import re
 from itertools import islice, product
 
 import pytest
@@ -34,7 +35,7 @@ def obstruction_holds(target, index):
     Both matrices come from the oracle, built from the group table."""
     G, n = target.group, target.degree
     rows, cols, sparse = coboundary_incidence(G, n - 1)
-    kernel = cohomology._factor(G, n - 1, "echelon").kernel
+    kernel = cohomology._factor(G, n - 1).kernel
     if index < len(kernel):
         z = kernel[index]
     else:
@@ -145,8 +146,18 @@ def test_solver_agrees_with_brute_force_on_the_klein_view():
 # Subgroup views of one group with equal multiplication tables share every
 # entry that the table determines, through a store on the parent group.
 
-TABLE_KEYS = [("rows", 1), ("echelon", 1), ("echelon", 2), ("smith", 2),
-              "signature", "generators"]
+TABLE_KEYS = [("rows", 1), ("echelon", 1), ("echelon", 2), "h2", "generators"]
+REAL_H2_BASIS = cohomology._h2_basis
+
+
+def check_with_basis(monkeypatch, group, basis):
+    """Make _h2_basis give ``basis`` for group's table, and drop the "h2"
+    entry that group reads, so that its next H^2 question checks ``basis``."""
+    monkeypatch.setattr(cohomology, "_h2_basis", lambda g: basis if g.table == group.table
+                        else REAL_H2_BASIS(g))
+    group._cache.pop("h2", None)
+    if group.parent is not None:
+        group.parent._cache.get("tables", {}).get(group.table, {}).pop("h2", None)
 
 
 def trivial_d8xz2():
@@ -160,14 +171,20 @@ def views_of(G):
 
 def test_classify_factors_each_table_kind_and_degree_once(monkeypatch):
     computed, calls = [], []
-    real_factor = cohomology._factor
+    real_factor, real_basis = cohomology._factor, cohomology._h2_basis
     real_snf, real_ech = cohomology.smith_normal_form, cohomology.echelon_form
 
-    def factor(group, degree, kind):
+    def factor(group, degree):
         before = len(calls)
-        got = real_factor(group, degree, kind)
+        got = real_factor(group, degree)
         if len(calls) > before:
-            computed.append((group.table, kind, degree, len(calls) - before))
+            computed.append((group.table, "echelon", degree, len(calls) - before))
+        return got
+
+    def basis(group):
+        before = len(calls)
+        got = real_basis(group)
+        computed.append((group.table, "smith", 2, len(calls) - before))
         return got
 
     def counted(real):
@@ -177,17 +194,20 @@ def test_classify_factors_each_table_kind_and_degree_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cohomology, "_factor", factor)
+    monkeypatch.setattr(cohomology, "_h2_basis", basis)
     monkeypatch.setattr(cohomology, "smith_normal_form", counted(real_snf))
     monkeypatch.setattr(cohomology, "echelon_form", counted(real_ech))
     cat = trivial_d8xz2()
     classify(cat)
     views = views_of(cat.group)
-    used = [(v.table, *key) for v in views for key in v._cache
-            if isinstance(key, tuple) and key[0] in ("echelon", "smith")]
+    # a Smith form is not kept: its "h2" entry, the classes checked from it,
+    # stands for it
+    used = [(v.table, *(("smith", 2) if key == "h2" else key)) for v in views
+            for key in v._cache if key == "h2" or key[0] == "echelon"]
     # each factorization computed was one echelon or Smith form, and no
     # (table, kind, degree) was computed twice: exactly one per distinct
     # triple among the views, far fewer than the views that read one.  The
-    # H^2 cycles come from the Smith entries, so a degree-1 echelon form is
+    # H^2 cycles come with the Smith forms, so a degree-1 echelon form is
     # built only where a degree-2 solve has a nonzero target
     assert all(n == 1 for *_, n in computed) and len(calls) == len(computed)
     triples = [t[:3] for t in computed]
@@ -241,10 +261,9 @@ def test_views_with_equal_tables_share_their_entries():
     for v in views:  # fill every entry on every view
         cohomology._factored_rows(v)
         for degree in (1, 2):
-            cohomology._factor(v, degree, "echelon")
-        cohomology._factor(v, 2, "smith")
+            cohomology._factor(v, degree)
         generators(v)
-        cohomology._class_signature(v)
+        cohomology._h2_classes(v)
         subgroups(v)
     for a in views:
         for b in views:
@@ -261,8 +280,8 @@ def test_shared_h2_representatives_match_a_standalone_group(G):
         alone = from_table(v.order, v.table)
         assert [c.values for c in h2_representatives(v)] == \
             [c.values for c in h2_representatives(alone)]
-        assert cohomology._class_signature(v).kernel == \
-            cohomology._class_signature(alone).kernel
+        assert cohomology._h2_classes(v).signature.kernel == \
+            cohomology._h2_classes(alone).signature.kernel
 
 
 def klein_store(G):
@@ -276,7 +295,7 @@ def klein_store(G):
 
 
 def off_cocycle_smith(alone):
-    basis = cohomology._factor(alone, 2, "smith")
+    basis = cohomology._h2_basis(alone)
     [gen], [d] = basis.generators, basis.torsion
     bad = dict(gen)
     bad[0] = (bad.get(0, 0) + alone.order // d) % alone.order
@@ -285,34 +304,44 @@ def off_cocycle_smith(alone):
 
 
 def non_cycle_smith(alone):
-    basis = cohomology._factor(alone, 2, "smith")
+    basis = cohomology._h2_basis(alone)
     return cohomology.H2Basis(basis.torsion, basis.generators,
                               [((0, 1),)] + list(basis.cycles[1:]))
 
 
-def blind_signature(alone):
+def blind_signature(h2):
+    """These checked H^2 classes with a signature that tells no class apart."""
     sig = object.__new__(cohomology.ClassSignature)
-    object.__setattr__(sig, "kernel", ())  # tells no class apart
-    return sig
+    object.__setattr__(sig, "kernel", ())
+    return h2._replace(signature=sig)
 
 
+# each is injected where the store of a table reads it: a basis as what
+# _h2_basis gives for that table, checked when the table's "h2" entry is
+# made, and H^2 classes as that entry itself
 SHARED_TAMPERS = {
-    "smith-not-a-cocycle": (("smith", 2), off_cocycle_smith),
-    "smith-non-cycle": (("smith", 2), non_cycle_smith),
-    "signature-without-cycles": ("signature", blind_signature),
+    "smith-not-a-cocycle": ("_h2_basis", off_cocycle_smith),
+    "smith-non-cycle": ("_h2_basis", non_cycle_smith),
+    "signature-without-cycles": ("h2", lambda alone: blind_signature(
+        cohomology._h2_classes(alone))),
 }
 
 
 @pytest.mark.parametrize("key, make", SHARED_TAMPERS.values(), ids=SHARED_TAMPERS.keys())
-def test_tampered_shared_entry_makes_classify_raise(key, make):
+def test_tampered_shared_entry_makes_classify_raise(monkeypatch, key, make):
     cat = trivial_d8xz2()
     view, store = klein_store(cat.group)
-    store[key] = make(from_table(4, view.table))
+    bad = make(from_table(4, view.table))
+    if key == "h2":
+        store[key] = bad
+    else:
+        check_with_basis(monkeypatch, view, bad)
     with pytest.raises(InternalInvariantBroken):
         classify(cat)
-    # the view had no entry of its own: the tampered one reached it through
-    # the store, and was caught instead of deciding a class
-    assert view._cache.get(key) is store[key]
+    # the view had no entry of its own: a tampered entry reached it through
+    # the store, and a tampered basis left none, caught instead of deciding
+    # a class
+    assert view._cache.get("h2") is store.get("h2") is (bad if key == "h2" else None)
 
 
 def test_h2_classes_are_checked_once_per_table(monkeypatch):
@@ -326,21 +355,10 @@ def test_h2_classes_are_checked_once_per_table(monkeypatch):
     monkeypatch.setattr(cohomology, "_cocycle_on", counted)  # as _check_h2 reads it
     classify(cat)
     views = views_of(cat.group)
-    gens = {v.table: len(cohomology._factor(v, 2, "smith").torsion) for v in views}
+    gens = {v.table: len(cohomology._h2_basis(v).torsion) for v in views}
     # each class generator of each distinct table once, not once per view
     assert sorted(checked) == sorted(t for t, k in gens.items() for _ in range(k))
-    assert len(checked) < sum(len(cohomology._factor(v, 2, "smith").torsion) for v in views)
-    # a view given an entry of its own, equal but a fresh object, is checked
-    # afresh, and the shared memo is left as it was
-    view = next(v for v in views if gens[v.table])
-    shared = view._cache["h2"]
-    basis = cohomology._factor(view, 2, "smith")
-    view._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
-                                                   basis.cycles)
-    checked.clear()
-    assert len(h2_representatives(view)) == h2_order(view)
-    assert checked == [view.table] * gens[view.table]
-    assert cat.group._cache["tables"][view.table]["h2"] is shared
+    assert len(checked) < sum(len(cohomology._h2_basis(v).torsion) for v in views)
 
 
 def test_fresh_copies_of_a_group_share_nothing():
@@ -360,7 +378,7 @@ def tampered(target, change):
     """target on a new D6 object whose degree-1 echelon form is the true one
     after change(pivots, kernel), which edits those two lists in place."""
     G = dihedral_group(6)
-    ech = cohomology._factor(G, 1, "echelon")
+    ech = cohomology._factor(G, 1)
     pivots, kernel = list(ech.pivots), list(ech.kernel)
     change(pivots, kernel)
     G._cache[("echelon", 1)] = cohomology.Echelon(ech.nrows, ech.ncols, pivots, kernel)
@@ -384,7 +402,7 @@ def test_altered_degree_3_kernel_row_raises_instead_of_answering_no():
     kp = kp_category().category
     G = from_table(8, kp.group.table)
     omega = Cochain(G, 3, kp.omega.values)
-    ech = cohomology._factor(G, 2, "echelon")
+    ech = cohomology._factor(G, 2)
     i = image_obstruction(omega)
     assert i < len(ech.kernel)
     # the unit functional at a generator row of d^2 where omega is nonzero:
@@ -411,7 +429,7 @@ def test_dropped_kernel_rows_never_give_a_wrong_answer():
 
 def test_any_tampered_pivot_row_raises_or_solves():
     target = d6_coboundary()
-    npivots = len(cohomology._factor(target.group, 1, "echelon").pivots)
+    npivots = len(cohomology._factor(target.group, 1).pivots)
     tampers = [lambda c, p, rest, u: (c, 2 * p, rest, u),  # scale the pivot
                lambda c, p, rest, u: (c, p, rest, ((0, 1),))]  # replace its T row
     raised = 0
@@ -486,12 +504,12 @@ def test_generator_rows_answer_as_the_full_rows(monkeypatch):
         assert want[1] is False and want[2] is want[3] is True
 
 
-# --- the "smith" factorization: invariant factors and sparse class generators --
+# --- the Smith form of H^2: invariant factors, class generators, dual cycles ---
 
 def test_smith_entry_holds_only_invariant_factors_and_generators():
     G = direct_product(cyclic_group(2), cyclic_group(4))
     reps = h2_representatives(G)
-    basis = cohomology._factor(G, 2, "smith")
+    basis = cohomology._h2_basis(G)
     _, _, d2 = coboundary_incidence(G, 2)
     assert cohomology.H2Basis.__slots__ == ("torsion", "generators", "cycles")
     assert basis.torsion == [2] and len(reps) == 2
@@ -551,16 +569,22 @@ SMITH_TAMPERS = {
 
 
 @pytest.mark.parametrize("tamper", SMITH_TAMPERS.values(), ids=SMITH_TAMPERS.keys())
-def test_tampered_smith_entry_never_gives_a_wrong_class_count(tamper):
+def test_tampered_smith_entry_never_gives_a_wrong_class_count(monkeypatch, tamper):
     G = dihedral_group(8)
     assert len(h2_representatives(G)) == 2
-    d = flat_form(cohomology._factor(G, 2, "smith"))
+    d = flat_form(cohomology._h2_basis(G))
     tamper(d)
-    G._cache[("smith", 2)] = from_flat(d)
+    check_with_basis(monkeypatch, G, from_flat(d))
     try:
         again = h2_representatives(G)
-    except InternalInvariantBroken:
+    except InternalInvariantBroken as exc:
+        # h2_order reads the same check, and the failed check memoized nothing
+        with pytest.raises(InternalInvariantBroken, match=re.escape(str(exc))):
+            h2_order(G)
         return
+    # only a change of generator within its class keeps the basis: an extra
+    # generator, beyond the invariant factors, is no longer dropped unread
+    assert tamper is add_coboundary
     assert len(again) == 2 and all(is_cocycle(c) for c in again)
     assert h2_order(G) == 2
 
@@ -576,11 +600,11 @@ CYCLE_TAMPERS = {
 
 
 @pytest.mark.parametrize("match, tamper", CYCLE_TAMPERS.values(), ids=CYCLE_TAMPERS.keys())
-def test_tampered_smith_cycles_make_h2_representatives_raise(match, tamper):
+def test_tampered_smith_cycles_make_h2_representatives_raise(monkeypatch, match, tamper):
     G = dihedral_group(8)
-    basis = cohomology._factor(G, 2, "smith")
+    basis = cohomology._h2_basis(G)
     assert len(basis.cycles) == 1 and len(h2_representatives(G)) == 2
-    G._cache[("smith", 2)] = cohomology.H2Basis(basis.torsion, basis.generators,
-                                                tamper(list(basis.cycles)))
+    check_with_basis(monkeypatch, G, cohomology.H2Basis(basis.torsion, basis.generators,
+                                                        tamper(list(basis.cycles))))
     with pytest.raises(InternalInvariantBroken, match=match):
         h2_representatives(G)
