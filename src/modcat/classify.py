@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _numerators_on, _of,
                        _value_texts, _values_json, cochain_from_json)
-from .cohomology import _h2_classes, _solve, numerators
+from .cohomology import _class_vectors, _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
 from .groups import (Subgroup, _choose_generators, _table_peek, conjugate_subgroup,
@@ -80,7 +80,7 @@ class _Entry(NamedTuple):
 
 def _decomposed_pairs(cat: PointedCategory):
     """(D, [(pair, entry, m, psi)]) for every pair, over admissible H and the
-    H^2 classes m in the order of _h2_classes, with psi = psi0 + sum_k m_k r_k
+    H^2 classes m in the order of _class_vectors, with psi = psi0 + sum_k m_k r_k
     as numerators over D, the lcm of omega's denominators, of the subgroups'
     orders and of every psi0's denominators.  The pair of the zero class
     holds psi0 itself."""
@@ -90,9 +90,9 @@ def _decomposed_pairs(cat: PointedCategory):
     out = []
     for H, psi0 in admissible:
         view = H.as_group()
-        h2 = _h2_classes(view)
-        entry, base, s = _Entry(H, psi0, h2.gens), numerators(psi0, D), D // view.order
-        for m, vec in h2.classes:
+        entry = _Entry(H, psi0, _h2_classes(view).gens)
+        base, s = numerators(psi0, D), D // view.order
+        for m, vec in _class_vectors(view):
             if not any(m):  # the zero class: psi0 itself
                 out.append((AlgebraPair(cat, H, psi0), entry, m, base))
                 continue
@@ -153,10 +153,10 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
     """Scan g in index order; return the first verified witness, or None.
     Each g's move on a's subgroup is read from the category's table.  Where
-    the checked H^2 classes of L's table are memoized, by classify,
-    enumerate_pairs, h2_order or h2_representatives, a g whose image pairs
-    with their signature other than xi does is not solved: its cycles pair
-    every coboundary to 0.  Otherwise no H^2 is computed."""
+    the checked H^2 of L's table is memoized, by classify, enumerate_pairs,
+    h2_order or h2_representatives, a g whose image it signs other than xi
+    is not solved: its cycles pair every coboundary to 0.  Otherwise no H^2
+    is computed."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
@@ -165,8 +165,7 @@ def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitn
     Lm, L = b.H.members, b.H.as_group()
     D = lcm(cat.den, a.psi.den, b.psi.den)
     psi, xi = numerators(a.psi, D), numerators(b.psi, D)
-    h2 = _table_peek(L, "h2")
-    sig = None if h2 is None else h2.signature
+    sig = _table_peek(L, "h2")
     want = None if sig is None else sig(xi, D)
     for g in cat.group.elements():
         move = _move(cat, a.H, g)
@@ -313,7 +312,7 @@ def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
     the representative: the g that equivalent_pairs(member, rep) finds.
 
     Pair i is keyed by (H.members, sig_H(vecs[i])), with sig_H the signature
-    of H's checked H^2 classes (_h2_classes) and vecs[i] its psi over D, the
+    of H's checked H^2 (_h2_classes) and vecs[i] its psi over D, the
     common denominator of all pairs and omega.  The walk visits pairs in
     (H.members, psi) order, so the first not yet placed is the least of its
     orbit.  It is moved by w^-1 for w in index order (_move; ``fixed`` skips a
@@ -324,7 +323,7 @@ def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
     block_of = {S.members: k for k, block in enumerate(subgroup_conjugacy_classes(G))
                 for S in block}
     for i, p in enumerate(pairs):
-        sig = sigs[p.H.members] = _h2_classes(p.H.as_group()).signature
+        sig = sigs[p.H.members] = _h2_classes(p.H.as_group())
         keyed.setdefault((p.H.members, sig(vecs[i], D)), []).append(i)
         left.setdefault(block_of[p.H.members], set()).add(i)
     for rep in sorted(range(len(pairs)), key=lambda i: (pairs[i].H.members, vecs[i])):

@@ -229,7 +229,7 @@ def cmd_omega_g(args) -> int:
     cat = load_category(args.omega, G)
     g = G.element_index(args.g)
     tw = big_omega(cat, g)
-    if args.restrict:
+    if args.restrict is not None:
         members = _ints(args.restrict.split(","), "--restrict")
         tw = restrict(tw, Subgroup(G, members))
     if args.format == "json":
@@ -237,7 +237,7 @@ def cmd_omega_g(args) -> int:
     else:
         grp = tw.group
         print(f"conjugation twist of {G.names[g]} "
-              f"on order-{grp.order} {'subgroup' if args.restrict else 'group'}:")
+              f"on order-{grp.order} {'subgroup' if args.restrict is not None else 'group'}:")
         for a in grp.elements():
             row = []
             for b in grp.elements():

@@ -47,15 +47,18 @@ and the matching rows of V^-1 one dual integer 2-cycle each: as H^2(G, Q/Z)
 The echelon forms, the rows of d^1 and H^2 are memoized, write-once, per
 table: they are pure functions of the multiplication table, so subgroup views
 of one group with equal tables share them through a store on that group
-(``groups._table_memo``).  H^2 is one entry, "h2": the classes, checked
-together with the Smith form they come from (``_h2_classes``), which is not
-kept.
+(``groups._table_memo``).  H^2 is one entry, "h2" (``_h2_classes``): the
+class generators and their dual cycles, checked together (``_check_h2``);
+the Smith form they come from is not kept.  The order of H^2 is the product
+of the generators' orders, and the prod(d_k) class vectors are built only
+where each class is needed, by ``h2_representatives`` and ``classify``
+(``_class_vectors``).
 """
 
 from __future__ import annotations
 
 from itertools import islice, product
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _index_tuple, _of,
@@ -65,7 +68,6 @@ from .groups import Group, _table_memo, generators
 from .smith import SNF, _xgcd, smith_normal_form, unimodular_inverse
 
 __all__ = [
-    "ClassSignature",
     "SNF",
     "Echelon",
     "smith_normal_form",
@@ -452,8 +454,7 @@ def _h2_basis(group: Group) -> H2Basis:
             dense = [-v for v in dense]
         residual.add(tuple(dense))
     residual = sorted(residual)
-    snf = smith_normal_form(residual, len(residual), len(live),
-                            need_U=False, need_V=True)
+    snf = smith_normal_form(residual, len(residual), len(live))
     rank = len(pivots) + sum(1 for d in snf.diag if d)
     if rank != (len(S) - 1) * n:
         raise InternalInvariantBroken(
@@ -614,57 +615,6 @@ def solve_coboundary(target: Cochain) -> Optional[Cochain]:
     return witness
 
 
-class ClassSignature:
-    """An exact invariant of 2-cochains on a group, modulo coboundaries.
-
-    A cochain is given as integer numerators over a common denominator D,
-    indexed like the rows of the degree-1 coboundary matrix A.  Its signature
-    pairs it, mod D, with ``kernel``: integer 2-cycles z, each checked to
-    satisfy z A = 0 before it is used, from the table, as df(a, b) = f(b) -
-    f(ab) + f(a); so a corrupt factorization can raise here but never tell a
-    coboundary apart from zero.  As H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), the
-    dual cycles of the Smith form tell every class apart; the "h2" entry of a
-    table holds them, with the pairing table that proves it (_check_h2).  Once
-    its cycles are checked, a signature is immutable.
-    """
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, group: Group, kernel: Sequence[Sparse]):
-        kernel, table = tuple(kernel), group.table
-        for z in kernel:
-            acc = {}
-            for k, c in z:
-                a, b = _index_tuple(group, k, 2)
-                for x, v in ((a, c), (b, c), (table[a][b], -c)):
-                    acc[x] = acc.get(x, 0) + v
-            if any(v for x, v in acc.items() if x != group.identity):
-                raise InternalInvariantBroken("kernel functional failed verification")
-        object.__setattr__(self, "kernel", kernel)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassSignature objects are immutable")
-
-    def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
-        return tuple(_dot(z, vec) % D for z in self.kernel)
-
-    def moved(self, vec: Sequence[int], perm: Sequence[int], twist, s: int,
-              D: int) -> Tuple[int, ...]:
-        """self(v, D) for v[k] = vec[perm[k]] + s * twist[k] (twist None for
-        zero), read through perm without building v."""
-        out = []
-        for z in self.kernel:
-            t = 0
-            if twist is None:
-                for k, c in z:
-                    t += c * vec[perm[k]]
-            else:
-                for k, c in z:
-                    t += c * (vec[perm[k]] + s * twist[k])
-            out.append(t % D)
-        return tuple(out)
-
-
 def image_obstruction(target: Cochain) -> Optional[int]:
     """Index of the functional certifying target is not a coboundary (None if
     it is one): a kernel row of the factorization that _solve uses (for a
@@ -682,40 +632,71 @@ def is_cohomologous(a: Cochain, b: Cochain) -> Optional[Cochain]:
 
 
 def h2_order(group: Group) -> int:
-    """Order of the second cohomology group with Q/Z coefficients: the number
-    of classes that _h2_classes checked, the product of the invariant factors
-    of the degree-2 coboundary matrix."""
-    return len(_h2_classes(group).classes)
+    """Order of the second cohomology group with Q/Z coefficients: the product
+    of the orders d_k of the class generators that _h2_classes checked, the
+    invariant factors of the degree-2 coboundary matrix."""
+    return prod(d for _, d in _h2_classes(group).gens)
 
 
-class H2Classes(NamedTuple):
+class H2:
     """H^2(group, Q/Z) as _check_h2 checks it: the "h2" entry of a table.
 
     ``gens`` pairs each class generator r_k, as dense numerators over M =
     |group| laid out like ``numerators`` and checked to be a cocycle mod M on
-    the generator rows, with its order d_k.  ``classes`` holds one (m, vec)
-    per class: m_k < d_k, and vec = sum_k m_k r_k mod M is its representative,
-    laid out like the r_k.  The zero class comes first, then the others in the
-    order of vec, which orders them as their QZ values do.  ``signature``, the
-    dual cycles z_k, pairs the class m to (m_k M / d_k)_k.
+    the generator rows, with its order d_k: H^2 is the direct sum of the
+    cyclic groups they generate.  ``cycles`` holds the dual integer 2-cycles
+    z_k, each checked from the table to satisfy z A = 0 for A = d^1, as
+    df(a, b) = f(b) - f(ab) + f(a), with <z_k, r_j> = M / d_k if j = k and 0
+    otherwise, mod M.
+
+    Called on a 2-cochain, given as numerators over D laid out like the r_k,
+    it gives its signature: its pairings with the z_k, mod D.  A cycle pairs
+    every coboundary to 0, and as H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z) the z_k
+    tell every class apart: the class sum_k m_k r_k has signature
+    (m_k M / d_k)_k over M.  An H2 is immutable: the signature filter of
+    ``equivalent_pairs`` trusts its cycles to skip a g.
     """
 
-    gens: tuple
-    signature: ClassSignature
-    classes: list
+    __slots__ = ("gens", "cycles")
+
+    def __init__(self, gens: tuple, cycles: Tuple[Sparse, ...]):
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "cycles", cycles)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("H2 objects are immutable")
+
+    def __call__(self, vec: Sequence[int], D: int) -> Tuple[int, ...]:
+        return tuple(_dot(z, vec) % D for z in self.cycles)
+
+    def moved(self, vec: Sequence[int], perm: Sequence[int], twist, s: int,
+              D: int) -> Tuple[int, ...]:
+        """self(v, D) for v[k] = vec[perm[k]] + s * twist[k] (twist None for
+        zero), read through perm without building v."""
+        out = []
+        for z in self.cycles:
+            t = 0
+            if twist is None:
+                for k, c in z:
+                    t += c * vec[perm[k]]
+            else:
+                for k, c in z:
+                    t += c * (vec[perm[k]] + s * twist[k])
+            out.append(t % D)
+        return tuple(out)
 
 
-def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
-    """The classes of H^2 from this basis, each part checked.
+def _check_h2(group: Group, basis: H2Basis) -> H2:
+    """H^2 from this basis, each part checked.
 
     The basis must give one generator r_k and one cycle z_k per invariant
     factor d_k, each d_k dividing M.  Each r_k is checked to be a cocycle mod
     M on the generator rows, which decides it (``cochains._cocycle_on``), so
     every sum of multiples m_k < d_k of them is one.  Each z_k is checked to
-    be a cycle, and the pairing table <z_k, r_j> mod M to be M / d_k if j = k
-    and 0 otherwise.  So the sum m pairs with z_k as m_k M / d_k, and no two
-    of the prod(d_k) sums are cohomologous; that there are no more classes is
-    the invariant factors' claim.
+    be a cycle on the rows of d^1 it reaches, and the pairing table <z_k, r_j>
+    mod M to be M / d_k if j = k and 0 otherwise.  So the sum m pairs with z_k
+    as m_k M / d_k, and no two of the prod(d_k) sums are cohomologous; that
+    there are no more classes is the invariant factors' claim.
     """
     M, ncols, torsion = group.order, (group.order - 1) ** 2, list(basis.torsion)
     if not len(basis.generators) == len(basis.cycles) == len(torsion):
@@ -731,27 +712,40 @@ def _check_h2(group: Group, basis: H2Basis) -> H2Classes:
         if not _cocycle_on(group, 2, g, M, generators(group)):
             raise InternalInvariantBroken("candidate representative is not a cocycle")
         gens.append((g, d))
-    sig = ClassSignature(group, basis.cycles)
+    for z in basis.cycles:
+        if not _in_left_kernel(z, _coboundary_rows(
+                group, 1, (_index_tuple(group, k, 2) for k, _ in z))):
+            raise InternalInvariantBroken("kernel functional failed verification")
+    h2 = H2(tuple(gens), tuple(basis.cycles))
     for j, (g, _) in enumerate(gens):
-        if sig(g, M) != tuple(M // d if k == j else 0 for k, d in enumerate(torsion)):
+        if h2(g, M) != tuple(M // d if k == j else 0 for k, d in enumerate(torsion)):
             raise InternalInvariantBroken(
                 "the cycles and generators do not pair as dual bases, so they do "
                 "not tell the cohomology classes apart")
-    classes = [((), (0,) * ncols)]
-    for g, d in gens:
+    return h2
+
+
+def _h2_classes(group: Group) -> H2:
+    """The checked H^2(group, Q/Z) (_check_h2), memoized write-once per table
+    (``groups._table_memo``) as "h2"; the Smith form it comes from is computed
+    only to check it."""
+    return _table_memo(group, "h2", lambda: _check_h2(group, _h2_basis(group)))
+
+
+def _class_vectors(group: Group) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """One (m, vec) per class of H^2(group, Q/Z): m_k < d_k, and vec = sum_k
+    m_k r_k mod M, M = |group|, its representative, laid out like the r_k.
+    The zero class comes first, then the others in the order of vec, which
+    orders them as their QZ values do.  Built afresh on each call."""
+    M = group.order
+    classes = [((), (0,) * (M - 1) ** 2)]
+    for g, d in _h2_classes(group).gens:
         classes = [(m + (k,), tuple((a + k * b) % M for a, b in zip(vec, g)))
                    for m, vec in classes for k in range(d)]
     classes.sort(key=lambda c: (any(c[1]), c[1]))
-    return H2Classes(tuple(gens), sig, classes)
-
-
-def _h2_classes(group: Group) -> H2Classes:
-    """The checked classes of H^2(group, Q/Z) (_check_h2), memoized write-once
-    per table (``groups._table_memo``) as "h2"; the Smith form they come from
-    is computed only to check them."""
-    return _table_memo(group, "h2", lambda: _check_h2(group, _h2_basis(group)))
+    return classes
 
 
 def h2_representatives(group: Group) -> List[Cochain]:
     """One normalized 2-cocycle per class of H^2(group, Q/Z), zero first."""
-    return [_of(group, 2, vec, group.order) for _, vec in _h2_classes(group).classes]
+    return [_of(group, 2, vec, group.order) for _, vec in _class_vectors(group)]

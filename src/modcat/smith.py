@@ -2,30 +2,26 @@
 
 ``cohomology._h2_basis`` eliminates the relation matrix of H^2 sparsely on
 unit pivots, hands the few rows and columns left to ``smith_normal_form``, and
-takes the dual cycles of H^2 from ``unimodular_inverse(V)``.
+takes the class generators of H^2 from the columns of V and their dual cycles
+from ``unimodular_inverse(V)``.  Nothing reads the row transform U, so it is
+not tracked.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 
-class SNF:
-    """U * A * V = D with U, V unimodular and diagonal d_i | d_{i+1}.
+class SNF(NamedTuple):
+    """U * A * V = D for some unimodular U, a unimodular V and a diagonal D
+    with d_i | d_{i+1}; U is not kept.
 
     ``diag`` lists the diagonal of D (nonzero invariant factors first, then
-    zeros).  U or V may be None when the factorization was computed without
-    tracking that side.
+    zeros), and the columns of A V past the nonzero ones are zero.
     """
 
-    __slots__ = ("nrows", "ncols", "diag", "U", "V")
-
-    def __init__(self, nrows, ncols, diag, U, V):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.diag = diag
-        self.U = U
-        self.V = V
+    diag: List[int]
+    V: List[List[int]]
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -40,27 +36,21 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return x, y, g
 
 
-def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
-                      need_U: bool = True, need_V: bool = True) -> SNF:
-    """Exact integer Smith normal form with optional transform tracking."""
+def smith_normal_form(A: List[List[int]], nrows: int, ncols: int) -> SNF:
+    """Exact integer Smith normal form of the nrows x ncols matrix A, with the
+    column transform V."""
     D = [list(row) for row in A]
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if need_U else None
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if need_V else None
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i1, i2):
-        if i1 == i2:
-            return
-        D[i1], D[i2] = D[i2], D[i1]
-        if U is not None:
-            U[i1], U[i2] = U[i2], U[i1]
+        if i1 != i2:
+            D[i1], D[i2] = D[i2], D[i1]
 
     def swap_cols(j1, j2):
         if j1 == j2:
             return
-        for row in D:
-            row[j1], row[j2] = row[j2], row[j1]
-        if V is not None:
-            for row in V:
+        for M in (D, V):
+            for row in M:
                 row[j1], row[j2] = row[j2], row[j1]
 
     def add_row(dst, src, q):
@@ -69,18 +59,10 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
         for j in range(ncols):
             if rs[j]:
                 rd[j] += q * rs[j]
-        if U is not None:
-            ud, us = U[dst], U[src]
-            for j in range(nrows):
-                if us[j]:
-                    ud[j] += q * us[j]
 
     def add_col(dst, src, q):
-        for row in D:
-            if row[src]:
-                row[dst] += q * row[src]
-        if V is not None:
-            for row in V:
+        for M in (D, V):
+            for row in M:
                 if row[src]:
                     row[dst] += q * row[src]
 
@@ -103,13 +85,6 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
             if aa or bb:
                 r1[jj] = x * aa + y * bb
                 r2[jj] = mbg * aa + ag * bb
-        if U is not None:
-            u1, u2 = U[i1], U[i2]
-            for jj in range(nrows):
-                aa, bb = u1[jj], u2[jj]
-                if aa or bb:
-                    u1[jj] = x * aa + y * bb
-                    u2[jj] = mbg * aa + ag * bb
 
     def combine_cols(j1, j2, i):
         a, b = D[i][j1], D[i][j2]
@@ -123,13 +98,8 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
             return
         x, y, g = _xgcd(a, b)
         mbg, ag = -b // g, a // g
-        for row in D:
-            aa, bb = row[j1], row[j2]
-            if aa or bb:
-                row[j1] = x * aa + y * bb
-                row[j2] = mbg * aa + ag * bb
-        if V is not None:
-            for row in V:
+        for M in (D, V):
+            for row in M:
                 aa, bb = row[j1], row[j2]
                 if aa or bb:
                     row[j1] = x * aa + y * bb
@@ -170,11 +140,7 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
 
     for i in range(rank):
         if D[i][i] < 0:
-            for j in range(ncols):
-                D[i][j] = -D[i][j]
-            if U is not None:
-                for j in range(nrows):
-                    U[i][j] = -U[i][j]
+            D[i] = [-v for v in D[i]]
 
     # enforce d_i | d_{i+1} by repeated 2x2 fixes
     changed = True
@@ -187,18 +153,13 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int,
                 combine_rows(i, i + 1, i)     # diag gcd, fill at (i, i+1)
                 if D[i][i + 1]:
                     add_col(i + 1, i, -(D[i][i + 1] // D[i][i]))
-                if D[i][i] < 0 or D[i + 1][i + 1] < 0:
-                    for (r, neg) in ((i, D[i][i] < 0), (i + 1, D[i + 1][i + 1] < 0)):
-                        if neg:
-                            for j in range(ncols):
-                                D[r][j] = -D[r][j]
-                            if U is not None:
-                                for j in range(nrows):
-                                    U[r][j] = -U[r][j]
+                for r in (i, i + 1):
+                    if D[r][r] < 0:
+                        D[r] = [-v for v in D[r]]
                 changed = True
 
     diag = [D[i][i] for i in range(min(nrows, ncols))]
-    return SNF(nrows, ncols, diag, U, V)
+    return SNF(diag, V)
 
 
 def unimodular_inverse(V: List[List[int]]) -> List[List[int]]:

@@ -17,6 +17,7 @@ of omega, read through one QZ per value.
 """
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
@@ -192,46 +193,78 @@ def h2_order_homology(G):
     """|H_2| via an explicit kernel basis, independent of the production shortcut.
 
     Chain complex boundary maps are the transposes of the coboundary matrices.
-    H_2 = ker(boundary_2) / im(boundary_3): compute an integer kernel basis K,
-    express the image columns in K-coordinates by exact division through the
-    Smith form of K, and multiply the invariant factors of that coordinate
+    H_2 = ker(boundary_2) / im(boundary_3): take the integer kernel basis K
+    that the column transform V of boundary_2's Smith form gives, write each
+    image column in K-coordinates by an exact rational solve that must come
+    out integral, and multiply the invariant factors of that coordinate
     matrix.
     """
     if G.order == 1:
         return 1
     rows1, cols1, sparse1 = coboundary_incidence(G, 1)
-    rows2, _, sparse2 = coboundary_incidence(G, 2)
-    P, S, T = len(rows1), len(cols1), len(rows2)
-    D1, D2 = dense(sparse1, S), dense(sparse2, P)
+    _, _, sparse2 = coboundary_incidence(G, 2)
+    P, S = len(rows1), len(cols1)
+    D1 = dense(sparse1, S)
 
     b2 = [[D1[p][s] for p in range(P)] for s in range(S)]  # S x P
-    snf_b2 = smith_normal_form(b2, S, P, need_U=False, need_V=True)
+    snf_b2 = smith_normal_form(b2, S, P)
     rank_b2 = sum(1 for d in snf_b2.diag if d)
-    kernel = [[snf_b2.V[p][j] for j in range(rank_b2, P)] for p in range(P)]
+    kernel = [snf_b2.V[p][rank_b2:] for p in range(P)]  # P x k, a basis of ker(boundary_2)
     k = P - rank_b2
+    inverse = left_inverse(kernel, k)
+    columns = [[(p, row[j]) for p, row in enumerate(kernel) if row[j]] for j in range(k)]
 
-    snf_k = smith_normal_form(kernel, P, k, need_U=True, need_V=True)
-    diag_k, Uk, Vk = snf_k.diag, snf_k.U, snf_k.V
-    assert all(diag_k[i] for i in range(k)), "kernel basis must have full rank"
-
-    Y = []  # k x T, columns of boundary_3 in kernel coordinates
-    for t in range(T):
-        col = D2[t]  # boundary_3 column
-        w = [sum(Uk[i][p] * col[p] for p in range(P)) for i in range(P)]
-        assert all(w[i] == 0 for i in range(k, P)), "column outside the kernel"
-        y = [None] * k
-        for i in range(k):
-            assert w[i] % diag_k[i] == 0, "inexact division in kernel solve"
-            y[i] = w[i] // diag_k[i]
-        Y.append([sum(Vk[i][j] * y[j] for j in range(k)) for i in range(k)])
-    Ymat = [[Y[t][i] for t in range(T)] for i in range(k)]
-    snf_y = smith_normal_form(Ymat, k, T, need_U=False, need_V=False)
+    Y = []  # T x k: the columns of boundary_3, rows of d^2, in kernel coordinates
+    for col in sparse2:
+        y = [Fraction(0)] * k
+        for p, c in col:
+            for j, v in inverse[p]:
+                y[j] += v * c
+        assert all(v.denominator == 1 for v in y), "inexact division in kernel solve"
+        y = [int(v) for v in y]
+        back = {}
+        for j, v in enumerate(y):
+            if v:
+                for p, c in columns[j]:
+                    back[p] = back.get(p, 0) + c * v
+        assert {p: c for p, c in back.items() if c} == dict(col), "column outside the kernel"
+        Y.append(y)
+    # the transpose of the coordinate matrix: the same invariant factors
+    snf_y = smith_normal_form(Y, len(Y), k)
     order = 1
     for i in range(k):
         d = snf_y.diag[i] if i < len(snf_y.diag) else 0
         assert d != 0, "second homology of a finite group must be finite"
         order *= d
     return order
+
+
+def left_inverse(K, k):
+    """L with L K = I for an integer matrix K of k independent columns, by
+    exact Gauss-Jordan elimination over the rationals on the rows of [K | I],
+    given by column: L[p] lists the (j, L[j][p]) that are nonzero."""
+    work = [({j: Fraction(v) for j, v in enumerate(row) if v}, {p: Fraction(1)})
+            for p, row in enumerate(K)]
+    pivots = []
+    for j in range(k):
+        r = min((p for p, (row, _) in enumerate(work) if j in row and p not in pivots),
+                key=lambda p: (len(work[p][0]), p))
+        pivots.append(r)
+        f = work[r][0][j]
+        work[r] = tuple({c: v / f for c, v in part.items()} for part in work[r])
+        for p, part in enumerate(work):
+            q = part[0].get(j) if p != r else None
+            if q:
+                for dst, src in zip(part, work[r]):
+                    for c, v in src.items():
+                        dst[c] = dst.get(c, 0) - q * v
+                        if not dst[c]:
+                            del dst[c]
+    L = [[] for _ in K]
+    for j, r in enumerate(pivots):
+        for p, v in sorted(work[r][1].items()):
+            L[p].append((j, v))
+    return L
 
 
 def brute_trivial_omega_classes(cat, pairs):
@@ -325,8 +358,7 @@ def h2_torsion_by_generator_rows(G):
         if next(v for v in dense if v) < 0:
             dense = [-v for v in dense]
         residual.add(tuple(dense))
-    snf = smith_normal_form(sorted(residual), len(residual), len(live),
-                            need_U=False, need_V=False)
+    snf = smith_normal_form(sorted(residual), len(residual), len(live))
     return [d for d in snf.diag if d > 1]
 
 

@@ -118,6 +118,14 @@ def test_omega_g_text_table(capsys):
     assert code == 0 and out2 == out  # element index works like its name
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_omega_g_empty_restrict_is_input_error(capsys, fmt):
+    # an empty member list is malformed, not a request for the whole group
+    code, out, err = run(capsys, "omega-g", "--group", "kp", "--omega", "kp", "--g", "x",
+                         "--restrict", "", "--format", fmt)
+    assert code == 2 and out == "" and "error: --restrict needs integers" in err
+
+
 def test_omega_g_json_feeds_solve(capsys, tmp_path):
     code, out, _ = run(capsys, "omega-g", "--group", "kp", "--omega", "kp",
                        "--g", "x", "--restrict", "0,1,2,3", "--format", "json")

@@ -1,5 +1,6 @@
 import random
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -132,23 +133,35 @@ def random_int_matrix(rng, nrows, ncols):
     return [[rng.randrange(-5, 6) for _ in range(ncols)] for _ in range(nrows)]
 
 
+def invariant_factors(A, nrows, ncols):
+    """The diagonal of the Smith form of A from its determinantal divisors:
+    d_i = D_i / D_(i-1), with D_i the gcd of the i x i minors, zero past the
+    rank."""
+    out, prev = [], 1
+    for i in range(1, min(nrows, ncols) + 1):
+        D = 0
+        for rows in combinations(range(nrows), i):
+            for cols in combinations(range(ncols), i):
+                D = gcd(D, bareiss_det([[A[r][c] for c in cols] for r in rows]))
+        out.append(D // prev if D else 0)
+        prev = D or prev
+    return out
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_snf_reconstruction_and_unimodularity(seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
     A = random_int_matrix(rng, nrows, ncols)
     snf = smith_normal_form(A, nrows, ncols)
-    U, V = snf.U, snf.V
-    UA = [[sum(U[i][k] * A[k][j] for k in range(nrows)) for j in range(ncols)]
-          for i in range(nrows)]
-    UAV = [[sum(UA[i][k] * V[k][j] for k in range(ncols)) for j in range(ncols)]
-           for i in range(nrows)]
-    for i in range(nrows):
-        for j in range(ncols):
-            expect = snf.diag[i] if i == j and i < len(snf.diag) else 0
-            assert UAV[i][j] == expect
-    assert abs(bareiss_det(U)) == 1
+    V = snf.V
     assert abs(bareiss_det(V)) == 1
+    assert snf.diag == invariant_factors(A, nrows, ncols)
+    # A V is U^-1 D: its columns past the rank are zero
+    rank = sum(1 for d in snf.diag if d)
+    AV = [[sum(A[i][k] * V[k][j] for k in range(ncols)) for j in range(ncols)]
+          for i in range(nrows)]
+    assert all(row[j] == 0 for row in AV for j in range(rank, ncols))
     nonzero = [d for d in snf.diag if d]
     assert all(d > 0 for d in nonzero)
     for a, b in zip(nonzero, nonzero[1:]):
@@ -577,23 +590,55 @@ def test_h2_representatives_check_each_generator_once(monkeypatch):
 @pytest.mark.parametrize("G", [kp_group(), direct_product(dihedral_group(8), cyclic_group(2)),
                                direct_product(cyclic_group(4), cyclic_group(4)), z2_to_the_4()],
                          ids=["kp", "D8xZ2", "Z4xZ4", "Z2^4"])
-def test_signatures_keep_only_cycles_that_split_h2(monkeypatch, G):
-    real = cohomology.ClassSignature
+def test_signatures_keep_only_cycles_that_split_h2(G):
     for H in subgroups(G):
         view = H.as_group()
-        kept = cohomology._h2_classes(view).signature.kernel
+        kept = cohomology._h2_classes(view).cycles
         assert 2 ** len(kept) <= h2_order(view) and bool(kept) == (h2_order(view) > 1)
         basis = cohomology._h2_basis(view)
         assert kept == tuple(basis.cycles)  # cycles, dual to the generators
         assert_dual_cycles(view)
-        for i in range(len(kept)):  # one cycle too few no longer tells H^2 apart
-            monkeypatch.setattr(cohomology, "ClassSignature",
-                                lambda group, kernel, i=i: real(group, kernel[:i] + kernel[i + 1:]))
-            # checked afresh, past the memo, which the failure leaves as it was
-            with pytest.raises(InternalInvariantBroken, match="cohomology classes"):
-                cohomology._check_h2(view, basis)
-            monkeypatch.setattr(cohomology, "ClassSignature", real)
-        assert cohomology._h2_classes(view).signature.kernel is kept  # memoized, write-once
+        for i in range(len(kept)):
+            # one cycle too few, or one cycle that pairs with nothing, no
+            # longer tells H^2 apart
+            for cycles in (kept[:i] + kept[i + 1:], kept[:i] + ((),) + kept[i + 1:]):
+                # checked afresh, past the memo, which the failure leaves as it was
+                with pytest.raises(InternalInvariantBroken, match="cohomology classes"):
+                    cohomology._check_h2(view, cohomology.H2Basis(
+                        basis.torsion, basis.generators, list(cycles)))
+        assert cohomology._h2_classes(view).cycles is kept  # memoized, write-once
+
+
+def test_h2_order_builds_no_class_vector(monkeypatch):
+    def forbidden(group):
+        raise AssertionError("h2_order built the class vectors")
+
+    monkeypatch.setattr(cohomology, "_class_vectors", forbidden)
+    G = z2_to_the_4()
+    assert h2_order(G) == h2_order_homology(G) == 64
+    # the "h2" entry keeps generators and cycles, and no list of classes
+    h2 = G._cache["h2"]
+    assert type(h2).__slots__ == ("gens", "cycles") and not hasattr(h2, "__dict__")
+    assert [d for _, d in h2.gens] == [2] * 6 and len(h2.cycles) == 6
+    monkeypatch.undo()
+    assert len(cohomology._class_vectors(G)) == 64
+
+
+@pytest.mark.parametrize("G", [dihedral_group(8), z2_to_the_4()], ids=["dihedral8", "Z2^4"])
+def test_tampered_cycle_is_caught_by_check_h2(G):
+    basis = cohomology._h2_basis(G)
+    assert basis.cycles
+    for k, z in enumerate(basis.cycles):
+        (j, c), *rest = z
+        # plus a unit 2-chain, never a cycle; plus M times one, which pairs
+        # with every generator as z does, mod M
+        for bad in (((j, c + 1), *rest), ((j, c + G.order), *rest)):
+            cycles = list(basis.cycles)
+            cycles[k] = bad
+            with pytest.raises(InternalInvariantBroken, match="kernel functional") as exc:
+                cohomology._check_h2(G, cohomology.H2Basis(basis.torsion, basis.generators,
+                                                           cycles))
+            assert exc.traceback[-1].name == "_check_h2"
 
 
 # --- H^2 on a Schreier tree -----------------------------------------------------

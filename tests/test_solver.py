@@ -85,8 +85,7 @@ def test_echelon_form_of_random_matrices(seed):
     rows = [tuple((j, v) for j, v in enumerate(row) if v) for row in A]
     ech = echelon_form(rows, ncols)
     # every kernel functional annihilates A, and there are nrows - rank of them
-    rank = sum(1 for d in smith_normal_form(A, nrows, ncols, need_U=False,
-                                            need_V=False).diag if d)
+    rank = sum(1 for d in smith_normal_form(A, nrows, ncols).diag if d)
     assert len(ech.kernel) == nrows - rank == nrows - len(ech.pivots)
     for z in ech.kernel:
         assert z and not any(left_product(z, A, ncols))
@@ -221,10 +220,10 @@ def test_classify_factors_each_table_kind_and_degree_once(monkeypatch):
 def test_trivial_classify_factors_d1_only_for_nonzero_solves(monkeypatch):
     """H^2's cycles come with its Smith entry: classifying the groups of the
     trivial-omega benchmark, each once, builds an echelon form only for the
-    degree-2 solves with a nonzero target, and ClassSignature checks its
-    cycles from the table without reading the rows of d^1."""
-    real_ech, real_rows, real_sig = (cohomology.echelon_form, cohomology._factored_rows,
-                                     cohomology.ClassSignature)
+    degree-2 solves with a nonzero target, and _check_h2 checks its cycles
+    from the table without reading the memoized rows of d^1."""
+    real_ech, real_rows, real_check = (cohomology.echelon_form, cohomology._factored_rows,
+                                       cohomology._check_h2)
     echelons, inside, rows_read, built = [], [], [], []
 
     def echelon(rows, ncols):
@@ -235,17 +234,17 @@ def test_trivial_classify_factors_d1_only_for_nonzero_solves(monkeypatch):
         rows_read.append(bool(inside))
         return real_rows(group)
 
-    def signature(group, kernel):
+    def check(group, basis):
         inside.append(group)
         built.append(group)
         try:
-            return real_sig(group, kernel)
+            return real_check(group, basis)
         finally:
             inside.pop()
 
     monkeypatch.setattr(cohomology, "echelon_form", echelon)
     monkeypatch.setattr(cohomology, "_factored_rows", factored_rows)
-    monkeypatch.setattr(cohomology, "ClassSignature", signature)
+    monkeypatch.setattr(cohomology, "_check_h2", check)
     for G in (direct_product(dihedral_group(8), cyclic_group(2)),
               direct_product(cyclic_group(4), cyclic_group(4)),
               dihedral_group(16), cyclic_group(16)):
@@ -280,8 +279,7 @@ def test_shared_h2_representatives_match_a_standalone_group(G):
         alone = from_table(v.order, v.table)
         assert [c.values for c in h2_representatives(v)] == \
             [c.values for c in h2_representatives(alone)]
-        assert cohomology._h2_classes(v).signature.kernel == \
-            cohomology._h2_classes(alone).signature.kernel
+        assert cohomology._h2_classes(v).cycles == cohomology._h2_classes(alone).cycles
 
 
 def klein_store(G):
@@ -310,10 +308,8 @@ def non_cycle_smith(alone):
 
 
 def blind_signature(h2):
-    """These checked H^2 classes with a signature that tells no class apart."""
-    sig = object.__new__(cohomology.ClassSignature)
-    object.__setattr__(sig, "kernel", ())
-    return h2._replace(signature=sig)
+    """This checked H^2 with no cycles: a signature that tells no class apart."""
+    return cohomology.H2(h2.gens, ())
 
 
 # each is injected where the store of a table reads it: a basis as what
