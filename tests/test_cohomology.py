@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import gcd, lcm
@@ -697,6 +698,34 @@ def test_h2_torsion_matches_the_generator_row_elimination(monkeypatch, G):
         assert torsion == h2_torsion_by_generator_rows(view)
     assert any(len(generators(v)) == 1 for v in groups)
     assert any(v.order == 1 for v in groups)
+
+
+# sha256 of repr((torsion, generators, cycles)) of _h2_basis, one line per
+# view: every distinct subgroup table, then three relabelled copies made as
+# test_h2_torsion_matches_the_generator_row_elimination makes them
+H2_BASIS_SHA256 = {
+    "D8xZ2": "597cfd229270873fa4b2625e114a5461346f6c5f147fa1ac23c74527db2c4978",
+    "Z4xZ4": "1794c1408f9c2a56dd33bd2e44ec05f5ff9d60f91e02719d008808ac83cdd3d7",
+    "dihedral16": "4638cfab0322c1b18b1cd0a73b88defe7a9a9c189d100f3c5b4908ace5c7bcff",
+    "cyclic16": "490c5f9a0c98ab1f3adf487a0f4bf9a231beb56ebac584af5cbcf183c25ed891",
+    "Z2^4": "26cc3ff07faa97e7db65352fc312b4f7271eac6314ed5d62ab11e01f1a2a90c2",
+    "kp": "1698576b8b37e4187378c17719fcf9d68b08b109788cca9a4d46c5b5d0c1c365",
+    "dihedral12": "ae834d98b4909a844e4550de0f4bcb05c9235439d148a71b860603d115e673d2",
+    "D8xZ2xZ2": "567dac2e765570acf03d7bd8e874476531975e1b7111dc88858e9d7082b3ebe1",
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("name", H2_BASIS_SHA256)
+def test_h2_basis_bytes_are_pinned(name):
+    G = H2_GROUPS.get(name) or direct_product(d8xz2(), cyclic_group(2))
+    rng = random.Random(G.order)
+    tables = {v.table: v for v in (H.as_group() for H in subgroups(G))}
+    digest = hashlib.sha256()
+    for view in list(tables.values()) + [relabel(G, rng) for _ in range(3)]:
+        basis = cohomology._h2_basis(view)
+        digest.update((repr((basis.torsion, basis.generators, basis.cycles)) + "\n").encode())
+    assert digest.hexdigest() == H2_BASIS_SHA256[name]
 
 
 def test_relation_matrix_of_the_wrong_rank_raises(monkeypatch):
