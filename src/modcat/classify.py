@@ -281,8 +281,10 @@ class ClassificationReport:
 def _action(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     """How g acts on 2-cochains on H, built from the group table and omega
     (``_twist``).  The twist is None wherever big_omega(g) vanishes on L, so
-    always for a trivial omega."""
+    always for a trivial omega, where a g that centralizes H moves nothing."""
     G = cat.group
+    if cat.den == 1 and all(G.conj(g, x) == x for x in H.members):
+        return _Move(H.members, tuple(range((H.order - 1) ** 2)), None, True)
     L = conjugate_subgroup(G, H, G.inverse[g])
     Lm, pos, view = L.members, {h: k for k, h in enumerate(H.members)}, H.as_group()
     e, base = view.identity, view.order - 1

@@ -40,9 +40,10 @@ rows of R: sparse elimination on unit pivots splits a 1 off the Smith form
 per pivot, and a dense Smith normal form (V only) takes the few rows and
 columns that are left (1 x 15 for the dihedral group of order 16).  Its
 invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
-through the unit pivots and the tree, give one 2-cocycle per cyclic factor,
-and the matching rows of V^-1 one dual integer 2-cycle each: as H^2(G, Q/Z)
-= Hom(H_2(G, Z), Q/Z), pairing with them tells the classes apart.
+through the unit pivots, then along the tree by its recurrence, give one
+2-cocycle per cyclic factor, and the matching rows of V^-1 one dual integer
+2-cycle each: as H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), pairing with them tells
+the classes apart.
 
 The echelon forms, the rows of d^1 and H^2 are memoized, write-once, per
 table: they are pure functions of the multiplication table, so subgroup views
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 from math import gcd, prod
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _index_tuple, _of,
@@ -92,6 +94,14 @@ def _coboundary_rows(group: Group, degree: int, tuples) -> Dict[int, Sparse]:
     index; rows and columns are numbered by ``_tuple_index``."""
     e, table, n = group.identity, group.table, degree
     sparse, shared = {}, {}  # equal (col, coeff) entries share one tuple
+    if n == 1:  # df(a, b) = f(b) - f(ab) + f(a); ab differs from a and b
+        col, base = [x - (x > e) for x in group.elements()], group.order - 1
+        one, two, minus = ([(j, c) for j in range(base)] for c in (1, 2, -1))
+        for a, b in tuples:
+            i, j, ab = col[a], col[b], table[a][b]
+            row = [two[i]] if i == j else [one[i], one[j]]
+            sparse[i * base + j] = tuple(sorted(row + [minus[col[ab]]] if ab != e else row))
+        return sparse
     for args in tuples:
         row = {}
         terms = [(args[1:], 1)]
@@ -314,56 +324,51 @@ def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
     return tree
 
 
-def _relations(group: Group):
-    """(sub, R) for the Schreier tree (``_schreier_tree``), built from the
-    table and not memoized.  For each tree edge (s, a) of g, the row
-    (s, a, b) of A_S is -1 at column (g, b), and on the kernel
+def _relations(group: Group) -> Dict[int, Sparse]:
+    """R for the Schreier tree (``_schreier_tree``), built from the table and
+    not memoized.  For each tree edge (s, a) of g, the row (s, a, b) of A_S is
+    -1 at column (g, b), and on the kernel
 
         psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a),
 
-    terms at e dropped.  In breadth-first order this writes each column
-    (g, elems[j]) as ``sub[g][j]``, an integer combination of the |S|(M - 1)
-    edge columns (s, b), s in S, numbered s-major.  ``R`` maps the index of
-    every other row of A_S to that row so substituted, zero rows included:
-    as rows of A, R's row (s, a, b) is row (s, a, b) plus the tree rows at
-    last argument b on a's path back to S, less those on sa's path.
+    terms at e dropped.  Taking the a in breadth-first order, as the tree
+    does, this writes each column (g, b) as an integer combination of the
+    |S|(M - 1) edge columns (s, b), s in S, numbered s-major, before any row
+    reads it.  R maps the index of every other row of A_S to that row so
+    substituted, zero rows included: as rows of A, R's row (s, a, b) is row
+    (s, a, b) plus the tree rows at last argument b on a's path back to S,
+    less those on sa's path.
     """
     M, e, table = group.order, group.identity, group.table
     S, tree = generators(group), _schreier_tree(group)
     n, elems = M - 1, [x for x in group.elements() if x != e]
-    pos = {s: i * n for i, s in enumerate(S)}
-
-    def edge(s, x):
-        return pos[s] + x - (x > e)
-
-    sub = {s: [{edge(s, b): 1} for b in elems] for s in S}
-
-    def through(s, a, j, b):
-        """psi(a, b) + psi(s, ab) - psi(s, a) on the edge columns, b = elems[j]."""
-        x = dict(sub[a][j])
-        x[edge(s, a)] = x.get(edge(s, a), 0) - 1
-        ab = table[a][b]
-        if ab != e:
-            x[edge(s, ab)] = x.get(edge(s, ab), 0) + 1
-        return x
-
-    for g, (s, a) in tree.items():
-        sub[g] = [{c: v for c, v in through(s, a, j, b).items() if v}
-                  for j, b in enumerate(elems)]
-
+    # col[s][x]: the edge column (s, x), None at x = e, where psi vanishes
+    col = {s: [None if x == e else i * n + x - (x > e) for x in group.elements()]
+           for i, s in enumerate(S)}
+    # sub[g][j]: the column (g, elems[j]) on the edge columns; psi(e, b) = 0
+    sub = {e: [{}] * n, **{s: [{c: 1} for c in col[s] if c is not None] for s in S}}
     R = {}
-    for s, a in product(S, elems):
-        g = table[s][a]
-        if tree.get(g) == (s, a):
-            continue
-        first = _tuple_index(group, (s, a)) * n  # the index of row (s, a, elems[0])
-        for j, b in enumerate(elems):
-            row = through(s, a, j, b)
-            if g != e:
-                for c, v in sub[g][j].items():
-                    row[c] = row.get(c, 0) - v
-            R[first + j] = tuple(sorted((c, v) for c, v in row.items() if v))
-    return sub, R
+    for a in (*S, *tree):
+        sub_a, row_a = sub[a], table[a]
+        for s in S:
+            cs, g = col[s], table[s][a]
+            ca, rows = cs[a], []
+            for j, b in enumerate(elems):  # psi(a, b) + psi(s, ab) - psi(s, a)
+                x = dict(sub_a[j])
+                x[ca] = x.get(ca, 0) - 1
+                c = cs[row_a[b]]
+                if c is not None:
+                    x[c] = x.get(c, 0) + 1
+                rows.append(x)
+            if tree.get(g) == (s, a):
+                sub[g] = rows
+                continue
+            first = _tuple_index(group, (s, a)) * n  # the index of row (s, a, elems[0])
+            for j, (x, sub_g) in enumerate(zip(rows, sub[g])):
+                for c, v in sub_g.items():
+                    x[c] = x.get(c, 0) - v
+                R[first + j] = tuple(sorted(filter(itemgetter(1), x.items())))
+    return R
 
 
 def _d2_echelon(group: Group) -> Echelon:
@@ -388,7 +393,7 @@ def _d2_echelon(group: Group) -> Echelon:
     paths = {}  # g: the index of each tree row (s, a, elems[0]) on g's path back to S
     for g, (s, a) in tree.items():
         paths[g] = [_tuple_index(group, (s, a)) * n, *paths.get(a, ())]
-    _, R = _relations(group)
+    R = _relations(group)
     lifted = {}  # R's row k = (s, a, elems[j]) as rows of A_S
     for k in R:
         (s, a), j = _index_tuple(group, k // n, 2), k % n
@@ -424,7 +429,9 @@ def _h2_basis(group: Group) -> H2Basis:
     nonzero on a few columns, go through the dense smith_normal_form, with
     V.  For each invariant factor d_j > 1 there, V[:, j] * (M / d_j) solves
     the residual mod M; back-substitution in reverse pivot order lifts it to
-    R's pivot columns, and the tree substitution to every column.  Columns
+    R's pivot columns, so to every edge value psi(s, b), and the tree, in
+    breadth-first order, to every column by the recurrence of ``_relations``,
+    psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a) mod M.  Columns
     with d_j = 0, and columns left free, give integer cocycles: coboundaries
     over Q/Z, since H^2(G, Q) = 0, so they are not kept.  For the same
     reason rank R = (|S| - 1)(M - 1), the rank of A_S over Q less the tree
@@ -434,15 +441,12 @@ def _h2_basis(group: Group) -> H2Basis:
     values x of a coboundary lie in ker R, so (V^-1 x_live)_k = 0 wherever
     d_k != 0, and V^-1 V = I gives <z_k, r_j> = delta_jk M / d_k mod M.
     """
-    M, e = group.order, group.identity
+    M, e, table = group.order, group.identity, group.table
     S, n = generators(group), M - 1
     elems = [x for x in group.elements() if x != e]
-    sub, R = _relations(group)
-    rows = set()
-    for row in R.values():
-        if row:
-            sign = 1 if row[0][1] > 0 else -1
-            rows.add(tuple((c, sign * v) for c, v in row))
+    R = _relations(group)
+    rows = {row if row[0][1] > 0 else tuple((c, -v) for c, v in row)
+            for row in R.values() if row}
     pivots, work, colrows, _ = _eliminate(dict(enumerate(sorted(rows))), len(S) * n,
                                           track=False)
     # the residual, on its own columns, with repeated rows (up to sign) dropped
@@ -462,6 +466,7 @@ def _h2_basis(group: Group) -> H2Basis:
 
     torsion, gens, cycles = [], [], []
     inverse = unimodular_inverse(snf.V) if any(d > 1 for d in snf.diag) else None
+    tree = _schreier_tree(group)
     for k, d in enumerate(snf.diag):
         if d <= 1:
             continue
@@ -470,14 +475,14 @@ def _h2_basis(group: Group) -> H2Basis:
         x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(live)}
         for c, p, rest, _ in reversed(pivots):
             x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
-        gen = []
-        for i, g in enumerate(elems):
-            for j, combo in enumerate(sub[g]):
-                v = sum(c * x.get(col, 0) for col, c in combo.items()) % M
-                if v:
-                    gen.append((i * n + j, v))
+        psi = {s: [0 if b == e else x.get(i * n + b - (b > e), 0) for b in group.elements()]
+               for i, s in enumerate(S)}
+        for g, (s, a) in tree.items():  # psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a)
+            psi_a, psi_s, row_a = psi[a], psi[s], table[a]
+            psi[g] = [(psi_a[b] + psi_s[row_a[b]] - psi_s[a]) % M for b in group.elements()]
         torsion.append(d)
-        gens.append(tuple(gen))
+        gens.append(tuple((i * n + j, psi[g][b]) for i, g in enumerate(elems)
+                          for j, b in enumerate(elems) if psi[g][b]))
         cycles.append(tuple((_tuple_index(group, (S[c // n], elems[c % n])), v)
                             for c, v in zip(live, inverse[k]) if v))
     return H2Basis(torsion, gens, cycles)
@@ -568,7 +573,7 @@ def _solve(group: Group, n: int, b: Sequence[int], D: int):
     ``len(kernel) + k``, and only it and the at most n + 2 rows of d^2 it
     reaches are built to check it.
     """
-    if not any(v % D for v in b):
+    if D == 1 or not any(v % D for v in b):  # over D = 1 every numerator is 0 in Q/Z
         return zero_cochain(group, n - 1), None
 
     ech = _factor(group, n - 1)

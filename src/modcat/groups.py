@@ -457,18 +457,28 @@ def conjugate_subgroup(G: Group, L: Subgroup, g: int) -> Subgroup:
 def subgroup_conjugacy_classes(G: Group) -> list:
     """Partition of subgroups(G) into conjugation orbits.
 
-    Blocks are sorted lists of Subgroups; the first entry of each block is
-    the canonical representative (smallest member tuple).  Blocks are ordered
-    by (subgroup size, representative members).
+    Each orbit is grown from its least subgroup by conjugating with the
+    elements of ``generators(G)`` alone until it is closed: they generate G,
+    so their conjugations generate G's.  Blocks are sorted lists of
+    Subgroups; the first entry of each block is the canonical representative
+    (smallest member tuple).  Blocks are ordered by (subgroup size,
+    representative members).
     """
     cached = G._cache.get("subgroup_classes")
     if cached is None:
         seen, blocks = set(), []
+        conj = [[G.conj(s, x) for x in G.elements()] for s in generators(G)]
         for S in subgroups(G):  # by size, then members: blocks come out ordered
             if S.members not in seen:
-                orbit = sorted({conjugate_subgroup(G, S, g).members for g in G.elements()})
-                seen.update(orbit)
-                blocks.append(tuple(Subgroup(G, m, _checked=True) for m in orbit))
+                orbit = [S.members]
+                seen.add(S.members)
+                for m in orbit:  # grows as it is read; orbits are disjoint
+                    for c in conj:
+                        image = tuple(sorted(map(c.__getitem__, m)))
+                        if image not in seen:
+                            seen.add(image)
+                            orbit.append(image)
+                blocks.append(tuple(Subgroup(G, m, _checked=True) for m in sorted(orbit)))
         cached = G._cache["subgroup_classes"] = tuple(blocks)
     return [list(b) for b in cached]
 

@@ -18,12 +18,12 @@ from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseErro
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
-from modcat.classify import DEFAULT_SIZE_LIMIT, _criterion, _move
+from modcat.classify import DEFAULT_SIZE_LIMIT, _action, _criterion, _move
 from modcat.cochains import _numerators_on
 from modcat.cohomology import numerators
 from modcat.pointed import _twist
 from oracles import (big_omega_qz, brute_trivial_omega_classes, omega_fingerprint_qz,
-                     random_cochain, restrict_qz, solve_every_g)
+                     random_cochain, relabel, restrict_qz, solve_every_g)
 from test_solver import blind_signature, check_with_basis
 
 
@@ -1213,3 +1213,74 @@ def test_omega_fingerprint_matches_the_qz_formula(name):
              "cyclic64-1": lambda: cyclic_3cocycle(cyclic_group(64), 1),
              "dihedral12-sign": lambda: sign_category(12).omega}[name]()
     assert omega_fingerprint(omega) == omega_fingerprint_qz(omega)
+
+
+# --- subgroup classes and moves, against the table --------------------------
+
+def conjugation_orbits(G):
+    """The blocks of subgroup_conjugacy_classes as member tuples, each orbit
+    taken under conjugation by every element of G, from the table."""
+    seen, blocks = set(), []
+    for S in subgroups(G):
+        if S.members not in seen:
+            orbit = sorted({tuple(sorted(G.table[G.table[g][x]][G.inverse[g]]
+                                         for x in S.members)) for g in G.elements()})
+            seen.update(orbit)
+            blocks.append(orbit)
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES) + ["D8xZ2-relabelled"])
+def test_subgroup_classes_are_the_orbits_under_all_of_g(name):
+    if name == "D8xZ2-relabelled":
+        G = relabel(ORACLE_CASES["D8xZ2"]().group, random.Random(7))
+    else:
+        G = ORACLE_CASES[name]().group
+    blocks = [[S.members for S in blk] for blk in subgroup_conjugacy_classes(G)]
+    assert blocks == conjugation_orbits(G)
+    if name != "cyclic12-2":  # an abelian group has one subgroup per block
+        assert any(len(blk) > 1 for blk in blocks)
+
+
+def table_move(G, H, g):
+    """g's move on 2-cochains on H for a zero omega, from the table: L = g^-1
+    H g, and row (x, y) of L reads row (g x g^-1, g y g^-1) of H."""
+    def conj(g, x):
+        return G.table[G.table[g][x]][G.inverse[g]]
+
+    Lm = tuple(sorted(conj(G.inverse[g], h) for h in H.members))
+    ids = [x for x in Lm if x != G.identity]
+    hids = [h for h in H.members if h != G.identity]
+    perm = tuple(hids.index(conj(g, x)) * len(hids) + hids.index(conj(g, y))
+                 for x in ids for y in ids)
+    return Lm, perm, None, Lm == H.members and perm == tuple(range(len(perm)))
+
+
+def test_trivial_omega_moves_match_the_table():
+    cat = ORACLE_CASES["D8xZ2"]()
+    G, fixed = cat.group, []
+    for H in subgroups(G):
+        for g in G.elements():
+            move = _action(cat, H, g)
+            assert tuple(move) == table_move(G, H, g)
+            if move.fixed:
+                fixed.append((H, g))
+    assert fixed == [(H, g) for H in subgroups(G) for g in G.elements()
+                     if all(G.conj(g, x) == x for x in H.members)]
+    assert len(fixed) < len(subgroups(G)) * G.order
+
+
+def test_a_centralizing_g_keeps_its_twist():
+    # kp's omega is nonzero: a g that centralizes H moves no row of H, yet its
+    # twist big_omega(g)|_H can be nonzero, and then the move is not fixed
+    cat = kp_category().category
+    G, twisted = cat.group, 0
+    for H in subgroups(G):
+        for g in G.elements():
+            if all(G.conj(g, x) == x for x in H.members):
+                move, twist = _action(cat, H, g), tuple(_twist(cat, g, H.members))
+                assert move.L == H.members and move.perm == tuple(range(len(move.perm)))
+                assert move.twist == (twist if any(twist) else None)
+                assert move.fixed == (not any(twist))
+                twisted += any(twist)
+    assert twisted

@@ -14,6 +14,7 @@ from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
                     kp_category, kp_group, nonidentity_tuples, restrict,
                     smith_normal_form, solve_coboundary, subgroups, zero_cochain)
 from modcat.cochains import _coboundary_numerators, _tuple_index
+from modcat.groups import _table_peek
 from modcat.cohomology import image_obstruction, numerators
 from oracles import (bareiss_det, brute_coboundary_witness, coboundary_incidence,
                      enumerate_2cocycles_int, h2_order_homology, h2_torsion_by_generator_rows,
@@ -726,6 +727,21 @@ def test_h2_basis_bytes_are_pinned(name):
         basis = cohomology._h2_basis(view)
         digest.update((repr((basis.torsion, basis.generators, basis.cycles)) + "\n").encode())
     assert digest.hexdigest() == H2_BASIS_SHA256[name]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_over_one_is_zero_and_factors_nothing(n):
+    # every numerator over D = 1 is 0 in Q/Z, so the target is the zero class
+    # and the witness is the zero cochain; no echelon form is built for it
+    rng = random.Random(n)
+    G = d8xz2()
+    view = next(H for H in subgroups(G) if H.order == 8).as_group()
+    for group in (G, view):
+        b = [rng.randrange(-6, 7) for _ in range((group.order - 1) ** n)]
+        assert any(b)
+        assert cohomology._solve(group, n, b, 1) == (zero_cochain(group, n - 1), None)
+        assert ("echelon", n - 1) not in group._cache
+        assert _table_peek(group, ("echelon", n - 1)) is None
 
 
 def test_relation_matrix_of_the_wrong_rank_raises(monkeypatch):
