@@ -6,7 +6,7 @@ g conjugates one subgroup onto the other and the combination
 are the orbits of G acting on pairs up to coboundaries.  The classifier
 enumerates all pairs (admissible subgroups times second-cohomology
 representatives), keys each by an exact signature of its class in H^2,
-walks the orbits of G over those keys once, and emits a
+closes the orbits of G's generators over those keys, and emits a
 deterministic, re-verifiable report.  Every check is a sparse integer
 product on numerators over a common denominator.
 """
@@ -22,8 +22,9 @@ from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _numerators
 from .cohomology import _class_vectors, _h2_classes, _solve, numerators
 from .errors import (CategoryMismatch, GroupMismatch, InternalInvariantBroken,
                      ParseError, SizeLimitExceeded)
-from .groups import (Subgroup, _choose_generators, _table_peek, conjugate_subgroup,
-                     group_from_json, group_to_json, subgroup_conjugacy_classes, subgroups)
+from .groups import (Group, Subgroup, _choose_generators, _element, _table_peek,
+                     conjugate_subgroup, generators, group_from_json, group_to_json,
+                     subgroup_conjugacy_classes, subgroups)
 from .pointed import AlgebraPair, PointedCategory, _twist, validate_pair
 
 __all__ = [
@@ -134,15 +135,13 @@ def _criterion(move: _Move, den: int, psi, xi, D: int) -> List[int]:
 
 
 def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
-    """-xi + psi^g + big_omega(g), restricted to b's subgroup L.
-
-    Only meaningful when g conjugates L onto a's subgroup; the result is then
-    a 2-cocycle on L whose triviality decides equivalence.
-    """
+    """-xi + psi^g + big_omega(g), restricted to b's subgroup L, for an
+    element g that conjugates L onto a's subgroup: a 2-cocycle on L whose
+    triviality decides equivalence."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
-    move = _move(cat, a.H, g)
+    move = _move(cat, a.H, _element(cat.group, g))
     if b.H.parent != cat.group or move.L != b.H.members:
         raise GroupMismatch("g does not conjugate L onto H")
     D = lcm(cat.den, a.psi.den, b.psi.den)
@@ -150,30 +149,34 @@ def criterion_cochain(a: AlgebraPair, b: AlgebraPair, g: int) -> Cochain:
     return _of(b.H.as_group(), 2, vec, D)
 
 
+def _candidates(cat: PointedCategory, H: Subgroup, psi, L: Group, xi, D: int):
+    """(g, _criterion at g) for each g, in index order, carrying H onto the
+    subgroup view L, where the memoized H^2 signature of L's table, if any,
+    pairs the image of psi as xi (its cycles pair every coboundary to 0, so
+    a g it rejects has no witness); psi and xi are numerators over D."""
+    sig = _table_peek(L, "h2")
+    want = None if sig is None else sig(xi, D)
+    for g in cat.group.elements():
+        move = _move(cat, H, g)
+        if move.L != L.members:
+            continue
+        if sig is not None and sig.moved(psi, move.perm, move.twist, D // cat.den, D) != want:
+            continue
+        yield g, _criterion(move, cat.den, psi, xi, D)
+
+
 def equivalent_pairs(a: AlgebraPair, b: AlgebraPair) -> Optional[EquivalenceWitness]:
-    """Scan g in index order; return the first verified witness, or None.
-    Each g's move on a's subgroup is read from the category's table.  Where
-    the checked H^2 of L's table is memoized, by classify, enumerate_pairs,
-    h2_order or h2_representatives, a g whose image it signs other than xi
-    is not solved: its cycles pair every coboundary to 0.  Otherwise no H^2
-    is computed."""
+    """The first g of _candidates whose criterion solves, with its witness, or
+    None.  The signature is memoized by classify, enumerate_pairs, h2_order
+    or h2_representatives; without it every g is solved and no H^2 computed."""
     if a.category != b.category:
         raise CategoryMismatch("pairs belong to different categories")
     cat = a.category
     if a.H.order != b.H.order:
         return None
-    Lm, L = b.H.members, b.H.as_group()
-    D = lcm(cat.den, a.psi.den, b.psi.den)
-    psi, xi = numerators(a.psi, D), numerators(b.psi, D)
-    sig = _table_peek(L, "h2")
-    want = None if sig is None else sig(xi, D)
-    for g in cat.group.elements():
-        move = _move(cat, a.H, g)
-        if move.L != Lm:
-            continue
-        if sig is not None and sig.moved(psi, move.perm, move.twist, D // cat.den, D) != want:
-            continue
-        witness, _ = _solve(L, 2, _criterion(move, cat.den, psi, xi, D), D)
+    D, L = lcm(cat.den, a.psi.den, b.psi.den), b.H.as_group()
+    for g, crit in _candidates(cat, a.H, numerators(a.psi, D), L, numerators(b.psi, D), D):
+        witness, _ = _solve(L, 2, crit, D)
         if witness is not None:
             return EquivalenceWitness(g, witness)
     return None
@@ -308,21 +311,15 @@ def _move(cat: PointedCategory, H: Subgroup, g: int) -> _Move:
     return move
 
 
-def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
-    """The orbits of G on the pairs, as (representative, {member: w}) in
-    representative order, with w the least element carrying the member onto
-    the representative: the g that equivalent_pairs(member, rep) finds.
-
-    Pair i is keyed by (H.members, sig_H(vecs[i])), with sig_H the signature
-    of H's checked H^2 (_h2_classes) and vecs[i] its psi over D, the
-    common denominator of all pairs and omega.  The walk visits pairs in
-    (H.members, psi) order, so the first not yet placed is the least of its
-    orbit.  It is moved by w^-1 for w in index order (_move; ``fixed`` skips a
-    w moving nothing), and the first image to hit a member's key gives that
-    member's w.
-    """
-    G, sigs, keyed, left, classes = cat.group, {}, {}, {}, []
-    block_of = {S.members: k for k, block in enumerate(subgroup_conjugacy_classes(G))
+def _orbits(cat: PointedCategory, pairs, vecs, D: int):
+    """The orbits of G on the pairs, as (representative, members), each
+    closed under the moves (_move) of generators(G) until it holds every
+    unplaced pair over H's conjugacy class of subgroups.  Pair i is keyed by
+    (H.members, sig_H(vecs[i])), sig_H the signature of H's checked H^2
+    (_h2_classes), vecs[i] its psi over D; the first pair not yet placed in
+    (H.members, psi) order is the least of its orbit and represents it."""
+    gens, sigs, keyed, left, orbits = generators(cat.group), {}, {}, {}, []
+    block_of = {S.members: k for k, block in enumerate(subgroup_conjugacy_classes(cat.group))
                 for S in block}
     for i, p in enumerate(pairs):
         sig = sigs[p.H.members] = _h2_classes(p.H.as_group())
@@ -333,24 +330,26 @@ def _orbit_classes(cat: PointedCategory, pairs, vecs, D: int):
         todo = left[block_of[H.members]]  # unplaced pairs of H's block
         if rep not in todo:
             continue
-        found = dict.fromkeys(keyed[H.members, sigs[H.members](vecs[rep], D)], G.identity)
-        for w in G.elements():
-            if len(found) == len(todo):
-                break
-            move = _move(cat, H, G.inverse[w])
-            if move.fixed:
-                continue
-            hits = keyed.get((move.L, sigs[move.L].moved(vecs[rep], move.perm, move.twist,
-                                                          D // cat.den, D)))
-            if hits is None:
-                raise InternalInvariantBroken("an image matches no pair")
-            for m in hits:
-                found.setdefault(m, w)
-        if not found.keys() <= todo:
+        orbit = list(keyed[H.members, sigs[H.members](vecs[rep], D)])
+        found = set(orbit)
+        for i in orbit:  # grows as it is read
+            for s in gens:
+                if len(found) == len(todo):
+                    break
+                move = _move(cat, pairs[i].H, s)
+                if move.fixed:
+                    continue
+                hits = keyed.get((move.L, sigs[move.L].moved(vecs[i], move.perm, move.twist,
+                                                              D // cat.den, D)))
+                if hits is None:
+                    raise InternalInvariantBroken("an image matches no pair")
+                orbit += [h for h in hits if h not in found]
+                found.update(hits)
+        if not found <= todo:
             raise InternalInvariantBroken("the orbits of two pairs overlap")
-        todo.difference_update(found)
-        classes.append((rep, found))
-    return classes
+        todo -= found
+        orbits.append((rep, sorted(found)))
+    return orbits
 
 
 def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
@@ -358,15 +357,15 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
              progress=None) -> ClassificationReport:
     """Partition all pairs of the category into equivalence classes.
 
-    The classes are the orbits of G on the pairs, found in one walk over
-    exact H^2 signatures (_orbit_classes) and sorted by representative, the
+    The classes are the orbits of G on the pairs, closed under generators(G)
+    over exact H^2 signatures (_orbits) and sorted by representative, the
     least pair by (H.members, psi's numerators over one denominator, which
     order psi as its Q/Z values do), summed as psi0 + sum_k m_k r_k
-    (_decomposed_pairs).  The walk gives every other member m the least w
-    carrying m onto the representative; one solve at w gives m's witness,
-    and the report, which keeps each pair's decomposition, is verified.
-    ``jobs`` is accepted for compatibility and has no effect: the report is
-    the same for any value.
+    (_decomposed_pairs).  Each other member gets its witness from one solve
+    at the first g of _candidates, where equivalent_pairs finds it; the
+    report, which keeps each pair's decomposition, is verified.  ``jobs`` is
+    accepted for compatibility and has no effect: the report is the same for
+    any value.
     """
     G = cat.group
     if G.order > size_limit:
@@ -378,15 +377,15 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
     say(f"{len(pairs)} pairs on {len(subgroup_conjugacy_classes(G))} "
         "conjugacy classes of subgroups")
     blocks = []
-    for rep, found in _orbit_classes(cat, pairs, vecs, D):
+    for rep, members in _orbits(cat, pairs, vecs, D):
         L, witnesses = pairs[rep].H.as_group(), []
-        for m in sorted(found.keys() - {rep}):
-            move = _move(cat, pairs[m].H, found[m])
-            f, _ = _solve(L, 2, _criterion(move, cat.den, vecs[m], vecs[rep], D), D)
+        for m in sorted(set(members) - {rep}):
+            g, crit = next(_candidates(cat, pairs[m].H, vecs[m], L, vecs[rep], D), (None, None))
+            f = None if g is None else _solve(L, 2, crit, D)[0]
             if f is None:
                 raise InternalInvariantBroken("a pair has no witness to its representative")
-            witnesses.append((m, EquivalenceWitness(found[m], f)))
-        blocks.append({"representative": rep, "members": sorted(found),
+            witnesses.append((m, EquivalenceWitness(g, f)))
+        blocks.append({"representative": rep, "members": members,
                        "rank": pairs[rep].rank, "witnesses": witnesses})
     report = ClassificationReport(cat, pairs, blocks, omega_source,
                                   [(entry, m) for _, entry, m, _ in decomposed])

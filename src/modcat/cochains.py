@@ -19,7 +19,7 @@ from typing import List, Mapping, Optional, Tuple
 
 from .errors import (DegreeMismatch, GroupMismatch, InternalInvariantBroken, NotASubgroup,
                      ParseError)
-from .groups import (Group, Subgroup, _closure, _json_int, builtin_group, generators,
+from .groups import (Group, Subgroup, _closure, _element, _json_int, builtin_group, generators,
                      group_from_json, group_to_json)
 from .qz import QZ, ZERO, qz
 
@@ -261,7 +261,7 @@ def conjugate_cochain(f: Cochain, g: int) -> Cochain:
     """
     H = f.group
     P, members = H.parent or H, H.members or range(H.order)
-    moved = [P.conj(P.inverse[g], h) for h in members]
+    moved = [P.conj(P.inverse[_element(P, g)], h) for h in members]
     tmembers = tuple(sorted(moved))
     target = H if H.parent is None else Subgroup(P, tmembers, _checked=True).as_group()
     pos = {p: i for i, p in enumerate(tmembers)}

@@ -45,15 +45,15 @@ through the unit pivots, then along the tree by its recurrence, give one
 2-cycle each: as H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), pairing with them tells
 the classes apart.
 
-The echelon forms, the rows of d^1 and H^2 are memoized, write-once, per
-table: they are pure functions of the multiplication table, so subgroup views
-of one group with equal tables share them through a store on that group
-(``groups._table_memo``).  H^2 is one entry, "h2" (``_h2_classes``): the
-class generators and their dual cycles, checked together (``_check_h2``);
-the Smith form they come from is not kept.  The order of H^2 is the product
-of the generators' orders, and the prod(d_k) class vectors are built only
-where each class is needed, by ``h2_representatives`` and ``classify``
-(``_class_vectors``).
+The echelon forms, the rows of d^1, the Schreier tree and H^2 are memoized,
+write-once, per table: they are pure functions of the multiplication table,
+so subgroup views of one group with equal tables share them through a store
+on that group (``groups._table_memo``).  H^2 is one entry, "h2"
+(``_h2_classes``): the class generators and their dual cycles, checked
+together (``_check_h2``); the Smith form they come from is not kept.  The
+order of H^2 is the product of the generators' orders, and the prod(d_k)
+class vectors are built only where each class is needed, by
+``h2_representatives`` and ``classify`` (``_class_vectors``).
 """
 
 from __future__ import annotations
@@ -305,23 +305,25 @@ def _schreier_tree(group: Group) -> Dict[int, Tuple[int, int]]:
     tree of the Cayley graph, grown from e by left multiplication, visiting
     the a in breadth-first order and the s in order of S.  Each a is e, in S,
     or a key earlier in the dict (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.1).  Raises unless S
-    generates G."""
-    table, S = group.table, generators(group)
-    seen, layer, tree = {group.identity, *S}, list(S), {}
-    while layer:
-        grown = []
-        for a in layer:
-            for s in S:
-                g = table[s][a]
-                if g not in seen:
-                    seen.add(g)
-                    tree[g] = (s, a)
-                    grown.append(g)
-        layer = grown
-    if len(seen) != group.order:
-        raise InternalInvariantBroken("the generators do not generate the group")
-    return tree
+    Computational Group Theory*, 2005, section 4.1).  Memoized per table
+    (``groups._table_memo``), as S is.  Raises unless S generates G."""
+    def make():
+        table, S = group.table, generators(group)
+        seen, layer, tree = {group.identity, *S}, list(S), {}
+        while layer:
+            grown = []
+            for a in layer:
+                for s in S:
+                    g = table[s][a]
+                    if g not in seen:
+                        seen.add(g)
+                        tree[g] = (s, a)
+                        grown.append(g)
+            layer = grown
+        if len(seen) != group.order:
+            raise InternalInvariantBroken("the generators do not generate the group")
+        return tree
+    return _table_memo(group, "schreier_tree", make)
 
 
 def _relations(group: Group) -> Dict[int, Sparse]:

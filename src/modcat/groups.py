@@ -322,6 +322,14 @@ def semidirect_product(n_group: Group, c_group: Group,
     return from_table(order, table, names)
 
 
+def _element(G: Group, g) -> int:
+    """g, required to be an element index of G: an int, not a bool, in
+    range(G.order); anything else is a ParseError."""
+    if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < G.order:
+        raise ParseError(f"{g!r} is not an element index of a group of order {G.order}")
+    return g
+
+
 def _builtin(spec: str):
     """(order, constructor) for a builtin group spec string, nothing built."""
     spec = spec.strip().removeprefix("builtin:")

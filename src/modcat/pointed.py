@@ -15,7 +15,7 @@ from .cochains import (Cochain, _coboundary_numerators, _index_tuple, _numerator
                        _of, is_cocycle, numerators)
 from .errors import (CategoryMismatch, DegreeMismatch, InternalInvariantBroken,
                      NotCompatible)
-from .groups import Group, Subgroup, conjugate_subgroup
+from .groups import Group, Subgroup, _element, conjugate_subgroup
 
 __all__ = [
     "PointedCategory",
@@ -128,7 +128,7 @@ def big_omega(cat: PointedCategory, g: int) -> Cochain:
     with g' = g^{-1}; its coboundary equals omega minus the conjugate of omega.
     Computed on all of G by ``_twist``.
     """
-    return _of(cat.group, 2, _twist(cat, g, cat.group.elements()), cat.den)
+    return _of(cat.group, 2, _twist(cat, _element(cat.group, g), cat.group.elements()), cat.den)
 
 
 def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
@@ -138,7 +138,7 @@ def gamma_cochain(cat: PointedCategory, g1: int, g2: int) -> Cochain:
                       - omega(g1, ^{g2}g, g2)
     """
     G, val = cat.group, cat.omega.value
-    g12 = G.mul(g1, g2)
+    g12 = G.mul(_element(G, g1), _element(G, g2))
     return Cochain(G, 1, {(g,): val((g1, g2, g)) + val((G.conj(g12, g), g1, g2))
                           - val((g1, G.conj(g2, g), g2))
                           for g in G.elements() if g != G.identity})
@@ -183,7 +183,7 @@ def alpha_g(psi_pair: AlgebraPair, xi_pair: AlgebraPair, g: int) -> Cochain:
         raise CategoryMismatch("algebra pairs live over different categories")
     cat = psi_pair.category
     G, val = cat.group, cat.omega.value
-    ginv = G.inverse[g]
+    ginv = G.inverse[_element(G, g)]
     H = psi_pair.H
     conj_L = conjugate_subgroup(G, xi_pair.H, g)
     inter = Subgroup(G, sorted(set(H.members) & set(conj_L.members)), _checked=True)

@@ -20,7 +20,7 @@ from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseErro
 from modcat import NotCompatible, cohomology, qz
 from modcat.classify import DEFAULT_SIZE_LIMIT, _action, _criterion, _move
 from modcat.cochains import _numerators_on
-from modcat.cohomology import numerators
+from modcat.cohomology import _h2_classes, numerators
 from modcat.pointed import _twist
 from oracles import (big_omega_qz, brute_trivial_omega_classes, omega_fingerprint_qz,
                      random_cochain, relabel, restrict_qz, solve_every_g)
@@ -654,6 +654,33 @@ def test_orbit_partition_matches_pairwise_search(name):
         assert any(len(s) > 1 for s in subgroups_of)
 
 
+def test_the_orbit_walk_moves_pairs_by_generators_alone(monkeypatch):
+    # D8xZ2 with its elements numbered backwards: generators(G) picks other
+    # elements, yet the orbits closed under them are the classes that a
+    # pairwise search finds
+    G0, module = ORACLE_CASES["D8xZ2"]().group, importlib.import_module("modcat.classify")
+    back = [G0.order - 1 - x for x in G0.elements()]  # an involution
+    G = from_table(G0.order, [[back[G0.table[back[x]][back[y]]] for y in G0.elements()]
+                              for x in G0.elements()])
+    assert {back[s] for s in generators(G)} != set(generators(G0))
+    cat, walked, real = trivial_category(G), [], module._move
+
+    def recorded(cat, H, g):
+        walked.append(g)
+        return real(cat, H, g)
+
+    D, decomposed = module._decomposed_pairs(cat)
+    pairs, vecs = [pair for pair, *_ in decomposed], [psi for *_, psi in decomposed]
+    monkeypatch.setattr(module, "_move", recorded)
+    orbits = module._orbits(cat, pairs, vecs, D)
+    assert walked and set(walked) <= set(generators(G))
+    monkeypatch.undo()
+    report = classify(cat)
+    assert [members for _, members in orbits] == [blk["members"] for blk in report.classes]
+    assert sorted(blk["members"] for blk in report.classes) == pairwise_classes(cat, report.pairs)
+    assert report.class_count == 58
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_representatives_and_blocks_follow_the_qz_order(name):
     # each class's representative is its least member by (H.members, psi's
@@ -1023,6 +1050,49 @@ def test_swapped_move_entries_never_give_a_wrong_report():
                          else "other witnesses")
     cat._moves[H.members, g] = entry
     assert "raised" in outcomes  # the swaps did reach the witness solve
+
+
+def tamper_generator_moves(cat, H, change):
+    """Fill the move table of a category at H and each of generators(G) with
+    change(move), marked as moving something."""
+    for s in generators(cat.group):
+        cat._moves[H.members, s] = change(_action(cat, H, s))._replace(fixed=False)
+
+
+def test_an_image_that_matches_no_pair_makes_classify_raise():
+    # a twist of 1/4 at a row that the cycle of L's H^2 reads an odd number of
+    # times moves the signature of every image by a quarter of its range, and
+    # the two classes on L lie half the range apart
+    kp = kp_category()
+    cat, [z] = kp.category, _h2_classes(kp.L.as_group()).cycles
+    assert cat.den == 4
+    k = next(k for k, c in z if c % 2)
+
+    def shifted(move):
+        twist = list(move.twist or [0] * len(move.perm))
+        twist[k] = (twist[k] + 1) % cat.den
+        return move._replace(twist=tuple(twist))
+
+    tamper_generator_moves(cat, kp.L, shifted)
+    with pytest.raises(InternalInvariantBroken, match="an image matches no pair"):
+        classify(cat)
+
+
+def test_an_image_in_another_orbit_makes_classify_raise():
+    # moves that carry a Klein four-group of D8xZ2 onto a cyclic subgroup of
+    # order 4 send its pairs onto the pair of another conjugacy class
+    cat = ORACLE_CASES["D8xZ2"]()
+    G = cat.group
+
+    def cyclic(S):
+        return any(G.element_order(x) == S.order for x in S.members)
+
+    klein = next(blk[0] for blk in subgroup_conjugacy_classes(G)
+                 if blk[0].order == 4 and not cyclic(blk[0]))
+    C4 = next(S for S in subgroups(G) if S.order == 4 and cyclic(S))
+    tamper_generator_moves(cat, klein, lambda move: move._replace(L=C4.members))
+    with pytest.raises(InternalInvariantBroken, match="the orbits of two pairs overlap"):
+        classify(cat)
 
 
 def fresh_pair(pair):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd, lcm
 
@@ -7,7 +8,7 @@ import pytest
 
 import modcat.cochains as cochains
 import modcat.cohomology as cohomology
-from modcat import (Cochain, InternalInvariantBroken, QZ, coboundary, combine,
+from modcat import (Cochain, InternalInvariantBroken, QZ, classify, coboundary, combine,
                     cyclic_group, dihedral_group, direct_product, from_table,
                     generators, h2_order, h2_representatives, is_cocycle,
                     is_cohomologous,
@@ -666,6 +667,28 @@ def test_schreier_tree_rows_pivot_on_their_columns(G):
             if b != e:
                 [row] = cohomology._coboundary_rows(G, 2, [(s, a, b)]).values()
                 assert dict(row)[_tuple_index(G, (g, b))] == -1
+
+
+@pytest.mark.parametrize("name", ["kp", "D8xZ2", "dihedral16"])
+def test_classify_builds_one_schreier_tree_per_table(monkeypatch, name):
+    # the relations, the echelon form of d^2 (which the admissibility solves
+    # read) and the H^2 basis of a table all read its tree, and subgroup views
+    # with equal tables share it
+    built, real = Counter(), cohomology._table_memo
+
+    def counted(group, key, make):
+        if key != "schreier_tree":
+            return real(group, key, make)
+
+        def build():
+            built[group.table] += 1
+            return make()
+        return real(group, key, build)
+
+    monkeypatch.setattr(cohomology, "_table_memo", counted)
+    cat = ORACLE_CASES[name]()
+    classify(cat)
+    assert built == Counter({S.as_group().table for S in subgroups(cat.group)})
 
 
 def test_h2_builds_no_rows_of_d2():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from modcat import (CategoryMismatch, Cochain, NotCompatible,
+from modcat import (CategoryMismatch, Cochain, NotCompatible, ParseError,
                     PointedCategory, QZ, Subgroup, alpha_g, big_omega,
-                    builtin_group, coboundary, combine, conjugate_cochain,
+                    builtin_group, coboundary, combine, conjugate_cochain, criterion_cochain,
                     cyclic_3cocycle, cyclic_group,
                     dihedral_group, gamma_cochain, h2_representatives,
                     is_cocycle, is_cohomologous, kp_category, restrict,
@@ -224,6 +224,28 @@ def _klein_pairs(kp):
     for c in (zero_cochain(kp.L.as_group(), 2), kp.xi_nontrivial):
         out.append(validate_pair(cat, kp.L, c))
     return out
+
+
+@pytest.mark.parametrize("g", [-1, 8, True, False, 1.0, "1", None])
+def test_an_element_argument_outside_the_group_is_rejected(kp, g):
+    # -1 would read the last row of the table, True would run as 1, and 8 is
+    # past the end of the table of the order-8 group
+    cat, pair = kp.category, _klein_pairs(kp)[1]
+    for call in (lambda: big_omega(cat, g), lambda: gamma_cochain(cat, g, 1),
+                 lambda: gamma_cochain(cat, 1, g), lambda: alpha_g(pair, pair, g),
+                 lambda: conjugate_cochain(cat.omega, g),
+                 lambda: conjugate_cochain(pair.psi, g),
+                 lambda: criterion_cochain(pair, pair, g)):
+        with pytest.raises(ParseError):
+            call()
+
+
+def test_an_element_argument_is_an_element_of_the_ambient_group(kp):
+    # a cochain on a subgroup view is conjugated by any element of its parent
+    G, pair = kp.category.group, _klein_pairs(kp)[1]
+    g = G.order - 1
+    assert conjugate_cochain(pair.psi, g).group.order == pair.H.order
+    assert criterion_cochain(pair, pair, kp.x).group == pair.H.as_group()
 
 
 def test_alpha_trivial_omega_identity_is_psi_minus_xi():
