@@ -59,12 +59,27 @@ class EquivalenceWitness:
 
 
 def admissible_subgroups(cat: PointedCategory) -> List[Tuple[Subgroup, Cochain]]:
-    """Subgroups on which omega restricts to a coboundary, with a base witness."""
-    out, D = [], cat.den
+    """Subgroups on which omega restricts to a coboundary, with a base witness.
+
+    Each subgroup H, in the size order of subgroups(G), is refused unsolved if
+    it contains a subgroup K that a solve refused.  That is sound: restriction
+    from H to K commutes with d, so d(psi) = omega|_H would give
+    d(psi|_K) = omega|_K.  The checked obstruction z of K, re-indexed along
+    the inclusion K -> H, certifies H: z A_H = 0 on the rows of d^2 on H
+    that it reaches, and z . omega|_H = z . omega|_K, nonzero in Q/Z.  Every
+    other subgroup is solved, for its witness psi0; no "yes" is inferred.
+    """
+    out, refused, D = [], [], cat.den
     for H in subgroups(cat.group):
+        if refused:  # never, for a trivial omega
+            members = set(H.members)
+            if any(K <= members for K in refused):
+                continue
         psi0, _ = _solve(H.as_group(), 3, _numerators_on(cat.omega, H.members, D), D)
         if psi0 is not None:
             out.append((H, psi0))
+        else:
+            refused.append(frozenset(H.members))
     return out
 
 
@@ -361,7 +376,11 @@ def classify(cat: PointedCategory, size_limit: int = DEFAULT_SIZE_LIMIT,
     over exact H^2 signatures (_orbits) and sorted by representative, the
     least pair by (H.members, psi's numerators over one denominator, which
     order psi as its Q/Z values do), summed as psi0 + sum_k m_k r_k
-    (_decomposed_pairs).  Each other member gets its witness from one solve
+    (_decomposed_pairs).  The pairs lie over the admissible subgroups, where
+    omega|_H is a coboundary: one degree-3 solve decides each subgroup that
+    contains no refused one, and a subgroup that does is refused unsolved, as
+    the obstruction of the refused one, moved up the inclusion, certifies it
+    (admissible_subgroups).  Each other member gets its witness from one solve
     at the first g of _candidates, where equivalent_pairs finds it; the
     report, which keeps each pair's decomposition, is verified.  ``jobs`` is
     accepted for compatibility and has no effect: the report is the same for

@@ -12,19 +12,23 @@ and twist, kept as references for the integer ones read by index, and
 ``DictCochain``, its earlier cochain layout, kept as the reference for the
 integer numerators it stores now, ``solve_every_g``, its earlier
 ``equivalent_pairs`` scan, kept as the reference for the one that skips a g
-by its H^2 signature, and ``omega_fingerprint_qz``, its earlier report hash
-of omega, read through one QZ per value.
+by its H^2 signature, ``omega_fingerprint_qz``, its earlier report hash
+of omega, read through one QZ per value, and ``solve_every_subgroup``, its
+earlier ``admissible_subgroups``, kept as the reference for the one that
+refuses a subgroup unsolved when it contains a refused one, with
+``pushed_obstruction``, which moves a solve's obstruction up an inclusion.
 """
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import lcm
 
 from modcat import (ZERO, Cochain, NotASubgroup, QZ, coboundary, from_table, generators,
-                    is_cohomologous, nonidentity_tuples, qz, smith_normal_form)
+                    is_cohomologous, nonidentity_tuples, qz, smith_normal_form, subgroups)
 from modcat import cohomology
 from modcat.classify import EquivalenceWitness, _criterion, _move
+from modcat.cochains import _index_tuple, _numerators_on, _tuple_index
 
 
 def coboundary_incidence(G, n):
@@ -454,3 +458,32 @@ def omega_fingerprint_qz(omega):
     h.update(repr((omega.group.table, omega.group.names)).encode())
     h.update(repr([(args, str(v)) for args, v in omega.items()]).encode())
     return h.hexdigest()
+
+
+def solve_every_subgroup(cat):
+    """[(H, psi0, i)] for every subgroup H of the category's group, in the
+    order of subgroups(G), by one degree-3 _solve of omega|_H on each: psi0
+    the witness to d(psi0) = omega|_H or None, i the index of the checked
+    obstruction or None, as ``admissible_subgroups`` solved before it
+    refused a subgroup by inclusion."""
+    D = cat.den
+    return [(H, *cohomology._solve(H.as_group(), 3, _numerators_on(cat.omega, H.members, D), D))
+            for H in subgroups(cat.group)]
+
+
+def pushed_obstruction(K, i, H):
+    """The obstruction z with index i of _solve on K's view, a sparse functional
+    on identity-free 3-tuples, re-indexed along the inclusion K -> H onto the
+    3-tuples of H's view: ``_factor(K, 2).kernel[i]``, or, past the kernel,
+    the row of d^3 with first argument in generators(K) that _solve names."""
+    Kv, Hv = K.as_group(), H.as_group()
+    kernel = cohomology._factor(Kv, 2).kernel
+    if i < len(kernel):
+        z = kernel[i]
+    else:
+        k, elems = i - len(kernel), [a for a in Kv.elements() if a != Kv.identity]
+        tuples = islice(product(generators(Kv), elems, elems, elems), k, k + 1)
+        [z] = cohomology._coboundary_rows(Kv, 3, tuples).values()
+    pos = {x: k for k, x in enumerate(H.members)}
+    return sorted((_tuple_index(Hv, tuple(pos[K.members[a]] for a in _index_tuple(Kv, j, 3))), c)
+                  for j, c in z)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+from collections import Counter
 from math import gcd, lcm
 from types import SimpleNamespace
 
@@ -19,11 +20,12 @@ from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseErro
                     zero_cochain)
 from modcat import NotCompatible, cohomology, qz
 from modcat.classify import DEFAULT_SIZE_LIMIT, _action, _criterion, _move
-from modcat.cochains import _numerators_on
+from modcat.cochains import _index_tuple, _numerators_on
 from modcat.cohomology import _h2_classes, numerators
 from modcat.pointed import _twist
 from oracles import (big_omega_qz, brute_trivial_omega_classes, omega_fingerprint_qz,
-                     random_cochain, relabel, restrict_qz, solve_every_g)
+                     pushed_obstruction, random_cochain, relabel, restrict_qz, solve_every_g,
+                     solve_every_subgroup)
 from test_solver import blind_signature, check_with_basis
 
 
@@ -710,29 +712,125 @@ def test_stored_witnesses_are_those_equivalent_pairs_finds(name):
     assert checked == len(pairs) - report.class_count
 
 
+def unrefused_subgroups(make):
+    """The members of each subgroup of make()'s group that contains no subgroup
+    that a degree-3 solve refuses (``solve_every_subgroup``, on a category of
+    its own), in the order of subgroups(G): those that admissible_subgroups
+    solves."""
+    every = solve_every_subgroup(make())
+    refused = [set(K.members) for K, psi0, _ in every if psi0 is None]
+    return [H.members for H, *_ in every if not any(K < set(H.members) for K in refused)]
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_classify_solves_once_per_subgroup_and_per_witness(monkeypatch, name):
-    # one admissibility solve per subgroup and one solve per non-representative
-    # member, at the element the orbit walk found: no trial solves, and no
-    # equivalent_pairs search
+    # one admissibility solve per subgroup that contains no subgroup a solve
+    # refused, and one solve per non-representative member, at the element
+    # the orbit walk found: no trial solves, and no equivalent_pairs search
     module, calls = importlib.import_module("modcat.classify"), []
     real = module._solve
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append((args[1], args[0].members))
         return real(*args)
 
     def forbidden(*args):
         raise AssertionError("classify searched for a witness")
 
+    solved = unrefused_subgroups(ORACLE_CASES[name])
     monkeypatch.setattr(module, "_solve", counted)
     monkeypatch.setattr(module, "equivalent_pairs", forbidden)
     cat = ORACLE_CASES[name]()
     report = classify(cat)
     others = len(report.pairs) - report.class_count
-    assert calls == [3] * len(subgroups(cat.group)) + [2] * others
+    assert [n for n, _ in calls] == [3] * len(solved) + [2] * others
+    assert [members for n, members in calls if n == 3] == solved
+    assert len(solved) == {"kp": 9, "cyclic12-2": 4, "dihedral12-sign": 10}.get(
+        name, len(subgroups(cat.group)))
     if name == "D8xZ2":
         assert len(calls) == 51
+
+
+def cyclic_category(n, q):
+    return PointedCategory(cyclic_group(n), cyclic_3cocycle(cyclic_group(n), q))
+
+
+INFERENCE_CASES = {
+    **ORACLE_CASES,
+    "dihedral8-sign": lambda: sign_category(8),
+    "dihedral16-sign": lambda: sign_category(16),
+    **{f"cyclic{n}-{q}": (lambda n=n, q=q: cyclic_category(n, q))
+       for n, qs in ((12, (1, 3, 6)), (16, (1, 2, 8)), (32, (1, 4, 16))) for q in qs},
+    # a 3-cochain that is no cocycle, which no PointedCategory accepts, though
+    # admissible_subgroups reads only these fields and the inference holds for
+    # any omega: the rotations of D_8 are refused by a row of d^3, and D_8
+    # unsolved
+    "dihedral8-noncocycle": lambda: SimpleNamespace(
+        group=dihedral_group(8), den=2,
+        omega=Cochain(dihedral_group(8), 3, {(2, 1, 1): QZ(1, 2)})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFERENCE_CASES))
+def test_refusal_by_inclusion_matches_a_solve_on_every_subgroup(monkeypatch, name):
+    # admissible_subgroups solves only the subgroups that contain no refused
+    # one, and gives what a solve on every subgroup gives; the obstruction of
+    # a refused K inside a skipped H, moved up the inclusion, refuses H: it is
+    # in the left kernel of d^2 on H and does not vanish on omega|_H
+    module, solved = importlib.import_module("modcat.classify"), set()
+    real = module._solve
+
+    def recorded(group, n, b, D):
+        solved.add(group.members)
+        return real(group, n, b, D)
+
+    cat = INFERENCE_CASES[name]()
+    monkeypatch.setattr(module, "_solve", recorded)
+    got = admissible_subgroups(cat)
+    monkeypatch.undo()
+    every = solve_every_subgroup(cat)
+    assert [(H.members, psi0.values) for H, psi0 in got] == \
+        [(H.members, psi0.values) for H, psi0, _ in every if psi0 is not None]
+    refused = [(K, i) for K, psi0, i in every if psi0 is None]
+    skipped = [H for H, *_ in every if H.members not in solved]
+    assert skipped == [H for H, _ in refused
+                       if any(set(K.members) < set(H.members) for K, _ in refused)]
+    if name in ("kp", "dihedral12-sign", "cyclic12-2"):
+        assert skipped
+    D, rows_of_d3 = cat.den, 0
+    for H in skipped:
+        view, omega = H.as_group(), _numerators_on(cat.omega, H.members, D)
+        below = [(K, i) for K, i in refused
+                 if K.members in solved and set(K.members) < set(H.members)]
+        assert below
+        for K, i in below:
+            rows_of_d3 += i >= len(cohomology._factor(K.as_group(), 2).kernel)
+            z = pushed_obstruction(K, i, H)
+            rows = cohomology._coboundary_rows(view, 2, (_index_tuple(view, j, 3) for j, _ in z))
+            zA = Counter()
+            for j, c in z:
+                for col, v in rows[j]:
+                    zA[col] += c * v
+            assert not any(zA.values())
+            assert sum(c * omega[j] for j, c in z) % D
+    assert bool(rows_of_d3) == (name == "dihedral8-noncocycle")
+
+
+@pytest.mark.parametrize("make, orders", [
+    (lambda: cyclic_category(64, 1), [2]),
+    (ORACLE_CASES["dihedral12-sign"], [2]),
+    (ORACLE_CASES["kp"], [4]),
+], ids=["cyclic64-1", "dihedral12-sign", "kp"])
+def test_only_solved_subgroups_factor_d2(make, orders):
+    # the echelon form of d^2 is built for a table only where a solve reads
+    # it: none above a refused subgroup, and none where omega restricts to
+    # zero.  Solving every subgroup built it for the tables of orders 2, 4,
+    # 8, 16, 32 and 64, of 2, 4, 6 and 12, and of 4 and 8
+    cat = make()
+    classify(cat, size_limit=64)
+    tables = cat.group._cache["tables"]
+    assert sorted(len(t) for t, store in tables.items() if ("echelon", 2) in store) == orders
+    assert ("echelon", 2) not in cat.group._cache
 
 
 def test_tampered_kernel_functional_makes_classify_raise(monkeypatch):
