@@ -18,8 +18,8 @@ from .classify import (DEFAULT_SIZE_LIMIT, classify, equivalent_pairs,
 from .cochains import (Cochain, cochain_from_json, cochain_to_json,
                        cyclic_3cocycle, is_cocycle, restrict, zero_cochain)
 from .cohomology import _solve_cochain, h2_representatives
-from .errors import ModcatError, ParseError, SizeLimitExceeded
-from .groups import (Group, Subgroup, _declared_order, builtin_group,
+from .errors import DegreeMismatch, ModcatError, ParseError, SizeLimitExceeded
+from .groups import (Group, Subgroup, _declared_order, _json_int, builtin_group,
                      group_from_json, group_to_json, subgroup_conjugacy_classes,
                      subgroups)
 from .pointed import PointedCategory, big_omega, validate_pair
@@ -159,6 +159,8 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_cocycle_check(args) -> int:
+    if args.degree > 4:  # d of a 3-cochain; a cochain of degree k holds (|G| - 1)^k values
+        raise DegreeMismatch(f"cocycle-check supports degrees up to 4, not {args.degree}")
     G = load_group(args.group, args.size_limit)
     if args.cocycle.startswith("@"):
         c = cochain_from_json(_read_json_file(args.cocycle[1:]), group=G,
@@ -184,6 +186,9 @@ def cmd_solve(args) -> int:
     data = _read_json_file(args.target[1:])
     if not isinstance(data, dict):
         raise ParseError(f"{args.target[1:]} does not hold a target object")
+    degree = _json_int(data, "degree", "cochain")
+    if degree not in (2, 3):  # checked before the (|G| - 1)^degree values are allocated
+        raise DegreeMismatch(f"solve supports target degrees 2 and 3, not {degree}")
     if args.group:
         group = load_group(args.group, args.size_limit)
     else:  # the target's own group; cochain_from_json says if it is missing

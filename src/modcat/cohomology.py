@@ -37,13 +37,13 @@ rewritten on those columns, is eliminated (for the dihedral group of order
 pivots as they stand, followed by the echelon form of R, its T lifted back
 to rows of A_S along the tree (``_d2_echelon``).  H^2 takes the distinct
 rows of R: sparse elimination on unit pivots splits a 1 off the Smith form
-per pivot, and a dense Smith normal form (V only) takes the few rows and
-columns that are left (1 x 15 for the dihedral group of order 16).  Its
-invariant factors give the order of H^2(G, Q/Z); its V columns, lifted back
-through the unit pivots, then along the tree by its recurrence, give one
-2-cocycle per cyclic factor, and the matching rows of V^-1 one dual integer
-2-cycle each: as H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z), pairing with them tells
-the classes apart.
+per pivot, and a dense Smith normal form (V, and V^-1 kept beside it) takes
+the few rows and columns that are left (1 x 15 for the dihedral group of
+order 16).  Its invariant factors give the order of H^2(G, Q/Z); its V
+columns, lifted back through the unit pivots, then along the tree by its
+recurrence, give one 2-cocycle per cyclic factor, and the matching rows of
+V^-1 one dual integer 2-cycle each: as H^2(G, Q/Z) = Hom(H_2(G, Z), Q/Z),
+pairing with them tells the classes apart.
 
 The echelon forms, the rows of d^1, the Schreier tree and H^2 are memoized,
 write-once, per table: they are pure functions of the multiplication table,
@@ -67,7 +67,7 @@ from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _index_tupl
                        _tuple_index, combine, nonidentity_tuples, numerators, zero_cochain)
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, _table_memo, generators
-from .smith import SNF, _xgcd, smith_normal_form, unimodular_inverse
+from .smith import SNF, _xgcd, smith_normal_form
 
 __all__ = [
     "SNF",
@@ -429,19 +429,21 @@ def _h2_basis(group: Group) -> H2Basis:
     The unit pivots of _eliminate on R, without T, each split a 1 off the
     Smith form (Dumas, Saunders and Villard, 2001), and only the rows left,
     nonzero on a few columns, go through the dense smith_normal_form, with
-    V.  For each invariant factor d_j > 1 there, V[:, j] * (M / d_j) solves
-    the residual mod M; back-substitution in reverse pivot order lifts it to
-    R's pivot columns, so to every edge value psi(s, b), and the tree, in
-    breadth-first order, to every column by the recurrence of ``_relations``,
-    psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a) mod M.  Columns
+    V and V^-1 kept beside it.  For each invariant factor d_j > 1 there,
+    V[:, j] * (M / d_j) solves the residual mod M; back-substitution in
+    reverse pivot order lifts it to R's pivot columns, so to every edge value
+    psi(s, b), and the tree, in breadth-first order, to every column by the
+    recurrence of ``_relations``, psi(g, b) = psi(a, b) + psi(s, ab) -
+    psi(s, a) mod M.  Columns
     with d_j = 0, and columns left free, give integer cocycles: coboundaries
     over Q/Z, since H^2(G, Q) = 0, so they are not kept.  For the same
     reason rank R = (|S| - 1)(M - 1), the rank of A_S over Q less the tree
     pivots; a factorization that misses it raises.
 
-    Row k of V^-1 on the live edge columns (s, b) is the cycle z_k: the edge
-    values x of a coboundary lie in ker R, so (V^-1 x_live)_k = 0 wherever
-    d_k != 0, and V^-1 V = I gives <z_k, r_j> = delta_jk M / d_k mod M.
+    Row k of V^-1, kept beside V (``snf.Vinv``), on the live edge columns
+    (s, b) is the cycle z_k: the edge values x of a coboundary lie in ker R,
+    so (V^-1 x_live)_k = 0 wherever d_k != 0, and V^-1 V = I gives
+    <z_k, r_j> = delta_jk M / d_k mod M.
     """
     M, e, table = group.order, group.identity, group.table
     S, n = generators(group), M - 1
@@ -467,17 +469,18 @@ def _h2_basis(group: Group) -> H2Basis:
             f"relation matrix has rank {rank}, expected {(len(S) - 1) * n}")
 
     torsion, gens, cycles = [], [], []
-    inverse = unimodular_inverse(snf.V) if any(d > 1 for d in snf.diag) else None
     tree = _schreier_tree(group)
     for k, d in enumerate(snf.diag):
         if d <= 1:
             continue
         if M % d:
             raise InternalInvariantBroken(f"invariant factor {d} does not divide {M}")
-        x = {c: snf.V[i][k] * (M // d) % M for i, c in enumerate(live)}
+        x = [0] * (len(S) * n)
+        for i, c in enumerate(live):
+            x[c] = snf.V[i][k] * (M // d) % M
         for c, p, rest, _ in reversed(pivots):
-            x[c] = -p * sum(v * x.get(j, 0) for j, v in rest) % M
-        psi = {s: [0 if b == e else x.get(i * n + b - (b > e), 0) for b in group.elements()]
+            x[c] = -p * _dot(rest, x) % M
+        psi = {s: [0 if b == e else x[i * n + b - (b > e)] for b in group.elements()]
                for i, s in enumerate(S)}
         for g, (s, a) in tree.items():  # psi(g, b) = psi(a, b) + psi(s, ab) - psi(s, a)
             psi_a, psi_s, row_a = psi[a], psi[s], table[a]
@@ -486,7 +489,7 @@ def _h2_basis(group: Group) -> H2Basis:
         gens.append(tuple((i * n + j, psi[g][b]) for i, g in enumerate(elems)
                           for j, b in enumerate(elems) if psi[g][b]))
         cycles.append(tuple((_tuple_index(group, (S[c // n], elems[c % n])), v)
-                            for c, v in zip(live, inverse[k]) if v))
+                            for c, v in zip(live, snf.Vinv[k]) if v))
     return H2Basis(torsion, gens, cycles)
 
 

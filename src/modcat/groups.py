@@ -85,7 +85,7 @@ class Group:
             return self.names.index(name)
         except ValueError:
             pass
-        if name.isdigit() and int(name) < self.order:
+        if name.isdecimal() and int(name) < self.order:
             return int(name)
         raise ParseError(f"no element named {name!r}")
 

@@ -3,8 +3,9 @@
 ``cohomology._h2_basis`` eliminates the relation matrix of H^2 sparsely on
 unit pivots, hands the few rows and columns left to ``smith_normal_form``, and
 takes the class generators of H^2 from the columns of V and their dual cycles
-from ``unimodular_inverse(V)``.  Nothing reads the row transform U, so it is
-not tracked.
+from the rows of V^-1, kept beside V: each column operation on V is matched by
+its inverse row operation on V^-1 (M. Newman, *Integral Matrices*, 1972,
+ch. II).  Nothing reads the row transform U, so it is not tracked.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import List, NamedTuple, Tuple
 
 class SNF(NamedTuple):
     """U * A * V = D for some unimodular U, a unimodular V and a diagonal D
-    with d_i | d_{i+1}; U is not kept.
+    with d_i | d_{i+1}; U is not kept, and Vinv is V^-1.
 
     ``diag`` lists the diagonal of D (nonzero invariant factors first, then
     zeros), and the columns of A V past the nonzero ones are zero.
@@ -22,6 +23,7 @@ class SNF(NamedTuple):
 
     diag: List[int]
     V: List[List[int]]
+    Vinv: List[List[int]]
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -38,9 +40,15 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 def smith_normal_form(A: List[List[int]], nrows: int, ncols: int) -> SNF:
     """Exact integer Smith normal form of the nrows x ncols matrix A, with the
-    column transform V."""
+    column transform V and its inverse.
+
+    >>> snf = smith_normal_form([[2, 3]], 1, 2)
+    >>> snf.diag, snf.V, snf.Vinv
+    ([1], [[-1, -3], [1, 2]], [[2, 3], [-1, -1]])
+    """
     D = [list(row) for row in A]
     V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    W = [list(row) for row in V]  # V^-1: each column operation on V, undone on its rows
 
     def swap_rows(i1, i2):
         if i1 != i2:
@@ -52,6 +60,7 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int) -> SNF:
         for M in (D, V):
             for row in M:
                 row[j1], row[j2] = row[j2], row[j1]
+        W[j1], W[j2] = W[j2], W[j1]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src
@@ -65,6 +74,7 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int) -> SNF:
             for row in M:
                 if row[src]:
                     row[dst] += q * row[src]
+        W[src] = [s - q * d for s, d in zip(W[src], W[dst])]
 
     def combine_rows(i1, i2, j):
         # make D[i1][j] = gcd, D[i2][j] = 0, via a unimodular 2x2 transform
@@ -104,6 +114,9 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int) -> SNF:
                 if aa or bb:
                     row[j1] = x * aa + y * bb
                     row[j2] = mbg * aa + ag * bb
+        w1, w2 = W[j1], W[j2]  # the inverse of [[x, mbg], [y, ag]], whose determinant is 1
+        W[j1] = [ag * u - mbg * v for u, v in zip(w1, w2)]
+        W[j2] = [x * v - y * u for u, v in zip(w1, w2)]
 
     def find_pivot(k):
         best = None
@@ -159,31 +172,5 @@ def smith_normal_form(A: List[List[int]], nrows: int, ncols: int) -> SNF:
                 changed = True
 
     diag = [D[i][i] for i in range(min(nrows, ncols))]
-    return SNF(diag, V)
+    return SNF(diag, V, W)
 
-
-def unimodular_inverse(V: List[List[int]]) -> List[List[int]]:
-    """V^-1 for a square integer matrix V with determinant +-1, by integer row
-    operations on [V | I]: 2x2 extended-gcd combines bring the gcd of each
-    column, a unit, onto the diagonal, and that row then clears the column.
-
-    >>> unimodular_inverse([[2, 3], [1, 2]])
-    [[2, -3], [-1, 2]]
-    """
-    n = len(V)
-    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(V)]
-    for k in range(n):
-        for i in range(k + 1, n):
-            a, b = A[k][k], A[i][k]
-            if b:
-                x, y, g = _xgcd(a, b)
-                A[k], A[i] = ([x * u + y * v for u, v in zip(A[k], A[i])],
-                              [(a // g) * v - (b // g) * u for u, v in zip(A[k], A[i])])
-        if A[k][k] not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        A[k] = [A[k][k] * u for u in A[k]]
-        for i in range(n):
-            q = A[i][k] if i != k else 0
-            if q:
-                A[i] = [v - q * u for u, v in zip(A[k], A[i])]
-    return [row[n:] for row in A]

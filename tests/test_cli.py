@@ -177,6 +177,26 @@ def test_solve_target_with_a_non_integer_field_is_input_error(capsys, tmp_path, 
     assert code == 2 and out == "" and "must be an integer" in err
 
 
+# a cochain of degree k on cyclic:16 holds 15^k values: degree 20 is refused
+# before the list is made, which Python could not index
+@pytest.mark.parametrize("degree", [-1, 0, 1, 4, 20])
+def test_solve_refuses_a_target_degree_other_than_2_or_3(capsys, tmp_path, degree):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"group": "cyclic:16", "degree": degree, "values": []}))
+    code, out, err = run(capsys, "solve", "--target", f"@{path}")
+    assert code == 2 and out == "" and f"not {degree}" in err
+
+
+@pytest.mark.parametrize("order, degree, code", [(4, 4, 0), (4, 5, 2), (16, 20, 2)])
+def test_cocycle_check_refuses_a_degree_above_4(capsys, tmp_path, order, degree, code):
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"group": f"cyclic:{order}", "degree": degree, "values": []}))
+    got, out, err = run(capsys, "cocycle-check", "--group", f"cyclic:{order}",
+                        "--cocycle", f"@{path}", "--degree", str(degree))
+    assert got == code
+    assert (out == "" and "up to 4" in err) if code else "cocycle: yes" in out
+
+
 @pytest.mark.parametrize("content", ["null", "[]", '"cyclic:2"'],
                          ids=["null", "list", "string"])
 @pytest.mark.parametrize("group", [[], ["--group", "cyclic:2"]], ids=["own", "given"])
@@ -267,8 +287,9 @@ def test_malformed_psi_json_is_input_error(capsys, psi):
     ["equiv", "--group", "kp", "--omega", "trivial",
      "--pair1", "H=[0, true];psi=zero", "--pair2", "full:zero"],
     ["group-info", "--group", "cyclic:\u00b2"],  # a digit that int() does not read
+    ["omega-g", "--group", "kp", "--omega", "kp", "--g", "\u00b2"],
 ], ids=["omega-cyclic-n", "cocycle-cyclic-q", "restrict-token", "members-int",
-        "members-bool", "group-superscript-digit"])
+        "members-bool", "group-superscript-digit", "g-superscript-digit"])
 def test_malformed_spec_is_input_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error:" in err

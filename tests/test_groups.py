@@ -51,6 +51,15 @@ def test_cyclic_four():
     assert G.inverse[1] == 3
 
 
+def test_element_index_reads_names_and_decimal_indices_only():
+    G = cyclic_group(4)
+    assert [G.element_index(s) for s in ("a^2", "3", "0")] == [2, 3, 0]
+    # "²" and "④" are digits to str.isdigit, but int() reads neither
+    for name in ("4", "²", "④", "a^4", "-1"):
+        with pytest.raises(ParseError, match="no element"):
+            G.element_index(name)
+
+
 def test_dihedral_eight_structure():
     G = dihedral_group(8)
     assert G.order == 8 and not G.is_abelian()
