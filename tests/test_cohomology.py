@@ -209,6 +209,52 @@ def test_snf_seeds_reach_the_gcd_column_combine_and_the_divisibility_fix():
     assert combine and fix  # today seeds 1, 3, 4, 8, 9 and 11, and seed 9
 
 
+def divisor_rich_case(rng):
+    # entries sharing factors 2 and 3, so that both the gcd combines and the
+    # d_i | d_{i+1} fix run often
+    nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+    return [[rng.choice((0, 0, 1, 2, 3, 4, 6, 8, 12)) * rng.choice((1, -1))
+             for _ in range(ncols)] for _ in range(nrows)], nrows, ncols
+
+
+def d8xz2xz2_residuals(monkeypatch):
+    """Every matrix _h2_basis hands smith_normal_form for the subgroups of
+    D8xZ2xZ2."""
+    captured, real = [], cohomology.smith_normal_form
+
+    def recorded(A, nrows, ncols):
+        captured.append(([list(row) for row in A], nrows, ncols))
+        return real(A, nrows, ncols)
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", recorded)
+    for H in subgroups(direct_product(d8xz2(), cyclic_group(2))):
+        cohomology._h2_basis(H.as_group())
+    return captured
+
+
+# sha256 of repr((diag, V, Vinv)) of smith_normal_form, one line per matrix
+SNF_SHA256 = {
+    "divisor-rich": "b137048e1106d5b8acf7f2e57b38ea45a52225cefbaf114c49ec2e6576c674fc",
+    "D8xZ2xZ2-residuals": "ee3a9aefde6a2e63303bab04131c922f846339d4700ed43e98e9447116282aca",
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("name", SNF_SHA256)
+def test_smith_normal_form_bytes_are_pinned(monkeypatch, name):
+    if name == "divisor-rich":
+        rng = random.Random(30)
+        cases = [divisor_rich_case(rng) for _ in range(300)]
+    else:
+        cases = d8xz2xz2_residuals(monkeypatch)
+        assert len(cases) == 158
+    digest = hashlib.sha256()
+    for A, nrows, ncols in cases:
+        snf = smith_normal_form(A, nrows, ncols)
+        digest.update((repr((snf.diag, snf.V, snf.Vinv)) + "\n").encode())
+    assert digest.hexdigest() == SNF_SHA256[name]
+
+
 # --- solve_coboundary -------------------------------------------------------
 
 def test_solve_zero_target():
