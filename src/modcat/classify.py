@@ -464,8 +464,10 @@ def _index(value, bound: int, where: str) -> int:
 def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
     """Rebuild a report against a category and re-verify it completely.
 
-    A missing or mistyped field, or an index out of range, is a ParseError;
-    a pair that does not satisfy d(psi) = omega|_H fails in ``verify``.
+    A missing or mistyped field, an index out of range, or a pair's "H" that
+    is not strictly ascending, as ``report_to_json`` writes it, is a
+    ParseError; a pair that does not satisfy d(psi) = omega|_H fails in
+    ``verify``.
     """
     G = group_from_json(_field(data, "group", dict, "report"))
     if G != cat.group:
@@ -480,6 +482,8 @@ def report_from_json(data: dict, cat: PointedCategory) -> ClassificationReport:
     for entry in _field(data, "pairs", list, "report"):
         members = [_index(m, G.order, "subgroup member")
                    for m in _field(entry, "H", list, "pair")]
+        if members != sorted(set(members)):  # Subgroup would sort and dedup them
+            raise ParseError(f"report JSON: pair H {members} is not strictly ascending")
         H = Subgroup(cat.group, members)
         psi = cochain_from_json({"degree": 2,
                                  "values": _field(entry, "psi", list, "pair")},

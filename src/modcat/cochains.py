@@ -19,8 +19,8 @@ from typing import List, Mapping, Optional, Tuple
 
 from .errors import (DegreeMismatch, GroupMismatch, InternalInvariantBroken, NotASubgroup,
                      ParseError)
-from .groups import (Group, Subgroup, _closure, _element, _json_int, builtin_group, generators,
-                     group_from_json, group_to_json)
+from .groups import (Group, Subgroup, _closure, _declared_order, _element, _json_int,
+                     builtin_group, generators, group_from_json, group_to_json)
 from .qz import QZ, ZERO, qz
 
 __all__ = [
@@ -350,7 +350,8 @@ def cochain_from_json(data, group: Optional[Group] = None,
     Omitted tuples are zero; identity-containing tuples must be absent or
     have value zero; values must be exact "p/q" strings (floats rejected) and
     arguments lists of integer indices.  ``group`` overrides the embedded
-    group reference when supplied.  Malformed input is a ParseError.
+    group reference when supplied, and that reference, if any, must then
+    declare ``group``'s order.  Malformed input is a ParseError.
     """
     if not isinstance(data, dict):
         raise ParseError("cochain JSON must be an object")
@@ -361,9 +362,8 @@ def cochain_from_json(data, group: Optional[Group] = None,
         group = builtin_group(ref) if isinstance(ref, str) else group_from_json(ref)
     else:
         ref = data.get("group")
-        if isinstance(ref, dict) and "order" in ref:
-            if _json_int(ref, "order", "cochain group") != group.order:
-                raise ParseError("cochain JSON group order does not match")
+        if ref is not None and _declared_order(ref) != group.order:
+            raise ParseError("cochain JSON group order does not match")
     degree = _json_int(data, "degree", "cochain")
     if expect_degree is not None and degree != expect_degree:
         raise DegreeMismatch(f"expected degree {expect_degree}, file has {degree}")

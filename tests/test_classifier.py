@@ -591,6 +591,20 @@ def test_report_from_json_malformed_nested_fields_are_parse_errors():
             report_from_json(bad, kp.category)
 
 
+@pytest.mark.parametrize("members", [[1, 0], [0, 0, 1], [1, 0, 0]],
+                         ids=["descending", "duplicate", "both"])
+def test_report_from_json_refuses_a_pair_subgroup_not_strictly_ascending(members):
+    # Subgroup would sort and dedup them back to [0, 1], so the report would
+    # verify and serialize to other bytes than those parsed
+    from modcat import ParseError
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    pair = next(p for p in data["pairs"] if p["H"] == [0, 1])
+    pair["H"] = members
+    with pytest.raises(ParseError, match="strictly ascending"):
+        report_from_json(data, kp.category)
+
+
 @pytest.mark.parametrize("args", [5, [1, "x"], None, [True, 1]],
                          ids=["int", "str-index", "null", "bool-index"])
 def test_report_from_json_malformed_psi_args_are_parse_errors(args):

@@ -391,6 +391,20 @@ def test_cyclic_omega_spec(capsys):
     assert json.loads(out)["class_count"] == 1
 
 
+@pytest.mark.parametrize("ref, code", [("kp", 0), ("dihedral:8", 0), ("cyclic:4", 2),
+                                       ("nonsense:9", 2), ({"order": 4}, 2),
+                                       ({"table": [[0]]}, 2), (8, 2)],
+                         ids=["same", "same-order", "other-order", "unknown", "inline-order",
+                              "inline-without-order", "number"])
+def test_omega_file_group_reference_must_declare_the_groups_order(capsys, tmp_path, ref, code):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"group": ref, "degree": 3, "values": []}))
+    got, out, err = run(capsys, "classify", "--group", "kp", "--omega", f"@{path}",
+                        "--format", "json")
+    assert got == code
+    assert (out == "" and "group" in err) if code else json.loads(out)["class_count"] == 11
+
+
 def test_group_info_size_limit(capsys):
     code, _, err = run(capsys, "group-info", "--group", "cyclic:20",
                        "--size-limit", "4")

@@ -183,18 +183,23 @@ def test_snf_reconstruction_and_unimodularity(seed):
 
 
 def test_snf_seeds_reach_the_gcd_column_combine_and_the_divisibility_fix():
-    # the V^-1 check above tests the inverse of every column operation only
-    # if some seed runs it: the 2x2 gcd combine of two columns, and the
-    # d_i | d_{i+1} fix; the lines each seed runs in smith.py are recorded
+    # the V^-1 check above tests the inverse of every kind of column step only
+    # if some seed runs it: a 2x2 gcd combine of two columns, and the
+    # d_i | d_{i+1} fix; each line a seed runs in smith.py is recorded with
+    # the line of smith.py that called its function
     source = smith_normal_form.__code__.co_filename
     reached = {}
+
+    def text(frame):
+        return linecache.getline(source, frame.f_lineno).split("#")[0].strip()
 
     def tracer(frame, event, arg):
         if frame.f_code.co_filename != source:
             return None
         if event == "line":
-            line = linecache.getline(source, frame.f_lineno).split("#")[0].strip()
-            reached.setdefault((frame.f_code.co_name, line), set()).add(seed)
+            caller = frame.f_back
+            called_from = text(caller) if caller.f_code.co_filename == source else None
+            reached.setdefault((text(frame), called_from), set()).add(seed)
         return tracer
 
     previous = sys.gettrace()
@@ -204,8 +209,8 @@ def test_snf_seeds_reach_the_gcd_column_combine_and_the_divisibility_fix():
             smith_normal_form(*snf_case(seed))
         finally:
             sys.settrace(previous)
-    combine = reached.get(("combine_cols", "x, y, g = _xgcd(a, b)"))
-    fix = reached.get(("smith_normal_form", "add_col(i, i + 1, 1)"))
+    combine = reached.get(("x, y, g = _xgcd(a, b)", "cols(k, j, _step(D[k][k], D[k][j]))"))
+    fix = reached.get(("cols(i, i + 1, ((1, 1), (0, 1)))", None))
     assert combine and fix  # today seeds 1, 3, 4, 8, 9 and 11, and seed 9
 
 
