@@ -1,5 +1,6 @@
 """The sparse echelon solver and its certified answers."""
 
+import hashlib
 import random
 import re
 from itertools import islice, product
@@ -107,6 +108,82 @@ def test_echelon_form_of_random_matrices(seed):
             dense[k] = v
         T.append(dense)
     assert abs(bareiss_det(T)) == 1
+
+
+def divisor_rich_rows(rng):
+    # entries sharing factors 2 and 3 beside a few units, so that columns
+    # without a unit entry are common and are cleared by both kinds of step
+    nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 10)
+    values = (0, 0, 0, 0, 1, 2, 3, 4, 6, 8, 9, 12)
+    rows = [tuple((j, v) for j in range(ncols)
+                  for v in [rng.choice(values) * rng.choice((1, -1))] if v)
+            for _ in range(nrows)]
+    return rows, ncols
+
+
+def test_echelon_seeds_reach_the_divisible_and_the_bezout_step_without_a_unit(monkeypatch):
+    # a column without a unit entry is cleared below its pivot a by an
+    # elementary step where a divides the entry b and by a Bezout step where
+    # it does not; divisible steps leave a as it is, so the first step on
+    # the column is divisible when the first other entry is, and some step
+    # is a Bezout step when any other entry is not divisible by a
+    real, reached = cohomology._choose_pivot, set()
+
+    def recorded(work, colrows, urow=None):
+        r, c, unit = real(work, colrows, urow)
+        if not unit:
+            a, others = work[r][c], [work[r2][c] for r2 in sorted(colrows[c] - {r})]
+            if others and others[0] % a == 0:
+                reached.add("divisible")
+            if any(b % a for b in others):
+                reached.add("bezout")
+        return r, c, unit
+
+    monkeypatch.setattr(cohomology, "_choose_pivot", recorded)
+    rng = random.Random(31)
+    for _ in range(300):
+        echelon_form(*divisor_rich_rows(rng))
+    assert reached == {"divisible", "bezout"}
+
+
+def echelon_pin_groups():
+    d8xz2 = direct_product(dihedral_group(8), cyclic_group(2))
+    return {"D8xZ2": d8xz2, "Z4xZ4": direct_product(cyclic_group(4), cyclic_group(4)),
+            "dihedral16": dihedral_group(16), "cyclic16": cyclic_group(16),
+            "kp": kp_group(), "cyclic12": cyclic_group(12), "dihedral12": dihedral_group(12),
+            "D8xZ2xZ2": direct_product(d8xz2, cyclic_group(2))}
+
+
+# sha256 of repr((pivots, kernel)) of the echelon forms, one line each: of
+# _factor(view, 1) and _factor(view, 2) for every distinct subgroup table of
+# the benchmark's seven groups and D8xZ2xZ2, and of echelon_form on 300
+# divisor-rich matrices
+ECHELON_SHA256 = {
+    "divisor-rich": "e50ba6e178637d90478fe20cb63c111e2c4209f5a94641950a06d163728e268a",
+    "D8xZ2": "ec482c598ef68f4123270f582c91567ed0d49ff9ec9dfaf380925661205b29c0",
+    "Z4xZ4": "2c61e5d4a230d76f32e74e73759ac1b52b394d0113a93965fafa542b6710e7f1",
+    "dihedral16": "4abee273cd3cd1749ad9ad1ee2459f584e46ae5a32275b73ae2b8e74e76e21cb",
+    "cyclic16": "5a28432c2501f169e642ec79b6df7a319cded586110f0bda9fcf823f4d2ca479",
+    "kp": "0cfce9a3c36c52d39eb15d14c95abc07bf119004aee3263ec295fbca6e6ce3bf",
+    "cyclic12": "ad2b709e3264e760ca027781ee4412835bf4343a2699e1dee59e9ca50366284b",
+    "dihedral12": "32e9e430855157fea94d7cfa82f1f89b23a6baadeb2f88c7851c57220b554df6",
+    "D8xZ2xZ2": "a004efafd5178808d336d484d933292f7065d4d4b1b222f707aa302381d67027",
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("name", ECHELON_SHA256)
+def test_echelon_form_bytes_are_pinned(name):
+    if name == "divisor-rich":
+        rng = random.Random(31)
+        forms = [echelon_form(*divisor_rich_rows(rng)) for _ in range(300)]
+    else:
+        tables = {v.table: v for v in views_of(echelon_pin_groups()[name])}
+        forms = [cohomology._factor(v, n) for v in tables.values() for n in (1, 2)]
+    digest = hashlib.sha256()
+    for ech in forms:
+        digest.update((repr((ech.pivots, ech.kernel)) + "\n").encode())
+    assert digest.hexdigest() == ECHELON_SHA256[name]
 
 
 @pytest.mark.parametrize("G", [dihedral_group(6), kp_group(), cyclic_group(12)],
