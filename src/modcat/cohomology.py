@@ -3,7 +3,8 @@
 The coboundary operator on normalized cochains is an integer matrix A once
 tuples are flattened in a fixed order.  Solving A x = b over the divisible
 coefficients Q/Z goes through one sparse echelon form per (group, degree):
-unimodular row operations T with T A = E, where E is in row echelon form.
+unimodular row operations T with T A = E, where E is in row echelon form,
+each one the 2x2 step ``smith._step`` on two rows (``_rows``).
 The rows of T whose E row is zero form an integer basis of the kernel
 functionals {z : z A = 0}, and because Q/Z is divisible, b is a coboundary
 exactly when z . b = 0 in Q/Z for every one of them.  A witness then comes
@@ -67,7 +68,7 @@ from .cochains import (Cochain, _coboundary_numerators, _cocycle_on, _index_tupl
                        _tuple_index, combine, nonidentity_tuples, numerators, zero_cochain)
 from .errors import DegreeMismatch, InternalInvariantBroken
 from .groups import Group, _table_memo, generators
-from .smith import SNF, _xgcd, smith_normal_form
+from .smith import SNF, Step, _step, smith_normal_form
 
 __all__ = [
     "SNF",
@@ -148,30 +149,19 @@ class Echelon(NamedTuple):
 _SEARCH_COLUMNS = 3
 
 
-def _axpy(dst: dict, src: dict, q: int, colrows=None, rid=None) -> None:
-    """dst += q * src on sparse dict rows, keeping column occupancy current."""
-    for j, v in src.items():
-        nv = dst.get(j, 0) + q * v
-        if nv:
-            if colrows is not None and j not in dst:
-                colrows[j].add(rid)
-            dst[j] = nv
-        elif j in dst:
-            del dst[j]
-            if colrows is not None:
-                colrows[j].discard(rid)
-
-
-def _mix(d1: dict, d2: dict, x: int, y: int, s: int, t: int,
-         colrows=None, r1=None, r2=None) -> None:
-    """(d1, d2) <- (x d1 + y d2, s d1 + t d2) on sparse dict rows."""
-    for j in sorted(set(d1) | set(d2)):
-        a, b = d1.get(j, 0), d2.get(j, 0)
-        for d, v, rid in ((d1, x * a + y * b, r1), (d2, s * a + t * b, r2)):
-            if v:
+def _rows(d1: dict, d2: dict, m: Step, colrows=None, r1=None, r2=None) -> None:
+    """(d1, d2) <- (x d1 + y d2, u d1 + v d2) on sparse dict rows for a step
+    m = [[x, y], [u, v]] of ``smith._step``, keeping column occupancy current.
+    An elementary m has y = 0 and x = v = 1: it reads d1 and writes d2 only."""
+    (x, y), (u, v) = m
+    old1, old2 = (dict(d1), dict(d2)) if y else (d1, d2)
+    for d, s, t, rid in ((d1, x, y, r1), (d2, u, v, r2)) if y else ((d2, u, v, r2),):
+        for j in old1.keys() | old2.keys() if y else old1:
+            nv = s * old1.get(j, 0) + t * old2.get(j, 0)
+            if nv:
                 if colrows is not None and j not in d:
                     colrows[j].add(rid)
-                d[j] = v
+                d[j] = nv
             elif j in d:
                 del d[j]
                 if colrows is not None:
@@ -232,35 +222,21 @@ def _eliminate(rows: Dict[int, Sparse], ncols: int, track: bool = True):
     pivots = []
     while work:
         r, c, unit = _choose_pivot(work, colrows, urow if track else None)
-        if not unit:
-            if not track:
-                break
-            for r2 in sorted(colrows[c] - {r}):
-                a, b = work[r][c], work[r2][c]
-                if b % a == 0:
-                    _axpy(work[r2], work[r], -(b // a), colrows, r2)
-                    _axpy(urow[r2], urow[r], -(b // a))
-                else:
-                    x, y, g = _xgcd(a, b)
-                    _mix(work[r], work[r2], x, y, -b // g, a // g, colrows, r, r2)
-                    _mix(urow[r], urow[r2], x, y, -b // g, a // g)
-                if not work[r2]:
-                    del work[r2]
-                    zero.append(r2)
+        if not unit and not track:
+            break
         prow, pu = work.pop(r), urow.pop(r, {})
-        p = prow[c]
-        for j in prow:
-            colrows[j].discard(r)
-        for r2 in sorted(colrows[c]):  # none left after the gcd combines
-            q = work[r2][c] * p
-            _axpy(work[r2], prow, -q, colrows, r2)
+        for r2 in sorted(colrows[c] - {r}):
+            m = _step(prow[c], work[r2][c])
+            _rows(prow, work[r2], m, colrows, r, r2)
             if track:
-                _axpy(urow[r2], pu, -q)
+                _rows(pu, urow[r2], m)
             if not work[r2]:
                 del work[r2]
                 zero.append(r2)
+        for j in prow:
+            colrows[j].discard(r)
         rest = tuple(sorted((j, v) for j, v in prow.items() if j != c))
-        pivots.append((c, p, rest, tuple(sorted(pu.items()))))
+        pivots.append((c, prow[c], rest, tuple(sorted(pu.items()))))
     kernel = [tuple(sorted(urow[i].items())) for i in sorted(zero)] if track else []
     return pivots, work, colrows, kernel
 
@@ -272,10 +248,12 @@ def echelon_form(rows, ncols: int) -> Echelon:
 
     Pivots are unit entries where any exist, chosen Markowitz-style as in
     Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
-    normal form computations" (J. Symbolic Comput. 32, 2001); a column
-    without one is reduced to a single entry, its gcd, by 2x2 extended-gcd
-    combines of its rows.  Every tie is broken by index, so the result is
-    deterministic.
+    normal form computations" (J. Symbolic Comput. 32, 2001).  One loop
+    clears the pivot column below the pivot row, applying to the two rows,
+    and to their rows of T, the unimodular 2x2 ``smith._step`` of the pivot
+    and the entry: elementary where the pivot divides it (always, for a unit
+    pivot), else a Bezout combine that leaves their gcd in the pivot row.
+    Every tie is broken by index, so the result is deterministic.
     """
     rows = rows if isinstance(rows, dict) else dict(enumerate(rows))
     pivots, _, _, kernel = _eliminate(rows, ncols)
