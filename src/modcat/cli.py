@@ -34,11 +34,11 @@ def _emit_json(obj) -> None:
 
 def _read_json_file(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and overlong integers
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -101,7 +101,7 @@ def load_pair(spec: str, cat: PointedCategory):
             raise ParseError("pair spec needs ';psi=' after the member list")
         try:
             members = json.loads(body[len("H="):])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad member list in pair spec: {exc}") from exc
         if not isinstance(members, list) or not all(type(m) is int for m in members):
             raise ParseError(f"pair spec members {members!r} are not a list of indices")
@@ -117,7 +117,7 @@ def load_pair(spec: str, cat: PointedCategory):
     elif psi_part.startswith("{"):
         try:
             data = json.loads(psi_part)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad inline psi JSON: {exc}") from exc
         data.setdefault("degree", 2)
         psi = cochain_from_json(data, group=view, expect_degree=2)

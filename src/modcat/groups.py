@@ -335,7 +335,11 @@ def _builtin(spec: str):
     spec = spec.strip().removeprefix("builtin:")
     kind, _, n = spec.partition(":")
     if kind in ("cyclic", "dihedral") and n.isdecimal():  # what int() reads
-        return int(n), lambda: (cyclic_group if kind == "cyclic" else dihedral_group)(int(n))
+        try:  # up to sys.get_int_max_str_digits() digits
+            order = int(n)
+        except ValueError as exc:
+            raise ParseError(f"group order in {kind}:N: {exc}") from exc
+        return order, lambda: (cyclic_group if kind == "cyclic" else dihedral_group)(order)
     if spec == "kp":
         from .kac_paljutkin import kp_group
         return 8, kp_group

@@ -113,8 +113,11 @@ def qz(value) -> QZ:
         return QZ(value)
     if isinstance(value, str):
         m = _FRACTION_RE.match(value.strip())
-        if m and int(m.group(2) or 1):
-            return QZ(int(m.group(1)), int(m.group(2) or 1))
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            if m and int(m.group(2) or 1):
+                return QZ(int(m.group(1)), int(m.group(2) or 1))
+        except ValueError as exc:
+            raise ParseError(f"cannot parse Q/Z value: {exc}") from exc
         raise ParseError(f"cannot parse Q/Z value from {value!r}")
     raise ParseError(
         f"not an exact Q/Z value: {value!r} (use a string like \"3/4\")"

@@ -8,13 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from modcat import (QZ, AlgebraPair, Cochain, InternalInvariantBroken, ParseError,
+from modcat import (QZ, AlgebraPair, Cochain, GroupMismatch, InternalInvariantBroken, ParseError,
                     PointedCategory, SizeLimitExceeded, Subgroup,
                     admissible_subgroups, classify, coboundary, criterion_cochain,
                     combine, conjugate_cochain, cyclic_group, cyclic_3cocycle,
                     dihedral_group, direct_product, enumerate_pairs, equivalent_pairs,
                     from_table, generators, is_cocycle, kp_category, nonidentity_tuples,
-                    omega_fingerprint, report_from_json,
+                    group_to_json, omega_fingerprint, report_from_json,
                     report_to_json, restrict,
                     subgroup_conjugacy_classes, subgroups, validate_pair,
                     zero_cochain)
@@ -988,6 +988,57 @@ def test_verify_rejects_a_tampered_partition(tamper, error):
     tamper(data)
     with pytest.raises(error):
         report_from_json(data, kp.category)
+
+
+# kp's report: pairs 2 and 3 lie on (0, 2) and (0, 3) and form one class with
+# representative 2, merged by g = 4; pair 0, on the trivial subgroup, is a
+# class of its own, and pairs 6 and 7 form a class with representative 6
+KP_CLASS_OF_2 = 4
+
+
+def kp_class(d, rep):
+    return next(b for b in d["classes"] if b["representative"] == rep)
+
+
+@pytest.mark.parametrize("tamper, error, match", [
+    (lambda d: kp_class(d, 0).update(representative=1), InternalInvariantBroken,
+     "representative is not a member"),
+    (lambda d: kp_class(d, 6)["witnesses"].clear(), InternalInvariantBroken,
+     "not one per other member"),
+    (lambda d: kp_class(d, 2)["witnesses"][0].update(g=0), InternalInvariantBroken,
+     "witness conjugation mismatch"),
+    (lambda d: d.update(group=group_to_json(cyclic_group(8))), InternalInvariantBroken,
+     "report group does not match"),
+    (lambda d: d["omega"].update(hash="0" * 64), InternalInvariantBroken,
+     "omega hash does not match"),
+    (lambda d: d["omega"].update(source=7), ParseError, "'source' must be str"),
+], ids=["representative-outside", "witness-dropped", "witness-g-identity", "other-group",
+        "omega-hash", "omega-source-int"])
+def test_report_from_json_names_the_tampered_field(tamper, error, match):
+    kp = kp_category()
+    data = report_to_json(classify(kp.category, omega_source="kp"))
+    assert kp_class(data, 2)["witnesses"] == [{"from": 3, "g": KP_CLASS_OF_2, "f": []}]
+    assert kp_class(data, 0)["members"] == [0] and kp_class(data, 6)["members"] == [6, 7]
+    tamper(data)
+    with pytest.raises(error, match=match):
+        report_from_json(data, kp.category)
+
+
+def test_verify_refuses_a_pair_without_a_decomposition():
+    report = classify(kp_category().category)
+    report.verify()
+    report.parts.pop()
+    with pytest.raises(InternalInvariantBroken, match="a pair has no decomposition"):
+        report.verify()
+
+
+def test_criterion_cochain_refuses_an_element_that_does_not_conjugate_the_subgroups():
+    report = classify(kp_category().category)
+    a, b = report.pairs[2], report.pairs[3]
+    assert (a.H.members, b.H.members) == ((0, 2), (0, 3))
+    assert criterion_cochain(a, b, KP_CLASS_OF_2).group == b.H.as_group()
+    with pytest.raises(GroupMismatch, match="does not conjugate"):
+        criterion_cochain(a, b, 0)
 
 
 def test_z2_to_the_4_with_trivial_omega_has_one_class_per_pair():

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from modcat import (QZ, Cochain, cli, coboundary, cochain_from_json, cochain_to_json,
-                    cohomology, dihedral_group, group_to_json, groups, image_obstruction,
-                    kp_category, report_from_json, solve_coboundary)
+from modcat import (QZ, Cochain, ParseError, classify, cli, coboundary, cochain_from_json,
+                    cochain_to_json, cohomology, dihedral_group, group_to_json, groups,
+                    image_obstruction, kp_category, qz, report_from_json, report_to_json,
+                    solve_coboundary)
 from modcat.cli import main
 from modcat.groups import cyclic_group, direct_product
 
@@ -300,6 +301,121 @@ def test_bad_pair_spec(capsys):
                        "--omega", "trivial",
                        "--pair1", "whatever", "--pair2", "full:zero")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--group", "cyclic:4", "--omega", "nonsense"], "unknown omega spec"),
+    (["classify", "--group", "cyclic:4", "--omega", "cyclic:4"], "cyclic:N:Q"),
+    (["classify", "--group", "cyclic:4", "--omega", "cyclic:8:1"], "for order 8, group has 4"),
+    (["classify", "--group", "dihedral:8", "--omega", "kp"], "requires the builtin group"),
+    (["equiv", "--group", "kp", "--omega", "trivial", "--pair1", "H=[0,1]",
+      "--pair2", "full:zero"], "needs ';psi='"),
+    (["equiv", "--group", "kp", "--omega", "trivial", "--pair1", "H=[0,;psi=zero",
+      "--pair2", "full:zero"], "bad member list"),
+    (["equiv", "--group", "kp", "--omega", "trivial", "--pair1", 'full:{"values": [',
+      "--pair2", "full:zero"], "bad inline psi JSON"),
+    (["equiv", "--group", "kp", "--omega", "trivial", "--pair1", "full:nonsense",
+      "--pair2", "full:zero"], "cannot parse psi part"),
+    (["cocycle-check", "--group", "kp", "--cocycle", "kp", "--degree", "2"],
+     "builtin cocycle specs are all degree 3"),
+], ids=["omega-unknown", "omega-cyclic-without-q", "omega-cyclic-other-order",
+        "omega-kp-other-group", "pair-without-psi", "pair-members-not-json",
+        "pair-psi-not-json", "pair-psi-unknown", "cocycle-builtin-degree-2"])
+def test_bad_spec_exits_2_with_nothing_on_stdout(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_group_file_that_is_not_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text("{order: 2}")
+    code, out, err = run(capsys, "group-info", "--group", f"@{path}")
+    assert code == 2 and out == "" and "is not valid JSON" in err
+
+
+# one digit past CPython's default limit on converting a decimal string to int
+LONG = "1" * 4301
+
+
+@pytest.mark.parametrize("content", [
+    b'{"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "\xe9"]}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"order": ' + LONG.encode() + b', "table": [[0]]}',
+], ids=["not-utf8", "nested-past-the-recursion-limit", "overlong-integer"])
+def test_json_file_that_cannot_be_decoded_is_a_parse_error(capsys, tmp_path, content):
+    path = tmp_path / "group.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="is not valid JSON"):
+        cli.load_group(f"@{path}", 16)
+    code, out, err = run(capsys, "group-info", "--group", f"@{path}")
+    assert code == 2 and out == "" and "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    (f"H=[0,{LONG}];psi=zero", "bad member list"),
+    ("full:" + '{"values": ' + "[" * 100000, "bad inline psi JSON"),
+], ids=["overlong-member", "psi-nested-past-the-recursion-limit"])
+def test_pair_spec_json_that_cannot_be_decoded_is_a_parse_error(capsys, spec, message):
+    cat = cli.load_category("trivial", cyclic_group(4))
+    with pytest.raises(ParseError, match=message):
+        cli.load_pair(spec, cat)
+    code, out, err = run(capsys, "equiv", "--group", "cyclic:4", "--omega", "trivial",
+                         "--pair1", spec, "--pair2", "full:zero")
+    assert code == 2 and out == "" and message in err
+
+
+def test_overlong_builtin_group_order_is_a_parse_error(capsys):
+    with pytest.raises(ParseError, match="cyclic:N"):
+        groups.builtin_group(f"cyclic:{LONG}")
+    code, out, err = run(capsys, "group-info", "--group", f"cyclic:{LONG}")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_overlong_qz_string_is_a_parse_error(capsys, tmp_path):
+    value = f"1/{LONG}"
+    with pytest.raises(ParseError, match="Q/Z value"):
+        qz(value)
+    target = {"group": "cyclic:2", "degree": 2, "values": [{"args": [1, 1], "val": value}]}
+    with pytest.raises(ParseError, match="Q/Z value"):
+        cochain_from_json(target)
+    kp = kp_category()
+    data = report_to_json(classify(kp.category))
+    next(p for p in data["pairs"] if p["psi"])["psi"][0]["val"] = value
+    with pytest.raises(ParseError, match="Q/Z value"):
+        report_from_json(data, kp.category)
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(target))
+    code, out, err = run(capsys, "solve", "--target", f"@{path}")
+    assert code == 2 and out == "" and "Q/Z value" in err
+
+
+def test_solve_reads_the_target_on_the_given_group(capsys, tmp_path):
+    # the target names no group of its own; --group supplies it
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"degree": 2, "values": [{"args": [1, 1], "val": "1/2"}]}))
+    code, out, _ = run(capsys, "solve", "--group", "cyclic:2", "--target", f"@{path}",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["witness"] == [{"args": [1], "val": "1/4"}]
+    code, out, err = run(capsys, "solve", "--target", f"@{path}")
+    assert code == 2 and out == "" and "no group" in err
+
+
+def test_solve_text_output_lists_the_witness(capsys, tmp_path):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"group": "cyclic:2", "degree": 2,
+                                "values": [{"args": [1, 1], "val": "1/2"}]}))
+    code, out, _ = run(capsys, "solve", "--target", f"@{path}")
+    assert code == 0
+    assert out.splitlines() == ["coboundary witness:", "  ('a',) -> 1/4"]
+
+
+def test_equiv_json_on_inequivalent_pairs(capsys, tmp_path):
+    path = klein_file(tmp_path)
+    beta = {"values": [{"args": [a, b], "val": "1/2"} for a in (1, 3) for b in (2, 3)]}
+    code, out, _ = run(capsys, "equiv", "--group", f"@{path}", "--omega", "trivial",
+                       "--pair1", "full:zero", "--pair2", "full:" + json.dumps(beta),
+                       "--format", "json")
+    assert code == 1 and out == '{"equivalent":false}\n'
 
 
 def test_repeated_calls_in_one_process_answer_as_the_first(capsys):
