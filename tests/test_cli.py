@@ -156,6 +156,9 @@ def test_solve_finds_witness(capsys, tmp_path):
     data = json.loads(out)
     assert data["solvable"] is True
     assert data["witness"] == [{"args": [1], "val": "1/4"}]
+    code, out, _ = run(capsys, "solve", "--target", f"@{target}")
+    assert code == 0
+    assert out.splitlines() == ["coboundary witness:", "  ('a',) -> 1/4"]
 
 
 def test_solve_target_with_a_zero_denominator_is_input_error(capsys, tmp_path):
@@ -244,6 +247,10 @@ def test_equiv_inequivalent_on_klein(capsys, tmp_path):
         "--pair1", "full:zero", "--pair2", "full:" + json.dumps(beta))
     assert code == 1
     assert "inequivalent" in out
+    code, out, _ = run(
+        capsys, "equiv", "--group", f"@{path}", "--omega", "trivial",
+        "--pair1", "full:zero", "--pair2", "full:" + json.dumps(beta), "--format", "json")
+    assert code == 1 and out == '{"equivalent":false}\n'
 
 
 def test_equiv_kp_merging(capsys, tmp_path):
@@ -392,24 +399,6 @@ def test_solve_reads_the_target_on_the_given_group(capsys, tmp_path):
     assert code == 0 and json.loads(out)["witness"] == [{"args": [1], "val": "1/4"}]
     code, out, err = run(capsys, "solve", "--target", f"@{path}")
     assert code == 2 and out == "" and "no group" in err
-
-
-def test_solve_text_output_lists_the_witness(capsys, tmp_path):
-    path = tmp_path / "target.json"
-    path.write_text(json.dumps({"group": "cyclic:2", "degree": 2,
-                                "values": [{"args": [1, 1], "val": "1/2"}]}))
-    code, out, _ = run(capsys, "solve", "--target", f"@{path}")
-    assert code == 0
-    assert out.splitlines() == ["coboundary witness:", "  ('a',) -> 1/4"]
-
-
-def test_equiv_json_on_inequivalent_pairs(capsys, tmp_path):
-    path = klein_file(tmp_path)
-    beta = {"values": [{"args": [a, b], "val": "1/2"} for a in (1, 3) for b in (2, 3)]}
-    code, out, _ = run(capsys, "equiv", "--group", f"@{path}", "--omega", "trivial",
-                       "--pair1", "full:zero", "--pair2", "full:" + json.dumps(beta),
-                       "--format", "json")
-    assert code == 1 and out == '{"equivalent":false}\n'
 
 
 def test_repeated_calls_in_one_process_answer_as_the_first(capsys):
