@@ -186,6 +186,29 @@ def test_echelon_form_bytes_are_pinned(name):
     assert digest.hexdigest() == ECHELON_SHA256[name]
 
 
+# sha256 of repr((pivots, residual rows, live columns)) of _eliminate without
+# T, one line per matrix, on the 300 divisor-rich matrices of the echelon pin
+UNTRACKED_SHA256 = "101646024f261115df1a1913982cc7a9d95cb98b7e9bf7893512b0f9d64893c3"
+
+
+@pytest.mark.pinned
+def test_untracked_elimination_bytes_are_pinned():
+    # the mode _h2_basis runs: unit pivots only, the rest left in ``work``,
+    # whose rows colrows must index exactly
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        rows, ncols = divisor_rich_rows(rng)
+        pivots, work, colrows, kernel = cohomology._eliminate(dict(enumerate(rows)), ncols,
+                                                              track=False)
+        assert kernel == [] and all(u == () for *_, u in pivots)
+        assert colrows == [{r for r, row in work.items() if c in row} for c in range(ncols)]
+        residual = sorted((r, sorted(row.items())) for r, row in work.items())
+        live = [c for c, rs in enumerate(colrows) if rs]
+        digest.update((repr((pivots, residual, live)) + "\n").encode())
+    assert digest.hexdigest() == UNTRACKED_SHA256
+
+
 @pytest.mark.parametrize("G", [dihedral_group(6), kp_group(), cyclic_group(12)],
                          ids=["D6", "kp", "Z12"])
 def test_random_coboundaries_are_always_solved(G):
