@@ -4,7 +4,7 @@ The coboundary operator on normalized cochains is an integer matrix A once
 tuples are flattened in a fixed order.  Solving A x = b over the divisible
 coefficients Q/Z goes through one sparse echelon form per (group, degree):
 unimodular row operations T with T A = E, where E is in row echelon form,
-each one the 2x2 step ``smith._step`` on two rows (``_rows``).
+each an added multiple of the pivot row or a Bezout step (``_rows``).
 The rows of T whose E row is zero form an integer basis of the kernel
 functionals {z : z A = 0}, and because Q/Z is divisible, b is a coboundary
 exactly when z . b = 0 in Q/Z for every one of them.  A witness then comes
@@ -150,13 +150,13 @@ _SEARCH_COLUMNS = 3
 
 
 def _rows(d1: dict, d2: dict, m: Step, colrows=None, r1=None, r2=None) -> None:
-    """(d1, d2) <- (x d1 + y d2, u d1 + v d2) on sparse dict rows for a step
-    m = [[x, y], [u, v]] of ``smith._step``, keeping column occupancy current.
-    An elementary m has y = 0 and x = v = 1: it reads d1 and writes d2 only."""
+    """(d1, d2) <- (x d1 + y d2, u d1 + v d2) on sparse dict rows for a Bezout
+    step m = [[x, y], [u, v]] of ``smith._step``, keeping column occupancy
+    current; both rows are written from copies, as y != 0."""
     (x, y), (u, v) = m
-    old1, old2 = (dict(d1), dict(d2)) if y else (d1, d2)
-    for d, s, t, rid in ((d1, x, y, r1), (d2, u, v, r2)) if y else ((d2, u, v, r2),):
-        for j in old1.keys() | old2.keys() if y else old1:
+    old1, old2 = dict(d1), dict(d2)
+    for d, s, t, rid in ((d1, x, y, r1), (d2, u, v, r2)):
+        for j in old1.keys() | old2.keys():
             nv = s * old1.get(j, 0) + t * old2.get(j, 0)
             if nv:
                 if colrows is not None and j not in d:
@@ -169,13 +169,14 @@ def _rows(d1: dict, d2: dict, m: Step, colrows=None, r1=None, r2=None) -> None:
 
 
 def _choose_pivot(work, colrows, urow=None):
-    """(row, col, unit) for the next pivot.
+    """(row, col) for the next pivot.
 
     Unit entries come first, chosen by the Markowitz cost (row length - 1) *
     (column count - 1), then the length of the row's T row (when T is
     tracked), then row index, among the sparsest columns (count, then column
-    index).  Without any unit entry, the sparsest column is taken with its
-    entry of least magnitude.
+    index); a key is built only for a cost that can tie or beat the best.
+    Without any unit entry, the sparsest column is taken with its entry of
+    least magnitude, or None is returned when T is not tracked.
     """
     cands = sorted((len(rs), c) for c, rs in enumerate(colrows) if rs)
     best, seen = None, 0
@@ -184,21 +185,20 @@ def _choose_pivot(work, colrows, urow=None):
         for r in colrows[c]:
             row = work[r]
             if row[c] == 1 or row[c] == -1:
-                tlen = 0 if urow is None else len(urow[r])
-                key = ((len(row) - 1) * (count - 1), tlen, r)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
                 found = True
+                cost = (len(row) - 1) * (count - 1)
+                if best is None or cost <= best[0][0]:
+                    key = (cost, 0 if urow is None else len(urow[r]), r)
+                    if best is None or key < best[0]:
+                        best = (key, r, c)
         if found:
             seen += 1
             if seen == _SEARCH_COLUMNS or best[0][0] == 0:
                 break
-    if best is not None:
-        return best[1], best[2], True
+    if best is not None or urow is None:
+        return best and best[1:]
     c = cands[0][1]
-    r = min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]),
-                                       0 if urow is None else len(urow[r]), r))
-    return r, c, False
+    return min(colrows[c], key=lambda r: (abs(work[r][c]), len(work[r]), len(urow[r]), r)), c
 
 
 def _eliminate(rows: Dict[int, Sparse], ncols: int, track: bool = True):
@@ -220,17 +220,37 @@ def _eliminate(rows: Dict[int, Sparse], ncols: int, track: bool = True):
         else:
             zero.append(i)
     pivots = []
-    while work:
-        r, c, unit = _choose_pivot(work, colrows, urow if track else None)
-        if not unit and not track:
-            break
+    while work and (pick := _choose_pivot(work, colrows, urow if track else None)):
+        r, c = pick
         prow, pu = work.pop(r), urow.pop(r, {})
         for r2 in sorted(colrows[c] - {r}):
-            m = _step(prow[c], work[r2][c])
-            _rows(prow, work[r2], m, colrows, r, r2)
-            if track:
-                _rows(pu, urow[r2], m)
-            if not work[r2]:
+            row, p = work[r2], prow[c]
+            if row[c] % p:
+                m = _step(p, row[c])
+                _rows(prow, row, m, colrows, r, r2)
+                if track:
+                    _rows(pu, urow[r2], m)
+            else:
+                q = -(row[c] // p)
+                for j, v in prow.items():
+                    if j not in row:
+                        row[j] = q * v
+                        colrows[j].add(r2)
+                    elif row[j] + q * v:
+                        row[j] += q * v
+                    else:
+                        del row[j]
+                        colrows[j].discard(r2)
+                if track:
+                    t = urow[r2]
+                    for j, v in pu.items():
+                        if j not in t:
+                            t[j] = q * v
+                        elif t[j] + q * v:
+                            t[j] += q * v
+                        else:
+                            del t[j]
+            if not row:
                 del work[r2]
                 zero.append(r2)
         for j in prow:
@@ -248,12 +268,12 @@ def echelon_form(rows, ncols: int) -> Echelon:
 
     Pivots are unit entries where any exist, chosen Markowitz-style as in
     Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
-    normal form computations" (J. Symbolic Comput. 32, 2001).  One loop
-    clears the pivot column below the pivot row, applying to the two rows,
-    and to their rows of T, the unimodular 2x2 ``smith._step`` of the pivot
-    and the entry: elementary where the pivot divides it (always, for a unit
-    pivot), else a Bezout combine that leaves their gcd in the pivot row.
-    Every tie is broken by index, so the result is deterministic.
+    normal form computations" (J. Symbolic Comput. 32, 2001).  One pass
+    clears the pivot column below the pivot row: where the pivot divides the
+    entry (always, for a unit pivot) the row, and its row of T, take a
+    multiple of the pivot's in place, else both rows and their rows of T
+    take the Bezout step of ``smith._step``, which leaves their gcd in the
+    pivot row.  Every tie is broken by index, so the result is deterministic.
     """
     rows = rows if isinstance(rows, dict) else dict(enumerate(rows))
     pivots, _, _, kernel = _eliminate(rows, ncols)

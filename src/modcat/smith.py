@@ -7,9 +7,9 @@ from the rows of V^-1.  Every step is one unimodular 2x2 matrix m from
 ``_step``, applied to two rows or two columns; a column step is undone on the
 rows of V^-1 by adj(m) det(m), as det(m) = +-1 (M. Newman, *Integral
 Matrices*, 1972, ch. II).  The row transform U is not tracked.  The sparse
-echelon form (``cohomology._eliminate``) takes every row step from ``_step``
-too, so the sparse and the dense elimination share one choice between an
-elementary step and a Bezout combine.
+echelon form (``cohomology._eliminate``) takes its Bezout steps from
+``_step`` too; its elementary steps, where the pivot divides the entry, it
+applies in place.
 """
 
 from __future__ import annotations

@@ -130,20 +130,44 @@ def test_echelon_seeds_reach_the_divisible_and_the_bezout_step_without_a_unit(mo
     real, reached = cohomology._choose_pivot, set()
 
     def recorded(work, colrows, urow=None):
-        r, c, unit = real(work, colrows, urow)
-        if not unit:
-            a, others = work[r][c], [work[r2][c] for r2 in sorted(colrows[c] - {r})]
+        r, c = real(work, colrows, urow)
+        a, others = work[r][c], [work[r2][c] for r2 in sorted(colrows[c] - {r})]
+        if abs(a) != 1:
             if others and others[0] % a == 0:
                 reached.add("divisible")
             if any(b % a for b in others):
                 reached.add("bezout")
-        return r, c, unit
+        return r, c
 
     monkeypatch.setattr(cohomology, "_choose_pivot", recorded)
     rng = random.Random(31)
     for _ in range(300):
         echelon_form(*divisor_rich_rows(rng))
     assert reached == {"divisible", "bezout"}
+
+
+def test_only_bezout_steps_reach_the_row_operation(monkeypatch):
+    # _eliminate clears an entry that the pivot divides in place, so every
+    # step handed to _rows is a Bezout step, y != 0; a bypassed in-place path
+    # would send elementary steps there and still give the pinned bytes
+    real, steps = cohomology._rows, []
+
+    def recorded(d1, d2, m, *occupancy):
+        steps.append(m)
+        return real(d1, d2, m, *occupancy)
+
+    monkeypatch.setattr(cohomology, "_rows", recorded)
+    rng = random.Random(31)
+    for _ in range(300):
+        echelon_form(*divisor_rich_rows(rng))
+    assert steps and all(y for (_, y), _ in steps)
+    steps.clear()
+    groups = echelon_pin_groups()
+    del groups["D8xZ2xZ2"]  # the benchmark's seven groups
+    for G in groups.values():
+        for view in {v.table: v for v in views_of(G)}.values():
+            cohomology._factor(view, 1), cohomology._factor(view, 2), cohomology._h2_basis(view)
+    assert all(y for (_, y), _ in steps)
 
 
 def echelon_pin_groups():
